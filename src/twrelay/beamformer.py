@@ -4,8 +4,9 @@ and rate-region tracing.
 The SNR-constrained relay power minimization is a quadratically
 constrained problem in b = vec(B), where vec stacks rows:
 vec([[1, 2], [3, 4]]) = (1, 2, 3, 4). Expanding b into real and
-imaginary halves turns it into an 8x8 real SDP whose relaxation is
-provably tight, so the minimizer is recovered exactly. Boundary points
+imaginary halves turns it into an 8x8 real SDP with two constraints,
+whose relaxation is tight: its one-dimensional dual gives the minimum
+power and a rank-one minimizer exactly (see sdp.py). Boundary points
 of the rate region come from bisection on the sum rate along rate-profile
 rays; the capacity region is the Pareto envelope of boundaries over a
 grid of source powers.
@@ -20,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import c_ub0
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .linalg import herm_sqrt_2x2
 from .model import (
     Beamformer,
@@ -175,7 +176,9 @@ def min_relay_power(
     (p_star, B); infeasible targets give (inf, None).
 
     Raises:
-        NumericalFailureError: propagated from the SDP solver/extractor.
+        InvalidInputError: if a target is negative.
+        NumericalFailureError: propagated from solve_sdp when rounding
+            leaves no rank-one point with a positive constraint form.
     """
     if gamma1_bar < 0.0 or gamma2_bar < 0.0:
         raise InvalidInputError("SNR targets must be nonnegative")
@@ -198,8 +201,6 @@ def min_relay_power(
     sol = solve_sdp(prob, tol=tol)
     if sol.status == "infeasible":
         return math.inf, None
-    if sol.status != "optimal":
-        raise NumericalFailureError(f"power minimization failed: {sol.message}")
     x = extract_rank_one(sol, prob)
     B = _vec_to_matrix(x)
     return float(x @ prob.F0 @ x), B
@@ -223,9 +224,12 @@ def max_sum_rate(
 
     Bisects r over [0, c_ub0] (a profile-independent upper bound on any
     achievable sum rate), shrinking the upper end whenever the power
-    minimum exceeds P_R or is infeasible. A solver failure on a probe is
-    treated as infeasible, which errs toward the returned rate staying
-    feasible. Returns (r, B) with r within delta_r of the bracket top.
+    minimum exceeds P_R or is infeasible. Returns (r, B) with r within
+    delta_r of the bracket top.
+
+    Raises:
+        InvalidInputError: if delta_r is not positive.
+        NumericalFailureError: propagated from min_relay_power.
     """
     if delta_r <= 0.0:
         raise InvalidInputError("delta_r must be positive")
@@ -237,10 +241,7 @@ def max_sum_rate(
     while r_hi - r_lo > delta_r:
         r = 0.5 * (r_lo + r_hi)
         g1b, g2b = snr_targets(profile, r)
-        try:
-            p_star, B = min_relay_power(eff, pc, g1b, g2b)
-        except NumericalFailureError:
-            p_star, B = math.inf, None
+        p_star, B = min_relay_power(eff, pc, g1b, g2b)
         if p_star <= pc.p_relay * (1.0 + 1e-9):
             r_lo, B_lo = r, B
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -613,9 +614,24 @@ _HANDLERS = {
 }
 
 
+_NEGATIVE_DB = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?db", re.IGNORECASE)
+
+
+def _join_negative_db(argv: Sequence[str]) -> List[str]:
+    """Rewrite '--pr -3db' as '--pr=-3db': argparse takes a lone token that
+    starts with '-' and is not a plain negative number for an option."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_DB.fullmatch(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, handles = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_db(sys.argv[1:] if argv is None else argv))
     if ns.command is None:
         parser.print_help()
         return 2
@@ -624,7 +640,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     settings = resolve_settings(sub, ns, OPTS[ns.command], config)
     if ns.command == "region" and settings["scheme"] == "zf" and settings["rho"] >= 1.0:
         sub.error("argument --scheme: zero-forcing is undefined at rho = 1 (parallel channels)")
-    return _HANDLERS[ns.command](settings)
+    try:
+        return _HANDLERS[ns.command](settings)
+    except InvalidInputError as exc:
+        sub.error(str(exc))
 
 
 if __name__ == "__main__":

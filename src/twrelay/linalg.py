@@ -2,9 +2,11 @@
 
 Everything in this package works with matrices that are either 2x2, M x 2
 with M <= 8-ish, or 8x8, so the routines here are written for that regime:
-a cyclic-Jacobi symmetric eigensolver, a closed-form 2x2 Hermitian
-eigensolver, a tall-matrix SVD built on the 2x2 Gram matrix, and the
-pseudo-inverse derived from it.
+a closed-form 2x2 Hermitian eigensolver, a tall-matrix SVD built on the
+2x2 Gram matrix, and the pseudo-inverse derived from it. The
+cyclic-Jacobi symmetric eigensolver eig_sym has no caller in the package
+(the SDP solver uses numpy's eigh); the benchmark's tracer still wraps
+it by name.
 """
 
 from __future__ import annotations

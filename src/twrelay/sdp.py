@@ -1,37 +1,46 @@
-"""Dense small-scale semidefinite programming with exact rank-one recovery.
+"""Exact solver for the power-minimization SDP with one or two constraints.
 
-Solves min tr(F0 X) s.t. tr(F_i X) >= 1, X PSD for one or two constraint
-matrices, via a homogeneous self-dual interior-point method with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step. The
-embedding yields an infeasibility certificate (tau/kappa -> 0) instead of
-an iteration-cap guess.
+Solves min tr(F0 X) s.t. tr(F_i X) >= 1, X PSD, for positive definite F0.
+With F0 = L L^T and A_i = L^-1 F_i L^-T the problem becomes
+min ||z||^2 over z^T A_i z >= 1, and strong duality gives
 
-The relaxation this package builds is provably tight: extract_rank_one
-turns any optimal X into a vector x with x x^T feasible and of equal
-objective, by decomposing X with respect to the difference of the
-constraint matrices and solving the resulting two-variable linear program
-at a basic feasible solution.
+    p* = 1 / min over t in [0, 1] of lambda_max(t A_1 + (1 - t) A_2).
+
+The function g(t) = lambda_max(A_2 + t D), D = A_1 - A_2, is convex with
+subgradient v^T D v at a top eigenvector v, so bisection on the sign of
+that form brackets its minimizer; an endpoint whose form already has the
+right sign is the minimizer itself. A minimum at or below a tolerance
+scaled to the A_i certifies infeasibility: then no t gives a positive
+dual bound.
+
+With two constraints the relaxation is tight (Pataki's rank bound), so
+the optimum is rank one. At an interior minimizer the top eigenvalue
+crosses: the top eigenvectors at the two ends of the bracket have D-forms
+of opposite signs, and the combination of them with zero D-form meets
+both constraints with the same value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import eig_sym
 
 DEFAULT_TOL = 1e-8
-MAX_ITER = 150
+# min lambda_max at or below this times max |A_i| counts as zero:
+# infeasible targets leave it at rounding level (~1e-17), not <= 0
+INFEASIBLE_TOL = 1e-12
 
 
 @dataclass
 class SdpProblem:
     """min tr(F0 X) over PSD X with tr(F1 X) >= 1 and, if F2 is given,
-    tr(F2 X) >= 1. All matrices are n x n real symmetric; F0 must be PSD
-    (in the relay problem it is a squared quadratic form)."""
+    tr(F2 X) >= 1. All matrices are n x n real symmetric; F0 must be
+    positive definite (in the relay problem it is a power form)."""
 
     n: int
     F0: np.ndarray
@@ -48,10 +57,10 @@ class SdpProblem:
             scale = max(1.0, float(np.max(np.abs(F))))
             if float(np.max(np.abs(F - F.T))) > 1e-12 * scale:
                 raise InvalidInputError(f"{name} must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(0.5 * (self.F0 + self.F0.T)))) < -1e-10 * max(
-            1.0, float(np.max(np.abs(self.F0)))
-        ):
-            raise InvalidInputError("F0 must be positive semidefinite")
+        try:
+            np.linalg.cholesky(self.F0)
+        except np.linalg.LinAlgError:
+            raise InvalidInputError("F0 must be positive definite") from None
 
     @property
     def constraints(self) -> List[np.ndarray]:
@@ -63,7 +72,12 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    status: str  # "optimal" | "infeasible" | "numerical-failure"
+    """status is "optimal" or "infeasible". An optimal solution carries the
+    rank-one optimum X = x x^T (x also in x_hat) and the dual bound
+    `objective`; tr(F0 X) exceeds it by at most the solve tolerance,
+    relative. `iterations` counts eigen-solves."""
+
+    status: str
     X: Optional[np.ndarray] = None
     objective: Optional[float] = None
     x_hat: Optional[np.ndarray] = None
@@ -71,291 +85,105 @@ class SdpSolution:
     iterations: int = 0
 
 
-def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
+def _zero_form_pair(
+    u: np.ndarray, a: float, w: np.ndarray, c: float, D: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The two vectors u + s w with zero D-form, given the D-forms a < 0 of
+    u and c > 0 of w; the roots s of c s^2 + 2 b s + a have opposite signs."""
+    b = float(u @ D @ w)
+    q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
+    return u + (q / c) * w, u + (a / q) * w
 
 
-def _chol(A: np.ndarray) -> Optional[np.ndarray]:
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _psd_step_bound(L: np.ndarray, dA: np.ndarray) -> float:
-    """Largest alpha with A + alpha dA PSD, given A = L L^T."""
-    T = np.linalg.solve(L, np.linalg.solve(L, dA).T)
-    lam = float(np.min(np.linalg.eigvalsh(_sym(T))))
-    if lam >= 0.0:
-        return np.inf
-    return -1.0 / lam
-
-
-def _scalar_step_bound(vals: np.ndarray, dirs: np.ndarray) -> float:
-    neg = dirs < 0.0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(vals[neg] / -dirs[neg]))
+def _scaled(prob: SdpProblem, Linv_T: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Map z back to x = L^-T z, scaled so that its smaller constraint form
+    is 1; returns (x, tr(F0 x x^T)), with infinite cost if no form is
+    positive."""
+    x = Linv_T @ z
+    least = min(float(x @ F @ x) for F in prob.constraints)
+    if least <= 0.0:
+        return x, math.inf
+    x = x / math.sqrt(least)
+    return x, float(x @ prob.F0 @ x)
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
-    """Solve the SDP to the requested tolerance.
+    """Solve the SDP through its one-dimensional dual.
 
-    Returns a solution with status "optimal" (X, objective populated),
-    "infeasible" (no PSD X satisfies the constraints; certified through
-    the self-dual embedding), or "numerical-failure" (iteration cap hit
-    before either certificate).
-    """
-    n = prob.n
-    if n > 32:
-        raise InvalidInputError("solver is designed for n <= 32")
-    C = _sym(prob.F0.astype(float))
-    Fs = [_sym(F.astype(float)) for F in prob.constraints]
-    m = len(Fs)
-    nu = n + m + 1
-    cnorm = 1.0 + float(np.max(np.abs(C)))
-
-    X = np.eye(n)
-    Z = np.eye(n)
-    y = np.ones(m)
-    s = np.ones(m)
-    tau = 1.0
-    kappa = 1.0
-
-    for it in range(1, MAX_ITER + 1):
-        ax = np.array([float(np.sum(F * X)) for F in Fs])
-        rP = tau - ax + s
-        RD = C * tau - sum(yi * F for yi, F in zip(y, Fs)) - Z
-        obj_x = float(np.sum(C * X))
-        r3 = obj_x - float(np.sum(y)) + kappa
-
-        obj_p = obj_x / tau
-        obj_d = float(np.sum(y)) / tau
-        pres = float(np.max(np.abs(rP))) / tau
-        dres = float(np.max(np.abs(RD))) / tau / cnorm
-        gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
-        if pres <= tol and dres <= tol and gap <= tol:
-            return SdpSolution(
-                status="optimal", X=_sym(X / tau), objective=obj_p, iterations=it,
-                message="converged",
-            )
-        if tau < 1e-8 * kappa:
-            return SdpSolution(
-                status="infeasible", iterations=it,
-                message="self-dual embedding certified primal infeasibility (tau/kappa < 1e-8)",
-            )
-
-        mu = (float(np.sum(X * Z)) + float(s @ y) + tau * kappa) / nu
-
-        Lx = _chol(X)
-        Lz = _chol(Z)
-        if Lx is None or Lz is None:
-            return SdpSolution(
-                status="numerical-failure", iterations=it,
-                message="iterate lost positive definiteness",
-            )
-        # Nesterov-Todd scaling point: W^-1 X W^-T = W^T Z W = diag(d)
-        Usv, d, Vt = np.linalg.svd(Lz.T @ Lx)
-        W = Lx @ Vt.T / np.sqrt(d)
-        scW = W @ W.T
-        scW_RD = scW @ RD @ scW
-        WFs = [scW @ F @ scW for F in Fs]
-        WC = scW @ C @ scW
-        Mmat = np.array([[float(np.sum(Fi * WFj)) for WFj in WFs] for Fi in Fs])
-        u = np.array([float(np.sum(F * WC)) for F in Fs])
-        v = float(np.sum(C * WC))
-        omega = tau / kappa
-        theta = s / y
-
-        G = np.zeros((m + 1, m + 1))
-        G[:m, :m] = Mmat + np.diag(theta)
-        G[:m, m] = -(u + 1.0)
-        G[m, :m] = 1.0 - u
-        G[m, m] = v + 1.0 / omega
-
-        def directions(Rc, rc, rct):
-            q = np.array([float(np.sum(F * (Rc - scW_RD))) for F in Fs])
-            p = float(np.sum(C * (Rc - scW_RD)))
-            rhs = np.empty(m + 1)
-            rhs[:m] = rP + rc - q
-            rhs[m] = r3 + rct / omega + p
-            try:
-                sol = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError:
-                # dependent constraints make the reduced system singular but
-                # consistent; the minimum-norm solution is a valid direction
-                sol = np.linalg.lstsq(G, rhs, rcond=None)[0]
-            dy = sol[:m]
-            dtau = sol[m]
-            dZ = RD + C * dtau - sum(dyi * F for dyi, F in zip(dy, Fs))
-            dX = _sym(Rc - scW @ dZ @ scW)
-            ds = rc - theta * dy
-            dkappa = (rct - dtau) / omega
-            return dX, dy, _sym(dZ), ds, dtau, dkappa
-
-        def max_step(dX, dy, dZ, ds, dtau, dkappa):
-            a = min(_psd_step_bound(Lx, dX), _psd_step_bound(Lz, dZ))
-            a = min(a, _scalar_step_bound(s, ds), _scalar_step_bound(y, dy))
-            a = min(a, _scalar_step_bound(np.array([tau, kappa]), np.array([dtau, dkappa])))
-            return a
-
-        try:
-            aff = directions(-X, -s, -tau)
-        except np.linalg.LinAlgError:
-            return SdpSolution(status="numerical-failure", iterations=it,
-                               message="singular reduced system")
-        dXa, dya, dZa, dsa, dta, dka = aff
-        alpha_aff = min(1.0, max_step(*aff))
-        mu_aff = (
-            float(np.sum((X + alpha_aff * dXa) * (Z + alpha_aff * dZa)))
-            + float((s + alpha_aff * dsa) @ (y + alpha_aff * dya))
-            + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
-        ) / nu
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
-
-        # second-order correction in the scaled space
-        dXh = np.linalg.solve(W, np.linalg.solve(W, dXa).T)
-        dZh = W.T @ dZa @ W
-        corr = _sym(dXh @ dZh)
-        dd = np.add.outer(d, d)
-        Rtil = (2.0 * (sigma * mu * np.eye(n) - np.diag(d**2) - corr)) / dd
-        Rc = W @ _sym(Rtil) @ W.T
-        rc = (sigma * mu - s * y - dsa * dya) / y
-        rct = (sigma * mu - tau * kappa - dta * dka) / kappa
-
-        try:
-            step = directions(Rc, rc, rct)
-        except np.linalg.LinAlgError:
-            return SdpSolution(status="numerical-failure", iterations=it,
-                               message="singular reduced system")
-        dX, dy, dZ, ds, dtau, dkappa = step
-        alpha = min(1.0, 0.99 * max_step(*step))
-        if not np.isfinite(alpha) or alpha <= 0.0:
-            return SdpSolution(status="numerical-failure", iterations=it,
-                               message="no positive step")
-
-        X = _sym(X + alpha * dX)
-        Z = _sym(Z + alpha * dZ)
-        y = y + alpha * dy
-        s = s + alpha * ds
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkappa
-
-    return SdpSolution(status="numerical-failure", iterations=MAX_ITER,
-                       message="iteration cap exceeded")
-
-
-def decompose_wrt(X: np.ndarray, M: np.ndarray, rank_tol: float = 1e-9) -> List[np.ndarray]:
-    """Split PSD X into vectors x_i with sum x_i x_i^T = X and
-    x_i^T M x_i >= 0 for every i (up to rounding).
-
-    Requires tr(M X) >= -1e-9. Starting from the scaled eigenvectors, any
-    vector with a negative M-form is rotated against one with a positive
-    form so the rotated pair preserves the outer-product sum while one
-    vector's form becomes exactly zero; that vector retires, so at most
-    rank-1 rotations happen.
-    """
-    X = _sym(np.asarray(X, dtype=float))
-    M = _sym(np.asarray(M, dtype=float))
-    if float(np.sum(M * X)) < -1e-9:
-        raise InvalidInputError("decompose_wrt requires tr(M X) >= -1e-9")
-    w, V = eig_sym(X, tol=1e-9)
-    lam_max = max(w[0], 0.0)
-    keep = w > rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(w, dtype=bool)
-    vecs = [np.sqrt(w[i]) * V[:, i] for i in range(len(w)) if keep[i]]
-    if not vecs:
-        return []
-
-    forms = [float(v @ M @ v) for v in vecs]
-    active = list(range(len(vecs)))
-    fscale = max(1.0, float(lam_max) * max(1.0, float(np.max(np.abs(M)))))
-    guard = len(vecs)
-    while guard >= 0:
-        neg = [i for i in active if forms[i] < -1e-9]
-        if not neg:
-            break
-        pos = [j for j in active if forms[j] > 0.0]
-        if not pos:
-            # all remaining forms are <= 0, so each is bounded below by
-            # their sum, which the precondition pins near zero; anything
-            # clearly below that is a genuine precondition violation
-            if forms[min(neg, key=lambda k: forms[k])] < -1e-6 * fscale:
-                raise InvalidInputError("decompose_wrt precondition violated")
-            break
-        if guard == 0:
-            raise NumericalFailureError("rotation budget exhausted in decompose_wrt")
-        guard -= 1
-        i = min(neg, key=lambda k: forms[k])
-        j = max(pos, key=lambda k: forms[k])
-        a, c = forms[i], forms[j]
-        b = float(vecs[i] @ M @ vecs[j])
-        root = np.sqrt(b * b - a * c)
-        t = -a / (b + root) if b > 0.0 else (-b + root) / c
-        scale = 1.0 / np.sqrt(1.0 + t * t)
-        y1 = (vecs[i] + t * vecs[j]) * scale
-        y2 = (-t * vecs[i] + vecs[j]) * scale
-        vecs[i], vecs[j] = y1, y2
-        forms[i] = 0.0
-        forms[j] = float(y2 @ M @ y2)
-        active.remove(i)  # y1 has zero form; it never needs another rotation
-    return vecs
-
-
-def pick_basic_solution(y0: np.ndarray, ya: np.ndarray) -> tuple:
-    """Best single-weight solution of min sum t_j y0_j s.t. sum t_j ya_j >= 1.
-
-    With y0 >= 0 an optimal basic feasible solution puts all weight on one
-    index: the j minimizing y0_j/ya_j over ya_j > 0, with t_j = 1/ya_j.
-    Ties go to the smaller index.
+    Stops once the rank-one primal candidate costs at most (1 + tol)
+    times the dual bound, or the bracket reaches rounding level.
 
     Raises:
-        NumericalFailureError: if no ya_j is positive (LP infeasible).
+        NumericalFailureError: if the dual bound is positive but rounding
+            leaves the primal candidate with no positive constraint form.
     """
-    best_j = -1
-    best_ratio = np.inf
-    for j, (num, den) in enumerate(zip(y0, ya)):
-        if den <= 0.0:
-            continue
-        ratio = num / den
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_j = j
-    if best_j < 0:
-        raise NumericalFailureError("extraction LP infeasible: no positive constraint form")
-    return best_j, 1.0 / ya[best_j]
+    Linv = np.linalg.inv(np.linalg.cholesky(prob.F0))
+    As = [Linv @ F @ Linv.T for F in prob.constraints]
+    As = [0.5 * (A + A.T) for A in As]
+    floor = INFEASIBLE_TOL * max(float(np.max(np.abs(A))) for A in As)
+    iterations = 0
+
+    def top(A: np.ndarray) -> Tuple[float, np.ndarray]:
+        nonlocal iterations
+        iterations += 1
+        w, V = np.linalg.eigh(A)
+        return float(w[-1]), V[:, -1]
+
+    def result(lam: float, x: np.ndarray, cost: float) -> SdpSolution:
+        if lam <= floor:
+            return SdpSolution(
+                status="infeasible", iterations=iterations,
+                message=f"min lambda_max {lam:.1e} <= {floor:.1e}: no positive dual bound",
+            )
+        if not math.isfinite(cost):
+            raise NumericalFailureError("no rank-one point with a positive constraint form")
+        return SdpSolution(
+            status="optimal", X=np.outer(x, x), objective=1.0 / lam, x_hat=x,
+            iterations=iterations, message=f"relative duality gap {cost * lam - 1.0:.1e}",
+        )
+
+    def endpoint(lam: float, v: np.ndarray) -> SdpSolution:
+        return result(lam, *_scaled(prob, Linv.T, v))
+
+    if len(As) == 1:
+        return endpoint(*top(As[0]))
+
+    A2 = As[1]
+    D = As[0] - A2
+    lam_lo, v_lo = top(A2)
+    d_lo = float(v_lo @ D @ v_lo)
+    if d_lo >= 0.0:
+        return endpoint(lam_lo, v_lo)
+    lam_hi, v_hi = top(As[0])
+    d_hi = float(v_hi @ D @ v_hi)
+    if d_hi <= 0.0:
+        return endpoint(lam_hi, v_hi)
+
+    lo, hi = 0.0, 1.0
+    best = min(lam_lo, lam_hi)
+    while True:
+        x, cost = min(
+            (_scaled(prob, Linv.T, z) for z in _zero_form_pair(v_lo, d_lo, v_hi, d_hi, D)),
+            key=lambda pair: pair[1],
+        )
+        mid = 0.5 * (lo + hi)
+        if best <= floor or cost * best - 1.0 <= tol or not lo < mid < hi:
+            return result(best, x, cost)
+        lam, v = top(A2 + mid * D)
+        best = min(best, lam)
+        d = float(v @ D @ v)
+        if d == 0.0:
+            return endpoint(lam, v)
+        if d < 0.0:
+            lo, v_lo, d_lo = mid, v, d
+        else:
+            hi, v_hi, d_hi = mid, v, d
 
 
 def extract_rank_one(sol: SdpSolution, prob: SdpProblem) -> np.ndarray:
-    """Recover a rank-one optimal solution from an optimal SDP solution.
-
-    At any optimum the least-satisfied trace constraint is active (else
-    shrinking X would cut cost). Decomposing X against the difference of
-    the other constraint and the active one gives vectors whose forms obey
-    the sign condition, and picking the best ratio y0j/yaj solves the
-    resulting LP at a basic feasible solution with a single positive
-    weight: the rescaled vector is feasible with unchanged objective.
-    """
-    if sol.status != "optimal" or sol.X is None:
+    """The rank-one optimum x of an optimal solution: x x^T is feasible,
+    with the smaller constraint form equal to 1, and tr(F0 x x^T) is
+    within the solve tolerance of the dual bound."""
+    if sol.status != "optimal" or sol.x_hat is None:
         raise InvalidInputError("extract_rank_one needs an optimal solution")
-    Fs = prob.constraints
-    ts = [float(np.sum(F * sol.X)) for F in Fs]
-    a = int(np.argmin(ts))
-    if abs(ts[a] - 1.0) > 1e-6:
-        raise NumericalFailureError(
-            f"no active trace constraint at the reported optimum (values {ts})"
-        )
-    others = [k for k in range(len(Fs)) if k != a]
-    if others:
-        Mdec = Fs[others[0]] - Fs[a]
-    else:
-        Mdec = np.zeros_like(Fs[a])
-    xs = decompose_wrt(sol.X, Mdec)
-    if not xs:
-        raise NumericalFailureError("optimal X decomposed to nothing")
-
-    y0 = np.array([float(x @ prob.F0 @ x) for x in xs])
-    ya = np.array([float(x @ Fs[a] @ x) for x in xs])
-    j, t = pick_basic_solution(y0, ya)
-    x_hat = np.sqrt(t) * xs[j]
-    sol.x_hat = x_hat
-    return x_hat
+    return sol.x_hat

@@ -30,11 +30,21 @@ from twrelay.model import (
     relay_power_reduced,
     snr_pair_reduced,
 )
+from twrelay.oracle import oracle_min_power
 
 from conftest import orthogonal_pair, symmetric_power
 
 LOG2_3 = math.log2(3.0)
 EQUAL_RATE = 0.792481250360578  # (1/2) log2(1 + gamma) at the p=4, P_R=10 optimum
+
+# (M, rho, seed, p1, p2, P_R, alpha21): rays whose optimal SDP solutions
+# carry eigen-directions with forms near 1e-10; a rank-one point taken from
+# one of those misses the other target and overstates r by up to 0.03 bits
+HARD_RAYS = [
+    (2, 0.5183724442497971, 1119605604, 277.91958297842797, 8.446035692335853, 1.4274329957879683, 0.1),
+    (2, 0.8636124919395863, 1112458289, 816.3057145641496, 6772.594008466207, 7.447333769894264, 0.75),
+    (2, 0.5816364199712408, 1366281975, 8325.471356877371, 8122.719735343071, 223.39912170151322, 0.5),
+]
 
 
 def _real_x(b: np.ndarray) -> np.ndarray:
@@ -198,10 +208,95 @@ class TestMaxSumRate:
         assert rates.r21 >= profile.alpha21 * r - 1e-9
         assert rates.r12 >= profile.alpha12 * r - 1e-9
 
+    @pytest.mark.parametrize("m,rho,seed,p1,p2,pr,alpha21", HARD_RAYS)
+    def test_beamformer_meets_targets_on_hard_rays(self, m, rho, seed, p1, p2, pr, alpha21):
+        eff = effective(gen_channels(m, rho, seed))
+        pc = PowerConfig(p1, p2, pr)
+        profile = RateProfile.of(alpha21)
+        r, B = max_sum_rate(eff, pc, profile)
+        g1b, g2b = snr_targets(profile, r)
+        s1, s2 = snr_pair_reduced(B, eff, pc)
+        assert s1 >= g1b * (1.0 - 1e-9)
+        assert s2 >= g2b * (1.0 - 1e-9)
+        assert relay_power_reduced(B, eff, pc) <= pr * (1.0 + 1e-9)
+
     def test_rejects_bad_delta(self):
         eff = effective(orthogonal_pair())
         with pytest.raises(InvalidInputError):
             max_sum_rate(eff, symmetric_power(10.0), RateProfile.of(0.5), delta_r=0.0)
+
+
+def _orthogonal_min_power(pc: PowerConfig, g1b: float, g2b: float) -> float:
+    """Closed form on e1/e2 channels: each link pays gamma (p + 1) / (p - gamma)
+    on its own anti-diagonal entry of B, and no finite power reaches p."""
+    total = 0.0
+    for gamma, p in ((g1b, pc.p2), (g2b, pc.p1)):
+        if gamma > 0.0:
+            if gamma >= p:
+                return math.inf
+            total += gamma * (p + 1.0) / (p - gamma)
+    return total
+
+
+def _solver_corpus(count: int = 36, seed: int = 2718):
+    """Seeded instances over the solver's edges: rho up to 1, powers over
+    0-60 dB, a silent source, and targets from 0.01 to 3000, which puts many
+    beyond the SNR ceiling p. Every other instance instead draws its targets
+    as a fraction of that ceiling, so that most of those are feasible."""
+    rng = np.random.default_rng(seed)
+    rhos = (0.0, 0.5, 0.9, 0.999, 0.99999, 1.0)
+    for i in range(count):
+        p1, p2, pr = 10.0 ** rng.uniform(0.0, 6.0, size=3)
+        if i % 2:
+            f1, f2 = 10.0 ** rng.uniform(-3.0, -0.05, size=2)
+            g1b, g2b = f1 * p2, f2 * p1
+        else:
+            g1b, g2b = 10.0 ** rng.uniform(-2.0, math.log10(3000.0), size=2)
+        if i % 12 == 4:
+            p1 = 0.0
+        if i % 12 == 9:
+            p1, g2b = 0.0, 0.0
+        pair = gen_channels((2, 4, 8)[i % 3], rhos[i % len(rhos)], int(rng.integers(0, 2**31)))
+        yield pair, PowerConfig(float(p1), float(p2), float(pr)), float(g1b), float(g2b)
+
+
+class TestSolverCorpus:
+    def test_against_oracle(self):
+        feasible = 0
+        for pair, pc, g1b, g2b in _solver_corpus():
+            eff = effective(pair)
+            p_star, B = min_relay_power(eff, pc, g1b, g2b)
+            oracle = oracle_min_power(eff, pc, g1b, g2b, n_restarts=16, n_iters=500)
+            if math.isinf(p_star):
+                assert B is None
+                assert oracle.value == math.inf
+                continue
+            feasible += 1
+            s1, s2 = snr_pair_reduced(B, eff, pc)
+            assert s1 >= g1b * (1.0 - 1e-9)
+            assert s2 >= g2b * (1.0 - 1e-9)
+            assert relay_power_reduced(B, eff, pc) == pytest.approx(p_star, rel=1e-9)
+            # the oracle's witness is feasible, so it cannot undercut the
+            # optimum by more than the solver's own 1e-8 gap
+            assert oracle.value >= p_star * (1.0 - 1e-8)
+            assert oracle.value <= p_star * (1.0 + 1e-2)
+        assert feasible >= 12
+
+    def test_orthogonal_closed_form(self):
+        rng = np.random.default_rng(31)
+        eff = effective(orthogonal_pair())
+        for _ in range(40):
+            p1, p2 = 10.0 ** rng.uniform(0.0, 6.0, size=2)
+            pc = PowerConfig(float(p1), float(p2), 10.0)
+            # down to a millionth below the ceiling, at it, and above it
+            margin1, margin2 = rng.choice([1e-6, 1e-3, 0.1, 0.5, 0.99, 0.0, -0.5], size=2)
+            g1b, g2b = (1.0 - margin1) * p2, (1.0 - margin2) * p1
+            want = _orthogonal_min_power(pc, g1b, g2b)
+            p_star, B = min_relay_power(eff, pc, g1b, g2b)
+            if math.isinf(want):
+                assert (p_star, B) == (math.inf, None)
+            else:
+                assert p_star == pytest.approx(want, rel=1e-8)
 
 
 class TestRateProfile:

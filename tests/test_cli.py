@@ -80,6 +80,19 @@ class TestRegionCommand:
         assert info.value.code == 2
         assert "--rho" in capsys.readouterr().err
 
+    def test_invalid_power_after_parsing_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["region", "--pr", "nan", *REGION_ARGS, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "twrelay region: error:" in err and "p_relay" in err
+        assert "Traceback" not in err
+
+    def test_negative_db_as_own_token(self, tmp_path):
+        run(["region", "--pr", "-3db", "--scheme", "mr", *REGION_ARGS, "--out", str(tmp_path)])
+        settings = json.loads((tmp_path / "manifest.json").read_text())["settings"]
+        assert settings["pr"] == pytest.approx(10.0 ** -0.3)
+
     def test_zf_at_rho_one_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["region", "--scheme", "zf", "--rho", "1.0"])
@@ -148,6 +161,12 @@ class TestConfigFile:
 
 
 class TestSumrateCommand:
+    def test_reversed_grid_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["sumrate", "--snr-min", "10", "--snr-max", "0", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "twrelay sumrate: error: snr-max" in capsys.readouterr().err
+
     def test_default_grid_shape(self, tmp_path):
         assert run(["sumrate", "--out", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "sumrate.csv")

@@ -1,18 +1,12 @@
-"""Tests for the SDP solver and the rank-one recovery routine."""
+"""Tests for the one-dimensional dual SDP solver and its rank-one optimum."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrelay.errors import InvalidInputError, NumericalFailureError
-from twrelay.sdp import (
-    SdpProblem,
-    decompose_wrt,
-    extract_rank_one,
-    pick_basic_solution,
-    solve_sdp,
-)
+from twrelay.errors import InvalidInputError
+from twrelay.sdp import SdpProblem, SdpSolution, extract_rank_one, solve_sdp
 
 
 def random_instance(rng, n=8, two_constraints=True):
@@ -25,6 +19,15 @@ def random_instance(rng, n=8, two_constraints=True):
         B2 = rng.standard_normal((n, n))
         F2 = 0.5 * (B2 + B2.T)
     return SdpProblem(n=n, F0=F0, F1=F1, F2=F2)
+
+
+def grid_dual_value(prob, points=4001):
+    """1 / min over a t grid of lambda_max(t A1 + (1 - t) A2): a dual
+    bound, never above the optimum."""
+    Linv = np.linalg.inv(np.linalg.cholesky(prob.F0))
+    A1, A2 = (Linv @ F @ Linv.T for F in prob.constraints)
+    lam = min(np.linalg.eigvalsh(t * A1 + (1.0 - t) * A2)[-1] for t in np.linspace(0, 1, points))
+    return 1.0 / lam
 
 
 class TestSolve:
@@ -52,13 +55,46 @@ class TestSolve:
         n = 8
         sol = solve_sdp(SdpProblem(n=n, F0=np.eye(n), F1=-np.eye(n)))
         assert sol.status == "infeasible"
-        assert "tau/kappa" in sol.message
+        assert sol.X is None and sol.objective is None
+
+    def test_infeasibility_tolerance_is_scaled(self):
+        # lambda_max is exactly 0 (a form that can only touch zero): infeasible
+        # at any scale of the problem, while a form reaching 1e-9 of the
+        # scale is a feasible, if expensive, target
+        n = 4
+        for scale in (1e-6, 1.0, 1e6):
+            F0 = scale * np.eye(n)
+            flat = scale * np.diag([-1.0, 0.0, 0.0, 0.0])
+            sol = solve_sdp(SdpProblem(n=n, F0=F0, F1=flat, F2=scale * np.diag([0.0, 1.0, 0.0, 0.0])))
+            assert sol.status == "infeasible"
+            thin = scale * np.diag([-1.0, 1e-9, 0.0, 0.0])
+            sol = solve_sdp(SdpProblem(n=n, F0=F0, F1=thin))
+            assert sol.status == "optimal"
+            assert abs(sol.objective - 1e9) <= 1e-6 * 1e9
 
     def test_single_constraint(self):
         n = 8
         sol = solve_sdp(SdpProblem(n=n, F0=2.0 * np.eye(n), F1=np.eye(n)))
         assert sol.status == "optimal"
         assert abs(sol.objective - 2.0) <= 1e-7
+        assert sol.iterations == 1
+
+    def test_dual_value_matches_grid(self, rng):
+        checked = 0
+        for _ in range(10):
+            prob = random_instance(rng)
+            sol = solve_sdp(prob)
+            if sol.status != "optimal":
+                continue
+            checked += 1
+            # weak duality on both sides: grid <= p* <= cost <= objective (1 + tol)
+            grid = grid_dual_value(prob)
+            cost = float(np.sum(prob.F0 * sol.X))
+            assert grid <= cost * (1.0 + 1e-12)
+            assert sol.objective <= cost * (1.0 + 1e-12)
+            assert cost <= sol.objective * (1.0 + 1e-8)
+            assert cost <= grid * (1.0 + 1e-3)
+        assert checked >= 5
 
     def test_feasibility_of_returned_x(self, rng):
         for _ in range(20):
@@ -92,73 +128,9 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             SdpProblem(n=n, F0=-np.eye(n), F1=np.eye(n))
 
-
-class TestDecompose:
-    def test_symmetric_split(self):
-        X = np.eye(2)
-        M = np.diag([1.0, -1.0])
-        xs = decompose_wrt(X, M)
-        assert len(xs) == 2
-        rec = sum(np.outer(x, x) for x in xs)
-        assert np.max(np.abs(rec - X)) <= 1e-8
-        for x in xs:
-            assert x @ M @ x >= -1e-9
-        # both split vectors sit on the M-isotropic cone (e1 +- e2)/sqrt(2)
-        for x in xs:
-            assert abs(abs(x[0]) - abs(x[1])) <= 1e-9
-
-    def test_rank_one_passthrough(self):
-        v = np.array([1.0, 2.0, -1.0])
-        X = np.outer(v, v)
-        M = np.eye(3)
-        xs = decompose_wrt(X, M)
-        assert len(xs) == 1
-        assert np.max(np.abs(np.outer(xs[0], xs[0]) - X)) <= 1e-8
-
-    def test_random_psd(self, rng):
-        for _ in range(25):
-            n = 6
-            A = rng.standard_normal((n, n))
-            X = A @ A.T
-            B = rng.standard_normal((n, n))
-            M = 0.5 * (B + B.T)
-            if float(np.sum(M * X)) < 0:
-                M = -M
-            xs = decompose_wrt(X, M)
-            rec = sum(np.outer(x, x) for x in xs)
-            assert np.max(np.abs(rec - X)) <= 1e-8 * max(1.0, np.max(np.abs(X)))
-            for x in xs:
-                assert x @ M @ x >= -1e-9 * max(1.0, np.max(np.abs(X)) * np.max(np.abs(M)))
-
-    def test_zero_reference_matrix(self, rng):
-        A = rng.standard_normal((4, 4))
-        X = A @ A.T
-        xs = decompose_wrt(X, np.zeros((4, 4)))
-        rec = sum(np.outer(x, x) for x in xs)
-        assert np.max(np.abs(rec - X)) <= 1e-8 * max(1.0, np.max(np.abs(X)))
-
-    def test_precondition_enforced(self):
-        X = np.eye(3)
+    def test_rejects_singular_objective(self):
         with pytest.raises(InvalidInputError):
-            decompose_wrt(X, -np.eye(3))
-
-
-class TestLpRule:
-    def test_two_candidates(self):
-        j, t = pick_basic_solution(np.array([2.0, 3.0]), np.array([1.0, 3.0]))
-        assert j == 1 and abs(t - 1.0 / 3.0) <= 1e-15
-
-    def test_single(self):
-        j, t = pick_basic_solution(np.array([5.0]), np.array([2.0]))
-        assert j == 0 and t == 0.5
-
-    def test_infeasible(self):
-        with pytest.raises(NumericalFailureError):
-            pick_basic_solution(np.array([1.0, 1.0]), np.array([-1.0, 0.0]))
-
-    def test_tie_prefers_smaller_index(self):
-        j, _ = pick_basic_solution(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
-        assert j == 0
+            SdpProblem(n=2, F0=np.diag([1.0, 0.0]), F1=np.eye(2))
 
 
 class TestExtraction:
@@ -189,6 +161,21 @@ class TestExtraction:
             assert np.array_equal(sol.x_hat, x)
         assert n_extracted >= 20
 
+    def test_crossing_meets_both_constraints(self):
+        # each constraint alone is cheapest on its own axis, where the other
+        # fails: the optimum mixes the axes with both forms at exactly 1
+        F0 = np.eye(2)
+        F1 = np.diag([2.0, -1.0])
+        F2 = np.diag([-1.0, 2.0])
+        prob = SdpProblem(n=2, F0=F0, F1=F1, F2=F2)
+        sol = solve_sdp(prob)
+        x = extract_rank_one(sol, prob)
+        assert abs(x @ F1 @ x - 1.0) <= 1e-12
+        assert abs(x @ F2 @ x - 1.0) <= 1e-12
+        # x = (1, 1): cost 2 meets both; the dual optimum is t = 1/2
+        assert abs(sol.objective - 2.0) <= 1e-8 * 2.0
+        assert abs(abs(x[0]) - 1.0) <= 1e-9 and abs(abs(x[1]) - 1.0) <= 1e-9
+
     def test_active_constraint_at_optimum(self, rng):
         for _ in range(20):
             prob = random_instance(rng)
@@ -200,8 +187,6 @@ class TestExtraction:
 
     def test_requires_optimal_status(self):
         prob = SdpProblem(n=4, F0=np.eye(4), F1=np.eye(4))
-        from twrelay.sdp import SdpSolution
-
         with pytest.raises(InvalidInputError):
             extract_rank_one(SdpSolution(status="infeasible"), prob)
 
