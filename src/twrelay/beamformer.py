@@ -22,7 +22,6 @@ import numpy as np
 
 from .bounds import c_ub0
 from .errors import InvalidInputError
-from .linalg import herm_sqrt_2x2
 from .model import (
     Beamformer,
     ChannelPair,
@@ -59,14 +58,9 @@ class RateProfile:
 
 @dataclass(frozen=True)
 class QcqpBuild:
-    """All intermediate matrices of the vectorized power-min problem."""
+    """The quadratic forms of the vectorized power-min problem."""
 
     Theta: np.ndarray
-    Phi: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    G1: np.ndarray
-    G2: np.ndarray
     E0: np.ndarray
     E1: np.ndarray
     E2: np.ndarray
@@ -143,17 +137,10 @@ def build_qcqp(
         raise InvalidInputError("build_qcqp needs strictly positive SNR targets")
     Theta = _theta_matrix(eff, pc)
     E0 = _block_diag2(Theta.T)
-    Phi = _block_diag2(herm_sqrt_2x2(Theta.T))
-    f1 = np.kron(eff.g1, eff.g2)
-    f2 = np.kron(eff.g2, eff.g1)
-    G1 = np.kron(eff.g1[None, :], np.eye(2))
-    G2 = np.kron(eff.g2[None, :], np.eye(2))
     E1 = _snr_constraint_matrix(eff.g1, eff.g2, pc.p2, gamma1_bar)
     E2 = _snr_constraint_matrix(eff.g2, eff.g1, pc.p1, gamma2_bar)
     prob = SdpProblem(n=8, F0=_realify(E0), F1=_realify(E1), F2=_realify(E2))
-    return QcqpBuild(
-        Theta=Theta, Phi=Phi, f1=f1, f2=f2, G1=G1, G2=G2, E0=E0, E1=E1, E2=E2, prob=prob
-    )
+    return QcqpBuild(Theta=Theta, E0=E0, E1=E1, E2=E2, prob=prob)
 
 
 def _vec_to_matrix(x: np.ndarray) -> np.ndarray:

@@ -8,15 +8,19 @@ achievable region is the union over tau of tau * MAC intersected with
 (1 - tau) * BC.
 
 The broadcast phase uses a single transmit covariance serving both
-links at once, so its boundary comes from weighted sum-rate
-maximization over the covariance, not from power splitting.
+links at once, not a power split. Its SNR region is convex, and its
+Pareto boundary is reached by rank-one covariances P_R v v^H whose
+direction v turns in closed form from the first channel toward the
+second (Oechtering, Jorswieck, Wyrembelski and Boche, IEEE Trans.
+Commun. 2009). Weighted sum-rate maxima and ray exits are bisections on
+that one angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from .errors import InvalidInputError
 from .linalg import svd_tall
 from .model import ChannelPair, RatePair
 
-LN2 = math.log(2.0)
 DEFAULT_TAU_GRID = 65
 DEFAULT_WEIGHTS = 65
 
@@ -110,8 +113,8 @@ class BcBoundary:
     """Weight-sweep trace of the broadcast region frontier.
 
     Points run from the r12-maximizing corner to the r21-maximizing one
-    (r21 non-decreasing); covariances are the reduced 2x2 matrices of
-    the corresponding points.
+    (r21 non-decreasing); covariances are the reduced rank-one 2x2
+    matrices of the corresponding points.
     """
 
     points: List[RatePair]
@@ -129,27 +132,6 @@ class BcBoundary:
         return float(np.interp(r21, xs, ys))
 
 
-def _project_psd_trace(S: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {Q >= 0, tr Q <= budget}.
-
-    Unitarily invariant, so it reduces to projecting the eigenvalues
-    onto the simplex-capped orthant.
-    """
-    lam, U = np.linalg.eigh(S)
-    v = np.maximum(lam, 0.0)
-    total = float(v.sum())
-    if total > budget:
-        # water removal: v = max(lam - nu, 0) with the active sum at budget
-        drop = np.sort(lam)[::-1]
-        nu = 0.0
-        for k in range(len(drop), 0, -1):
-            nu = (drop[:k].sum() - budget) / k
-            if nu <= drop[k - 1] and (k == len(drop) or nu >= drop[k]):
-                break
-        v = np.maximum(lam - nu, 0.0)
-    return (U * v) @ U.conj().T
-
-
 def _bc_frame(pair: ChannelPair) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal basis of span{h1*, h2*} plus the channels in it."""
     phi = np.column_stack([pair.h1.conj(), pair.h2.conj()])
@@ -157,94 +139,118 @@ def _bc_frame(pair: ChannelPair) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, U.conj().T @ phi[:, 0], U.conj().T @ phi[:, 1]
 
 
-def bc_wsrmax(
-    pair: ChannelPair,
-    p_relay: float,
-    w21: float,
-    w12: float,
-    tol: float = 1e-8,
-) -> BcPoint:
-    """Maximize w21 r21 + w12 r12 over the broadcast covariance.
+@dataclass(frozen=True)
+class _Arc:
+    """The rank-one Pareto arc of the broadcast SNR region.
 
-    Projected gradient ascent with Armijo backtracking on the reduced
-    two-dimensional covariance; the objective is concave, so the
-    gradient-mapping stopping rule certifies global optimality. Starts
-    from both single-link covariances and the isotropic one, keeping
-    the best.
+    In the _bc_frame basis, u1 = f1/|f1| and e2 is the unit part of
+    f2/|f2| orthogonal to u1, with the phase of f2 turned so that the
+    two unit channels meet at a real angle phi in [0, pi/2]. The
+    covariance P_R v v^H with v = cos(theta) u1 + sin(theta) e2 gives
+    SNRs a cos^2(theta) and b cos^2(phi - theta), a = P_R |f1|^2 and
+    b = P_R |f2|^2: as theta runs over [0, phi] the first falls and the
+    second rises, tracing the whole Pareto boundary.
     """
-    if p_relay <= 0.0:
-        raise InvalidInputError("relay power budget must be positive")
-    if w21 < 0.0 or w12 < 0.0 or w21 + w12 == 0.0:
-        raise InvalidInputError("weights must be nonnegative and not both zero")
-    basis, f1, f2 = _bc_frame(pair)
 
-    def snrs(Q: np.ndarray) -> Tuple[float, float]:
-        return (
-            float(np.real(f1.conj() @ Q @ f1)),
-            float(np.real(f2.conj() @ Q @ f2)),
+    basis: np.ndarray
+    u1: np.ndarray
+    e2: np.ndarray
+    phi: float
+    a: float
+    b: float
+    p_relay: float
+
+    def rates(self, theta: float) -> RatePair:
+        return RatePair(
+            r21=math.log2(1.0 + self.a * math.cos(theta) ** 2),
+            r12=math.log2(1.0 + self.b * math.cos(self.phi - theta) ** 2),
         )
 
-    def value(Q: np.ndarray) -> float:
-        s1, s2 = snrs(Q)
-        return w21 * math.log2(1.0 + s1) + w12 * math.log2(1.0 + s2)
+    def point(self, theta: float) -> BcPoint:
+        v = math.cos(theta) * self.u1 + math.sin(theta) * self.e2
+        S = self.p_relay * np.outer(v, v.conj())
+        return BcPoint(rates=self.rates(theta), S_reduced=S, basis=self.basis)
 
-    def gradient(Q: np.ndarray) -> np.ndarray:
-        s1, s2 = snrs(Q)
-        return (w21 / (LN2 * (1.0 + s1))) * np.outer(f1, f1.conj()) + (
-            w12 / (LN2 * (1.0 + s2))
-        ) * np.outer(f2, f2.conj())
 
-    def ascend(Q: np.ndarray) -> Tuple[float, np.ndarray]:
-        eta = 1.0
-        for _ in range(5000):
-            fq = value(Q)
-            grad = gradient(Q)
-            # fixed-step gradient mapping as the optimality residual
-            ref = _project_psd_trace(Q + grad, p_relay)
-            if np.linalg.norm(ref - Q) <= tol:
-                break
-            while True:
-                trial = _project_psd_trace(Q + eta * grad, p_relay)
-                step = trial - Q
-                gain = float(np.real(np.vdot(grad, step)))
-                if value(trial) >= fq + 1e-4 * gain or eta < 1e-14:
-                    break
-                eta *= 0.5
-            Q = trial
-            eta = min(eta * 1.3, 1e6)
-        return value(Q), Q
-
-    inits = []
+def _bc_arc(pair: ChannelPair, p_relay: float) -> _Arc:
+    if p_relay <= 0.0:
+        raise InvalidInputError("relay power budget must be positive")
+    basis, f1, f2 = _bc_frame(pair)
     n1 = float(np.linalg.norm(f1))
     n2 = float(np.linalg.norm(f2))
-    if n1 > 0.0:
-        inits.append(p_relay * np.outer(f1, f1.conj()) / n1**2)
-    if n2 > 0.0:
-        inits.append(p_relay * np.outer(f2, f2.conj()) / n2**2)
-    inits.append((p_relay / 2.0) * np.eye(2, dtype=complex))
-    best_val = -math.inf
-    best_Q: Optional[np.ndarray] = None
-    for Q0 in inits:
-        val, Q = ascend(Q0)
-        if val > best_val:
-            best_val, best_Q = val, Q
-    assert best_Q is not None
-    s1, s2 = snrs(best_Q)
-    rates = RatePair(r21=math.log2(1.0 + s1), r12=math.log2(1.0 + s2))
-    return BcPoint(rates=rates, S_reduced=best_Q, basis=basis)
+    a, b = p_relay * n1**2, p_relay * n2**2
+    if n1 == 0.0 or n2 == 0.0:
+        # a dead link: the arc shrinks to the single-link optimum of the other
+        u1 = np.array([1.0, 0.0], dtype=complex)
+        if n1 + n2 > 0.0:
+            u1 = (f1 if n1 > 0.0 else f2) / max(n1, n2)
+        return _Arc(basis, u1, np.zeros(2, dtype=complex), 0.0, a, b, p_relay)
+    u1, u2 = f1 / n1, f2 / n2
+    c = complex(np.vdot(u1, u2))
+    if c != 0.0:
+        u2 = u2 * (abs(c) / c)
+    # two Gram-Schmidt passes keep e2 orthogonal to u1 when phi is small;
+    # exactly parallel channels leave w = 0 and phi = 0
+    w = u2 - abs(c) * u1
+    w = w - np.vdot(u1, w) * u1
+    s = float(np.linalg.norm(w))
+    return _Arc(basis, u1, w / s if s > 0.0 else w, math.atan2(s, abs(c)), a, b, p_relay)
+
+
+def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Where a predicate that holds up to some point of [lo, hi] and
+    fails after it switches, bisected until no float lies between."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPoint:
+    """Maximize w21 r21 + w12 r12 over the broadcast covariance.
+
+    The rate region is convex and the maximum sits on the rank-one arc
+    of _Arc, along which the weighted sum rate is unimodal; bisection
+    on the sign of its derivative finds the angle to rounding level.
+    w12 = 0 gives theta = 0 (all power toward S1), w21 = 0 gives
+    theta = phi (all power toward S2).
+    """
+    if w21 < 0.0 or w12 < 0.0 or w21 + w12 == 0.0:
+        raise InvalidInputError("weights must be nonnegative and not both zero")
+    arc = _bc_arc(pair, p_relay)
+    if w12 == 0.0:
+        return arc.point(0.0)
+    if w21 == 0.0:
+        return arc.point(arc.phi)
+    a, b, phi = arc.a, arc.b, arc.phi
+
+    def rising(theta: float) -> bool:
+        gain = w12 * b * math.sin(2.0 * (phi - theta)) / (1.0 + b * math.cos(phi - theta) ** 2)
+        loss = w21 * a * math.sin(2.0 * theta) / (1.0 + a * math.cos(theta) ** 2)
+        return gain > loss
+
+    return arc.point(_crossing(rising, 0.0, phi))
 
 
 def bc_boundary(
     pair: ChannelPair, p_relay: float, n_weights: int = DEFAULT_WEIGHTS
 ) -> BcBoundary:
-    """Frontier of the broadcast region by a uniform weight sweep."""
+    """Frontier of the broadcast region by a uniform weight sweep.
+
+    Knot k is the bc_wsrmax point for weights (w, 1 - w), w = k / (n - 1);
+    the weights, not the arc angles, are uniform.
+    """
     if n_weights < 2:
         raise InvalidInputError("need at least two weights")
     traced: List[BcPoint] = []
     for k in range(n_weights):
         w = k / (n_weights - 1)
         traced.append(bc_wsrmax(pair, p_relay, w, 1.0 - w))
-    # solver noise can wiggle the sweep by ~tol; keep knots sorted for interp
+    # the angle falls as w grows; np.interp needs r21 sorted even at ties
     traced.sort(key=lambda p: p.rates.r21)
     return BcBoundary(
         points=[p.rates for p in traced],
@@ -256,43 +262,26 @@ def bc_boundary(
 def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> float:
     """Largest t with (alpha21 t, alpha12 t) in the broadcast region.
 
-    The boundary is the weight sweep of bc_wsrmax plus two flat arms
-    where one rate is already at its single-link maximum; the achieved
-    rate ratio moves monotonically with the weight, so bisection on the
-    weight lands on the ray.
+    The boundary is the rank-one arc of _Arc plus two flat arms where
+    one rate is already at its single-link maximum; along the arc r21
+    falls and r12 rises, so bisection on the angle lands on the ray.
     """
+    arc = _bc_arc(pair, p_relay)
+    right, left = arc.rates(0.0), arc.rates(arc.phi)
     if profile.alpha21 == 0.0:
-        return bc_wsrmax(pair, p_relay, 0.0, 1.0).rates.r12
+        return left.r12
     if profile.alpha12 == 0.0:
-        return bc_wsrmax(pair, p_relay, 1.0, 0.0).rates.r21
+        return right.r21
 
-    def side(point: BcPoint) -> float:
-        return profile.alpha12 * point.rates.r21 - profile.alpha21 * point.rates.r12
+    def side(rates: RatePair) -> float:
+        return profile.alpha12 * rates.r21 - profile.alpha21 * rates.r12
 
-    left = bc_wsrmax(pair, p_relay, 0.0, 1.0)
     if side(left) >= 0.0:  # ray passes under the left corner: flat top
-        return left.rates.r12 / profile.alpha12
-    right = bc_wsrmax(pair, p_relay, 1.0, 0.0)
+        return left.r12 / profile.alpha12
     if side(right) <= 0.0:  # ray passes over the right corner: flat side
-        return right.rates.r21 / profile.alpha21
-
-    lo, hi = 0.0, 1.0
-    best = 0.0
-    for _ in range(50):
-        w = 0.5 * (lo + hi)
-        point = bc_wsrmax(pair, p_relay, w, 1.0 - w)
-        best = max(
-            best,
-            min(
-                point.rates.r21 / profile.alpha21,
-                point.rates.r12 / profile.alpha12,
-            ),
-        )
-        if side(point) < 0.0:
-            lo = w
-        else:
-            hi = w
-    return best
+        return right.r21 / profile.alpha21
+    rates = arc.rates(_crossing(lambda t: side(arc.rates(t)) > 0.0, 0.0, arc.phi))
+    return min(rates.r21 / profile.alpha21, rates.r12 / profile.alpha12)
 
 
 def df_tau_slice(

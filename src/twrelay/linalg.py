@@ -3,10 +3,12 @@
 Everything in this package works with matrices that are either 2x2, M x 2
 with M <= 8-ish, or 8x8, so the routines here are written for that regime:
 a closed-form 2x2 Hermitian eigensolver, a tall-matrix SVD built on the
-2x2 Gram matrix, and the pseudo-inverse derived from it. The
-cyclic-Jacobi symmetric eigensolver eig_sym has no caller in the package
-(the SDP solver uses numpy's eigh); the benchmark's tracer still wraps
-it by name.
+2x2 Gram matrix, and the pseudo-inverse derived from it. Two routines
+have no caller in the package but stay because the benchmark's tracer
+wraps them by name: the cyclic-Jacobi symmetric eigensolver eig_sym (the
+SDP solver uses numpy's eigh) and the 2x2 Hermitian square root
+herm_sqrt_2x2 (the power-min build no longer forms a square root of its
+power matrix).
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _order_boundary
-from .errors import InvalidInputError
-from .linalg import svd_tall
+from .errors import InvalidInputError, RankDeficiencyError
 from .model import (
     Beamformer,
     ChannelPair,
@@ -76,12 +75,10 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
     """
     eff = effective(pair)
     a, b = _ratio_to_components(ratio)
-    # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1 in reduced coordinates
-    H = np.column_stack([pair.h1, pair.h2])
-    _, sigma, V = svd_tall(H)
+    # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1 in reduced coordinates,
+    # with the SVD of [h1 h2] that the effective channel already holds
+    sigma, V = eff.sigma, eff.V
     if sigma[1] <= 1e-10 * sigma[0]:
-        from .errors import RankDeficiencyError
-
         raise RankDeficiencyError("zero-forcing undefined for parallel channels")
     inner = np.array([[0.0, b], [a, 0.0]], dtype=complex)
     Sinv = np.diag(1.0 / sigma)
@@ -133,24 +130,6 @@ def _scheme_builder(scheme: str) -> Callable[[ChannelPair, float, PowerConfig], 
     raise InvalidInputError(f"unknown scheme {scheme!r}")
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 120) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
 def _rates_at_angle(
     builder, pair: ChannelPair, eff: EffectiveChannel, pc: PowerConfig, angle: float
 ):
@@ -181,15 +160,22 @@ def scheme_profile_sum_rate(
             t = min(t, rates.r12 / profile.alpha12)
         return t
 
-    return _golden_max(ray_value, 0.0, 0.5 * math.pi)
+    return ray_value(_golden_argmax(ray_value, 0.0, 0.5 * math.pi))
 
 
 def scheme_max_sum_rate(scheme: str, pair: ChannelPair, pc: PowerConfig) -> float:
-    """Largest unconstrained sum rate over the ratio sweep.
+    """Largest unconstrained sum rate over the ratio sweep, the sum of
+    the rate pair scheme_best_rates finds."""
+    rates = scheme_best_rates(scheme, pair, pc)
+    return rates.r21 + rates.r12
 
-    The sum of the two rates need not be unimodal in the angle, so a
-    dense grid (always containing the balanced ratio a = b) brackets the
-    maximum before golden-section refinement.
+
+def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePair:
+    """Rate pair achieved at the scheme's unconstrained sum-rate maximum.
+
+    The sum of the two rates need not be unimodal in the sweep angle, so
+    a dense grid (always containing the balanced ratio a = b) brackets
+    the maximum before golden-section refinement.
     """
     builder = _scheme_builder(scheme)
     eff = effective(pair)
@@ -204,33 +190,10 @@ def scheme_max_sum_rate(scheme: str, pair: ChannelPair, pc: PowerConfig) -> floa
     k = int(np.argmax(vals))
     lo = angles[max(0, k - 1)]
     hi = angles[min(n - 1, k + 1)]
-    return max(max(vals), _golden_max(total, lo, hi, iters=60))
-
-
-def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePair:
-    """Rate pair achieved at the scheme's unconstrained sum-rate maximum.
-
-    Same grid-then-refine search as scheme_max_sum_rate, but tracking the
-    argmax angle so the achieved operating point itself comes back.
-    """
-    builder = _scheme_builder(scheme)
-    eff = effective(pair)
-
-    def total(angle: float) -> float:
-        rates = _rates_at_angle(builder, pair, eff, pc, angle)
-        return rates.r21 + rates.r12
-
-    n = 513
-    angles = np.linspace(0.0, 0.5 * math.pi, n)
-    vals = [total(a) for a in angles]
-    k = int(np.argmax(vals))
-    best = float(angles[k])
-    lo = angles[max(0, k - 1)]
-    hi = angles[min(n - 1, k + 1)]
-    refined = _golden_argmax(total, lo, hi, iters=60)
-    if total(refined) > vals[k]:
-        best = refined
-    return _rates_at_angle(builder, pair, eff, pc, best)
+    rates = _rates_at_angle(builder, pair, eff, pc, _golden_argmax(total, lo, hi, iters=60))
+    if rates.r21 + rates.r12 > vals[k]:
+        return rates
+    return _rates_at_angle(builder, pair, eff, pc, float(angles[k]))
 
 
 def _golden_argmax(

@@ -77,17 +77,6 @@ class TestQcqpBuild:
             assert abs(np.real(b.conj() @ self.build.E2 @ b) - q2) <= 1e-10 * scale
             assert abs(x @ self.build.prob.F2 @ x - q2) <= 1e-10 * scale
 
-    def test_g_matrix_norm_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            B = b.reshape(2, 2)
-            for G, g in ((self.build.G1, self.eff.g1), (self.build.G2, self.eff.g2)):
-                assert abs(np.linalg.norm(G @ b) - np.linalg.norm(B.conj().T @ g.conj())) <= 1e-12
-
-    def test_phi_squares_to_power_matrix(self):
-        assert np.allclose(self.build.Phi.conj().T @ self.build.Phi, self.build.E0, atol=1e-12)
-
     def test_hand_value_feasible_instance(self):
         # orthonormal effective channels, p2 = 4, target 1: the rank-one
         # part contributes 4/1 - 1 = 3 on the (1,2) vec coordinate

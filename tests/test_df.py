@@ -4,14 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from conftest import orthogonal_pair
 
 from twrelay.beamformer import RateProfile, envelope_value, max_sum_rate
 from twrelay.df import (
-    _project_psd_trace,
     bc_boundary,
     bc_ray_exit,
     bc_wsrmax,
@@ -21,6 +17,7 @@ from twrelay.df import (
     mac_region,
 )
 from twrelay.errors import InvalidInputError
+from twrelay.linalg import eig_herm2
 from twrelay.model import ChannelPair, PowerConfig, effective, gen_channels
 
 
@@ -94,12 +91,19 @@ class TestBcWsrmax:
         )
 
     def test_orthonormal_equal_weights_split_evenly(self):
-        point = bc_wsrmax(orthogonal_pair(), 10.0, 1.0, 1.0)
-        np.testing.assert_allclose(
-            point.S_reduced, 5.0 * np.eye(2), atol=1e-6
-        )
+        # every [[5, z], [z*, 5]] with |z| <= 5 is optimal: pin the rates
+        # and the budget, not one covariance
+        pair = orthogonal_pair()
+        point = bc_wsrmax(pair, 10.0, 1.0, 1.0)
         assert point.rates.r21 == pytest.approx(math.log2(6.0), abs=1e-8)
         assert point.rates.r12 == pytest.approx(math.log2(6.0), abs=1e-8)
+        assert np.trace(point.S_reduced).real == pytest.approx(10.0, rel=1e-12)
+        assert np.min(np.linalg.eigvalsh(point.S_reduced)) >= -1e-9
+        S = point.full()
+        s1 = (pair.h1 @ S @ pair.h1.conj()).real
+        s2 = (pair.h2 @ S @ pair.h2.conj()).real
+        assert math.log2(1.0 + s1) == pytest.approx(point.rates.r21, abs=1e-12)
+        assert math.log2(1.0 + s2) == pytest.approx(point.rates.r12, abs=1e-12)
 
     def test_covariance_is_feasible_and_consistent(self):
         pair = gen_channels(4, 0.6, seed=8)
@@ -122,6 +126,18 @@ class TestBcWsrmax:
         assert (pair.h1 @ S @ pair.h1.conj()).real == pytest.approx(
             (pair.h1 @ point.full() @ pair.h1.conj()).real, rel=1e-10
         )
+
+    def test_dead_link_leaves_the_other_single_link_optimum(self):
+        h = gen_channels(4, 0.5, seed=3).h1
+        pair = ChannelPair(m=4, h1=np.zeros(4, dtype=complex), h2=h, rho=0.0, seed=None)
+        point = bc_wsrmax(pair, 10.0, 0.5, 0.5)
+        assert point.rates.r21 == 0.0
+        assert point.rates.r12 == pytest.approx(math.log2(11.0), abs=1e-12)
+        assert np.trace(point.S_reduced).real == pytest.approx(10.0, rel=1e-12)
+        assert bc_ray_exit(pair, 10.0, RateProfile.of(0.0)) == pytest.approx(
+            math.log2(11.0), abs=1e-12
+        )
+        assert bc_ray_exit(pair, 10.0, RateProfile.of(0.5)) == 0.0
 
     def test_invalid_inputs_rejected(self):
         pair = gen_channels(2, 0.3, seed=1)
@@ -280,13 +296,63 @@ class TestDfRegion:
         assert gaps[1] > gaps[0] > 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16), budget=st.floats(0.1, 50.0))
-def test_projection_is_feasible_and_idempotent(seed, budget):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    S = 0.5 * (X + X.conj().T)
-    P = _project_psd_trace(S, budget)
-    assert np.min(np.linalg.eigvalsh(P)) >= -1e-12
-    assert np.trace(P).real <= budget * (1.0 + 1e-12)
-    np.testing.assert_allclose(_project_psd_trace(P, budget), P, atol=1e-10)
+def _corpus():
+    """Seeded broadcast instances: orthogonal, parallel and correlated
+    channels (unequal gains) at low, moderate and high relay power."""
+    h = gen_channels(4, 0.5, seed=3, normalize=False).h1
+    pairs = {
+        "orthogonal": orthogonal_pair(),
+        "parallel": ChannelPair(m=4, h1=h, h2=0.6 * np.exp(0.7j) * h, rho=1.0, seed=None),
+    }
+    for rho in (0.5, 0.95, 0.99999):
+        pairs[f"rho{rho}"] = gen_channels(4, rho, seed=17, normalize=False)
+    return [
+        pytest.param(pair, p_relay, id=f"{name}-P{p_relay:g}")
+        for name, pair in pairs.items()
+        for p_relay in (0.1, 100.0, 1e4)
+    ]
+
+
+def _mu_sweep(pair, p_relay, n=4001):
+    """Rates of the top eigenvectors of mu f1 f1^H + (1 - mu) f2 f2^H over
+    a uniform mu grid, in a QR frame of span{h1*, h2*}."""
+    Q, _ = np.linalg.qr(np.column_stack([pair.h1.conj(), pair.h2.conj()]))
+    f1 = Q.conj().T @ pair.h1.conj()
+    f2 = Q.conj().T @ pair.h2.conj()
+    r21, r12 = [], []
+    for mu in np.linspace(0.0, 1.0, n):
+        H = mu * np.outer(f1, f1.conj()) + (1.0 - mu) * np.outer(f2, f2.conj())
+        v = eig_herm2(H)[1][:, 0]
+        r21.append(math.log2(1.0 + p_relay * abs(f1.conj() @ v) ** 2))
+        r12.append(math.log2(1.0 + p_relay * abs(f2.conj() @ v) ** 2))
+    return np.array(r21), np.array(r12)
+
+
+def _snr_rates(pair, S):
+    return (
+        math.log2(1.0 + (pair.h1 @ S @ pair.h1.conj()).real),
+        math.log2(1.0 + (pair.h2 @ S @ pair.h2.conj()).real),
+    )
+
+
+@pytest.mark.parametrize("pair,p_relay", _corpus())
+def test_broadcast_reaches_the_eigenvector_sweep(pair, p_relay):
+    r21, r12 = _mu_sweep(pair, p_relay)
+    for w21, w12 in ((1.0, 0.0), (0.9, 0.1), (0.5, 0.5), (0.2, 0.8), (0.0, 1.0), (3.0, 1.0)):
+        point = bc_wsrmax(pair, p_relay, w21, w12)
+        got = w21 * point.rates.r21 + w12 * point.rates.r12
+        assert got >= float(np.max(w21 * r21 + w12 * r12)) - 1e-12
+        lam = np.linalg.eigvalsh(point.S_reduced)
+        assert abs(np.trace(point.S_reduced).real - p_relay) <= 1e-12 * p_relay
+        assert abs(lam[0]) <= 1e-12 * p_relay
+        s21, s12 = _snr_rates(pair, point.full())
+        assert abs(s21 - point.rates.r21) <= 1e-12 * max(1.0, s21)
+        assert abs(s12 - point.rates.r12) <= 1e-12 * max(1.0, s12)
+    for alpha21 in (0.0, 0.2, 0.5, 0.7, 1.0):
+        profile = RateProfile.of(alpha21)
+        ray = np.full(r21.shape, np.inf)
+        if profile.alpha21 > 0.0:
+            ray = np.minimum(ray, r21 / profile.alpha21)
+        if profile.alpha12 > 0.0:
+            ray = np.minimum(ray, r12 / profile.alpha12)
+        assert bc_ray_exit(pair, p_relay, profile) >= float(np.max(ray)) - 1e-12
