@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,46 @@ class RateProfile:
     @staticmethod
     def of(alpha21: float) -> "RateProfile":
         return RateProfile(alpha21=alpha21, alpha12=1.0 - alpha21)
+
+
+def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Where a predicate that holds up to some point of [lo, hi] and
+    fails after it switches, bisected until no float lies between."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _ray_exit(
+    rates: Callable[[float], RatePair], lo: float, hi: float, profile: RateProfile
+) -> float:
+    """Largest t with (alpha21 t, alpha12 t) under a frontier traced by
+    rates(x) for x in [lo, hi], along which r21 falls and r12 rises.
+
+    Past either end the frontier runs on as a flat arm at that end's
+    single-link maximum; between them bisection on the side of the ray
+    lands on the crossing.
+    """
+    right, left = rates(lo), rates(hi)
+    if profile.alpha21 == 0.0:
+        return left.r12
+    if profile.alpha12 == 0.0:
+        return right.r21
+
+    def side(r: RatePair) -> float:
+        return profile.alpha12 * r.r21 - profile.alpha21 * r.r12
+
+    if side(left) >= 0.0:  # ray passes under the left corner: flat top
+        return left.r12 / profile.alpha12
+    if side(right) <= 0.0:  # ray passes over the right corner: flat side
+        return right.r21 / profile.alpha21
+    r = rates(_crossing(lambda x: side(rates(x)) > 0.0, lo, hi))
+    return min(r.r21 / profile.alpha21, r.r12 / profile.alpha12)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ channels sharing the relay power; lower bounds are the guaranteed
 sum-rates of the matched and zero-forcing relay schemes with equal
 forward/backward gains. Everything here is a closed-form evaluation
 except c_ub, whose inner power split and outer noise-correlation split
-are one-dimensional numerical searches.
+are one-dimensional numerical searches. Its golden-section routine,
+_golden_max, also refines the scheme sum-rate maxima in schemes.py.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ def c_ub_sym(theta: float, p_relay: float) -> float:
     return math.log2(1.0 + x / (3.0 + 1.0 / x))
 
 
-def _unimodal(vals: np.ndarray, find_max: bool, tol: float) -> bool:
-    """True when the sampled values rise then fall (for a max), within tol."""
-    seq = vals if find_max else -vals
+def _unimodal(vals: np.ndarray, tol: float) -> bool:
+    """True when the sampled values rise then fall, within tol."""
     falling = False
-    for d in np.diff(seq):
+    for d in np.diff(vals):
         if abs(d) <= tol:
             continue
         if d > 0 and falling:
@@ -74,45 +74,39 @@ def _unimodal(vals: np.ndarray, find_max: bool, tol: float) -> bool:
     return True
 
 
-def _golden(f: Callable[[float], float], lo: float, hi: float, find_max: bool) -> Tuple[float, float]:
-    """Golden-section search to interval width GOLDEN_TOL."""
-    sgn = 1.0 if find_max else -1.0
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f on [lo, hi],
+    to interval width GOLDEN_TOL; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = sgn * f(c), sgn * f(d)
+    fc, fd = f(c), f(d)
     while b - a > GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = sgn * f(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = sgn * f(d)
+            fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
 
 
 def _line_search(
-    f: Callable[[float], float], lo: float, hi: float, grid: int, find_max: bool
+    f: Callable[[float], float], lo: float, hi: float, grid: int
 ) -> Tuple[float, float]:
-    """Grid pre-scan plus golden section, downgrading to a dense grid when
-    the samples are visibly not unimodal."""
+    """Maximize f by a grid pre-scan plus golden section, downgrading to a
+    dense grid when the samples are visibly not unimodal."""
     xs = np.linspace(lo, hi, grid)
     vals = np.array([f(x) for x in xs])
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if not _unimodal(vals, find_max, 1e-9 * scale):
+    if not _unimodal(vals, 1e-9 * scale):
         xs = np.linspace(lo, hi, 4097)
         vals = np.array([f(x) for x in xs])
-        k = int(np.argmax(vals) if find_max else np.argmin(vals))
-        a = xs[max(0, k - 1)]
-        b = xs[min(len(xs) - 1, k + 1)]
-        return _golden(f, a, b, find_max)
-    k = int(np.argmax(vals) if find_max else np.argmin(vals))
-    a = xs[max(0, k - 1)]
-    b = xs[min(len(xs) - 1, k + 1)]
-    return _golden(f, a, b, find_max)
+    k = int(np.argmax(vals))
+    return _golden_max(f, xs[max(0, k - 1)], xs[min(len(xs) - 1, k + 1)])
 
 
 def c_ub(
@@ -135,12 +129,9 @@ def c_ub(
                 1.0 - kappa, P - P21, theta1, theta2, pc.p1
             )
 
-        return _line_search(f, 0.0, P, grid, find_max=True)
+        return _line_search(f, 0.0, P, grid)
 
-    def outer(kappa: float) -> float:
-        return inner(kappa)[1]
-
-    kappa_star, value = _line_search(outer, 0.0, 1.0, grid, find_max=False)
+    kappa_star, _ = _line_search(lambda kappa: -inner(kappa)[1], 0.0, 1.0, grid)
     p21_star, value = inner(kappa_star)
     return value, kappa_star, p21_star
 

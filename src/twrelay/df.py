@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
-from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _order_boundary
+from .beamformer import (
+    BoundaryPoint,
+    RateProfile,
+    RegionBoundary,
+    _crossing,
+    _order_boundary,
+    _ray_exit,
+)
 from .errors import InvalidInputError
 from .linalg import svd_tall
 from .model import ChannelPair, RatePair
@@ -121,14 +129,17 @@ class BcBoundary:
     covariances: List[np.ndarray]
     basis: np.ndarray
 
+    @cached_property
+    def _knots(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.array([p.r21 for p in self.points]), np.array([p.r12 for p in self.points])
+
     def frontier(self, r21: float) -> float:
         """Largest r12 at a given r21 on the piecewise-linear frontier."""
-        xs = [p.r21 for p in self.points]
-        ys = [p.r12 for p in self.points]
+        xs, ys = self._knots
         if r21 > xs[-1]:
             return -math.inf
         if r21 <= xs[0]:
-            return ys[0]
+            return float(ys[0])
         return float(np.interp(r21, xs, ys))
 
 
@@ -197,19 +208,6 @@ def _bc_arc(pair: ChannelPair, p_relay: float) -> _Arc:
     return _Arc(basis, u1, w / s if s > 0.0 else w, math.atan2(s, abs(c)), a, b, p_relay)
 
 
-def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Where a predicate that holds up to some point of [lo, hi] and
-    fails after it switches, bisected until no float lies between."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
 def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPoint:
     """Maximize w21 r21 + w12 r12 over the broadcast covariance.
 
@@ -267,21 +265,7 @@ def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> floa
     falls and r12 rises, so bisection on the angle lands on the ray.
     """
     arc = _bc_arc(pair, p_relay)
-    right, left = arc.rates(0.0), arc.rates(arc.phi)
-    if profile.alpha21 == 0.0:
-        return left.r12
-    if profile.alpha12 == 0.0:
-        return right.r21
-
-    def side(rates: RatePair) -> float:
-        return profile.alpha12 * rates.r21 - profile.alpha21 * rates.r12
-
-    if side(left) >= 0.0:  # ray passes under the left corner: flat top
-        return left.r12 / profile.alpha12
-    if side(right) <= 0.0:  # ray passes over the right corner: flat side
-        return right.r21 / profile.alpha21
-    rates = arc.rates(_crossing(lambda t: side(arc.rates(t)) > 0.0, 0.0, arc.phi))
-    return min(rates.r21 / profile.alpha21, rates.r12 / profile.alpha12)
+    return _ray_exit(arc.rates, 0.0, arc.phi, profile)
 
 
 def df_tau_slice(

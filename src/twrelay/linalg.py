@@ -2,13 +2,12 @@
 
 Everything in this package works with matrices that are either 2x2, M x 2
 with M <= 8-ish, or 8x8, so the routines here are written for that regime:
-a closed-form 2x2 Hermitian eigensolver, a tall-matrix SVD built on the
-2x2 Gram matrix, and the pseudo-inverse derived from it. Two routines
-have no caller in the package but stay because the benchmark's tracer
-wraps them by name: the cyclic-Jacobi symmetric eigensolver eig_sym (the
-SDP solver uses numpy's eigh) and the 2x2 Hermitian square root
-herm_sqrt_2x2 (the power-min build no longer forms a square root of its
-power matrix).
+a closed-form 2x2 Hermitian eigensolver and a tall-matrix SVD built on
+the 2x2 Gram matrix. Two routines have no caller in the package but
+stay because the benchmark's tracer wraps them by name: the
+cyclic-Jacobi symmetric eigensolver eig_sym (the SDP solver uses
+numpy's eigh) and the 2x2 Hermitian square root herm_sqrt_2x2 (the
+power-min build no longer forms a square root of its power matrix).
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, RankDeficiencyError
-
-DEFAULT_RANK_TOL = 1e-10
+from .errors import InvalidInputError
 
 
 def eig_sym(S: np.ndarray, tol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,20 +166,6 @@ def _orth_complement(u1: np.ndarray) -> np.ndarray:
     e[k] = 1.0
     v = e - u1 * np.conj(u1[k])
     return v / np.linalg.norm(v)
-
-
-def pinv_tall(H: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a full-column-rank M x 2 matrix.
-
-    Raises:
-        RankDeficiencyError: if sigma_2 <= rank_tol * sigma_1. This is the
-        parallel-channel case in which zero-forcing relay matrices do not
-        exist.
-    """
-    U, sigma, V = svd_tall(H)
-    if sigma[1] <= rank_tol * sigma[0] or sigma[0] == 0.0:
-        raise RankDeficiencyError("matrix is rank deficient; pseudo-inverse of the required shape does not exist")
-    return (V * (1.0 / sigma)) @ U.conj().T
 
 
 def herm_sqrt_2x2(H: np.ndarray) -> np.ndarray:

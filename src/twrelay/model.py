@@ -187,16 +187,6 @@ def effective(pair: ChannelPair) -> EffectiveChannel:
     return EffectiveChannel(U=U, sigma=sigma, V=V, g1=U.conj().T @ pair.h1, g2=U.conj().T @ pair.h2)
 
 
-def uplink_matrix(pair: ChannelPair) -> np.ndarray:
-    """H_UL = [h1 h2], M x 2."""
-    return np.column_stack([pair.h1, pair.h2])
-
-
-def downlink_matrix(pair: ChannelPair) -> np.ndarray:
-    """H_DL = [h2 h1]^T, 2 x M; rows are the receive channels of S2, S1."""
-    return np.vstack([pair.h2, pair.h1])
-
-
 def relay_power(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> float:
     """Transmit power spent by the relay when applying A.
 

@@ -15,7 +15,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _order_boundary
+from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _order_boundary, _ray_exit
+from .bounds import _golden_max
 from .errors import InvalidInputError, RankDeficiencyError
 from .model import (
     Beamformer,
@@ -56,7 +57,10 @@ def mrr_mrt(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
 
     A = a h2* h1^H + b h1* h2^H, a/b = ratio, scaled to spend P_R.
     """
-    eff = effective(pair)
+    return _mrr_mrt(effective(pair), ratio, pc)
+
+
+def _mrr_mrt(eff: EffectiveChannel, ratio: float, pc: PowerConfig) -> Beamformer:
     a, b = _ratio_to_components(ratio)
     B_unit = a * np.outer(eff.g2.conj(), eff.g1.conj()) + b * np.outer(
         eff.g1.conj(), eff.g2.conj()
@@ -73,7 +77,10 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
         RankDeficiencyError: parallel channels, the inverse direction
             does not exist.
     """
-    eff = effective(pair)
+    return _zfr_zft(effective(pair), ratio, pc)
+
+
+def _zfr_zft(eff: EffectiveChannel, ratio: float, pc: PowerConfig) -> Beamformer:
     a, b = _ratio_to_components(ratio)
     # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1 in reduced coordinates,
     # with the SVD of [h1 h2] that the effective channel already holds
@@ -84,6 +91,26 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
     Sinv = np.diag(1.0 / sigma)
     B_unit = Sinv @ V.T @ inner @ V @ Sinv
     return _normalized(B_unit, eff, pc)
+
+
+_Builder = Callable[[EffectiveChannel, float, PowerConfig], Beamformer]
+
+
+def _scheme_builder(scheme: str) -> _Builder:
+    key = scheme.strip().lower()
+    if key in ("mr", "mrr-mrt", "mrr_mrt"):
+        return _mrr_mrt
+    if key in ("zf", "zfr-zft", "zfr_zft"):
+        return _zfr_zft
+    raise InvalidInputError(f"unknown scheme {scheme!r}")
+
+
+def _at_angle(
+    build: _Builder, eff: EffectiveChannel, pc: PowerConfig, angle: float
+) -> Beamformer:
+    """The scheme's beamformer at sweep angle atan(a/b) in [0, pi/2]."""
+    ratio = math.inf if angle >= 0.5 * math.pi else math.tan(angle)
+    return build(eff, ratio, pc)
 
 
 def sweep_region(
@@ -99,13 +126,13 @@ def sweep_region(
     """
     if n_ratios < 2:
         raise InvalidInputError("need at least two ratios")
-    builder = _scheme_builder(scheme)
+    build = _scheme_builder(scheme)
     eff = effective(pair)
+    # the last angle is pi/2 itself: k * (pi/2) / k can round below it
+    angles = [0.5 * math.pi * k / (n_ratios - 1) for k in range(n_ratios - 1)]
     pts: List[BoundaryPoint] = []
-    for k in range(n_ratios):
-        angle = 0.5 * math.pi * k / (n_ratios - 1)
-        ratio = math.inf if k == n_ratios - 1 else math.tan(angle)
-        bf = builder(pair, ratio, pc)
+    for angle in angles + [0.5 * math.pi]:
+        bf = _at_angle(build, eff, pc, angle)
         rates = rate_pair_reduced(bf, eff, pc)
         total = rates.r21 + rates.r12
         pts.append(
@@ -121,21 +148,14 @@ def sweep_region(
     return RegionBoundary(points=_order_boundary(pts, tie=RATIO_TIE))
 
 
-def _scheme_builder(scheme: str) -> Callable[[ChannelPair, float, PowerConfig], Beamformer]:
-    key = scheme.strip().lower()
-    if key in ("mr", "mrr-mrt", "mrr_mrt"):
-        return mrr_mrt
-    if key in ("zf", "zfr-zft", "zfr_zft"):
-        return zfr_zft
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
-
-
-def _rates_at_angle(
-    builder, pair: ChannelPair, eff: EffectiveChannel, pc: PowerConfig, angle: float
-):
-    ratio = math.inf if angle >= 0.5 * math.pi else math.tan(angle)
-    bf = builder(pair, ratio, pc)
-    return rate_pair_reduced(bf, eff, pc)
+def _sweep_rates(
+    scheme: str, pair: ChannelPair, pc: PowerConfig
+) -> Callable[[float], RatePair]:
+    """Rate pair of the scheme as a function of the sweep angle, on one
+    effective channel."""
+    build = _scheme_builder(scheme)
+    eff = effective(pair)
+    return lambda angle: rate_pair_reduced(_at_angle(build, eff, pc, angle), eff, pc)
 
 
 def scheme_profile_sum_rate(
@@ -143,24 +163,11 @@ def scheme_profile_sum_rate(
 ) -> float:
     """Largest sum rate of the scheme along a profile ray.
 
-    The ray value at a swept point is min(r21/alpha21, r12/alpha12); as
-    the ratio grows one rate rises while the other falls, so the ray
-    value is unimodal in the sweep angle and golden-section search finds
-    its maximum.
+    As the sweep angle grows r21 falls and r12 rises, so the swept
+    rate pairs form a monotone frontier and the ray leaves it where a
+    bisection on the angle finds the ray's side switch.
     """
-    builder = _scheme_builder(scheme)
-    eff = effective(pair)
-
-    def ray_value(angle: float) -> float:
-        rates = _rates_at_angle(builder, pair, eff, pc, angle)
-        t = math.inf
-        if profile.alpha21 > 0.0:
-            t = min(t, rates.r21 / profile.alpha21)
-        if profile.alpha12 > 0.0:
-            t = min(t, rates.r12 / profile.alpha12)
-        return t
-
-    return ray_value(_golden_argmax(ray_value, 0.0, 0.5 * math.pi))
+    return _ray_exit(_sweep_rates(scheme, pair, pc), 0.0, 0.5 * math.pi, profile)
 
 
 def scheme_max_sum_rate(scheme: str, pair: ChannelPair, pc: PowerConfig) -> float:
@@ -175,45 +182,21 @@ def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePa
 
     The sum of the two rates need not be unimodal in the sweep angle, so
     a dense grid (always containing the balanced ratio a = b) brackets
-    the maximum before golden-section refinement.
+    the maximum before golden-section refinement; the refined angle is
+    kept only if it beats the best grid point.
     """
-    builder = _scheme_builder(scheme)
-    eff = effective(pair)
+    rates = _sweep_rates(scheme, pair, pc)
 
     def total(angle: float) -> float:
-        rates = _rates_at_angle(builder, pair, eff, pc, angle)
-        return rates.r21 + rates.r12
+        r = rates(angle)
+        return r.r21 + r.r12
 
     n = 513  # odd: includes pi/4 exactly
     angles = np.linspace(0.0, 0.5 * math.pi, n)
     vals = [total(a) for a in angles]
     k = int(np.argmax(vals))
-    lo = angles[max(0, k - 1)]
-    hi = angles[min(n - 1, k + 1)]
-    rates = _rates_at_angle(builder, pair, eff, pc, _golden_argmax(total, lo, hi, iters=60))
-    if rates.r21 + rates.r12 > vals[k]:
-        return rates
-    return _rates_at_angle(builder, pair, eff, pc, float(angles[k]))
-
-
-def _golden_argmax(
-    f: Callable[[float], float], lo: float, hi: float, iters: int = 120
-) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return c if fc >= fd else d
+    x, best = _golden_max(total, angles[max(0, k - 1)], angles[min(n - 1, k + 1)])
+    return rates(x if best > vals[k] else float(angles[k]))
 
 
 def direct_relay(pair: ChannelPair, pc: PowerConfig) -> np.ndarray:

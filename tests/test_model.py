@@ -12,7 +12,6 @@ from twrelay.model import (
     ChannelPair,
     PowerConfig,
     RatePair,
-    downlink_matrix,
     effective,
     gen_channels,
     rate_pair,
@@ -20,7 +19,6 @@ from twrelay.model import (
     relay_power,
     relay_power_reduced,
     snr_pair_reduced,
-    uplink_matrix,
 )
 
 
@@ -75,14 +73,6 @@ class TestSerialization:
 
 
 class TestReduction:
-    def test_matrix_conventions(self):
-        pair = gen_channels(4, 0.5, seed=5)
-        H_ul = uplink_matrix(pair)
-        H_dl = downlink_matrix(pair)
-        F = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(H_ul[:, 0], pair.h1)
-        assert np.allclose(H_dl, F @ H_ul.T)
-
     def test_effective_preserves_norms_and_inner_product(self):
         pair = gen_channels(4, 0.37, seed=21)
         eff = effective(pair)

@@ -199,18 +199,27 @@ class TestSchemeEvaluators:
     def test_profile_value_matches_dense_sweep(self):
         pair = gen_channels(4, 0.5, seed=8)
         pc = symmetric_power(10.0)
-        profile = RateProfile.of(0.25)
-        t = scheme_profile_sum_rate("mr", pair, pc, profile)
-        best = 0.0
-        for point in sweep_region("mr", pair, pc, n_ratios=1025).points:
-            best = max(
-                best,
-                min(
-                    point.rates.r21 / profile.alpha21,
-                    point.rates.r12 / profile.alpha12,
-                ),
-            )
-        assert t == pytest.approx(best, abs=1e-6)
+        for scheme in ("mr", "zf"):
+            pts = [p.rates for p in sweep_region(scheme, pair, pc, n_ratios=1025).points]
+            for alpha21 in (0.0, 0.25, 0.5, 0.9, 1.0):
+                profile = RateProfile.of(alpha21)
+
+                def ray(r21, r12):
+                    value = math.inf
+                    if profile.alpha21 > 0.0:
+                        value = r21 / profile.alpha21
+                    if profile.alpha12 > 0.0:
+                        value = min(value, r12 / profile.alpha12)
+                    return value
+
+                t = scheme_profile_sum_rate(scheme, pair, pc, profile)
+                best = max(ray(r.r21, r.r12) for r in pts)
+                # r21 rises and r12 falls along the ordered points, so the
+                # ray leaves between two neighbours under their outer corner
+                cap = max(ray(q.r21, p.r12) for p, q in zip(pts, pts[1:]))
+                assert best - 1e-12 <= t <= cap + 1e-12
+                if scheme == "mr":
+                    assert t == pytest.approx(best, abs=1e-6)
 
     def test_degenerate_profile_is_single_link_maximum(self):
         pair = gen_channels(4, 0.5, seed=8)
@@ -230,6 +239,28 @@ class TestSchemeEvaluators:
                 scheme_max_sum_rate(scheme, pair, pc), abs=1e-9
             )
             assert rates.r21 > 0.0 and rates.r12 > 0.0
+
+
+    def test_one_effective_channel_per_call(self, monkeypatch):
+        import twrelay.schemes as schemes
+
+        calls = []
+
+        def counting(pair):
+            calls.append(pair)
+            return effective(pair)
+
+        monkeypatch.setattr(schemes, "effective", counting)
+        pair = gen_channels(4, 0.5, seed=8)
+        pc = symmetric_power(10.0)
+        for run in (
+            lambda: sweep_region("zf", pair, pc, n_ratios=9),
+            lambda: scheme_best_rates("mr", pair, pc),
+            lambda: scheme_profile_sum_rate("zf", pair, pc, RateProfile.of(0.25)),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
 
 class TestDirectRelay:
