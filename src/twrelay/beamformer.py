@@ -56,13 +56,14 @@ class RateProfile:
         return RateProfile(alpha21=alpha21, alpha12=1.0 - alpha21)
 
 
-def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> float:
+def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> Tuple[float, float]:
     """Where a predicate that holds up to some point of [lo, hi] and
-    fails after it switches, bisected until no float lies between."""
+    fails after it switches: the bracket around the switch, bisected
+    until no float lies between its ends."""
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return mid
+            return lo, hi
         if positive(mid):
             lo = mid
         else:
@@ -77,7 +78,8 @@ def _ray_exit(
 
     Past either end the frontier runs on as a flat arm at that end's
     single-link maximum; between them bisection on the side of the ray
-    lands on the crossing.
+    lands on the crossing, and the better of the two adjacent floats
+    around it gives the value.
     """
     right, left = rates(lo), rates(hi)
     if profile.alpha21 == 0.0:
@@ -92,8 +94,13 @@ def _ray_exit(
         return left.r12 / profile.alpha12
     if side(right) <= 0.0:  # ray passes over the right corner: flat side
         return right.r21 / profile.alpha21
-    r = rates(_crossing(lambda x: side(rates(x)) > 0.0, lo, hi))
-    return min(r.r21 / profile.alpha21, r.r12 / profile.alpha12)
+
+    def value(x: float) -> float:
+        r = rates(x)
+        return min(r.r21 / profile.alpha21, r.r12 / profile.alpha12)
+
+    below, above = _crossing(lambda x: side(rates(x)) > 0.0, lo, hi)
+    return max(value(below), value(above))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .model import (
     effective,
     gen_channels,
     rate_pair,
+    rate_pair_reduced,
     relay_power_reduced,
 )
 from .oracle import oracle_max_sum_rate, oracle_min_power
@@ -505,6 +506,12 @@ def _suite_schemes(seed: int, count: int) -> List[Check]:
             checks.append(
                 (f"{scheme}-budget-{i}", spend <= 1e-9 * pc.p_relay, f"max deviation {spend:.3e}")
             )
+            # the sweep's closed-form rates against the matrix path
+            gap = 0.0
+            for pt in boundary.points:
+                want = rate_pair_reduced(pt.beamformer, eff, pc)
+                gap = max(gap, abs(pt.rates.r21 - want.r21), abs(pt.rates.r12 - want.r12))
+            checks.append((f"{scheme}-rates-{i}", gap <= 1e-9, f"max deviation {gap:.3e}"))
             worst = 0.0
             for pt in boundary.points[4:-4:2]:
                 g1 = 2.0 ** (2.0 * pt.rates.r21) - 1.0

@@ -231,7 +231,8 @@ def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPo
         loss = w21 * a * math.sin(2.0 * theta) / (1.0 + a * math.cos(theta) ** 2)
         return gain > loss
 
-    return arc.point(_crossing(rising, 0.0, phi))
+    lo, hi = _crossing(rising, 0.0, phi)
+    return arc.point(0.5 * (lo + hi))
 
 
 def bc_boundary(
@@ -280,7 +281,8 @@ def df_tau_slice(
     if not 0.0 <= tau <= 1.0:
         raise InvalidInputError("tau must lie in [0, 1]")
     sigma = 1.0 - tau
-    x_max = min(tau * pent.c1, sigma * bc.points[-1].r21)
+    bc_cap = bc.points[-1].r21
+    x_max = min(tau * pent.c1, sigma * bc_cap)
     knots = {0.0, x_max}
     for x, _ in pent.corners():
         if 0.0 <= tau * x <= x_max:
@@ -290,8 +292,11 @@ def df_tau_slice(
             knots.add(sigma * p.r21)
     out = []
     for x in sorted(knots):
-        y_mac = tau * pent.frontier(x / tau) if tau > 0.0 else 0.0
-        y_bc = sigma * bc.frontier(x / sigma) if sigma > 0.0 else 0.0
+        # x <= x_max keeps x / tau within c1 and x / sigma within the last
+        # BC knot, but rounding can put the quotient one ulp past the cap,
+        # where the frontier ends at -inf
+        y_mac = tau * pent.frontier(min(x / tau, pent.c1)) if tau > 0.0 else 0.0
+        y_bc = sigma * bc.frontier(min(x / sigma, bc_cap)) if sigma > 0.0 else 0.0
         out.append((x, max(0.0, min(y_mac, y_bc))))
     return out
 

@@ -93,13 +93,17 @@ def eig_herm2(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     d = float(np.real(H[1, 1]))
     b = complex(H[0, 1])
     m = 0.5 * (a + d)
-    radius = np.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + abs(b) ** 2))
+    half = 0.5 * (a - d)
+    radius = np.sqrt(max(0.0, half**2 + abs(b) ** 2))
     w1, w2 = m + radius, m - radius
     if abs(b) < 1e-300 * max(1.0, abs(a), abs(d)):
         if a >= d:
             return np.array([a, d]), np.eye(2, dtype=complex)
         return np.array([d, a]), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    v1 = np.array([b, w1 - a], dtype=complex)
+    # w1 - a = radius - half cancels when |b| << half; the conjugate form
+    # |b|^2 / (radius + half) does not
+    gap = abs(b) ** 2 / (radius + half) if half > 0.0 else radius - half
+    v1 = np.array([b, gap], dtype=complex)
     v1 /= np.linalg.norm(v1)
     # exact orthonormal complement keeps V unitary to rounding
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=complex)

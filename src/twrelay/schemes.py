@@ -1,17 +1,24 @@
 """Suboptimal relay beamformers: matched-filter and zero-forcing designs
 plus two heuristic baselines.
 
-Both main schemes pick a direction pair (a, b), a amplifying the S1->S2
-link and b the S2->S1 link, and scale the matrix so the relay spends its
-whole budget. Sweeping the a/b ratio traces each scheme's achievable
-region. The baselines are a scaled identity relay and one-way rank-one
-relaying over four slots.
+Both main schemes weight two fixed unit relay matrices, B = a Ba + b Bb,
+a amplifying the S1->S2 link and b the S2->S1 link, and scale the matrix
+so the relay spends its whole budget. Sweeping the angle atan(a/b) over
+[0, pi/2] traces each scheme's achievable region. Along the sweep the
+relay power of the unit matrix, and at each receiver its forwarded noise
+and signal power, are real 2x2 quadratic forms in (a, b); scaling to the
+budget P_R makes each link's SNR P_R n / (P_R q + pw). So the sweeps,
+the sum-rate search and the ray exits build these five forms once per
+channel and power setting, evaluate them for a whole array of angles in
+one numpy expression or for one angle in scalar arithmetic, and form
+relay matrices only where they return them. The baselines are a scaled
+identity relay and one-way rank-one relaying over four slots.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -25,11 +32,13 @@ from .model import (
     PowerConfig,
     RatePair,
     effective,
-    rate_pair_reduced,
     relay_power_reduced,
 )
 
 RATIO_TIE = 1e-9
+_HALF_PI = 0.5 * math.pi
+
+_Reals = Union[float, np.ndarray]
 
 
 def _ratio_to_components(ratio: float) -> Tuple[float, float]:
@@ -42,13 +51,43 @@ def _ratio_to_components(ratio: float) -> Tuple[float, float]:
     return ratio / norm, 1.0 / norm
 
 
-def _normalized(B_unit: np.ndarray, eff: EffectiveChannel, pc: PowerConfig) -> Beamformer:
-    """Scale B so the relay power equals the budget exactly; the power is
-    a pure quadratic in the matrix, so a single square root suffices."""
+def _basis(scheme: str, eff: EffectiveChannel, pc: PowerConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The scheme's unit relay matrices (Ba, Bb) in reduced coordinates:
+    with weights (a, b) its relay matrix is a Ba + b Bb before scaling.
+
+    Raises:
+        InvalidInputError: unknown scheme, or no positive relay budget.
+        RankDeficiencyError: zero-forcing on parallel channels.
+    """
+    key = scheme.strip().lower()
+    if key in ("mr", "mrr-mrt", "mrr_mrt"):
+        # A = a h2* h1^H + b h1* h2^H
+        c1, c2 = eff.g1.conj(), eff.g2.conj()
+        Ba, Bb = np.outer(c2, c1), np.outer(c1, c2)
+    elif key in ("zf", "zfr-zft", "zfr_zft"):
+        # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of
+        # [h1 h2] that the effective channel already holds
+        sigma, V = eff.sigma, eff.V
+        if sigma[1] <= 1e-10 * sigma[0]:
+            raise RankDeficiencyError("zero-forcing undefined for parallel channels")
+        left, right = V.T / sigma[:, None], V / sigma
+        Ba, Bb = np.outer(left[:, 1], right[0]), np.outer(left[:, 0], right[1])
+    else:
+        raise InvalidInputError(f"unknown scheme {scheme!r}")
     if pc.p_relay <= 0.0:
         raise InvalidInputError("relay power budget must be positive")
-    base = relay_power_reduced(B_unit, eff, pc)
-    scale = math.sqrt(pc.p_relay / base)
+    return Ba, Bb
+
+
+def _beamformer(scheme: str, pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
+    """The scheme's relay matrix at a/b = ratio, scaled so the relay power
+    equals the budget exactly; the power is a pure quadratic in the
+    matrix, so a single square root suffices."""
+    a, b = _ratio_to_components(ratio)
+    eff = effective(pair)
+    Ba, Bb = _basis(scheme, eff, pc)
+    B_unit = a * Ba + b * Bb
+    scale = math.sqrt(pc.p_relay / relay_power_reduced(B_unit, eff, pc))
     return Beamformer(B=scale * B_unit, U=eff.U)
 
 
@@ -57,15 +96,7 @@ def mrr_mrt(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
 
     A = a h2* h1^H + b h1* h2^H, a/b = ratio, scaled to spend P_R.
     """
-    return _mrr_mrt(effective(pair), ratio, pc)
-
-
-def _mrr_mrt(eff: EffectiveChannel, ratio: float, pc: PowerConfig) -> Beamformer:
-    a, b = _ratio_to_components(ratio)
-    B_unit = a * np.outer(eff.g2.conj(), eff.g1.conj()) + b * np.outer(
-        eff.g1.conj(), eff.g2.conj()
-    )
-    return _normalized(B_unit, eff, pc)
+    return _beamformer("mr", pair, ratio, pc)
 
 
 def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
@@ -77,40 +108,77 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
         RankDeficiencyError: parallel channels, the inverse direction
             does not exist.
     """
-    return _zfr_zft(effective(pair), ratio, pc)
+    return _beamformer("zf", pair, ratio, pc)
 
 
-def _zfr_zft(eff: EffectiveChannel, ratio: float, pc: PowerConfig) -> Beamformer:
-    a, b = _ratio_to_components(ratio)
-    # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1 in reduced coordinates,
-    # with the SVD of [h1 h2] that the effective channel already holds
-    sigma, V = eff.sigma, eff.V
-    if sigma[1] <= 1e-10 * sigma[0]:
-        raise RankDeficiencyError("zero-forcing undefined for parallel channels")
-    inner = np.array([[0.0, b], [a, 0.0]], dtype=complex)
-    Sinv = np.diag(1.0 / sigma)
-    B_unit = Sinv @ V.T @ inner @ V @ Sinv
-    return _normalized(B_unit, eff, pc)
+def _form(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Coefficients (c_aa, c_ab, c_bb) of the real quadratic form
+    |a fa + b fb|^2 = c_aa a^2 + 2 c_ab a b + c_bb b^2."""
+    return np.array([np.vdot(fa, fa).real, np.vdot(fa, fb).real, np.vdot(fb, fb).real])
 
 
-_Builder = Callable[[EffectiveChannel, float, PowerConfig], Beamformer]
+def _quad(c: Tuple[float, float, float], a: _Reals, b: _Reals) -> _Reals:
+    return c[0] * a * a + 2.0 * c[1] * a * b + c[2] * b * b
 
 
-def _scheme_builder(scheme: str) -> _Builder:
-    key = scheme.strip().lower()
-    if key in ("mr", "mrr-mrt", "mrr_mrt"):
-        return _mrr_mrt
-    if key in ("zf", "zfr-zft", "zfr_zft"):
-        return _zfr_zft
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
+class _Sweep:
+    """A scheme on one channel and power setting, as a function of the
+    sweep angle t in [0, pi/2].
 
+    The unit relay matrix at t is a Ba + b Bb with (a, b) = (sin t, cos t),
+    and (1, 0) at t = pi/2 itself. Its relay power pw, the forwarded noise
+    q21 = |g1^T B|^2 and q12 = |g2^T B|^2 and the signal powers
+    n21 = p2 |g1^T B g2|^2 and n12 = p1 |g2^T B g1|^2 are real quadratic
+    forms in (a, b). Scaling the matrix by sqrt(P_R / pw) spends the
+    budget and gives snr21 = P_R n21 / (P_R q21 + pw), and snr12 alike.
+    """
 
-def _at_angle(
-    build: _Builder, eff: EffectiveChannel, pc: PowerConfig, angle: float
-) -> Beamformer:
-    """The scheme's beamformer at sweep angle atan(a/b) in [0, pi/2]."""
-    ratio = math.inf if angle >= 0.5 * math.pi else math.tan(angle)
-    return build(eff, ratio, pc)
+    def __init__(self, scheme: str, pair: ChannelPair, pc: PowerConfig) -> None:
+        self.eff = effective(pair)
+        self.Ba, self.Bb = _basis(scheme, self.eff, pc)
+        self.p_relay = pc.p_relay
+        g1, g2, Ba, Bb = self.eff.g1, self.eff.g2, self.Ba, self.Bb
+        forms = (
+            pc.p1 * _form(Ba @ g1, Bb @ g1) + pc.p2 * _form(Ba @ g2, Bb @ g2) + _form(Ba, Bb),
+            _form(g1 @ Ba, g1 @ Bb),
+            _form(g2 @ Ba, g2 @ Bb),
+            pc.p2 * _form(g1 @ Ba @ g2, g1 @ Bb @ g2),
+            pc.p1 * _form(g2 @ Ba @ g1, g2 @ Bb @ g1),
+        )
+        # Python floats keep the one-angle evaluation in scalar arithmetic
+        self.pw, self.q21, self.q12, self.n21, self.n12 = (tuple(f.tolist()) for f in forms)
+
+    @staticmethod
+    def weights(angle: _Reals) -> Tuple[_Reals, _Reals]:
+        """(a, b) at one angle, or arrays of them at an array of angles."""
+        if isinstance(angle, np.ndarray):
+            end = angle >= _HALF_PI
+            return np.where(end, 1.0, np.sin(angle)), np.where(end, 0.0, np.cos(angle))
+        if angle >= _HALF_PI:
+            return 1.0, 0.0
+        return math.sin(angle), math.cos(angle)
+
+    def rates(self, angle: _Reals) -> Tuple[_Reals, _Reals]:
+        """(r21, r12) at one angle with math, or arrays of them at an
+        array of angles with numpy."""
+        a, b = self.weights(angle)
+        pw = _quad(self.pw, a, b)
+        p = self.p_relay
+        snr21 = p * _quad(self.n21, a, b) / (p * _quad(self.q21, a, b) + pw)
+        snr12 = p * _quad(self.n12, a, b) / (p * _quad(self.q12, a, b) + pw)
+        log2 = np.log2 if isinstance(angle, np.ndarray) else math.log2
+        return 0.5 * log2(1.0 + snr21), 0.5 * log2(1.0 + snr12)
+
+    def rate_pair(self, angle: float) -> RatePair:
+        r21, r12 = self.rates(angle)
+        return RatePair(r21=r21, r12=r12)
+
+    def matrices(self, angles: np.ndarray) -> np.ndarray:
+        """The (n, 2, 2) stack of relay matrices at the angles, each scaled
+        to spend the budget."""
+        a, b = self.weights(angles)
+        scale = np.sqrt(self.p_relay / _quad(self.pw, a, b))[:, None, None]
+        return scale * (a[:, None, None] * self.Ba + b[:, None, None] * self.Bb)
 
 
 def sweep_region(
@@ -122,40 +190,32 @@ def sweep_region(
     """Achievable region of a scheme, traced by sweeping the a/b ratio.
 
     Ratios are tangents of angles uniform on [0, pi/2], so both
-    single-link endpoints (ratio 0 and infinity) are included.
+    single-link endpoints (ratio 0 and infinity) are included. One
+    evaluation of the sweep's quadratic forms gives the rate pairs at
+    all angles and one (n, 2, 2) stack holds their relay matrices; each
+    point's relay power is recomputed from its stored matrix.
     """
     if n_ratios < 2:
         raise InvalidInputError("need at least two ratios")
-    build = _scheme_builder(scheme)
-    eff = effective(pair)
+    sweep = _Sweep(scheme, pair, pc)
     # the last angle is pi/2 itself: k * (pi/2) / k can round below it
-    angles = [0.5 * math.pi * k / (n_ratios - 1) for k in range(n_ratios - 1)]
+    angles = np.append(_HALF_PI * np.arange(n_ratios - 1) / (n_ratios - 1), _HALF_PI)
+    r21, r12 = sweep.rates(angles)
     pts: List[BoundaryPoint] = []
-    for angle in angles + [0.5 * math.pi]:
-        bf = _at_angle(build, eff, pc, angle)
-        rates = rate_pair_reduced(bf, eff, pc)
-        total = rates.r21 + rates.r12
+    for B, x21, x12 in zip(sweep.matrices(angles), r21.tolist(), r12.tolist()):
+        bf = Beamformer(B=B, U=sweep.eff.U)
+        total = x21 + x12
         pts.append(
             BoundaryPoint(
-                alpha21=rates.r21 / total if total > 0 else 0.5,
-                rates=rates,
+                alpha21=x21 / total if total > 0 else 0.5,
+                rates=RatePair(r21=x21, r12=x12),
                 beamformer=bf,
                 p1=pc.p1,
                 p2=pc.p2,
-                p_relay=relay_power_reduced(bf, eff, pc),
+                p_relay=relay_power_reduced(bf, sweep.eff, pc),
             )
         )
     return RegionBoundary(points=_order_boundary(pts, tie=RATIO_TIE))
-
-
-def _sweep_rates(
-    scheme: str, pair: ChannelPair, pc: PowerConfig
-) -> Callable[[float], RatePair]:
-    """Rate pair of the scheme as a function of the sweep angle, on one
-    effective channel."""
-    build = _scheme_builder(scheme)
-    eff = effective(pair)
-    return lambda angle: rate_pair_reduced(_at_angle(build, eff, pc, angle), eff, pc)
 
 
 def scheme_profile_sum_rate(
@@ -165,9 +225,10 @@ def scheme_profile_sum_rate(
 
     As the sweep angle grows r21 falls and r12 rises, so the swept
     rate pairs form a monotone frontier and the ray leaves it where a
-    bisection on the angle finds the ray's side switch.
+    bisection on the angle, over the scalar form of the sweep's rates,
+    finds the ray's side switch.
     """
-    return _ray_exit(_sweep_rates(scheme, pair, pc), 0.0, 0.5 * math.pi, profile)
+    return _ray_exit(_Sweep(scheme, pair, pc).rate_pair, 0.0, _HALF_PI, profile)
 
 
 def scheme_max_sum_rate(scheme: str, pair: ChannelPair, pc: PowerConfig) -> float:
@@ -181,22 +242,24 @@ def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePa
     """Rate pair achieved at the scheme's unconstrained sum-rate maximum.
 
     The sum of the two rates need not be unimodal in the sweep angle, so
-    a dense grid (always containing the balanced ratio a = b) brackets
-    the maximum before golden-section refinement; the refined angle is
-    kept only if it beats the best grid point.
+    a dense grid (always containing the balanced ratio a = b), evaluated
+    in one pass over the sweep's quadratic forms, brackets the maximum;
+    golden-section search on their scalar form refines it, and the
+    refined angle is kept only if it beats the best grid point.
     """
-    rates = _sweep_rates(scheme, pair, pc)
+    sweep = _Sweep(scheme, pair, pc)
 
     def total(angle: float) -> float:
-        r = rates(angle)
-        return r.r21 + r.r12
+        r21, r12 = sweep.rates(angle)
+        return r21 + r12
 
     n = 513  # odd: includes pi/4 exactly
-    angles = np.linspace(0.0, 0.5 * math.pi, n)
-    vals = [total(a) for a in angles]
+    angles = np.linspace(0.0, _HALF_PI, n)
+    r21, r12 = sweep.rates(angles)
+    vals = r21 + r12
     k = int(np.argmax(vals))
-    x, best = _golden_max(total, angles[max(0, k - 1)], angles[min(n - 1, k + 1)])
-    return rates(x if best > vals[k] else float(angles[k]))
+    x, best = _golden_max(total, float(angles[max(0, k - 1)]), float(angles[min(n - 1, k + 1)]))
+    return sweep.rate_pair(x if best > vals[k] else float(angles[k]))
 
 
 def direct_relay(pair: ChannelPair, pc: PowerConfig) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twrelay.beamformer import (
     RateProfile,
+    _ray_exit,
     build_qcqp,
     capacity_region,
     envelope_value,
@@ -299,6 +300,28 @@ class TestRateProfile:
         for i in range(33):
             p = RateProfile.of(i / 32)
             assert p.alpha21 + p.alpha12 == 1.0
+
+
+class TestRayExit:
+    # the frontier jumps between the float `jump` and the next one, the
+    # steepest a frontier can be; the bisection ends on that pair and
+    # their midpoint rounds to the lower float for 0.75 and to the upper
+    # one for its successor
+    @pytest.mark.parametrize("jump", [0.75, math.nextafter(0.75, 1.0)])
+    @pytest.mark.parametrize(
+        "before, after",
+        [((4.0, 1.0), (1.5, 5.0)), ((4.0, 1.5), (1.0, 5.0))],
+        ids=["upper-end-better", "lower-end-better"],
+    )
+    def test_steep_frontier_takes_the_better_end(self, jump, before, after):
+        def rates(x: float) -> RatePair:
+            return RatePair(*(before if x <= jump else after))
+
+        def ray(r: RatePair) -> float:
+            return min(r.r21 / 0.5, r.r12 / 0.5)
+
+        want = max(ray(rates(jump)), ray(rates(math.nextafter(jump, 1.0))))
+        assert _ray_exit(rates, 0.0, 1.0, RateProfile.of(0.5)) == want
 
 
 class TestRegionBoundary:

@@ -280,7 +280,9 @@ class TestValidateCommand:
 
     def test_schemes_suite_passes(self, capsys):
         assert run(["validate", "--suite", "schemes", "--seed", "13", "--instances", "1"]) == 0
-        assert "all" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "all" in out
+        assert "[PASS] schemes: mr-rates-0" in out and "[PASS] schemes: zf-rates-0" in out
 
 
 class TestTopLevel:

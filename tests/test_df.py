@@ -210,6 +210,18 @@ class TestDfRegion:
         }
         assert want <= got
 
+    def test_slice_has_no_cliff_at_its_end(self):
+        # the last knot sits on the cap of one scaled frontier, and the
+        # unscaled lookup x / tau or x / (1 - tau) can round past that cap
+        for m, rho, seed in ((4, 0.8371544099377217, 199660017), (2, 0.9, 1), (8, 0.5, 2)):
+            pair = gen_channels(m, rho, seed)
+            pent = mac_region(pair, 100.0, 100.0)
+            bc = bc_boundary(pair, 100.0, n_weights=17)
+            for tau in np.linspace(0.0, 1.0, 257)[1:-1]:
+                ys = [y for _, y in df_tau_slice(pent, bc, float(tau))]
+                assert ys[-1] > 0.0
+                assert all(a >= b - 1e-12 for a, b in zip(ys, ys[1:]))
+
     def test_tau_refinement_only_enlarges(self):
         pair = gen_channels(4, 0.8, seed=21)
         coarse = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=5, n_weights=17)

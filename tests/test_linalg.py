@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twrelay.errors import InvalidInputError
 from twrelay.linalg import eig_herm2, eig_sym, herm_sqrt_2x2, svd_tall
+from twrelay.model import gen_channels
 
 
 def random_complex(rng, *shape):
@@ -63,6 +64,17 @@ class TestEigHerm2:
             assert np.allclose((V * w) @ V.conj().T, H, atol=1e-12)
             assert np.allclose(V.conj().T @ V, np.eye(2), atol=1e-13)
 
+    def test_weak_coupling_keeps_eigenvectors(self):
+        # |b| = 1e-9 (a - d): the top eigenvector's second entry is
+        # |b|^2 / (a - d) to first order, far below rounding of a - d
+        a, d = 2.0, 1.0
+        b = 1e-9 * (a - d) * np.exp(0.3j)
+        H = np.array([[a, b], [np.conj(b), d]])
+        w, V = eig_herm2(H)
+        for k in range(2):
+            assert np.linalg.norm(H @ V[:, k] - w[k] * V[:, k]) <= 1e-15 * a
+        assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= 1e-15
+
 
 class TestSvdTall:
     def test_orthonormal_columns_input(self):
@@ -106,6 +118,15 @@ class TestSvdTall:
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-12
         rel = np.linalg.norm((U * s) @ V.conj().T - H) / np.linalg.norm(H)
         assert rel <= 1e-10
+
+    def test_unnormalized_uncorrelated_pair(self):
+        # orthogonal columns of unequal norm: the Gram off-diagonal is
+        # rounding noise, about 1e-15 times the diagonal gap
+        pair = gen_channels(2, 0.0, 104, normalize=False)
+        H = np.column_stack([pair.h1, pair.h2])
+        U, s, V = svd_tall(H)
+        assert s[0] >= s[1]
+        assert np.linalg.norm((U * s) @ V.conj().T - H) <= 1e-12 * np.linalg.norm(H)
 
     def test_rejects_wide(self):
         with pytest.raises(InvalidInputError):

@@ -13,6 +13,7 @@ from twrelay.beamformer import RateProfile, min_relay_power
 from twrelay.bounds import r_lb_mr, r_lb_zf
 from twrelay.errors import InvalidInputError, RankDeficiencyError
 from twrelay.model import (
+    Beamformer,
     ChannelPair,
     PowerConfig,
     effective,
@@ -23,6 +24,7 @@ from twrelay.model import (
     relay_power_reduced,
 )
 from twrelay.schemes import (
+    _Sweep,
     _ratio_to_components,
     direct_relay,
     mrr_mrt,
@@ -132,6 +134,15 @@ class TestZeroForcing:
         assert rates.r12 == 0.0
         assert rates.r21 > 0.0
 
+    def test_ratio_infinity_silences_forward_link_unnormalized(self):
+        # orthogonal channels of unequal norm, whose Gram matrix has a
+        # rounding-level off-diagonal
+        pair = gen_channels(2, 0.0, 104, normalize=False)
+        pc = symmetric_power(10.0)
+        rates = rate_pair_reduced(zfr_zft(pair, math.inf, pc), effective(pair), pc)
+        assert rates.r21 <= 1e-12
+        assert rates.r12 > 0.5
+
     def test_parallel_channels_rejected(self):
         h = np.array([1.0, 1.0j]) / math.sqrt(2.0)
         pair = ChannelPair(m=2, h1=h, h2=1.0j * h, rho=1.0, seed=None)
@@ -177,6 +188,73 @@ class TestSweepRegion:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidInputError):
             sweep_region("dirty-paper", orthogonal_pair(), symmetric_power(10.0))
+
+
+def _evaluator_corpus():
+    """(pair, pc) over M 2/4/8, rho up to 0.99, unit and unnormalized
+    channels, 0-60 dB and a silent source."""
+    seed = 300
+    for m in (2, 4, 8):
+        for rho in (0.0, 0.5, 0.9, 0.99):
+            for normalize in (True, False):
+                seed += 1
+                pair = gen_channels(m, rho, seed, normalize=normalize)
+                for db in (0.0, 20.0, 40.0, 60.0):
+                    p = 10.0 ** (db / 10.0)
+                    yield pair, PowerConfig(p, p, p)
+                    yield pair, PowerConfig(0.0, 2.0 * p, 0.5 * p)
+
+
+class TestSweepForms:
+    def test_rates_match_the_built_beamformer(self):
+        angles = (0.0, 0.25 * math.pi, 0.5 * math.pi)
+        for pair, pc in _evaluator_corpus():
+            eff = effective(pair)
+            for scheme, build in (("mr", mrr_mrt), ("zf", zfr_zft)):
+                sweep = _Sweep(scheme, pair, pc)
+                r21s, r12s = sweep.rates(np.array(angles))
+                for k, angle in enumerate(angles):
+                    ratio = math.inf if angle == 0.5 * math.pi else math.tan(angle)
+                    want = rate_pair_reduced(build(pair, ratio, pc), eff, pc)
+                    r21, r12 = sweep.rates(angle)
+                    assert isinstance(r21, float) and isinstance(r12, float)
+                    for got, ref in (
+                        (r21, want.r21),
+                        (r12, want.r12),
+                        (r21s[k], want.r21),
+                        (r12s[k], want.r12),
+                    ):
+                        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_sweep_points_match_their_matrices(self):
+        for pair, pc in list(_evaluator_corpus())[::5]:
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                for point in sweep_region(scheme, pair, pc, n_ratios=17).points:
+                    want = rate_pair_reduced(point.beamformer, eff, pc)
+                    assert point.rates.r21 == pytest.approx(want.r21, rel=1e-12, abs=0.0)
+                    assert point.rates.r12 == pytest.approx(want.r12, rel=1e-12, abs=0.0)
+                    assert point.p_relay == relay_power_reduced(point.beamformer, eff, pc)
+                    assert point.p_relay == pytest.approx(pc.p_relay, rel=1e-9)
+
+    def test_searches_build_no_beamformer(self, monkeypatch):
+        import twrelay.schemes as schemes
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return Beamformer(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "Beamformer", counting)
+        pair = gen_channels(4, 0.5, seed=8)
+        pc = symmetric_power(10.0)
+        for scheme in ("mr", "zf"):
+            scheme_best_rates(scheme, pair, pc)
+            scheme_profile_sum_rate(scheme, pair, pc, RateProfile.of(0.25))
+        assert built == []
+        sweep_region("zf", pair, pc, n_ratios=9)
+        assert len(built) == 9
 
 
 class TestSchemeEvaluators:
