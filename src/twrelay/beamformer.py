@@ -6,10 +6,15 @@ constrained problem in b = vec(B), where vec stacks rows:
 vec([[1, 2], [3, 4]]) = (1, 2, 3, 4). Expanding b into real and
 imaginary halves turns it into an 8x8 real SDP with two constraints,
 whose relaxation is tight: its one-dimensional dual gives the minimum
-power and a rank-one minimizer exactly (see sdp.py). Boundary points
-of the rate region come from bisection on the sum rate along rate-profile
-rays; the capacity region is the Pareto envelope of boundaries over a
-grid of source powers.
+power and a rank-one minimizer exactly (see sdp.py). The same dual
+locates where a rate-profile ray leaves the rate region without any
+solve: per channel and power setting the target-independent forms are
+whitened once, after which the dual's test for one sum rate and dual
+weight t is a 2x2 eigenvalue bound, the largest passing sum rate at t is
+a scalar root, and the exit is its minimum over t. One power
+minimization at the exit certifies it and gives the beamformer. The
+capacity region is the Pareto envelope of boundaries over a grid of
+source powers.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import c_ub0
-from .errors import InvalidInputError
+from .bounds import _golden_max
+from .errors import InvalidInputError, NumericalFailureError
 from .model import (
+    LN2,
     Beamformer,
     ChannelPair,
     EffectiveChannel,
@@ -31,11 +37,13 @@ from .model import (
     effective,
     relay_power_reduced,
 )
-from .sdp import SdpProblem, extract_rank_one, solve_sdp
+from .sdp import DEFAULT_TOL, SdpProblem, extract_rank_one, solve_sdp
 
 DEFAULT_DELTA_R = 1e-4
 DEFAULT_N_PROFILES = 33
 DEFAULT_POWER_GRID = 8
+# width of the final bracket on the dual weight t of a ray exit
+EXIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,8 +142,9 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class RegionBoundary:
-    """Boundary points ordered by increasing r21 and non-increasing r12,
-    exact up to the bisection granularity of the producing trace."""
+    """Boundary points ordered by increasing r21 and non-increasing r12.
+    A traced optimal point sits at most delta_r below where its ray
+    leaves the region."""
 
     points: List[BoundaryPoint]
 
@@ -155,13 +164,18 @@ def _block_diag2(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, Q) with |g_rx^T B g_tx|^2 = |u^H b|^2 and ||B^T g_rx||^2 = b^H Q b."""
+    G = np.kron(g_rx[None, :], np.eye(2))
+    return np.kron(g_rx, g_tx).conj(), G.conj().T @ G
+
+
 def _snr_constraint_matrix(
     g_rx: np.ndarray, g_tx: np.ndarray, p_tx: float, gamma_bar: float
 ) -> np.ndarray:
     """E with b^H E b >= 1 encoding |g_rx^T B g_tx|^2 p_tx / (||B^T g_rx||^2 + 1) >= gamma_bar."""
-    f = np.kron(g_rx, g_tx)
-    G = np.kron(g_rx[None, :], np.eye(2))
-    return (p_tx / gamma_bar) * np.outer(f.conj(), f) - G.conj().T @ G
+    u, Q = _snr_forms(g_rx, g_tx)
+    return (p_tx / gamma_bar) * np.outer(u, u.conj()) - Q
 
 
 def _realify(E: np.ndarray) -> np.ndarray:
@@ -202,17 +216,20 @@ def min_relay_power(
     pc: PowerConfig,
     gamma1_bar: float,
     gamma2_bar: float,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> Tuple[float, Optional[np.ndarray]]:
     """Minimum relay power meeting the two receiver SNR targets.
 
     A zero target drops that link's constraint entirely. Returns
-    (p_star, B); infeasible targets give (inf, None).
+    (p_star, B), with B scaled so that its own SNRs meet the tighter
+    target exactly and p_star its power; infeasible targets give
+    (inf, None).
 
     Raises:
         InvalidInputError: if a target is negative.
         NumericalFailureError: propagated from solve_sdp when rounding
-            leaves no rank-one point with a positive constraint form.
+            leaves no rank-one point with a positive constraint form, or
+            when B's own SNRs cannot reach a target at any scale.
     """
     if gamma1_bar < 0.0 or gamma2_bar < 0.0:
         raise InvalidInputError("SNR targets must be nonnegative")
@@ -237,7 +254,35 @@ def min_relay_power(
         return math.inf, None
     x = extract_rank_one(sol, prob)
     B = _vec_to_matrix(x)
-    return float(x @ prob.F0 @ x), B
+    scale = _target_scale(B, eff, pc, gamma1_bar, gamma2_bar)
+    return scale * float(x @ prob.F0 @ x), math.sqrt(scale) * B
+
+
+def _target_scale(
+    B: np.ndarray, eff: EffectiveChannel, pc: PowerConfig, gamma1_bar: float, gamma2_bar: float
+) -> float:
+    """The power scale s at which sqrt(s) B meets its tighter SNR target
+    exactly. At high powers the terms of the 8x8 real constraint forms
+    reach 1e9 and more where the form itself is 1, so the value the
+    solver scaled to 1 carries rounding of 1e-9 relative and more (a
+    60 dB corpus shows it); the SNRs evaluated on B directly do not, and
+    SNR(sqrt(s) B) = s num / (s noise + 1).
+
+    Raises:
+        NumericalFailureError: if B's own SNR forms leave a target
+            unreachable at any scale.
+    """
+    scale = 0.0
+    for g_rx, g_tx, p_tx, target in (
+        (eff.g1, eff.g2, pc.p2, gamma1_bar),
+        (eff.g2, eff.g1, pc.p1, gamma2_bar),
+    ):
+        if target > 0.0:
+            excess = p_tx * abs(g_rx @ B @ g_tx) ** 2 - target * np.linalg.norm(B.T @ g_rx) ** 2
+            if excess <= 0.0:
+                raise NumericalFailureError("rank-one point misses an SNR target at every scale")
+            scale = max(scale, target / float(excess))
+    return scale
 
 
 def snr_targets(profile: RateProfile, r_sum: float) -> Tuple[float, float]:
@@ -248,6 +293,139 @@ def snr_targets(profile: RateProfile, r_sum: float) -> Tuple[float, float]:
     )
 
 
+def _log_excess(c: float, r: float, X: float) -> Tuple[float, float]:
+    """ln(gamma - X) for gamma = e^(c r) - 1, and its derivative in r.
+
+    Written as c r + ln(1 - (1 + X) e^(-c r)), which stays finite for any
+    c r; at or before the root of gamma = X it is -inf.
+    """
+    w = (1.0 + X) * math.exp(-c * r)
+    if w >= 1.0:
+        return -math.inf, math.inf
+    return c * r + math.log1p(-w), c / (1.0 - w)
+
+
+def _largest_passing(X: float, Y: float, s: float, c1: float, c2: float) -> float:
+    """Largest r at which the 2x2 matrix [[x, k], [k, y]] with
+    k^2 = s x y has an eigenvalue of at least 1, where x = X / gamma1(r),
+    y = Y / gamma2(r), gamma_i(r) = e^(c_i r) - 1 and 0 <= s <= 1: that
+    is, x >= 1, or y >= 1, or (1 - x)(1 - y) <= s x y.
+
+    Up to lo one of x, y is at least 1. Past it the test reads
+    phi(r) = ln(gamma1 - X) + ln(gamma2 - Y) - ln(s X Y) <= 0. phi is
+    concave and e^phi - 1 convex, both increasing, so at any r past lo
+    the Newton step of phi lands on a passing r and that of e^phi - 1 on
+    a failing one; the two bounds close in quadratically. At hi,
+    gamma1 >= 3X and gamma2 >= 3Y, so the test fails there.
+    """
+    lo = max(math.log1p(X) / c1, math.log1p(Y) / c2)
+    if s * X * Y == 0.0:
+        return lo
+    hi = max(math.log1p(3.0 * X) / c1, math.log1p(3.0 * Y) / c2)
+    level = math.log(s * X * Y)
+    a, b, r = lo, hi, hi
+    for _ in range(100):
+        f1, d1 = _log_excess(c1, r, X)
+        f2, d2 = _log_excess(c2, r, Y)
+        phi, slope = f1 + f2 - level, d1 + d2
+        if phi == -math.inf:  # r rounds onto lo: it passes
+            a = r
+        else:
+            a = max(a, r - phi / slope)
+            if phi > -700.0:
+                b = min(b, r + math.expm1(-phi) / slope)
+        if b - a <= 4e-16 * b:
+            break
+        r = a if a > lo else 0.5 * (a + b)
+    return a
+
+
+class _PowerCell:
+    """The power-minimization problem of one channel and power setting
+    (with a positive budget), with the forms that do not depend on the
+    SNR targets prepared once.
+
+    The constraints are E_i = (p/gamma_i) u_i u_i^H - Q_i (p2, gamma1 for
+    i = 1; p1, gamma2 for i = 2) and the power is b^H E0 b. By the exact
+    dual of the power minimization, targets fit the budget P_R iff for
+    every t in [0, 1] the matrix t E1 + (1 - t) E2 - E0/P_R has a
+    nonnegative eigenvalue. With N(t) = t Q1 + (1 - t) Q2 + E0/P_R,
+    positive definite, that holds iff the 2x2 matrix
+    diag(a, c)^(1/2) K(t) diag(a, c)^(1/2), K(t) = W^H N(t)^-1 W with
+    W = [u1 u2], a = t p2/gamma1 and c = (1 - t) p1/gamma2, has an
+    eigenvalue of at least 1. Whitening N(0) = L L^H and diagonalizing
+    L^-1 (Q1 - Q2) L^-H = V diag(mu) V^H gives K(t) exactly for every t
+    as sum_j z_j^H z_j / (1 + t mu_j), z_j the rows of V^H L^-1 W;
+    in the real expansion used here each mu_j appears twice.
+    """
+
+    def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
+        self.pc = pc
+        E0 = _block_diag2(_theta_matrix(eff, pc).T)
+        u1, Q1 = _snr_forms(eff.g1, eff.g2)
+        u2, Q2 = _snr_forms(eff.g2, eff.g1)
+        # in the real 8x8 expansion, as the SDP sees the forms: with
+        # r(u) = [Re u; Im u], Re(u^H M v) = r(u)^T R(M) r(v) and
+        # Im(u^H M v) = -r(u)^T R(M) r(i v)
+        Linv = np.linalg.inv(np.linalg.cholesky(_realify(Q2 + E0 / pc.p_relay)))
+        mu, V = np.linalg.eigh(Linv @ _realify(Q1 - Q2) @ Linv.T)
+        W = np.column_stack([np.concatenate([u.real, u.imag]) for u in (u1, u2, 1j * u2)])
+        Z = V.T @ Linv @ W
+        # Python floats keep each K(t) in scalar arithmetic
+        self.terms = list(
+            zip(
+                mu.tolist(),
+                (Z[:, 0] ** 2).tolist(),
+                (Z[:, 1] ** 2).tolist(),
+                (Z[:, 0] * Z[:, 1]).tolist(),
+                (Z[:, 0] * Z[:, 2]).tolist(),
+            )
+        )
+
+    def kernel(self, t: float) -> Tuple[float, float, float]:
+        """(k11, k22, |k12|^2) of K(t)."""
+        k11 = k22 = re12 = im12 = 0.0
+        for mu, w11, w22, w12, v12 in self.terms:
+            d = 1.0 + t * mu
+            k11 += w11 / d
+            k22 += w22 / d
+            re12 += w12 / d
+            im12 += v12 / d
+        return k11, k22, re12 * re12 + im12 * im12
+
+    def reach(self, t: float, c1: float, c2: float) -> float:
+        """r_hat(t): the largest sum rate that passes the test at weight t,
+        for a ray with gamma_i(r) = e^(c_i r) - 1."""
+        k11, k22, k12_sq = self.kernel(t)
+        X = t * self.pc.p2 * k11
+        Y = (1.0 - t) * self.pc.p1 * k22
+        s = min(1.0, k12_sq / (k11 * k22)) if k11 * k22 > 0.0 else 0.0
+        return _largest_passing(X, Y, s, c1, c2)
+
+    def exit(self, profile: RateProfile) -> Tuple[float, float]:
+        """(r*, t*): where the profile ray leaves the region, the minimum
+        over t of r_hat(t), which is quasi-convex in t (the t failing at
+        a given r form an interval), and the t that attains it. A ray
+        along one axis keeps one constraint, whose dual weight is its
+        end of [0, 1]."""
+        if profile.alpha21 == 0.0:
+            return math.log1p(self.pc.p1 * self.kernel(0.0)[1]) / (2.0 * LN2), 0.0
+        if profile.alpha12 == 0.0:
+            return math.log1p(self.pc.p2 * self.kernel(1.0)[0]) / (2.0 * LN2), 1.0
+        c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
+        t, low = _golden_max(lambda t: -self.reach(t, c1, c2), 0.0, 1.0, tol=EXIT_TOL)
+        return min((-low, t), (self.reach(0.0, c1, c2), 0.0), (self.reach(1.0, c1, c2), 1.0))
+
+
+def _power_cell(eff: EffectiveChannel, pc: PowerConfig) -> _PowerCell:
+    """The cell of (eff, pc), built once and kept on eff, so that every
+    ray of one boundary shares one whitening."""
+    cell = eff.cells.get(pc)
+    if cell is None:
+        cell = eff.cells[pc] = _PowerCell(eff, pc)
+    return cell
+
+
 def max_sum_rate(
     eff: EffectiveChannel,
     pc: PowerConfig,
@@ -256,37 +434,64 @@ def max_sum_rate(
 ) -> Tuple[float, np.ndarray]:
     """Largest sum rate whose profile-ray SNR targets fit the relay budget.
 
-    Bisects r over [0, c_ub0] (a profile-independent upper bound on any
-    achievable sum rate), shrinking the upper end whenever the power
-    minimum exceeds P_R or is infeasible. Returns (r, B) with r within
-    delta_r of the bracket top.
+    The ray's exit r* and its dual weight t* come from the exact dual of
+    the power minimization (see _PowerCell) with no solve. One
+    min_relay_power solve at r* certifies it and gives the beamformer.
+    When that solve reports p > P_R (1 + 1e-9), from rounding or from
+    the solver's relative gap tol, the slope of ln p* along the ray
+    (from t*, that solve's beamformer and the targets) predicts how far
+    back p* falls to P_R (1 - tol), which the solver cannot report over
+    budget; twice that step back is tried next, and r* - delta_r last.
+    Returns (r, B) with r at most delta_r below the exit and the power
+    minimum at r within P_R (1 + 1e-9).
 
     Raises:
         InvalidInputError: if delta_r is not positive.
-        NumericalFailureError: propagated from min_relay_power.
+        NumericalFailureError: if even r* - delta_r is over budget, or
+            propagated from min_relay_power.
     """
     if delta_r <= 0.0:
         raise InvalidInputError("delta_r must be positive")
-    B_lo = np.zeros((2, 2), dtype=complex)
     if pc.p_relay <= 0.0:
-        return 0.0, B_lo
-    r_lo = 0.0
-    r_hi = c_ub0(pc, eff.theta1, eff.theta2)
-    while r_hi - r_lo > delta_r:
-        r = 0.5 * (r_lo + r_hi)
-        g1b, g2b = snr_targets(profile, r)
-        p_star, B = min_relay_power(eff, pc, g1b, g2b)
-        if p_star <= pc.p_relay * (1.0 + 1e-9):
-            r_lo, B_lo = r, B
-        else:
-            r_hi = r
-    return r_lo, B_lo
+        return 0.0, np.zeros((2, 2), dtype=complex)
+    budget = pc.p_relay * (1.0 + 1e-9)
+    r_exit, t = _power_cell(eff, pc).exit(profile)
+    g1b, g2b = snr_targets(profile, r_exit)
+    p_star, B = min_relay_power(eff, pc, g1b, g2b)
+    if p_star <= budget:
+        return r_exit, B
+    floor = max(0.0, r_exit - delta_r)
+    tries = [floor]
+    if B is not None:
+        # d ln p*/dr: p* (t, 1 - t) are the multipliers of the two SNR
+        # constraints, d p*/d gamma_i is that multiplier times
+        # (1 + ||B^T g_rx||^2) / gamma_i at an active constraint, and
+        # d gamma_i/dr = 2 alpha_i ln 2 (1 + gamma_i)
+        slope = sum(
+            w * (1.0 + np.linalg.norm(B.T @ g) ** 2) * 2.0 * alpha * LN2 * (1.0 + gamma) / gamma
+            for w, alpha, gamma, g in (
+                (t, profile.alpha21, g1b, eff.g1),
+                (1.0 - t, profile.alpha12, g2b, eff.g2),
+            )
+            if w > 0.0 and gamma > 0.0
+        )
+        if slope > 0.0:
+            step = 2.0 * (math.log(p_star / pc.p_relay) + DEFAULT_TOL) / slope
+            r = min(r_exit - step, math.nextafter(r_exit, 0.0))
+            if r > floor:
+                tries.insert(0, r)
+    for r in tries:
+        p_star, B = min_relay_power(eff, pc, *snr_targets(profile, r))
+        if p_star <= budget:
+            return r, B
+    raise NumericalFailureError(f"power minimum over budget from the exit {r_exit!r} to {floor!r}")
 
 
 def _order_boundary(points: Iterable[BoundaryPoint], tie: float) -> List[BoundaryPoint]:
     """Order by increasing r21, grouping near-ties (within tie) so that a
-    vertical frontier arm, whose r21 values differ only by bisection
-    noise, reads top-down in r12 instead of shuffling with the noise."""
+    vertical frontier arm, whose r21 values differ only by the traces'
+    delta_r tolerance and rounding, reads top-down in r12 instead of
+    shuffling with that noise."""
     pts = sorted(points, key=lambda p: (p.rates.r21, -p.rates.r12))
     out: List[BoundaryPoint] = []
     group: List[BoundaryPoint] = []
@@ -304,7 +509,7 @@ def _prune_dominated(
 ) -> List[BoundaryPoint]:
     """Drop points weakly beaten in both coordinates and by margin in at
     least one by some other point. Points whose coordinates differ only
-    within the margin (bisection noise on retraced frontier arms) keep
+    within the margin (tolerance noise on retraced frontier arms) keep
     each other, while boundaries of strictly smaller power cells go."""
     r21 = np.array([p.rates.r21 for p in points])
     r12 = np.array([p.rates.r12 for p in points])
@@ -327,7 +532,11 @@ def rate_region_boundary(
     n_profiles: int = DEFAULT_N_PROFILES,
     delta_r: float = DEFAULT_DELTA_R,
 ) -> RegionBoundary:
-    """Trace the achievable-region boundary with one ray per profile."""
+    """Trace the achievable-region boundary with one ray per profile.
+
+    All rays see the same (eff, pc), so max_sum_rate whitens its forms
+    at the first ray and keeps them on eff for the others.
+    """
     if n_profiles < 2:
         raise InvalidInputError("need at least two profiles")
     pts = []

@@ -74,14 +74,16 @@ def _unimodal(vals: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
+def _golden_max(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = GOLDEN_TOL
+) -> Tuple[float, float]:
     """Golden-section search for the maximum of a unimodal f on [lo, hi],
-    to interval width GOLDEN_TOL; returns (x, f(x))."""
+    to interval width tol; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
+    while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

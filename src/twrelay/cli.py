@@ -11,6 +11,7 @@ explicit flags always win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -24,6 +25,7 @@ import numpy as np
 from . import io as tio
 from . import __version__
 from .beamformer import (
+    DEFAULT_DELTA_R,
     RateProfile,
     max_sum_rate,
     min_relay_power,
@@ -132,7 +134,7 @@ def _common(*names: str) -> List[Opt]:
         "pr": Opt("pr", parse_power, 10.0, "relay power budget (linear or '..db')"),
         "profiles": Opt("profiles", _parse_int_min(2), 33, "rate-profile rays traced"),
         "ratios": Opt("ratios", _parse_int_min(2), 65, "ratio sweep points per scheme"),
-        "delta-r": Opt("delta-r", parse_positive, 1e-4, "sum-rate bisection tolerance in bits"),
+        "delta-r": Opt("delta-r", parse_positive, 1e-4, "largest gap in bits between a traced sum rate and its ray's exit"),
         "seed": Opt("seed", _parse_int_min(0), 42, "channel draw seed"),
         "out": Opt("out", str, ".", "output directory"),
     }
@@ -229,6 +231,13 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         )
         handles[name] = sub
     return parser, handles
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """build_parser's result, built once per process: every default is
+    None and parsing leaves the parser as it was, so calls can share it."""
+    return build_parser()
 
 
 _ALL_KEYS = {opt.name for opts in OPTS.values() for opt in opts}
@@ -483,6 +492,17 @@ def _suite_oracle(seed: int, count: int) -> List[Check]:
         ub = c_ub0(pc, pair.theta1, pair.theta2)
         ok = res.value <= r_opt + 1e-3 and r_opt <= ub + 1e-9 and res.value >= r_opt - 1e-3
         checks.append((f"oracle-max-{i}", ok, f"oracle {res.value:.6f} vs solver {r_opt:.6f} vs ub {ub:.6f}"))
+        # the exit itself: its targets fit the budget, and 2 delta_r beyond them do not
+        p_at, _ = min_relay_power(eff, pc, *snr_targets(profile, r_opt))
+        p_above, _ = min_relay_power(eff, pc, *snr_targets(profile, r_opt + 2.0 * DEFAULT_DELTA_R))
+        ok = p_at <= pc.p_relay * (1.0 + 1e-9) and p_above > pc.p_relay
+        checks.append(
+            (
+                f"oracle-exit-{i}",
+                ok,
+                f"power {p_at:.9f} at the exit, {p_above:.9f} 2 delta-r beyond, budget {pc.p_relay:g}",
+            )
+        )
         g1, g2 = snr_targets(profile, 0.8 * r_opt)
         p_min, _ = min_relay_power(eff, pc, g1, g2)
         res_min = oracle_min_power(eff, pc, g1, g2, seed=child)
@@ -637,7 +657,7 @@ def _join_negative_db(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, handles = build_parser()
+    parser, handles = _parser()
     ns = parser.parse_args(_join_negative_db(sys.argv[1:] if argv is None else argv))
     if ns.command is None:
         parser.print_help()

@@ -1,5 +1,5 @@
 """Tests for the optimal beamformer: QCQP assembly, power minimization,
-sum-rate bisection, and region tracing."""
+ray exits, and region tracing."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrelay.beamformer import (
+    DEFAULT_DELTA_R,
     RateProfile,
     _ray_exit,
     build_qcqp,
@@ -19,8 +20,8 @@ from twrelay.beamformer import (
     rate_region_boundary,
     snr_targets,
 )
-from twrelay.bounds import c21
-from twrelay.errors import InvalidInputError
+from twrelay.bounds import c21, c_ub0
+from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.model import (
     Beamformer,
     PowerConfig,
@@ -214,6 +215,113 @@ class TestMaxSumRate:
         eff = effective(orthogonal_pair())
         with pytest.raises(InvalidInputError):
             max_sum_rate(eff, symmetric_power(10.0), RateProfile.of(0.5), delta_r=0.0)
+
+    def test_over_budget_at_every_back_off_raises(self, monkeypatch):
+        import twrelay.beamformer as bf
+
+        monkeypatch.setattr(bf, "min_relay_power", lambda *args, **kwargs: (math.inf, None))
+        eff = effective(gen_channels(4, 0.5, seed=3))
+        with pytest.raises(NumericalFailureError):
+            max_sum_rate(eff, symmetric_power(10.0), RateProfile.of(0.5))
+
+
+def _bisected_sum_rates(eff, pc, profile, coarse, fine):
+    """The sum-rate bisection over [0, c_ub0] that max_sum_rate used before
+    its exact ray exit, kept here as the reference: a probe is feasible
+    when min_relay_power reports at most P_R (1 + 1e-9). Returns its
+    result at tolerance coarse and at tolerance fine; the coarse run's
+    probes are the first ones of the fine run."""
+    if pc.p_relay <= 0.0:
+        return 0.0, 0.0
+    r_lo, r_hi = 0.0, c_ub0(pc, eff.theta1, eff.theta2)
+    at_coarse = None
+    while r_hi - r_lo > fine:
+        if at_coarse is None and r_hi - r_lo <= coarse:
+            at_coarse = r_lo
+        r = 0.5 * (r_lo + r_hi)
+        p_star, _ = min_relay_power(eff, pc, *snr_targets(profile, r))
+        if p_star <= pc.p_relay * (1.0 + 1e-9):
+            r_lo = r
+        else:
+            r_hi = r
+    return (r_lo if at_coarse is None else at_coarse), r_lo
+
+
+def _exit_corpus(count: int = 30, seed: int = 1618):
+    """Seeded instances over the ray exit's edges: every M in 2/4/8 with
+    every rho up to 1, unit and unnormalized channels, source and relay
+    powers drawn independently over 0-60 dB, and a silent source on
+    either side."""
+    rng = np.random.default_rng(seed)
+    rhos = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
+    for i in range(count):
+        p1, p2, pr = 10.0 ** rng.uniform(0.0, 6.0, size=3)
+        if i % 10 == 3:
+            p1 = 0.0
+        if i % 10 == 7:
+            p2 = 0.0
+        pair = gen_channels(
+            (2, 4, 8)[(i // 6) % 3],
+            rhos[i % 6],
+            int(rng.integers(0, 2**31)),
+            normalize=(i % 6 + i // 6) % 2 == 0,
+        )
+        yield effective(pair), PowerConfig(float(p1), float(p2), float(pr))
+
+
+class TestExitCorpus:
+    def test_against_sum_rate_bisection(self):
+        rays = 0
+        for eff, pc in _exit_corpus():
+            for alpha21 in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                profile = RateProfile.of(alpha21)
+                r, B = max_sum_rate(eff, pc, profile)
+                coarse, fine = _bisected_sum_rates(eff, pc, profile, DEFAULT_DELTA_R, 1e-10)
+                assert fine - DEFAULT_DELTA_R <= r <= fine + 1e-8
+                # no ray loses rate against the bisection at the default tolerance
+                assert r >= coarse - 1e-9
+                g1b, g2b = snr_targets(profile, r)
+                s1, s2 = snr_pair_reduced(B, eff, pc)
+                assert s1 >= g1b * (1.0 - 1e-9)
+                assert s2 >= g2b * (1.0 - 1e-9)
+                assert relay_power_reduced(B, eff, pc) <= pc.p_relay * (1.0 + 1e-9)
+                rays += 1
+        assert rays >= 200
+
+
+class TestWorkCounts:
+    def test_at_most_two_solves_per_ray(self, monkeypatch):
+        import twrelay.beamformer as bf
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return min_relay_power(*args, **kwargs)
+
+        monkeypatch.setattr(bf, "min_relay_power", counting)
+        eff = effective(gen_channels(4, 0.6, seed=19))
+        rate_region_boundary(eff, PowerConfig(30.0, 300.0, 100.0), n_profiles=33)
+        assert len(solves) <= 2 * 33
+
+    def test_one_power_cell_per_boundary(self, monkeypatch):
+        import twrelay.beamformer as bf
+
+        built = []
+
+        class Counting(bf._PowerCell):
+            def __init__(self, eff, pc):
+                built.append(pc)
+                super().__init__(eff, pc)
+
+        monkeypatch.setattr(bf, "_PowerCell", Counting)
+        pair = gen_channels(3, 0.4, seed=17)
+        rate_region_boundary(effective(pair), symmetric_power(10.0), n_profiles=9)
+        assert len(built) == 1
+        built.clear()
+        capacity_region(pair, 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
+        assert len(built) == 9
+        assert len(set(built)) == 9
 
 
 def _orthogonal_min_power(pc: PowerConfig, g1b: float, g2b: float) -> float:

@@ -284,8 +284,36 @@ class TestValidateCommand:
         assert "all" in out
         assert "[PASS] schemes: mr-rates-0" in out and "[PASS] schemes: zf-rates-0" in out
 
+    def test_oracle_suite_certifies_the_exit(self, capsys):
+        assert run(["validate", "--suite", "oracle", "--seed", "13", "--instances", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] oracle: oracle-exit-0" in out and "[FAIL]" not in out
+
 
 class TestTopLevel:
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        import twrelay.cli as cli
+
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        assert run(["bounds", "--out", str(tmp_path)]) == 0
+        assert run(["bounds", "--rho", "0.2", "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+        # the shared parser still rejects a bad value cleanly
+        with pytest.raises(SystemExit) as info:
+            run(["bounds", "--rho", "1.5", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rho" in err and "Traceback" not in err
+        assert len(built) == 1
+
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
         assert "subcommand" in capsys.readouterr().out or True
