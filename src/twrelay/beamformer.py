@@ -25,7 +25,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import _golden_max
+from .bounds import _crossing, _golden_max
 from .errors import InvalidInputError, NumericalFailureError
 from .model import (
     LN2,
@@ -62,20 +62,6 @@ class RateProfile:
     @staticmethod
     def of(alpha21: float) -> "RateProfile":
         return RateProfile(alpha21=alpha21, alpha12=1.0 - alpha21)
-
-
-def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> Tuple[float, float]:
-    """Where a predicate that holds up to some point of [lo, hi] and
-    fails after it switches: the bracket around the switch, bisected
-    until no float lies between its ends."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo, hi
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
 
 
 def _ray_exit(

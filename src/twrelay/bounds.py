@@ -4,9 +4,13 @@ Upper bounds come from cut-set arguments on the two one-way relay
 channels sharing the relay power; lower bounds are the guaranteed
 sum-rates of the matched and zero-forcing relay schemes with equal
 forward/backward gains. Everything here is a closed-form evaluation
-except c_ub, whose inner power split and outer noise-correlation split
-are one-dimensional numerical searches. Its golden-section routine,
-_golden_max, also refines the scheme sum-rate maxima in schemes.py.
+except the relay power split of c_ub. Its minimax over the relay-noise
+split and the power split is a saddle point: the noise split has a
+closed form, and the power split at it is a float-exact bisection on
+the closed-form sign of the objective's derivative. That bisection,
+_crossing, also finds the ray exits of beamformer.py and df.py; the
+golden-section search here, _golden_max, refines the scheme sum-rate
+maxima in schemes.py and the dual weight of an optimal ray exit.
 """
 
 from __future__ import annotations
@@ -16,12 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .model import PowerConfig
 
-DEFAULT_GRID = 33
 GOLDEN_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -30,18 +31,18 @@ def c21(kappa21: float, P21: float, theta1: float, theta2: float, p2: float) -> 
     """Capacity of the S2 -> relay -> S1 one-way link when the relay may
     spend P21 and a fraction kappa21 of the unit relay noise is charged
     to this direction."""
-    if P21 <= 0.0:
+    A = theta2 * p2
+    if P21 <= 0.0 or A == 0.0:
         return 0.0
-    den = 1.0 + (theta2 / theta1) * p2 / P21 + kappa21 / (theta1 * P21)
-    return 0.5 * math.log2(1.0 + theta2 * p2 / den)
+    return 0.5 * math.log2(1.0 + theta1 * A * P21 / (theta1 * P21 + A + kappa21))
 
 
 def c12(kappa12: float, P12: float, theta1: float, theta2: float, p1: float) -> float:
     """Mirror of c21 for the S1 -> relay -> S2 direction."""
-    if P12 <= 0.0:
+    B = theta1 * p1
+    if P12 <= 0.0 or B == 0.0:
         return 0.0
-    den = 1.0 + (theta1 / theta2) * p1 / P12 + kappa12 / (theta2 * P12)
-    return 0.5 * math.log2(1.0 + theta1 * p1 / den)
+    return 0.5 * math.log2(1.0 + theta2 * B * P12 / (theta2 * P12 + B + kappa12))
 
 
 def c_ub0(pc: PowerConfig, theta1: float, theta2: float) -> float:
@@ -59,19 +60,6 @@ def c_ub_sym(theta: float, p_relay: float) -> float:
         return 0.0
     x = theta * p_relay
     return math.log2(1.0 + x / (3.0 + 1.0 / x))
-
-
-def _unimodal(vals: np.ndarray, tol: float) -> bool:
-    """True when the sampled values rise then fall, within tol."""
-    falling = False
-    for d in np.diff(vals):
-        if abs(d) <= tol:
-            continue
-        if d > 0 and falling:
-            return False
-        if d < 0:
-            falling = True
-    return True
 
 
 def _golden_max(
@@ -96,46 +84,67 @@ def _golden_max(
     return x, f(x)
 
 
-def _line_search(
-    f: Callable[[float], float], lo: float, hi: float, grid: int
-) -> Tuple[float, float]:
-    """Maximize f by a grid pre-scan plus golden section, downgrading to a
-    dense grid when the samples are visibly not unimodal."""
-    xs = np.linspace(lo, hi, grid)
-    vals = np.array([f(x) for x in xs])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if not _unimodal(vals, 1e-9 * scale):
-        xs = np.linspace(lo, hi, 4097)
-        vals = np.array([f(x) for x in xs])
-    k = int(np.argmax(vals))
-    return _golden_max(f, xs[max(0, k - 1)], xs[min(len(xs) - 1, k + 1)])
+def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> Tuple[float, float]:
+    """Where a predicate that holds up to some point of [lo, hi] and
+    fails after it switches: the bracket around the switch, bisected
+    until no float lies between its ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
-def c_ub(
-    pc: PowerConfig, theta1: float, theta2: float, grid: int = DEFAULT_GRID
-) -> Tuple[float, float, float]:
+def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, float]:
     """Tightest sum-capacity upper bound.
 
     Minimizes over the relay-noise split kappa21 in [0, 1] the maximal
-    sum of the two one-way capacities under the shared power constraint
+    sum f of the two one-way capacities under the shared power constraint
     P21 + P12 <= P_R (met with equality since both terms grow with their
     own power). Returns (value, kappa21_star, p21_star).
+
+    f is convex in kappa21 and concave in P21, so the value is a saddle
+    point. Write A = theta2 p2, B = theta1 p1, S = 1 + A + B, x = P21,
+    y = P_R - x, a = (A + kappa)/theta1 and b = (B + 1 - kappa)/theta2.
+    Then 1 + snr21 = ((1 + A) x + a)/(x + a), and df/dx has the sign of
+    A a ((1 + B) y + b)(y + b) - B b ((1 + A) x + a)(x + a), which falls
+    through zero once. Both stationarity conditions together give
+    (A + kappa)/x = (B + 1 - kappa)/y = S/P_R, so at the saddle
+    a = alpha x and b = beta y with alpha = S/(theta1 P_R) and
+    beta = S/(theta2 P_R); the sign condition then fixes y/x = R and
+    kappa = (1 + B - R A)/(1 + R). Outside [0, 1] the convex minimum
+    over kappa is at the nearer end. At that kappa a bisection on the
+    sign of df/dx finds the maximizing P21 to the last float.
     """
-    if grid < 3:
-        raise InvalidInputError("grid must be at least 3")
     P = pc.p_relay
+    A, B = theta2 * pc.p2, theta1 * pc.p1
+    if A == 0.0:
+        kappa = 0.0
+    else:
+        # R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta))
+        # with alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2
+        # so that it stays finite at P_R = 0
+        u, v = (1.0 + A + B) / theta1, (1.0 + A + B) / theta2
+        R = (
+            (B * theta1) / (A * theta2)
+            * ((1.0 + A) * P + u) / ((1.0 + B) * P + v)
+            * (P + u) / (P + v)
+        )
+        kappa = min(1.0, max(0.0, (1.0 + B - R * A) / (1.0 + R)))
+    a, b = (A + kappa) / theta1, (B + 1.0 - kappa) / theta2
 
-    def inner(kappa: float) -> Tuple[float, float]:
-        def f(P21: float) -> float:
-            return c21(kappa, P21, theta1, theta2, pc.p2) + c12(
-                1.0 - kappa, P - P21, theta1, theta2, pc.p1
-            )
+    def rising(x: float) -> bool:
+        y = P - x
+        return A * a * ((1.0 + B) * y + b) * (y + b) > B * b * ((1.0 + A) * x + a) * (x + a)
 
-        return _line_search(f, 0.0, P, grid)
+    def f(x: float) -> float:
+        return c21(kappa, x, theta1, theta2, pc.p2) + c12(1.0 - kappa, P - x, theta1, theta2, pc.p1)
 
-    kappa_star, _ = _line_search(lambda kappa: -inner(kappa)[1], 0.0, 1.0, grid)
-    p21_star, value = inner(kappa_star)
-    return value, kappa_star, p21_star
+    value, p21 = max((f(x), x) for x in _crossing(rising, 0.0, P))
+    return value, kappa, p21
 
 
 def r_lb_mr(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
@@ -247,12 +256,10 @@ class BoundsReport:
         return BoundsReport(**json.loads(text))
 
 
-def bounds_report(
-    pc: PowerConfig, theta1: float, theta2: float, rho: float, grid: int = DEFAULT_GRID
-) -> BoundsReport:
+def bounds_report(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> BoundsReport:
     """Evaluate every bound; c_ub_sym only when the setup is symmetric,
     r_lb_zf only when the channels are not parallel."""
-    ub, kappa_star, p21_star = c_ub(pc, theta1, theta2, grid=grid)
+    ub, kappa_star, p21_star = c_ub(pc, theta1, theta2)
     sym = None
     if abs(theta1 - theta2) <= 1e-12 * max(theta1, theta2) and pc.p1 == pc.p2 == pc.p_relay:
         sym = c_ub_sym(theta1, pc.p_relay)

@@ -170,7 +170,7 @@ OPTS: Dict[str, List[Opt]] = {
         Opt("p1", parse_power, 10.0, "terminal 1 transmit power (linear or '..db')"),
         Opt("p2", parse_power, 10.0, "terminal 2 transmit power (linear or '..db')"),
         Opt("pr", parse_power, 10.0, "relay power budget (linear or '..db')"),
-        Opt("grid", _parse_int_min(5), 33, "coarse grid for the bound's inner maximization"),
+        Opt("grid", _parse_int_min(5), 33, "accepted and recorded; does not change the result (c_ub is a closed-form saddle point)"),
         Opt("out", str, ".", "output directory"),
     ],
     "df-compare": _common("m", "rho", "profiles", "delta-r", "seed", "out")
@@ -402,9 +402,7 @@ def cmd_bounds(settings: dict) -> int:
     out = settings["out"]
     pc = PowerConfig(settings["p1"], settings["p2"], settings["pr"])
     timer = Timer()
-    report = bounds_report(
-        pc, settings["theta1"], settings["theta2"], settings["rho"], grid=settings["grid"]
-    )
+    report = bounds_report(pc, settings["theta1"], settings["theta2"], settings["rho"])
     tio.atomic_write_text(os.path.join(out, "bounds.json"), report.to_json() + "\n")
     timer.lap("bounds")
     _write_manifest(out, "bounds", settings, timer, ["bounds.json"], [])
@@ -566,6 +564,8 @@ def _suite_bounds(seed: int, count: int) -> List[Check]:
             f" <= {report.c_ub:.4f} <= {report.c_ub0:.4f}"
         )
         checks.append((f"bound-chain-{i}", chain, detail))
+        gap = abs(report.c_ub - report.c_ub_sym) if report.c_ub_sym is not None else math.inf
+        checks.append((f"sym-bound-{i}", gap <= 1e-12, f"|c_ub - c_ub_sym| = {gap:.2e}"))
         if report.r_lb_zf is not None:
             r_zf = scheme_max_sum_rate("zf", pair, pc)
             checks.append(

@@ -29,10 +29,10 @@ from .beamformer import (
     BoundaryPoint,
     RateProfile,
     RegionBoundary,
-    _crossing,
     _order_boundary,
     _ray_exit,
 )
+from .bounds import _crossing
 from .errors import InvalidInputError
 from .linalg import svd_tall
 from .model import ChannelPair, RatePair

@@ -243,11 +243,19 @@ def rate_pair_reduced(
 
 def relay_power_reduced(
     bf: Union[Beamformer, np.ndarray], eff: EffectiveChannel, pc: PowerConfig
-) -> float:
-    """Relay power of the lifted matrix, computed from B directly."""
+) -> Union[float, np.ndarray]:
+    """Relay power of the lifted matrix, computed from B directly:
+    p1 ||B g1||^2 + p2 ||B g2||^2 + ||B||_F^2. An (n, 2, 2) stack of
+    matrices gives the array of their n powers, each equal to the power
+    of its matrix alone."""
     B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf, dtype=complex)
-    return float(
-        np.linalg.norm(B @ eff.g1) ** 2 * pc.p1
-        + np.linalg.norm(B @ eff.g2) ** 2 * pc.p2
-        + np.real(np.sum(B * B.conj()))
+
+    def sq(z: np.ndarray) -> np.ndarray:
+        return z.real * z.real + z.imag * z.imag
+
+    power = (
+        sq((B * eff.g1).sum(-1)).sum(-1) * pc.p1
+        + sq((B * eff.g2).sum(-1)).sum(-1) * pc.p2
+        + sq(B).sum((-2, -1))
     )
+    return float(power) if power.ndim == 0 else power

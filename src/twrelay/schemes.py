@@ -41,16 +41,6 @@ _HALF_PI = 0.5 * math.pi
 _Reals = Union[float, np.ndarray]
 
 
-def _ratio_to_components(ratio: float) -> Tuple[float, float]:
-    """Unit-scale (a, b) with a/b = ratio; ratio = inf means b = 0."""
-    if ratio < 0.0:
-        raise InvalidInputError("ratio must be nonnegative")
-    if math.isinf(ratio):
-        return 1.0, 0.0
-    norm = math.hypot(ratio, 1.0)
-    return ratio / norm, 1.0 / norm
-
-
 def _basis(scheme: str, eff: EffectiveChannel, pc: PowerConfig) -> Tuple[np.ndarray, np.ndarray]:
     """The scheme's unit relay matrices (Ba, Bb) in reduced coordinates:
     with weights (a, b) its relay matrix is a Ba + b Bb before scaling.
@@ -79,24 +69,12 @@ def _basis(scheme: str, eff: EffectiveChannel, pc: PowerConfig) -> Tuple[np.ndar
     return Ba, Bb
 
 
-def _beamformer(scheme: str, pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
-    """The scheme's relay matrix at a/b = ratio, scaled so the relay power
-    equals the budget exactly; the power is a pure quadratic in the
-    matrix, so a single square root suffices."""
-    a, b = _ratio_to_components(ratio)
-    eff = effective(pair)
-    Ba, Bb = _basis(scheme, eff, pc)
-    B_unit = a * Ba + b * Bb
-    scale = math.sqrt(pc.p_relay / relay_power_reduced(B_unit, eff, pc))
-    return Beamformer(B=scale * B_unit, U=eff.U)
-
-
 def mrr_mrt(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
     """Matched-filter relay: receive and retransmit along the channels.
 
     A = a h2* h1^H + b h1* h2^H, a/b = ratio, scaled to spend P_R.
     """
-    return _beamformer("mr", pair, ratio, pc)
+    return _Sweep("mr", pair, pc).beamformer(ratio)
 
 
 def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
@@ -108,7 +86,7 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
         RankDeficiencyError: parallel channels, the inverse direction
             does not exist.
     """
-    return _beamformer("zf", pair, ratio, pc)
+    return _Sweep("zf", pair, pc).beamformer(ratio)
 
 
 def _form(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -180,6 +158,13 @@ class _Sweep:
         scale = np.sqrt(self.p_relay / _quad(self.pw, a, b))[:, None, None]
         return scale * (a[:, None, None] * self.Ba + b[:, None, None] * self.Bb)
 
+    def beamformer(self, ratio: float) -> Beamformer:
+        """The relay matrix at a/b = ratio, the angle atan(ratio) (pi/2
+        at ratio infinity), scaled to spend the budget."""
+        if ratio < 0.0:
+            raise InvalidInputError("ratio must be nonnegative")
+        return Beamformer(B=self.matrices(np.array([math.atan(ratio)]))[0], U=self.eff.U)
+
 
 def sweep_region(
     scheme: str,
@@ -192,8 +177,8 @@ def sweep_region(
     Ratios are tangents of angles uniform on [0, pi/2], so both
     single-link endpoints (ratio 0 and infinity) are included. One
     evaluation of the sweep's quadratic forms gives the rate pairs at
-    all angles and one (n, 2, 2) stack holds their relay matrices; each
-    point's relay power is recomputed from its stored matrix.
+    all angles and one (n, 2, 2) stack holds their relay matrices, whose
+    relay powers are recomputed from the stack in one expression.
     """
     if n_ratios < 2:
         raise InvalidInputError("need at least two ratios")
@@ -201,18 +186,19 @@ def sweep_region(
     # the last angle is pi/2 itself: k * (pi/2) / k can round below it
     angles = np.append(_HALF_PI * np.arange(n_ratios - 1) / (n_ratios - 1), _HALF_PI)
     r21, r12 = sweep.rates(angles)
+    mats = sweep.matrices(angles)
+    powers = relay_power_reduced(mats, sweep.eff, pc)
     pts: List[BoundaryPoint] = []
-    for B, x21, x12 in zip(sweep.matrices(angles), r21.tolist(), r12.tolist()):
-        bf = Beamformer(B=B, U=sweep.eff.U)
+    for B, x21, x12, spent in zip(mats, r21.tolist(), r12.tolist(), powers.tolist()):
         total = x21 + x12
         pts.append(
             BoundaryPoint(
                 alpha21=x21 / total if total > 0 else 0.5,
                 rates=RatePair(r21=x21, r12=x12),
-                beamformer=bf,
+                beamformer=Beamformer(B=B, U=sweep.eff.U),
                 p1=pc.p1,
                 p2=pc.p2,
-                p_relay=relay_power_reduced(bf, sweep.eff, pc),
+                p_relay=spent,
             )
         )
     return RegionBoundary(points=_order_boundary(pts, tie=RATIO_TIE))

@@ -7,6 +7,7 @@ import pytest
 
 from twrelay.bounds import (
     BoundsReport,
+    _golden_max,
     asymptotic_gaps,
     asymptotic_sum_rates,
     bounds_report,
@@ -32,6 +33,11 @@ class TestDirectional:
     def test_zero_power(self):
         assert c21(0.5, 0.0, 1, 1, 10) == 0.0
         assert c12(0.5, -1.0, 1, 1, 10) == 0.0
+
+    def test_underflowing_power(self):
+        # theta1 * P21 underflows to 0; the SNR is still a finite quotient
+        assert 0.0 <= c21(0.0, 5e-324, 0.5, 1.0, 10.0) <= 1e-300
+        assert 0.0 <= c12(0.0, 5e-324, 1.0, 0.5, 10.0) <= 1e-300
 
     def test_infinite_power_limit(self):
         v = c21(0.0, 1e12, 1.0, 2.0, 10.0)
@@ -71,9 +77,48 @@ class TestUpperBounds:
             ub, _, _ = c_ub(pc, pair.theta1, pair.theta2)
             assert ub <= c_ub0(pc, pair.theta1, pair.theta2) + 1e-9
 
-    def test_grid_validation(self):
-        with pytest.raises(InvalidInputError):
-            c_ub(SYM10, 1.0, 1.0, grid=2)
+
+def _saddle_corpus():
+    """Seeded instances: M 2/4/8, unnormalized channels, powers 0.1 to
+    1e6, and a silent source or no relay budget in some of them."""
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        pair = gen_channels((2, 4, 8)[i % 3], float(rng.uniform(0.0, 0.99)),
+                            int(rng.integers(2**31)), normalize=False)
+        p1, p2, pr = 10.0 ** rng.uniform(-1.0, 6.0, size=3)
+        if i % 8 == 1:
+            p1 = 0.0
+        elif i % 8 == 3:
+            p2 = 0.0
+        elif i % 8 == 5:
+            pr = 0.0
+        yield PowerConfig(p1, p2, pr), pair.theta1, pair.theta2
+
+
+class TestSaddlePoint:
+    def test_value_is_the_minimax(self):
+        # max over P21 at kappa* reaches no higher than c_ub, no kappa
+        # keeps the max over P21 below c_ub, and c_ub <= c_ub0
+        for pc, th1, th2 in _saddle_corpus():
+            P = pc.p_relay
+            value, kappa_star, p21_star = c_ub(pc, th1, th2)
+            assert 0.0 <= kappa_star <= 1.0 and 0.0 <= p21_star <= P
+
+            def f(kappa, x):
+                return c21(kappa, x, th1, th2, pc.p2) + c12(1.0 - kappa, P - x, th1, th2, pc.p1)
+
+            assert value == f(kappa_star, p21_star)
+            assert value <= c_ub0(pc, th1, th2)
+            for x in np.linspace(0.0, P, 4097):
+                assert f(kappa_star, x) <= value + 1e-12
+            for kappa in np.linspace(0.0, 1.0, 41):
+                _, inner = _golden_max(lambda x: f(kappa, x), 0.0, P)
+                assert value <= max(inner, f(kappa, 0.0), f(kappa, P)) + 1e-12
+
+    def test_symmetric_setup_equals_closed_form(self):
+        for p in (1.0, 10.0, 1e4, 1e6):
+            value, _, _ = c_ub(PowerConfig(p, p, p), 1.0, 1.0)
+            assert abs(value - c_ub_sym(1.0, p)) <= 1e-12
 
 
 class TestLowerBounds:

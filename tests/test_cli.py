@@ -217,6 +217,19 @@ class TestBoundsCommand:
         assert report.c_ub_sym is not None
         assert report.c_ub_sym <= report.c_ub0 + 1e-12
 
+    def test_grid_flag_changes_nothing(self, tmp_path):
+        # --grid stays accepted and recorded, but c_ub no longer searches
+        assert run(["bounds", "--rho", "0.3", "--out", str(tmp_path / "plain")]) == 0
+        want = (tmp_path / "plain" / "bounds.json").read_bytes()
+        for grid in ("33", "5"):
+            out = tmp_path / grid
+            assert run(["bounds", "--rho", "0.3", "--grid", grid, "--out", str(out)]) == 0
+            assert (out / "bounds.json").read_bytes() == want
+            assert json.loads((out / "manifest.json").read_text())["settings"]["grid"] == int(grid)
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--grid", "4", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
 
 class TestDfCompareCommand:
     def test_writes_four_region_file_set(self, tmp_path):
@@ -288,6 +301,12 @@ class TestValidateCommand:
         assert run(["validate", "--suite", "oracle", "--seed", "13", "--instances", "1"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] oracle: oracle-exit-0" in out and "[FAIL]" not in out
+
+    def test_bounds_suite_checks_the_symmetric_bound(self, capsys):
+        assert run(["validate", "--suite", "bounds", "--seed", "13", "--instances", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] bounds: sym-bound-0" in out and "[PASS] bounds: sym-bound-1" in out
+        assert "[FAIL]" not in out
 
 
 class TestTopLevel:

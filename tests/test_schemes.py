@@ -25,7 +25,6 @@ from twrelay.model import (
 )
 from twrelay.schemes import (
     _Sweep,
-    _ratio_to_components,
     direct_relay,
     mrr_mrt,
     oneway_alternating,
@@ -54,32 +53,53 @@ def complex_correlation_pair(m: int = 4) -> ChannelPair:
     return ChannelPair(m=m, h1=h1, h2=h2, rho=0.36, seed=None)
 
 
+def _components(ratio: float):
+    """Unit-scale (a, b) with a/b = ratio; ratio = inf means b = 0."""
+    if math.isinf(ratio):
+        return 1.0, 0.0
+    norm = math.hypot(ratio, 1.0)
+    return ratio / norm, 1.0 / norm
+
+
+def _matched_direct(pair: ChannelPair, ratio: float, pc: PowerConfig) -> np.ndarray:
+    a, b = _components(ratio)
+    A = a * np.outer(pair.h2.conj(), pair.h1.conj()) + b * np.outer(pair.h1.conj(), pair.h2.conj())
+    return A * math.sqrt(pc.p_relay / relay_power(A, pair, pc))
+
+
 class TestRatioComponents:
     def test_unit_norm_and_ratio(self):
+        # the built matrix weights the two unit matrices by (a, b) with
+        # a/b = ratio
+        pair = complex_correlation_pair()
+        pc = PowerConfig(5.0, 20.0, 13.0)
         for ratio in (0.0, 0.3, 1.0, 7.5):
-            a, b = _ratio_to_components(ratio)
-            assert math.hypot(a, b) == pytest.approx(1.0, abs=1e-15)
-            assert a == pytest.approx(ratio * b, abs=1e-15)
+            np.testing.assert_allclose(
+                mrr_mrt(pair, ratio, pc).full(), _matched_direct(pair, ratio, pc), atol=1e-10
+            )
 
     def test_infinite_ratio(self):
-        assert _ratio_to_components(math.inf) == (1.0, 0.0)
+        pair = complex_correlation_pair()
+        pc = symmetric_power(10.0)
+        for ratio in (math.inf, 1e300):
+            np.testing.assert_allclose(
+                mrr_mrt(pair, ratio, pc).full(), _matched_direct(pair, math.inf, pc), atol=1e-10
+            )
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            _ratio_to_components(-0.1)
+        pair = gen_channels(4, 0.5, seed=3)
+        for build in (mrr_mrt, zfr_zft):
+            with pytest.raises(InvalidInputError):
+                build(pair, -0.1, symmetric_power(10.0))
 
 
 class TestMatchedFilter:
     def test_matches_direct_construction(self):
         pc = symmetric_power(10.0)
         for pair in (gen_channels(4, 0.5, seed=3), complex_correlation_pair()):
-            bf = mrr_mrt(pair, 0.7, pc)
-            a, b = _ratio_to_components(0.7)
-            A_direct = a * np.outer(pair.h2.conj(), pair.h1.conj()) + b * np.outer(
-                pair.h1.conj(), pair.h2.conj()
+            np.testing.assert_allclose(
+                mrr_mrt(pair, 0.7, pc).full(), _matched_direct(pair, 0.7, pc), atol=1e-10
             )
-            A_direct *= math.sqrt(pc.p_relay / relay_power(A_direct, pair, pc))
-            np.testing.assert_allclose(bf.full(), A_direct, atol=1e-10)
 
     def test_spends_full_budget(self):
         pair = gen_channels(4, 0.3, seed=11)
@@ -120,7 +140,7 @@ class TestZeroForcing:
     def test_matches_pseudoinverse_construction(self):
         pair = complex_correlation_pair()
         pc = symmetric_power(10.0)
-        a, b = _ratio_to_components(0.7)
+        a, b = _components(0.7)
         H = np.column_stack([pair.h1, pair.h2])
         inner = np.array([[0.0, b], [a, 0.0]], dtype=complex)
         A_pinv = np.linalg.pinv(H.T) @ inner @ np.linalg.pinv(H)
