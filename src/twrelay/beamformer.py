@@ -6,21 +6,25 @@ constrained problem in b = vec(B), where vec stacks rows:
 vec([[1, 2], [3, 4]]) = (1, 2, 3, 4). Expanding b into real and
 imaginary halves turns it into an 8x8 real SDP with two constraints,
 whose relaxation is tight: its one-dimensional dual gives the minimum
-power and a rank-one minimizer exactly (see sdp.py). The same dual
-locates where a rate-profile ray leaves the rate region without any
-solve: per channel and power setting the target-independent forms are
-whitened once, after which the dual's test for one sum rate and dual
-weight t is a 2x2 eigenvalue bound, the largest passing sum rate at t is
-a scalar root, and the exit is its minimum over t. One power
-minimization at the exit certifies it and gives the beamformer. The
-capacity region is the Pareto envelope of boundaries over a grid of
-source powers.
+power and a rank-one minimizer exactly (see sdp.py). One _PowerCell per
+channel and power setting owns that problem: it builds the forms that do
+not depend on the SNR targets once, and a set of targets only scales its
+two signal terms. The same dual locates where a rate-profile ray leaves
+the rate region without any solve: the cell whitens its forms once,
+after which the dual's test for one sum rate and dual weight t is a 2x2
+eigenvalue bound, the largest passing sum rate at t is a scalar root,
+and the exit is its minimum over t. One power minimization at the exit
+certifies it and gives the beamformer; where the solver's gap leaves
+that just over budget, the beamformer scaled into the budget fixes the
+rate instead. The capacity region is the Pareto envelope of boundaries
+over a grid of source powers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +39,7 @@ from .model import (
     PowerConfig,
     RatePair,
     effective,
+    rate_pair_reduced,
     relay_power_reduced,
 )
 from .sdp import DEFAULT_TOL, SdpProblem, extract_rank_one, solve_sdp
@@ -99,12 +104,8 @@ def _ray_exit(
 
 @dataclass(frozen=True)
 class QcqpBuild:
-    """The quadratic forms of the vectorized power-min problem."""
+    """The vectorized power-min problem in its real 8x8 expansion."""
 
-    Theta: np.ndarray
-    E0: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
     prob: SdpProblem
 
 
@@ -135,33 +136,10 @@ class RegionBoundary:
     points: List[BoundaryPoint]
 
 
-def _theta_matrix(eff: EffectiveChannel, pc: PowerConfig) -> np.ndarray:
-    return (
-        pc.p1 * np.outer(eff.g1, eff.g1.conj())
-        + pc.p2 * np.outer(eff.g2, eff.g2.conj())
-        + np.eye(2)
-    )
-
-
-def _block_diag2(A: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = A
-    out[2:, 2:] = A
-    return out
-
-
 def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(u, Q) with |g_rx^T B g_tx|^2 = |u^H b|^2 and ||B^T g_rx||^2 = b^H Q b."""
     G = np.kron(g_rx[None, :], np.eye(2))
     return np.kron(g_rx, g_tx).conj(), G.conj().T @ G
-
-
-def _snr_constraint_matrix(
-    g_rx: np.ndarray, g_tx: np.ndarray, p_tx: float, gamma_bar: float
-) -> np.ndarray:
-    """E with b^H E b >= 1 encoding |g_rx^T B g_tx|^2 p_tx / (||B^T g_rx||^2 + 1) >= gamma_bar."""
-    u, Q = _snr_forms(g_rx, g_tx)
-    return (p_tx / gamma_bar) * np.outer(u, u.conj()) - Q
 
 
 def _realify(E: np.ndarray) -> np.ndarray:
@@ -174,20 +152,13 @@ def _realify(E: np.ndarray) -> np.ndarray:
 def build_qcqp(
     eff: EffectiveChannel, pc: PowerConfig, gamma1_bar: float, gamma2_bar: float
 ) -> QcqpBuild:
-    """Assemble the vectorized power-min problem for positive SNR targets.
-
-    E0 carries the relay power as b^H E0 b; E1/E2 encode the two receiver
-    SNR constraints as b^H E_i b >= 1. The 8x8 real expansion uses the
-    block rule [[Re E, -Im E], [Im E, Re E]] on x = [Re b; Im b].
+    """The vectorized power-min problem for positive SNR targets, as the
+    power cell of (eff, pc) states it: x^T F0 x is the relay power and
+    x^T F_i x >= 1 the two receiver SNR constraints, x = [Re b; Im b].
     """
     if gamma1_bar <= 0.0 or gamma2_bar <= 0.0:
         raise InvalidInputError("build_qcqp needs strictly positive SNR targets")
-    Theta = _theta_matrix(eff, pc)
-    E0 = _block_diag2(Theta.T)
-    E1 = _snr_constraint_matrix(eff.g1, eff.g2, pc.p2, gamma1_bar)
-    E2 = _snr_constraint_matrix(eff.g2, eff.g1, pc.p1, gamma2_bar)
-    prob = SdpProblem(n=8, F0=_realify(E0), F1=_realify(E1), F2=_realify(E2))
-    return QcqpBuild(Theta=Theta, E0=E0, E1=E1, E2=E2, prob=prob)
+    return QcqpBuild(prob=_power_cell(eff, pc).problem(gamma1_bar, gamma2_bar))
 
 
 def _vec_to_matrix(x: np.ndarray) -> np.ndarray:
@@ -198,11 +169,7 @@ def _vec_to_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def min_relay_power(
-    eff: EffectiveChannel,
-    pc: PowerConfig,
-    gamma1_bar: float,
-    gamma2_bar: float,
-    tol: float = DEFAULT_TOL,
+    eff: EffectiveChannel, pc: PowerConfig, gamma1_bar: float, gamma2_bar: float
 ) -> Tuple[float, Optional[np.ndarray]]:
     """Minimum relay power meeting the two receiver SNR targets.
 
@@ -225,17 +192,8 @@ def min_relay_power(
     if (gamma1_bar > 0.0 and pc.p2 == 0.0) or (gamma2_bar > 0.0 and pc.p1 == 0.0):
         return math.inf, None
 
-    if gamma1_bar > 0.0 and gamma2_bar > 0.0:
-        prob = build_qcqp(eff, pc, gamma1_bar, gamma2_bar).prob
-    else:
-        Theta = _theta_matrix(eff, pc)
-        if gamma1_bar > 0.0:
-            E = _snr_constraint_matrix(eff.g1, eff.g2, pc.p2, gamma1_bar)
-        else:
-            E = _snr_constraint_matrix(eff.g2, eff.g1, pc.p1, gamma2_bar)
-        prob = SdpProblem(n=8, F0=_realify(_block_diag2(Theta.T)), F1=_realify(E))
-
-    sol = solve_sdp(prob, tol=tol)
+    prob = _power_cell(eff, pc).problem(gamma1_bar, gamma2_bar)
+    sol = solve_sdp(prob)
     if sol.status == "infeasible":
         return math.inf, None
     x = extract_rank_one(sol, prob)
@@ -327,38 +285,66 @@ def _largest_passing(X: float, Y: float, s: float, c1: float, c2: float) -> floa
 
 
 class _PowerCell:
-    """The power-minimization problem of one channel and power setting
-    (with a positive budget), with the forms that do not depend on the
-    SNR targets prepared once.
+    """The power-minimization problem of one channel and power setting,
+    with the forms that do not depend on the SNR targets built once, in
+    the real 8x8 expansion that the SDP sees: x = [Re b; Im b], and a
+    Hermitian form E becomes [[Re E, -Im E], [Im E, Re E]].
 
-    The constraints are E_i = (p/gamma_i) u_i u_i^H - Q_i (p2, gamma1 for
-    i = 1; p1, gamma2 for i = 2) and the power is b^H E0 b. By the exact
-    dual of the power minimization, targets fit the budget P_R iff for
-    every t in [0, 1] the matrix t E1 + (1 - t) E2 - E0/P_R has a
-    nonnegative eigenvalue. With N(t) = t Q1 + (1 - t) Q2 + E0/P_R,
+    The power is b^H E0 b, E0 = diag(Theta^T, Theta^T) with
+    Theta = p1 g1 g1^H + p2 g2 g2^H + I, and the constraints are
+    b^H E_i b >= 1 with E_i = (p/gamma_i) u_i u_i^H - Q_i (p2, gamma1 for
+    i = 1; p1, gamma2 for i = 2), from _snr_forms.
+
+    By the exact dual of the power minimization, targets fit the budget
+    P_R iff for every t in [0, 1] the matrix t E1 + (1 - t) E2 - E0/P_R
+    has a nonnegative eigenvalue. With N(t) = t Q1 + (1 - t) Q2 + E0/P_R,
     positive definite, that holds iff the 2x2 matrix
     diag(a, c)^(1/2) K(t) diag(a, c)^(1/2), K(t) = W^H N(t)^-1 W with
     W = [u1 u2], a = t p2/gamma1 and c = (1 - t) p1/gamma2, has an
     eigenvalue of at least 1. Whitening N(0) = L L^H and diagonalizing
     L^-1 (Q1 - Q2) L^-H = V diag(mu) V^H gives K(t) exactly for every t
     as sum_j z_j^H z_j / (1 + t mu_j), z_j the rows of V^H L^-1 W;
-    in the real expansion used here each mu_j appears twice.
+    in the real expansion each mu_j appears twice.
     """
 
     def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
         self.pc = pc
-        E0 = _block_diag2(_theta_matrix(eff, pc).T)
-        u1, Q1 = _snr_forms(eff.g1, eff.g2)
-        u2, Q2 = _snr_forms(eff.g2, eff.g1)
-        # in the real 8x8 expansion, as the SDP sees the forms: with
-        # r(u) = [Re u; Im u], Re(u^H M v) = r(u)^T R(M) r(v) and
-        # Im(u^H M v) = -r(u)^T R(M) r(i v)
-        Linv = np.linalg.inv(np.linalg.cholesky(_realify(Q2 + E0 / pc.p_relay)))
-        mu, V = np.linalg.eigh(Linv @ _realify(Q1 - Q2) @ Linv.T)
+        theta = (
+            pc.p1 * np.outer(eff.g1, eff.g1.conj())
+            + pc.p2 * np.outer(eff.g2, eff.g2.conj())
+            + np.eye(2)
+        )
+        self.F0 = _realify(np.kron(np.eye(2), theta.T))
+        (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
+        self.u = (u1, u2)
+        self.signal = (_realify(np.outer(u1, u1.conj())), _realify(np.outer(u2, u2.conj())))
+        self.noise = (_realify(Q1), _realify(Q2))
+
+    def problem(self, gamma1_bar: float, gamma2_bar: float) -> SdpProblem:
+        """The SDP at these SNR targets; a zero target drops its constraint."""
+        forms = [
+            (p_tx / gamma) * S - N
+            for p_tx, gamma, S, N in zip(
+                (self.pc.p2, self.pc.p1), (gamma1_bar, gamma2_bar), self.signal, self.noise
+            )
+            if gamma > 0.0
+        ]
+        return SdpProblem(8, self.F0, *forms)
+
+    @cached_property
+    def terms(self) -> List[Tuple[float, float, float, float, float]]:
+        """Per whitened direction j, mu_j and the products of z_j's
+        entries whose sums over j weighted by 1/(1 + t mu_j) give k11,
+        k22, Re k12 and Im k12. It needs a positive budget, so the first
+        exit builds it, not the cell. With r(u) = [Re u; Im u],
+        Re(u^H M v) = r(u)^T R(M) r(v) and Im(u^H M v) = -r(u)^T R(M) r(i v)."""
+        Linv = np.linalg.inv(np.linalg.cholesky(self.noise[1] + self.F0 / self.pc.p_relay))
+        mu, V = np.linalg.eigh(Linv @ (self.noise[0] - self.noise[1]) @ Linv.T)
+        u1, u2 = self.u
         W = np.column_stack([np.concatenate([u.real, u.imag]) for u in (u1, u2, 1j * u2)])
         Z = V.T @ Linv @ W
         # Python floats keep each K(t) in scalar arithmetic
-        self.terms = list(
+        return list(
             zip(
                 mu.tolist(),
                 (Z[:, 0] ** 2).tolist(),
@@ -388,24 +374,24 @@ class _PowerCell:
         s = min(1.0, k12_sq / (k11 * k22)) if k11 * k22 > 0.0 else 0.0
         return _largest_passing(X, Y, s, c1, c2)
 
-    def exit(self, profile: RateProfile) -> Tuple[float, float]:
-        """(r*, t*): where the profile ray leaves the region, the minimum
-        over t of r_hat(t), which is quasi-convex in t (the t failing at
-        a given r form an interval), and the t that attains it. A ray
-        along one axis keeps one constraint, whose dual weight is its
-        end of [0, 1]."""
+    def exit(self, profile: RateProfile) -> float:
+        """r*: where the profile ray leaves the region, the minimum over t
+        of r_hat(t), which is quasi-convex in t (the t failing at a given
+        r form an interval). A ray along one axis keeps one constraint,
+        whose dual weight is its end of [0, 1]."""
         if profile.alpha21 == 0.0:
-            return math.log1p(self.pc.p1 * self.kernel(0.0)[1]) / (2.0 * LN2), 0.0
+            return math.log1p(self.pc.p1 * self.kernel(0.0)[1]) / (2.0 * LN2)
         if profile.alpha12 == 0.0:
-            return math.log1p(self.pc.p2 * self.kernel(1.0)[0]) / (2.0 * LN2), 1.0
+            return math.log1p(self.pc.p2 * self.kernel(1.0)[0]) / (2.0 * LN2)
         c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
-        t, low = _golden_max(lambda t: -self.reach(t, c1, c2), 0.0, 1.0, tol=EXIT_TOL)
-        return min((-low, t), (self.reach(0.0, c1, c2), 0.0), (self.reach(1.0, c1, c2), 1.0))
+        _, low = _golden_max(lambda t: -self.reach(t, c1, c2), 0.0, 1.0, tol=EXIT_TOL)
+        return min(-low, self.reach(0.0, c1, c2), self.reach(1.0, c1, c2))
 
 
 def _power_cell(eff: EffectiveChannel, pc: PowerConfig) -> _PowerCell:
     """The cell of (eff, pc), built once and kept on eff, so that every
-    ray of one boundary shares one whitening."""
+    ray of one boundary and every solve at one power setting share its
+    forms and its whitening."""
     cell = eff.cells.get(pc)
     if cell is None:
         cell = eff.cells[pc] = _PowerCell(eff, pc)
@@ -420,57 +406,42 @@ def max_sum_rate(
 ) -> Tuple[float, np.ndarray]:
     """Largest sum rate whose profile-ray SNR targets fit the relay budget.
 
-    The ray's exit r* and its dual weight t* come from the exact dual of
-    the power minimization (see _PowerCell) with no solve. One
-    min_relay_power solve at r* certifies it and gives the beamformer.
-    When that solve reports p > P_R (1 + 1e-9), from rounding or from
-    the solver's relative gap tol, the slope of ln p* along the ray
-    (from t*, that solve's beamformer and the targets) predicts how far
-    back p* falls to P_R (1 - tol), which the solver cannot report over
-    budget; twice that step back is tried next, and r* - delta_r last.
-    Returns (r, B) with r at most delta_r below the exit and the power
-    minimum at r within P_R (1 + 1e-9).
+    The ray's exit r* comes from the exact dual of the power minimization
+    (see _PowerCell) with no solve. One min_relay_power solve at r*
+    certifies it and gives the beamformer. When that solve reports
+    p > P_R (1 + 1e-9), from rounding or from the solver's relative gap
+    tol, its beamformer scaled to spend P_R / (1 + tol) fits the budget,
+    and the rate returned is the smaller of r* and where the ray meets
+    that beamformer's own rate pair. Returns (r, B): r at most delta_r
+    below the exit, B meeting the targets at r within P_R (1 + 1e-9).
 
     Raises:
         InvalidInputError: if delta_r is not positive.
-        NumericalFailureError: if even r* - delta_r is over budget, or
-            propagated from min_relay_power.
+        NumericalFailureError: if the solve at r* finds its targets
+            infeasible, or the scaled beamformer falls more than delta_r
+            below r*; or propagated from min_relay_power.
     """
     if delta_r <= 0.0:
         raise InvalidInputError("delta_r must be positive")
     if pc.p_relay <= 0.0:
         return 0.0, np.zeros((2, 2), dtype=complex)
-    budget = pc.p_relay * (1.0 + 1e-9)
-    r_exit, t = _power_cell(eff, pc).exit(profile)
-    g1b, g2b = snr_targets(profile, r_exit)
-    p_star, B = min_relay_power(eff, pc, g1b, g2b)
-    if p_star <= budget:
+    r_exit = _power_cell(eff, pc).exit(profile)
+    p_star, B = min_relay_power(eff, pc, *snr_targets(profile, r_exit))
+    if p_star <= pc.p_relay * (1.0 + 1e-9):
         return r_exit, B
-    floor = max(0.0, r_exit - delta_r)
-    tries = [floor]
-    if B is not None:
-        # d ln p*/dr: p* (t, 1 - t) are the multipliers of the two SNR
-        # constraints, d p*/d gamma_i is that multiplier times
-        # (1 + ||B^T g_rx||^2) / gamma_i at an active constraint, and
-        # d gamma_i/dr = 2 alpha_i ln 2 (1 + gamma_i)
-        slope = sum(
-            w * (1.0 + np.linalg.norm(B.T @ g) ** 2) * 2.0 * alpha * LN2 * (1.0 + gamma) / gamma
-            for w, alpha, gamma, g in (
-                (t, profile.alpha21, g1b, eff.g1),
-                (1.0 - t, profile.alpha12, g2b, eff.g2),
-            )
-            if w > 0.0 and gamma > 0.0
+    if B is None:
+        raise NumericalFailureError(f"the solve at the exit {r_exit!r} finds its targets infeasible")
+    B = B * math.sqrt(pc.p_relay / ((1.0 + DEFAULT_TOL) * p_star))
+    rates = rate_pair_reduced(B, eff, pc)
+    r = r_exit
+    for rate, alpha in ((rates.r21, profile.alpha21), (rates.r12, profile.alpha12)):
+        if alpha > 0.0:
+            r = min(r, float(rate) / alpha)
+    if r < r_exit - delta_r:
+        raise NumericalFailureError(
+            f"the exit {r_exit!r} falls to {r!r} with its beamformer scaled into the budget"
         )
-        if slope > 0.0:
-            step = 2.0 * (math.log(p_star / pc.p_relay) + DEFAULT_TOL) / slope
-            r = min(r_exit - step, math.nextafter(r_exit, 0.0))
-            if r > floor:
-                tries.insert(0, r)
-    for r in tries:
-        p_star, B = min_relay_power(eff, pc, *snr_targets(profile, r))
-        if p_star <= budget:
-            return r, B
-    raise NumericalFailureError(f"power minimum over budget from the exit {r_exit!r} to {floor!r}")
+    return r, B
 
 
 def _order_boundary(points: Iterable[BoundaryPoint], tie: float) -> List[BoundaryPoint]:

@@ -110,8 +110,8 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     point. Write A = theta2 p2, B = theta1 p1, S = 1 + A + B, x = P21,
     y = P_R - x, a = (A + kappa)/theta1 and b = (B + 1 - kappa)/theta2.
     Then 1 + snr21 = ((1 + A) x + a)/(x + a), and df/dx has the sign of
-    A a ((1 + B) y + b)(y + b) - B b ((1 + A) x + a)(x + a), which falls
-    through zero once. Both stationarity conditions together give
+    A a/(((1 + A) x + a)(x + a)) - B b/(((1 + B) y + b)(y + b)), which
+    falls through zero once. Both stationarity conditions together give
     (A + kappa)/x = (B + 1 - kappa)/y = S/P_R, so at the saddle
     a = alpha x and b = beta y with alpha = S/(theta1 P_R) and
     beta = S/(theta2 P_R); the sign condition then fixes y/x = R and
@@ -124,21 +124,21 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     if A == 0.0:
         kappa = 0.0
     else:
-        # R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta))
-        # with alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2
-        # so that it stays finite at P_R = 0
+        # R A with R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta)),
+        # alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2 so
+        # that it stays finite at P_R = 0. Formed without A, and with
+        # B - R A taken first, it gives kappa = 1/2 exactly on a symmetric
+        # setup at any power, where 1 + B - R A would cancel.
         u, v = (1.0 + A + B) / theta1, (1.0 + A + B) / theta2
-        R = (
-            (B * theta1) / (A * theta2)
-            * ((1.0 + A) * P + u) / ((1.0 + B) * P + v)
-            * (P + u) / (P + v)
-        )
-        kappa = min(1.0, max(0.0, (1.0 + B - R * A) / (1.0 + R)))
+        RA = B * (theta1 / theta2) * (((1.0 + A) * P + u) / ((1.0 + B) * P + v)) * ((P + u) / (P + v))
+        kappa = min(1.0, max(0.0, (1.0 + (B - RA)) / (1.0 + RA / A)))
     a, b = (A + kappa) / theta1, (B + 1.0 - kappa) / theta2
 
     def rising(x: float) -> bool:
+        # each side a product of two ratios of one scale, at most theta1
+        # and theta2, so that no product of powers overflows
         y = P - x
-        return A * a * ((1.0 + B) * y + b) * (y + b) > B * b * ((1.0 + A) * x + a) * (x + a)
+        return A / ((1.0 + A) * x + a) * (a / (x + a)) > B / ((1.0 + B) * y + b) * (b / (y + b))
 
     def f(x: float) -> float:
         return c21(kappa, x, theta1, theta2, pc.p2) + c12(1.0 - kappa, P - x, theta1, theta2, pc.p1)

@@ -49,12 +49,11 @@ def _basis(scheme: str, eff: EffectiveChannel, pc: PowerConfig) -> Tuple[np.ndar
         InvalidInputError: unknown scheme, or no positive relay budget.
         RankDeficiencyError: zero-forcing on parallel channels.
     """
-    key = scheme.strip().lower()
-    if key in ("mr", "mrr-mrt", "mrr_mrt"):
+    if scheme == "mr":
         # A = a h2* h1^H + b h1* h2^H
         c1, c2 = eff.g1.conj(), eff.g2.conj()
         Ba, Bb = np.outer(c2, c1), np.outer(c1, c2)
-    elif key in ("zf", "zfr-zft", "zfr_zft"):
+    elif scheme == "zf":
         # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of
         # [h1 h2] that the effective channel already holds
         sigma, V = eff.sigma, eff.V

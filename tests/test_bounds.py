@@ -120,6 +120,15 @@ class TestSaddlePoint:
             value, _, _ = c_ub(PowerConfig(p, p, p), 1.0, 1.0)
             assert abs(value - c_ub_sym(1.0, p)) <= 1e-12
 
+    def test_symmetric_setup_at_huge_powers(self):
+        # p^5 overflows a float at these powers; the noise split of a
+        # symmetric setup is 1/2 at any power
+        for p in (1e40, 1e62, 1e80, 1e150):
+            value, kappa, _ = c_ub(PowerConfig(p, p, p), 1.0, 1.0)
+            want = c_ub_sym(1.0, p)
+            assert abs(value - want) <= 1e-12 * want
+            assert kappa == 0.5
+
 
 class TestLowerBounds:
     def test_mr_hand_value(self):
