@@ -249,7 +249,9 @@ def _log_excess(c: float, r: float, X: float) -> Tuple[float, float]:
     return c * r + math.log1p(-w), c / (1.0 - w)
 
 
-def _largest_passing(X: float, Y: float, s: float, c1: float, c2: float) -> float:
+def _largest_passing(
+    X: float, Y: float, s: float, c1: float, c2: float, start: Optional[float] = None
+) -> float:
     """Largest r at which the 2x2 matrix [[x, k], [k, y]] with
     k^2 = s x y has an eigenvalue of at least 1, where x = X / gamma1(r),
     y = Y / gamma2(r), gamma_i(r) = e^(c_i r) - 1 and 0 <= s <= 1: that
@@ -260,14 +262,18 @@ def _largest_passing(X: float, Y: float, s: float, c1: float, c2: float) -> floa
     concave and e^phi - 1 convex, both increasing, so at any r past lo
     the Newton step of phi lands on a passing r and that of e^phi - 1 on
     a failing one; the two bounds close in quadratically. At hi,
-    gamma1 >= 3X and gamma2 >= 3Y, so the test fails there.
+    gamma1 >= 3X and gamma2 >= 3Y, so the test fails there. The Newton
+    steps begin at start when it lies strictly inside (lo, hi), and at
+    hi otherwise: a start near the root saves most of the steps, and
+    the bounds and the stopping rule do not depend on it.
     """
     lo = max(math.log1p(X) / c1, math.log1p(Y) / c2)
     if s * X * Y == 0.0:
         return lo
     hi = max(math.log1p(3.0 * X) / c1, math.log1p(3.0 * Y) / c2)
     level = math.log(s * X * Y)
-    a, b, r = lo, hi, hi
+    a, b = lo, hi
+    r = start if start is not None and lo < start < hi else hi
     for _ in range(100):
         f1, d1 = _log_excess(c1, r, X)
         f2, d2 = _log_excess(c2, r, Y)
@@ -280,7 +286,8 @@ def _largest_passing(X: float, Y: float, s: float, c1: float, c2: float) -> floa
                 b = min(b, r + math.expm1(-phi) / slope)
         if b - a <= 4e-16 * b:
             break
-        r = a if a > lo else 0.5 * (a + b)
+        # a point that rounds onto lo gives no Newton step, so bisect
+        r = a if lo < a != r else 0.5 * (a + b)
     return a
 
 
@@ -365,26 +372,36 @@ class _PowerCell:
             im12 += v12 / d
         return k11, k22, re12 * re12 + im12 * im12
 
-    def reach(self, t: float, c1: float, c2: float) -> float:
+    def reach(self, t: float, c1: float, c2: float, start: Optional[float] = None) -> float:
         """r_hat(t): the largest sum rate that passes the test at weight t,
-        for a ray with gamma_i(r) = e^(c_i r) - 1."""
+        for a ray with gamma_i(r) = e^(c_i r) - 1; start is a guess of it
+        for the root search."""
         k11, k22, k12_sq = self.kernel(t)
         X = t * self.pc.p2 * k11
         Y = (1.0 - t) * self.pc.p1 * k22
         s = min(1.0, k12_sq / (k11 * k22)) if k11 * k22 > 0.0 else 0.0
-        return _largest_passing(X, Y, s, c1, c2)
+        return _largest_passing(X, Y, s, c1, c2, start)
 
     def exit(self, profile: RateProfile) -> float:
         """r*: where the profile ray leaves the region, the minimum over t
         of r_hat(t), which is quasi-convex in t (the t failing at a given
         r form an interval). A ray along one axis keeps one constraint,
-        whose dual weight is its end of [0, 1]."""
+        whose dual weight is its end of [0, 1]. The golden section's
+        weights close in on the minimum, so each r_hat root search
+        starts from the r_hat found before it."""
         if profile.alpha21 == 0.0:
             return math.log1p(self.pc.p1 * self.kernel(0.0)[1]) / (2.0 * LN2)
         if profile.alpha12 == 0.0:
             return math.log1p(self.pc.p2 * self.kernel(1.0)[0]) / (2.0 * LN2)
         c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
-        _, low = _golden_max(lambda t: -self.reach(t, c1, c2), 0.0, 1.0, tol=EXIT_TOL)
+        last = None
+
+        def lower(t: float) -> float:
+            nonlocal last
+            last = self.reach(t, c1, c2, last)
+            return -last
+
+        _, low = _golden_max(lower, 0.0, 1.0, tol=EXIT_TOL)
         return min(-low, self.reach(0.0, c1, c2), self.reach(1.0, c1, c2))
 
 

@@ -34,7 +34,10 @@ def c21(kappa21: float, P21: float, theta1: float, theta2: float, p2: float) -> 
     A = theta2 * p2
     if P21 <= 0.0 or A == 0.0:
         return 0.0
-    return 0.5 * math.log2(1.0 + theta1 * A * P21 / (theta1 * P21 + A + kappa21))
+    # the SNR as A times a ratio of at most 1, so that no product of two
+    # powers forms and no quotient overflows
+    x = theta1 * P21
+    return 0.5 * math.log2(1.0 + A * (x / (x + A + kappa21)))
 
 
 def c12(kappa12: float, P12: float, theta1: float, theta2: float, p1: float) -> float:
@@ -42,7 +45,8 @@ def c12(kappa12: float, P12: float, theta1: float, theta2: float, p1: float) -> 
     B = theta1 * p1
     if P12 <= 0.0 or B == 0.0:
         return 0.0
-    return 0.5 * math.log2(1.0 + theta2 * B * P12 / (theta2 * P12 + B + kappa12))
+    y = theta2 * P12
+    return 0.5 * math.log2(1.0 + B * (y / (y + B + kappa12)))
 
 
 def c_ub0(pc: PowerConfig, theta1: float, theta2: float) -> float:
@@ -126,19 +130,25 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     else:
         # R A with R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta)),
         # alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2 so
-        # that it stays finite at P_R = 0. Formed without A, and with
-        # B - R A taken first, it gives kappa = 1/2 exactly on a symmetric
-        # setup at any power, where 1 + B - R A would cancel.
+        # that it stays finite at P_R = 0, and the first ratio divided
+        # through by max(P_R, 1) so that (1 + A) P_R cannot overflow.
+        # Formed without A, and with B - R A taken first, it gives
+        # kappa = 1/2 exactly on a symmetric setup at any power, where
+        # 1 + B - R A would cancel.
         u, v = (1.0 + A + B) / theta1, (1.0 + A + B) / theta2
-        RA = B * (theta1 / theta2) * (((1.0 + A) * P + u) / ((1.0 + B) * P + v)) * ((P + u) / (P + v))
+        m = max(P, 1.0)
+        lead = ((1.0 + A) * (P / m) + u / m) / ((1.0 + B) * (P / m) + v / m)
+        RA = B * (theta1 / theta2) * lead * ((P + u) / (P + v))
         kappa = min(1.0, max(0.0, (1.0 + (B - RA)) / (1.0 + RA / A)))
     a, b = (A + kappa) / theta1, (B + 1.0 - kappa) / theta2
+    # A/((1 + A) x + a) with (1 + A) divided out, and its mirror
+    A_, a_, B_, b_ = A / (1.0 + A), a / (1.0 + A), B / (1.0 + B), b / (1.0 + B)
 
     def rising(x: float) -> bool:
         # each side a product of two ratios of one scale, at most theta1
         # and theta2, so that no product of powers overflows
         y = P - x
-        return A / ((1.0 + A) * x + a) * (a / (x + a)) > B / ((1.0 + B) * y + b) * (b / (y + b))
+        return A_ / (x + a_) * (a / (x + a)) > B_ / (y + b_) * (b / (y + b))
 
     def f(x: float) -> float:
         return c21(kappa, x, theta1, theta2, pc.p2) + c12(1.0 - kappa, P - x, theta1, theta2, pc.p1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,8 @@ TAU_HEADER = ["tau", "r21", "r12"]
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # np.float64 included
+        return float.__repr__(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -73,7 +75,7 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
             raise InvalidInputError(
                 f"row has {len(row)} cells, header has {len(header)}"
             )
-        lines.append(",".join(_fmt(cell) for cell in row))
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -81,41 +83,53 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     atomic_write_text(path, format_csv(header, rows))
 
 
-def region_rows(
-    boundary: RegionBoundary, scheme: Optional[str] = None
-) -> Tuple[List[str], List[list]]:
-    """Rows in the boundary CSV layout; scheme name appended when given.
-
-    The eight B_* cells hold the reduced 2x2 beamformer row-major
-    (B[0,0], B[0,1], B[1,0], B[1,1]), real parts then imaginary parts.
-    """
-    header = list(REGION_HEADER) + (["scheme"] if scheme is not None else [])
-    rows = []
-    for point in boundary.points:
-        if point.beamformer is None:
-            raise InvalidInputError("boundary point carries no relay matrix")
-        flat = np.asarray(point.beamformer.B, dtype=complex).reshape(-1)
-        row = [
-            point.alpha21,
-            point.rates.r21,
-            point.rates.r12,
-            point.p1,
-            point.p2,
-            *[float(v) for v in flat.real],
-            *[float(v) for v in flat.imag],
-            point.p_relay,
-        ]
-        if scheme is not None:
-            row.append(scheme)
-        rows.append(row)
-    return header, rows
+def _column(values) -> List[str]:
+    """A float column's cells, with a column of one bit pattern (a fixed
+    power, say) formatted once. Its bytes keep -0.0 apart from 0.0, and
+    comparing them needs no numpy ufunc, whose code pages would add to
+    the process's resident memory."""
+    col = np.asarray(values, dtype=np.float64)
+    raw = col.tobytes()
+    if len(col) > 1 and raw == raw[:8] * len(col):
+        return [repr(float(col[0]))] * len(col)
+    return list(map(float.__repr__, col.tolist()))
 
 
 def write_region_csv(
     path: str, boundary: RegionBoundary, scheme: Optional[str] = None
 ) -> None:
-    header, rows = region_rows(boundary, scheme)
-    write_csv(path, header, rows)
+    """The boundary CSV, one row per point, built column by column; the
+    scheme name is appended as a last column when given.
+
+    The eight B_* cells hold the reduced 2x2 beamformer row-major
+    (B[0,0], B[0,1], B[1,0], B[1,1]), real parts then imaginary parts.
+    Every other cell is written as a float.
+
+    Raises:
+        InvalidInputError: if a point carries no beamformer; no file is
+            written then.
+    """
+    points = boundary.points
+    if any(point.beamformer is None for point in points):
+        raise InvalidInputError("boundary point carries no relay matrix")
+    B = np.array([point.beamformer.B for point in points], dtype=complex).reshape(-1, 4)
+    columns = [
+        [point.alpha21 for point in points],
+        [point.rates.r21 for point in points],
+        [point.rates.r12 for point in points],
+        [point.p1 for point in points],
+        [point.p2 for point in points],
+        *B.real.T,
+        *B.imag.T,
+        [point.p_relay for point in points],
+    ]
+    cells = [_column(values) for values in columns]
+    header = REGION_HEADER
+    if scheme is not None:
+        header = header + ["scheme"]
+        cells.append([scheme] * len(points))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from twrelay.beamformer import (
     DEFAULT_DELTA_R,
     RateProfile,
+    _largest_passing,
+    _log_excess,
     _ray_exit,
     build_qcqp,
     capacity_region,
@@ -328,6 +330,22 @@ class TestWorkCounts:
         assert s2 >= g2b * (1.0 - 1e-9)
         assert relay_power_reduced(B, eff, pc) <= pc.p_relay * (1.0 + 1e-9)
 
+    def test_root_steps_per_boundary(self, monkeypatch):
+        # each r_hat root search starts from the one before it: 11,076
+        # steps on this boundary, against 29,120 from the top of every bracket
+        import twrelay.beamformer as bf
+
+        steps = []
+
+        def counting(c, r, X):
+            steps.append(r)
+            return _log_excess(c, r, X)
+
+        monkeypatch.setattr(bf, "_log_excess", counting)
+        eff = effective(gen_channels(4, 0.5, seed=3))
+        rate_region_boundary(eff, symmetric_power(10.0), n_profiles=33)
+        assert len(steps) <= 15000
+
     def test_one_power_cell_per_boundary(self, monkeypatch):
         import twrelay.beamformer as bf
 
@@ -346,6 +364,68 @@ class TestWorkCounts:
         capacity_region(pair, 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
         assert len(built) == 9
         assert len(set(built)) == 9
+
+
+def _exit_roots(monkeypatch, count: int = 12, seed: int = 31):
+    """The (X, Y, s, c1, c2, start) of every r_hat root search that the
+    exits of seeded rays make: M 2/4/8, rho up to 0.99, unit and
+    unnormalized channels, powers over 0-60 dB."""
+    import twrelay.beamformer as bf
+
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _largest_passing(*args)
+
+    monkeypatch.setattr(bf, "_largest_passing", recording)
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        pair = gen_channels(
+            (2, 4, 8)[i % 3], float(rng.uniform(0.0, 0.99)), int(rng.integers(0, 2**31)),
+            normalize=i % 2 == 0,
+        )
+        pc = PowerConfig(*(float(p) for p in 10.0 ** rng.uniform(0.0, 6.0, size=3)))
+        for alpha21 in (0.1, 0.5, 0.9):
+            bf._PowerCell(effective(pair), pc).exit(RateProfile.of(alpha21))
+    return calls
+
+
+class TestWarmStart:
+    def test_started_root_matches_the_cold_root(self, monkeypatch):
+        # the last digits of a root are set by rounding in phi, so a start
+        # may move them by a few ulps (6.4e-16 relative at most here)
+        calls = _exit_roots(monkeypatch)
+        assert len(calls) >= 1000
+        rng = np.random.default_rng(5)
+        for X, Y, s, c1, c2, start in calls:
+            cold = _largest_passing(X, Y, s, c1, c2)
+            lo = max(math.log1p(X) / c1, math.log1p(Y) / c2)
+            hi = max(math.log1p(3.0 * X) / c1, math.log1p(3.0 * Y) / c2)
+            for guess in (start, float(rng.uniform(lo, hi)), cold * (1.0 + 1e-6)):
+                if guess is not None:
+                    assert abs(_largest_passing(X, Y, s, c1, c2, guess) - cold) <= 4e-15 * cold
+
+    def test_start_outside_the_bracket_is_ignored(self):
+        X, Y, s, c1, c2 = 3.0, 40.0, 0.6, 0.5, 0.9
+        lo = max(math.log1p(X) / c1, math.log1p(Y) / c2)
+        hi = max(math.log1p(3.0 * X) / c1, math.log1p(3.0 * Y) / c2)
+        cold = _largest_passing(X, Y, s, c1, c2)
+        assert lo < cold < hi
+        for start in (lo, hi, math.inf, -math.inf, math.nan, 0.0, 2.0 * hi):
+            assert _largest_passing(X, Y, s, c1, c2, start) == cold
+
+    def test_start_that_rounds_onto_lo(self):
+        # at one float past lo, gamma1 - X rounds to zero: the start passes
+        # but gives no Newton step, and the search must still reach the root
+        X, Y, s = 0.03282432317852996, 0.9011893051077203, 0.2294747496103047
+        c1, c2 = 0.05036669472906644, 1.3356333052709335
+        lo = math.log1p(X) / c1
+        start = math.nextafter(lo, math.inf)
+        assert lo == max(lo, math.log1p(Y) / c2)
+        assert _log_excess(c1, start, X)[0] == -math.inf
+        cold = _largest_passing(X, Y, s, c1, c2)
+        assert abs(_largest_passing(X, Y, s, c1, c2, start) - cold) <= 4e-15 * cold
 
 
 def _orthogonal_min_power(pc: PowerConfig, g1b: float, g2b: float) -> float:

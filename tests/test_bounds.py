@@ -129,6 +129,17 @@ class TestSaddlePoint:
             assert abs(value - want) <= 1e-12 * want
             assert kappa == 0.5
 
+    def test_symmetric_setup_past_overflowing_squares(self):
+        # p^2 overflows a float at these powers: no SNR, noise split or
+        # sign test may form a product of two powers
+        for p in (1e155, 1e200, 1e300):
+            pc = PowerConfig(p, p, p)
+            value, kappa, _ = c_ub(pc, 1.0, 1.0)
+            want = c_ub_sym(1.0, p)
+            assert abs(value - want) <= 1e-12 * want
+            assert kappa == 0.5
+            assert math.isfinite(c_ub0(pc, 1.0, 1.0))
+
 
 class TestLowerBounds:
     def test_mr_hand_value(self):

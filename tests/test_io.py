@@ -34,6 +34,11 @@ class TestFormatCsv:
         with pytest.raises(InvalidInputError):
             tio.format_csv(["a", "b"], [[1.0]])
 
+    def test_cell_types_format_as_repr(self):
+        cells = [0.1, np.float64(-0.0), np.float32(0.5), 7, np.int64(-3), False, np.bool_(True), "zf"]
+        text = tio.format_csv([str(i) for i in range(len(cells))], [cells])
+        assert text.splitlines()[1] == "0.1,-0.0,0.5,7,-3,false,true,zf"
+
     def test_strings_and_bools_pass_through(self):
         text = tio.format_csv(["s", "f"], [["mr", True]])
         assert text.splitlines()[1] == "mr,true"
@@ -53,25 +58,93 @@ class TestAtomicWrite:
         assert target.read_text() == "y\n"
 
 
+def _region_csv(tmp_path, boundary, scheme=None):
+    path = tmp_path / "boundary.csv"
+    tio.write_region_csv(str(path), boundary, scheme=scheme)
+    return path.read_text()
+
+
+def _rows_per_point(boundary, scheme=None):
+    """The boundary rows as the writer built them before it went by
+    column: one list per point, each cell formatted on its own."""
+    header = list(tio.REGION_HEADER) + (["scheme"] if scheme is not None else [])
+    rows = []
+    for point in boundary.points:
+        flat = np.asarray(point.beamformer.B, dtype=complex).reshape(-1)
+        row = [
+            point.alpha21,
+            point.rates.r21,
+            point.rates.r12,
+            point.p1,
+            point.p2,
+            *[float(v) for v in flat.real],
+            *[float(v) for v in flat.imag],
+            point.p_relay,
+        ]
+        if scheme is not None:
+            row.append(scheme)
+        rows.append(row)
+    return header, rows
+
+
+# cells whose text a shortcut could get wrong: signed zeros, the least
+# subnormal, the top of the range and a tiny negative
+EDGE_CELLS = [-0.0, 0.0, 5e-324, 1e308, -1e-300]
+
+
+def _edge_boundary(n):
+    """n points with constant p1 and p2, varying rates and edge cells in B
+    and p_relay, and a p2 column that is 0.0 and -0.0 by turns."""
+    points = []
+    for i in range(n):
+        cells = [EDGE_CELLS[(i + k) % len(EDGE_CELLS)] for k in range(8)]
+        B = np.array(cells[:4]).reshape(2, 2) + 1j * np.array(cells[4:]).reshape(2, 2)
+        points.append(
+            BoundaryPoint(
+                alpha21=i / 3.0,
+                rates=RatePair(r21=0.1 * i, r12=EDGE_CELLS[i % len(EDGE_CELLS)]),
+                beamformer=Beamformer(B=B, U=np.eye(2, dtype=complex)),
+                p1=10.0,
+                p2=(0.0, -0.0)[i % 2],
+                p_relay=EDGE_CELLS[-1 - i % len(EDGE_CELLS)],
+            )
+        )
+    return RegionBoundary(points=points)
+
+
 class TestRegionRows:
-    def test_b_cells_reconstruct_the_matrix(self):
+    def test_b_cells_reconstruct_the_matrix(self, tmp_path):
         point = make_point()
-        header, rows = tio.region_rows(RegionBoundary(points=[point]))
-        assert header == tio.REGION_HEADER
-        row = rows[0]
+        lines = _region_csv(tmp_path, RegionBoundary(points=[point])).splitlines()
+        assert lines[0].split(",") == tio.REGION_HEADER
+        row = [float(cell) for cell in lines[1].split(",")]
         re_part = np.array(row[5:9]).reshape(2, 2)
         im_part = np.array(row[9:13]).reshape(2, 2)
         assert np.array_equal(re_part + 1j * im_part, point.beamformer.B)
 
-    def test_scheme_column_appended_last(self):
-        header, rows = tio.region_rows(RegionBoundary(points=[make_point()]), scheme="mr")
-        assert header[-1] == "scheme"
-        assert rows[0][-1] == "mr"
+    def test_scheme_column_appended_last(self, tmp_path):
+        text = _region_csv(tmp_path, RegionBoundary(points=[make_point()]), scheme="mr")
+        header, row = text.splitlines()
+        assert header.split(",")[-1] == "scheme"
+        assert row.split(",")[-1] == "mr"
 
-    def test_missing_beamformer_raises(self):
-        boundary = RegionBoundary(points=[make_point(with_bf=False)])
+    def test_missing_beamformer_raises(self, tmp_path):
+        boundary = RegionBoundary(points=[make_point(), make_point(with_bf=False)])
         with pytest.raises(InvalidInputError):
-            tio.region_rows(boundary)
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    @pytest.mark.parametrize("scheme", [None, "zf"])
+    def test_columns_match_the_rows_per_point(self, tmp_path, n, scheme):
+        boundary = _edge_boundary(n)
+        want = tio.format_csv(*_rows_per_point(boundary, scheme))
+        assert _region_csv(tmp_path, boundary, scheme) == want
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        lines = _region_csv(tmp_path, _edge_boundary(3)).splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["0.0", "-0.0", "0.0"]
+        assert [line.split(",")[3] for line in lines] == ["10.0"] * 3
 
 
 class TestManifest:

@@ -1,0 +1,26 @@
+"""The benchmark's tracer looks up twrelay functions by name; a rename
+must fail here, not only in the slower perfbench smoke test."""
+
+import importlib
+import importlib.util
+import pathlib
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    targets = _tracer().TARGETS
+    assert targets
+    missing = [
+        f"{module}.{func}"
+        for module, func, _ in targets
+        if not callable(getattr(importlib.import_module(f"twrelay.{module}"), func, None))
+    ]
+    assert missing == []
