@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,18 +83,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     atomic_write_text(path, format_csv(header, rows))
 
 
-def _column(values) -> List[str]:
-    """A float column's cells, with a column of one bit pattern (a fixed
-    power, say) formatted once. Its bytes keep -0.0 apart from 0.0, and
-    comparing them needs no numpy ufunc, whose code pages would add to
-    the process's resident memory."""
-    col = np.asarray(values, dtype=np.float64)
-    raw = col.tobytes()
-    if len(col) > 1 and raw == raw[:8] * len(col):
-        return [repr(float(col[0]))] * len(col)
-    return list(map(float.__repr__, col.tolist()))
-
-
 def write_region_csv(
     path: str, boundary: RegionBoundary, scheme: Optional[str] = None
 ) -> None:
@@ -106,13 +94,16 @@ def write_region_csv(
     Every other cell is written as a float.
 
     Raises:
-        InvalidInputError: if a point carries no beamformer; no file is
-            written then.
+        InvalidInputError: if a point carries no beamformer or its B is
+            not 2x2; no file is written then.
     """
     points = boundary.points
     if any(point.beamformer is None for point in points):
         raise InvalidInputError("boundary point carries no relay matrix")
-    B = np.array([point.beamformer.B for point in points], dtype=complex).reshape(-1, 4)
+    if any(np.shape(point.beamformer.B) != (2, 2) for point in points):
+        raise InvalidInputError("boundary relay matrix is not 2x2")
+    B = np.array([point.beamformer.B for point in points], dtype=complex)
+    B = B.reshape(len(points), 4)
     columns = [
         [point.alpha21 for point in points],
         [point.rates.r21 for point in points],
@@ -123,7 +114,10 @@ def write_region_csv(
         *B.imag.T,
         [point.p_relay for point in points],
     ]
-    cells = [_column(values) for values in columns]
+    cells = [
+        list(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
+        for values in columns
+    ]
     header = REGION_HEADER
     if scheme is not None:
         header = header + ["scheme"]

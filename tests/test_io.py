@@ -87,8 +87,8 @@ def _rows_per_point(boundary, scheme=None):
     return header, rows
 
 
-# cells whose text a shortcut could get wrong: signed zeros, the least
-# subnormal, the top of the range and a tiny negative
+# cells with easily mangled text: signed zeros, the least subnormal, the
+# top of the range and a tiny negative
 EDGE_CELLS = [-0.0, 0.0, 5e-324, 1e308, -1e-300]
 
 
@@ -130,6 +130,17 @@ class TestRegionRows:
 
     def test_missing_beamformer_raises(self, tmp_path):
         boundary = RegionBoundary(points=[make_point(), make_point(with_bf=False)])
+        with pytest.raises(InvalidInputError):
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
+        assert os.listdir(tmp_path) == []
+
+    def test_non_2x2_beamformer_raises(self, tmp_path):
+        bf = Beamformer(B=np.eye(3, dtype=complex), U=np.eye(3, dtype=complex))
+        bad = BoundaryPoint(
+            alpha21=0.5, rates=RatePair(r21=0.5, r12=0.25), beamformer=bf,
+            p1=10.0, p2=10.0, p_relay=10.0,
+        )
+        boundary = RegionBoundary(points=[make_point(), bad])
         with pytest.raises(InvalidInputError):
             tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
         assert os.listdir(tmp_path) == []
