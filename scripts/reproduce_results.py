@@ -4,7 +4,7 @@
 Each run writes its CSVs plus a manifest into its own folder under the
 given base directory (default results/). All runs are seeded, so
 reruns produce byte-identical CSVs; only manifest timings move. The
-capacity envelope is the slow run, about 5 s at the default grid on a
+capacity envelope is the slow run, about 2 s at the default grid on a
 shared 2-vCPU Linux VM.
 """
 

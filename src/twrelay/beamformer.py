@@ -16,8 +16,10 @@ eigenvalue bound, the largest passing sum rate at t is a scalar root,
 and the exit is its minimum over t. One power minimization at the exit
 certifies it and gives the beamformer; where the solver's gap leaves
 that just over budget, the beamformer scaled into the budget fixes the
-rate instead. The capacity region is the Pareto envelope of boundaries
-over a grid of source powers.
+rate instead. Boundaries come in profile order, which is their Pareto
+order. On each ray the capacity region over a grid of source powers
+reaches as far as the cell with the farthest exit, so that ray is traced
+in that cell alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,9 +131,10 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class RegionBoundary:
-    """Boundary points ordered by increasing r21 and non-increasing r12.
-    A traced optimal point sits at most delta_r below where its ray
-    leaves the region."""
+    """Boundary points ordered by non-decreasing r21 and non-increasing
+    r12: traced boundaries in profile order, scheme sweeps sorted. A
+    traced optimal point sits at most delta_r below where its ray leaves
+    the region."""
 
     points: List[BoundaryPoint]
 
@@ -461,43 +464,37 @@ def max_sum_rate(
     return r, B
 
 
-def _order_boundary(points: Iterable[BoundaryPoint], tie: float) -> List[BoundaryPoint]:
-    """Order by increasing r21, grouping near-ties (within tie) so that a
-    vertical frontier arm, whose r21 values differ only by the traces'
-    delta_r tolerance and rounding, reads top-down in r12 instead of
-    shuffling with that noise."""
-    pts = sorted(points, key=lambda p: (p.rates.r21, -p.rates.r12))
-    out: List[BoundaryPoint] = []
-    group: List[BoundaryPoint] = []
-    for p in pts:
-        if group and p.rates.r21 - group[-1].rates.r21 > tie:
-            out.extend(sorted(group, key=lambda q: -q.rates.r12))
-            group = []
-        group.append(p)
-    out.extend(sorted(group, key=lambda q: -q.rates.r12))
-    return out
+def _prune_dominated(points: Sequence[BoundaryPoint]) -> List[BoundaryPoint]:
+    """Drop the points that another point weakly dominates: no worse in
+    both rates and better in one, within 1e-12. Order is kept."""
+    r = np.array([[p.rates.r21, p.rates.r12] for p in points])
+    return [
+        p
+        for p, x in zip(points, r)
+        if not np.any(np.all(r >= x - 1e-12, axis=1) & np.any(r > x + 1e-12, axis=1))
+    ]
 
 
-def _prune_dominated(
-    points: Sequence[BoundaryPoint], margin: float
-) -> List[BoundaryPoint]:
-    """Drop points weakly beaten in both coordinates and by margin in at
-    least one by some other point. Points whose coordinates differ only
-    within the margin (tolerance noise on retraced frontier arms) keep
-    each other, while boundaries of strictly smaller power cells go."""
-    r21 = np.array([p.rates.r21 for p in points])
-    r12 = np.array([p.rates.r12 for p in points])
-    kept = []
-    for i, p in enumerate(points):
-        beaten = (
-            (r21 >= r21[i] - 1e-12)
-            & (r12 >= r12[i] - 1e-12)
-            & ((r21 > r21[i] + margin) | (r12 > r12[i] + margin))
-        )
-        if np.any(beaten):
-            continue
-        kept.append(p)
-    return kept
+def _profiles(n_profiles: int) -> List[RateProfile]:
+    if n_profiles < 2:
+        raise InvalidInputError("need at least two profiles")
+    return [RateProfile.of(i / (n_profiles - 1)) for i in range(n_profiles)]
+
+
+def _boundary_point(
+    eff: EffectiveChannel, pc: PowerConfig, profile: RateProfile, delta_r: float
+) -> BoundaryPoint:
+    """The traced point of one profile ray at one power setting."""
+    r_sum, B = max_sum_rate(eff, pc, profile, delta_r=delta_r)
+    bf = Beamformer(B=B, U=eff.U)
+    return BoundaryPoint(
+        alpha21=profile.alpha21,
+        rates=RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum),
+        beamformer=bf,
+        p1=pc.p1,
+        p2=pc.p2,
+        p_relay=relay_power_reduced(bf, eff, pc),
+    )
 
 
 def rate_region_boundary(
@@ -506,33 +503,19 @@ def rate_region_boundary(
     n_profiles: int = DEFAULT_N_PROFILES,
     delta_r: float = DEFAULT_DELTA_R,
 ) -> RegionBoundary:
-    """Trace the achievable-region boundary with one ray per profile.
+    """Trace the achievable-region boundary with one ray per profile, in
+    profile order, which is the boundary's Pareto order.
 
     All rays see the same (eff, pc), so max_sum_rate whitens its forms
     at the first ray and keeps them on eff for the others.
     """
-    if n_profiles < 2:
-        raise InvalidInputError("need at least two profiles")
-    pts = []
-    for i in range(n_profiles):
-        profile = RateProfile.of(i / (n_profiles - 1))
-        r_sum, B = max_sum_rate(eff, pc, profile, delta_r=delta_r)
-        bf = Beamformer(B=B, U=eff.U)
-        pts.append(
-            BoundaryPoint(
-                alpha21=profile.alpha21,
-                rates=RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum),
-                beamformer=bf,
-                p1=pc.p1,
-                p2=pc.p2,
-                p_relay=relay_power_reduced(bf, eff, pc),
-            )
-        )
-    return RegionBoundary(points=_order_boundary(pts, tie=4.0 * delta_r))
+    return RegionBoundary(
+        points=[_boundary_point(eff, pc, profile, delta_r) for profile in _profiles(n_profiles)]
+    )
 
 
 def _power_grid(limit: float, count: int) -> np.ndarray:
-    if count == 1:
+    if count == 1 or limit == 0.0:
         return np.array([limit])
     return np.geomspace(limit * 1e-2, limit, count)
 
@@ -546,23 +529,28 @@ def capacity_region(
     n_profiles: int = DEFAULT_N_PROFILES,
     delta_r: float = DEFAULT_DELTA_R,
 ) -> RegionBoundary:
-    """Pareto envelope of boundaries over a source-power grid.
+    """Boundary of the union of rate regions over a source-power grid.
 
     The grid is log-spaced on (0, P] per axis, endpoint included, so the
-    full-power region is always part of the union. Grid points are
-    evaluated in a fixed order and merged deterministically.
+    full-power region is always part of the union; a zero limit is the
+    one setting 0. Each ray is traced only in the first cell, in p1-major
+    order, whose exit is farthest. Points come in profile order, less
+    those weakly dominated (the union's flat arms).
     """
     if power_grid < 1:
         raise InvalidInputError("power_grid must be at least 1")
     eff = effective(pair)
-    all_points: List[BoundaryPoint] = []
-    for p1 in _power_grid(P1, power_grid):
-        for p2 in _power_grid(P2, power_grid):
-            pc = PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)
-            all_points.extend(rate_region_boundary(eff, pc, n_profiles, delta_r).points)
-    return RegionBoundary(
-        points=_order_boundary(_prune_dominated(all_points, 4.0 * delta_r), 4.0 * delta_r)
-    )
+    cells = [
+        PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)
+        for p1 in _power_grid(P1, power_grid)
+        for p2 in _power_grid(P2, power_grid)
+    ]
+    points = []
+    for profile in _profiles(n_profiles):
+        # with no relay budget every ray stays at 0, and exits need one
+        pc = max(cells, key=lambda c: _power_cell(eff, c).exit(profile)) if P_R > 0.0 else cells[0]
+        points.append(_boundary_point(eff, pc, profile, delta_r))
+    return RegionBoundary(points=_prune_dominated(points))
 
 
 def envelope_value(boundary: RegionBoundary, r21: float) -> float:

@@ -25,13 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .beamformer import (
-    BoundaryPoint,
-    RateProfile,
-    RegionBoundary,
-    _order_boundary,
-    _ray_exit,
-)
+from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _ray_exit
 from .bounds import _crossing
 from .errors import InvalidInputError
 from .linalg import svd_tall
@@ -341,7 +335,7 @@ def df_capacity_region(
         )
         for x, y in _pareto_envelope(cloud)
     ]
-    return RegionBoundary(points=_order_boundary(pts, tie=1e-12))
+    return RegionBoundary(points=pts)
 
 
 def df_boundary_value(

@@ -18,11 +18,11 @@ identity relay and one-way rank-one relaying over four slots.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
-from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _order_boundary, _ray_exit
+from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _ray_exit
 from .bounds import _golden_max
 from .errors import InvalidInputError, RankDeficiencyError
 from .model import (
@@ -165,6 +165,23 @@ class _Sweep:
         return Beamformer(B=self.matrices(np.array([math.atan(ratio)]))[0], U=self.eff.U)
 
 
+def _order_boundary(points: Iterable[BoundaryPoint]) -> List[BoundaryPoint]:
+    """Order by increasing r21, grouping near-ties (within RATIO_TIE) so
+    that a vertical arm of the swept frontier, whose r21 values differ
+    only by rounding, reads top-down in r12 instead of shuffling with
+    that noise."""
+    pts = sorted(points, key=lambda p: (p.rates.r21, -p.rates.r12))
+    out: List[BoundaryPoint] = []
+    group: List[BoundaryPoint] = []
+    for p in pts:
+        if group and p.rates.r21 - group[-1].rates.r21 > RATIO_TIE:
+            out.extend(sorted(group, key=lambda q: -q.rates.r12))
+            group = []
+        group.append(p)
+    out.extend(sorted(group, key=lambda q: -q.rates.r12))
+    return out
+
+
 def sweep_region(
     scheme: str,
     pair: ChannelPair,
@@ -200,7 +217,7 @@ def sweep_region(
                 p_relay=spent,
             )
         )
-    return RegionBoundary(points=_order_boundary(pts, tie=RATIO_TIE))
+    return RegionBoundary(points=_order_boundary(pts))
 
 
 def scheme_profile_sum_rate(

@@ -346,6 +346,19 @@ class TestWorkCounts:
         rate_region_boundary(eff, symmetric_power(10.0), n_profiles=33)
         assert len(steps) <= 15000
 
+    def test_one_capacity_solve_per_ray(self, monkeypatch):
+        import twrelay.beamformer as bf
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return min_relay_power(*args, **kwargs)
+
+        monkeypatch.setattr(bf, "min_relay_power", counting)
+        capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
+        assert len(solves) == 5
+
     def test_one_power_cell_per_boundary(self, monkeypatch):
         import twrelay.beamformer as bf
 
@@ -538,15 +551,15 @@ class TestRayExit:
 
 class TestRegionBoundary:
     def test_profile_coverage_and_order(self):
-        eff = effective(gen_channels(4, 0.8, seed=7))
-        rb = rate_region_boundary(eff, symmetric_power(10.0))
-        assert len(rb.points) == 33
-        assert sorted(p.alpha21 for p in rb.points) == [i / 32 for i in range(33)]
-        r21s = [p.rates.r21 for p in rb.points]
-        r12s = [p.rates.r12 for p in rb.points]
-        slack = 4e-4  # bisection granularity
-        assert all(a <= b + slack for a, b in zip(r21s, r21s[1:]))
-        assert all(a >= b - slack for a, b in zip(r12s, r12s[1:]))
+        # the second instance has a low-rate flat arm whose r21 steps are
+        # below 4e-4 bits, where a sort with a tie that wide scrambles r21
+        for rho, pc in ((0.8, symmetric_power(10.0)), (1.0, PowerConfig(27.0, 3397.0, 0.457))):
+            rb = rate_region_boundary(effective(gen_channels(4, rho, seed=7)), pc)
+            assert [p.alpha21 for p in rb.points] == [i / 32 for i in range(33)]
+            r21s = [p.rates.r21 for p in rb.points]
+            r12s = [p.rates.r12 for p in rb.points]
+            assert all(a <= b + 1e-12 for a, b in zip(r21s, r21s[1:]))
+            assert all(a >= b - 1e-12 for a, b in zip(r12s, r12s[1:]))
 
     def test_points_certified_by_beamformers(self):
         eff = effective(gen_channels(4, 0.5, seed=13))
@@ -610,6 +623,35 @@ class TestCapacityRegion:
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidInputError):
             capacity_region(orthogonal_pair(), 10.0, 10.0, 10.0, power_grid=0)
+
+    # at rho 0.041 the p2 cells of the best p1 end within 4e-4 bits of
+    # each other on the r12 axis ray
+    @pytest.mark.parametrize("rho, powers", [(0.4, (10.0, 10.0, 10.0)), (0.041, (1000.0, 10.0, 10.0))])
+    def test_each_ray_takes_its_farthest_cell(self, rho, powers):
+        import twrelay.beamformer as bf
+
+        pair = gen_channels(3, rho, seed=17)
+        cr = capacity_region(pair, *powers, power_grid=3, n_profiles=5)
+        eff = effective(pair)
+        cells = [
+            PowerConfig(float(p1), float(p2), powers[2])
+            for p1 in bf._power_grid(powers[0], 3)
+            for p2 in bf._power_grid(powers[1], 3)
+        ]
+        alphas = [p.alpha21 for p in cr.points]
+        assert len(set(alphas)) == len(alphas)
+        for p in cr.points:
+            profile = RateProfile.of(p.alpha21)
+            values = [max_sum_rate(eff, pc, profile)[0] for pc in cells]
+            best = max(values)
+            first = cells[values.index(best)]
+            assert p.rates == RatePair(profile.alpha21 * best, profile.alpha12 * best)
+            assert (p.p1, p.p2) == (first.p1, first.p2)
+
+    def test_zero_relay_power_gives_one_zero_point_per_ray(self):
+        cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 0.0, power_grid=3, n_profiles=5)
+        assert len(cr.points) == 5
+        assert all(p.rates == RatePair(0.0, 0.0) for p in cr.points)
 
 
 class TestEnvelope:

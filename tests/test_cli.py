@@ -284,6 +284,15 @@ class TestCapacityCommand:
             assert x1 >= x0 - 1e-12
             assert not (x1 <= x0 + 1e-12 and y1 <= y0 + 1e-12)
 
+    def test_silent_source_gives_one_power_setting(self, tmp_path):
+        argv = [
+            "capacity", "--p1", "0", "--grid", "3", "--profiles", "5", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        rows = read_csv(tmp_path / "capacity.csv")[1:]
+        assert rows
+        assert all(float(r[2]) == 0.0 for r in rows)
+
 
 class TestValidateCommand:
     def test_df_suite_passes(self, capsys):
