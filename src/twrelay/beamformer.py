@@ -2,24 +2,18 @@
 and rate-region tracing.
 
 The SNR-constrained relay power minimization is a quadratically
-constrained problem in b = vec(B), where vec stacks rows:
-vec([[1, 2], [3, 4]]) = (1, 2, 3, 4). Expanding b into real and
-imaginary halves turns it into an 8x8 real SDP with two constraints,
-whose relaxation is tight: its one-dimensional dual gives the minimum
-power and a rank-one minimizer exactly (see sdp.py). One _PowerCell per
-channel and power setting owns that problem: it builds the forms that do
-not depend on the SNR targets once, and a set of targets only scales its
-two signal terms. The same dual locates where a rate-profile ray leaves
-the rate region without any solve: the cell whitens its forms once,
-after which the dual's test for one sum rate and dual weight t is a 2x2
-eigenvalue bound, the largest passing sum rate at t is a scalar root,
-and the exit is its minimum over t. One power minimization at the exit
-certifies it and gives the beamformer; where the solver's gap leaves
-that just over budget, the beamformer scaled into the budget fixes the
-rate instead. Boundaries come in profile order, which is their Pareto
-order. On each ray the capacity region over a grid of source powers
-reaches as far as the cell with the farthest exit, so that ray is traced
-in that cell alone.
+constrained problem in b = vec(B), vec stacking rows. With two
+constraints its relaxation is tight, and its one-dimensional dual gives
+the minimum power and a rank-one minimizer exactly (min_relay_power
+solves it through sdp.py). A _PowerCell per channel and power setting
+whitens the problem's forms once; a ray then leaves the rate region at
+the minimum over the dual weight t of a scalar root r_hat(t), and the
+dual matrix's null vector at t has a slack difference with the sign of
+r_hat'(t). One bisection on that sign finds the exit, and by
+complementary slackness the null vectors at its bracket's ends give the
+beamformer, with no solve. Boundaries come in profile order, their
+Pareto order; on each ray the capacity region over a grid of source
+powers reaches as far as the cell with the farthest exit.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import _crossing, _golden_max
+from .bounds import _crossing
 from .errors import InvalidInputError, NumericalFailureError
 from .model import (
     LN2,
@@ -44,13 +38,11 @@ from .model import (
     rate_pair_reduced,
     relay_power_reduced,
 )
-from .sdp import DEFAULT_TOL, SdpProblem, extract_rank_one, solve_sdp
+from .sdp import SdpProblem, _zero_form_pair, extract_rank_one, solve_sdp
 
 DEFAULT_DELTA_R = 1e-4
 DEFAULT_N_PROFILES = 33
 DEFAULT_POWER_GRID = 8
-# width of the final bracket on the dual weight t of a ray exit
-EXIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,13 +156,6 @@ def build_qcqp(
     return QcqpBuild(prob=_power_cell(eff, pc).problem(gamma1_bar, gamma2_bar))
 
 
-def _vec_to_matrix(x: np.ndarray) -> np.ndarray:
-    """Inverse of the row-stacking vec plus real expansion: the first four
-    entries are Re b, the last four Im b, rows of B in order."""
-    b = x[:4] + 1j * x[4:]
-    return b.reshape(2, 2)
-
-
 def min_relay_power(
     eff: EffectiveChannel, pc: PowerConfig, gamma1_bar: float, gamma2_bar: float
 ) -> Tuple[float, Optional[np.ndarray]]:
@@ -200,7 +185,7 @@ def min_relay_power(
     if sol.status == "infeasible":
         return math.inf, None
     x = extract_rank_one(sol, prob)
-    B = _vec_to_matrix(x)
+    B = (x[:4] + 1j * x[4:]).reshape(2, 2)  # [Re b; Im b], rows of B in order
     scale = _target_scale(B, eff, pc, gamma1_bar, gamma2_bar)
     return scale * float(x @ prob.F0 @ x), math.sqrt(scale) * B
 
@@ -209,10 +194,8 @@ def _target_scale(
     B: np.ndarray, eff: EffectiveChannel, pc: PowerConfig, gamma1_bar: float, gamma2_bar: float
 ) -> float:
     """The power scale s at which sqrt(s) B meets its tighter SNR target
-    exactly. At high powers the terms of the 8x8 real constraint forms
-    reach 1e9 and more where the form itself is 1, so the value the
-    solver scaled to 1 carries rounding of 1e-9 relative and more (a
-    60 dB corpus shows it); the SNRs evaluated on B directly do not, and
+    exactly, from the SNRs of B itself: at high powers the 8x8 real forms
+    that the solver scaled to 1 carry rounding of 1e-9 relative and more.
     SNR(sqrt(s) B) = s num / (s noise + 1).
 
     Raises:
@@ -242,14 +225,21 @@ def snr_targets(profile: RateProfile, r_sum: float) -> Tuple[float, float]:
 
 def _log_excess(c: float, r: float, X: float) -> Tuple[float, float]:
     """ln(gamma - X) for gamma = e^(c r) - 1, and its derivative in r.
-
-    Written as c r + ln(1 - (1 + X) e^(-c r)), which stays finite for any
-    c r; at or before the root of gamma = X it is -inf.
-    """
-    w = (1.0 + X) * math.exp(-c * r)
-    if w >= 1.0:
+    With d = c r - ln(1 + X), gamma - X = (1 + X) expm1(d): the value is
+    ln(1 + X) + ln(expm1(d)), the last written d + ln(1 - e^(-d)) past
+    d = 1 so that nothing overflows, the derivative c / (1 - e^(-d)), and
+    at or before the root of gamma = X the value is -inf."""
+    lx = math.log1p(X)
+    d = c * r - lx
+    if d <= 0.0:
         return -math.inf, math.inf
-    return c * r + math.log1p(-w), c / (1.0 - w)
+    tail = math.log(math.expm1(d)) if d < 1.0 else d + math.log1p(-math.exp(-d))
+    return lx + tail, c / -math.expm1(-d)
+
+
+def _over_gamma(p: float, x: float) -> float:
+    """p / (e^x - 1) for x > 0, written so that no large x overflows."""
+    return p * math.exp(-x) / -math.expm1(-x)
 
 
 def _largest_passing(
@@ -296,116 +286,114 @@ def _largest_passing(
 
 class _PowerCell:
     """The power-minimization problem of one channel and power setting,
-    with the forms that do not depend on the SNR targets built once, in
-    the real 8x8 expansion that the SDP sees: x = [Re b; Im b], and a
-    Hermitian form E becomes [[Re E, -Im E], [Im E, Re E]].
+    with the forms that do not depend on the SNR targets built once.
 
     The power is b^H E0 b, E0 = diag(Theta^T, Theta^T) with
     Theta = p1 g1 g1^H + p2 g2 g2^H + I, and the constraints are
     b^H E_i b >= 1 with E_i = (p/gamma_i) u_i u_i^H - Q_i (p2, gamma1 for
-    i = 1; p1, gamma2 for i = 2), from _snr_forms.
-
-    By the exact dual of the power minimization, targets fit the budget
-    P_R iff for every t in [0, 1] the matrix t E1 + (1 - t) E2 - E0/P_R
-    has a nonnegative eigenvalue. With N(t) = t Q1 + (1 - t) Q2 + E0/P_R,
-    positive definite, that holds iff the 2x2 matrix
-    diag(a, c)^(1/2) K(t) diag(a, c)^(1/2), K(t) = W^H N(t)^-1 W with
-    W = [u1 u2], a = t p2/gamma1 and c = (1 - t) p1/gamma2, has an
-    eigenvalue of at least 1. Whitening N(0) = L L^H and diagonalizing
-    L^-1 (Q1 - Q2) L^-H = V diag(mu) V^H gives K(t) exactly for every t
-    as sum_j z_j^H z_j / (1 + t mu_j), z_j the rows of V^H L^-1 W;
-    in the real expansion each mu_j appears twice.
+    i = 1; p1, gamma2 for i = 2), from _snr_forms; the SDP sees them in
+    the real 8x8 expansion x = [Re b; Im b]. By the exact dual, targets
+    fit the budget P_R iff for every t in [0, 1] the matrix
+    t E1 + (1 - t) E2 - E0/P_R = W D W^H - N(t), with W = [u1 u2],
+    D = diag(t p2/gamma1, (1 - t) p1/gamma2) and
+    N(t) = t Q1 + (1 - t) Q2 + E0/P_R, has a nonnegative eigenvalue: iff
+    D K(t), K(t) = W^H N(t)^-1 W, has an eigenvalue of at least 1. Where
+    it is 1 with eigenvector g, N(t)^-1 W g is a null vector of the dual
+    matrix. With N(0) = L L^H and L^-1 (Q1 - Q2) L^-H = V diag(mu) V^H,
+    N(t)^-1 = L^-H V diag(1/(1 + t mu)) V^H L^-1 for every t.
     """
 
     def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
         self.pc = pc
-        theta = (
-            pc.p1 * np.outer(eff.g1, eff.g1.conj())
-            + pc.p2 * np.outer(eff.g2, eff.g2.conj())
-            + np.eye(2)
-        )
-        self.F0 = _realify(np.kron(np.eye(2), theta.T))
+        theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
+        self.E0 = np.kron(np.eye(2), theta.T)
         (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
-        self.u = (u1, u2)
-        self.signal = (_realify(np.outer(u1, u1.conj())), _realify(np.outer(u2, u2.conj())))
-        self.noise = (_realify(Q1), _realify(Q2))
+        self.u, self.Q = (u1, u2), (Q1, Q2)
 
     def problem(self, gamma1_bar: float, gamma2_bar: float) -> SdpProblem:
         """The SDP at these SNR targets; a zero target drops its constraint."""
         forms = [
-            (p_tx / gamma) * S - N
-            for p_tx, gamma, S, N in zip(
-                (self.pc.p2, self.pc.p1), (gamma1_bar, gamma2_bar), self.signal, self.noise
-            )
+            _realify((p_tx / gamma) * np.outer(u, u.conj()) - Q)
+            for p_tx, gamma, u, Q in zip((self.pc.p2, self.pc.p1), (gamma1_bar, gamma2_bar), self.u, self.Q)
             if gamma > 0.0
         ]
-        return SdpProblem(8, self.F0, *forms)
+        return SdpProblem(8, _realify(self.E0), *forms)
 
     @cached_property
-    def terms(self) -> List[Tuple[float, float, float, float, float]]:
-        """Per whitened direction j, mu_j and the products of z_j's
-        entries whose sums over j weighted by 1/(1 + t mu_j) give k11,
-        k22, Re k12 and Im k12. It needs a positive budget, so the first
-        exit builds it, not the cell. With r(u) = [Re u; Im u],
-        Re(u^H M v) = r(u)^T R(M) r(v) and Im(u^H M v) = -r(u)^T R(M) r(i v)."""
-        Linv = np.linalg.inv(np.linalg.cholesky(self.noise[1] + self.F0 / self.pc.p_relay))
-        mu, V = np.linalg.eigh(Linv @ (self.noise[0] - self.noise[1]) @ Linv.T)
-        u1, u2 = self.u
-        W = np.column_stack([np.concatenate([u.real, u.imag]) for u in (u1, u2, 1j * u2)])
-        Z = V.T @ Linv @ W
-        # Python floats keep each K(t) in scalar arithmetic
-        return list(
-            zip(
-                mu.tolist(),
-                (Z[:, 0] ** 2).tolist(),
-                (Z[:, 1] ** 2).tolist(),
-                (Z[:, 0] * Z[:, 1]).tolist(),
-                (Z[:, 0] * Z[:, 2]).tolist(),
-            )
-        )
+    def whitening(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """(mu, Z, L^-H V, terms), Z = V^H L^-1 W, with mu_j, |z_j1|^2,
+        |z_j2|^2 and conj(z_j1) z_j2 in terms as Python scalars, so that
+        K(t) = sum_j z_j^H z_j / (1 + t mu_j) stays in scalar arithmetic.
+        It needs a positive budget, so the first exit builds it."""
+        Q1, Q2 = self.Q
+        Linv = np.linalg.inv(np.linalg.cholesky(Q2 + self.E0 / self.pc.p_relay))
+        mu, V = np.linalg.eigh(Linv @ (Q1 - Q2) @ Linv.conj().T)
+        Z = V.conj().T @ Linv @ np.column_stack(self.u)
+        terms = zip(mu.tolist(), *(abs(Z) ** 2).T.tolist(), (Z[:, 0].conj() * Z[:, 1]).tolist())
+        return mu, Z, Linv.conj().T @ V, list(terms)
 
-    def kernel(self, t: float) -> Tuple[float, float, float]:
-        """(k11, k22, |k12|^2) of K(t)."""
-        k11 = k22 = re12 = im12 = 0.0
-        for mu, w11, w22, w12, v12 in self.terms:
-            d = 1.0 + t * mu
-            k11 += w11 / d
-            k22 += w22 / d
-            re12 += w12 / d
-            im12 += v12 / d
-        return k11, k22, re12 * re12 + im12 * im12
-
-    def reach(self, t: float, c1: float, c2: float, start: Optional[float] = None) -> float:
-        """r_hat(t): the largest sum rate that passes the test at weight t,
-        for a ray with gamma_i(r) = e^(c_i r) - 1; start is a guess of it
-        for the root search."""
-        k11, k22, k12_sq = self.kernel(t)
-        X = t * self.pc.p2 * k11
-        Y = (1.0 - t) * self.pc.p1 * k22
+    def probe(self, t: float, c1: float, c2: float, start: Optional[float] = None) -> tuple:
+        """(r_hat(t), g, gap) on a ray with gamma_i(r) = e^(c_i r) - 1,
+        c_i > 0: the largest sum rate passing the test at weight t (start
+        guesses it), the top eigenvector g of D K(t) there, and the slack
+        difference gap = b^H (E1 - E2) b of b = N(t)^-1 W g, which has
+        the sign of r_hat'(t); b^H (Q1 - Q2) b is g^H M g, M = -K'(t)."""
+        k11 = k22 = m11 = m22 = 0.0
+        k12 = m12 = 0j
+        for mu, w11, w22, w12 in self.whitening[3]:
+            d = 1.0 / (1.0 + t * mu)
+            e = mu * d * d
+            k11, k22, k12 = k11 + w11 * d, k22 + w22 * d, k12 + w12 * d
+            m11, m22, m12 = m11 + w11 * e, m22 + w22 * e, m12 + w12 * e
+        p1, p2, k12_sq = self.pc.p1, self.pc.p2, abs(k12) ** 2
         s = min(1.0, k12_sq / (k11 * k22)) if k11 * k22 > 0.0 else 0.0
-        return _largest_passing(X, Y, s, c1, c2, start)
+        r = _largest_passing(t * p2 * k11, (1.0 - t) * p1 * k22, s, c1, c2, start)
+        if r == 0.0:  # a silent source
+            return r, None, 0.0
+        e1, e2 = _over_gamma(p2, c1 * r), _over_gamma(p1, c2 * r)
+        a, c = t * e1, (1.0 - t) * e2
+        # of the eigenvector's two forms, the one in which nothing cancels
+        half = 0.5 * (a * k11 - c * k22)
+        root = math.sqrt(half * half + a * c * k12_sq)
+        if half < 0.0:
+            x, y = a * k12, root - half
+        else:  # at D K = 0 or a multiple of I every vector is a top one
+            x, y = (half + root, c * k12.conjugate()) if root > 0.0 else (1.0, 0.0)
+        w1, w2 = k11 * x + k12 * y, k12.conjugate() * x + k22 * y
+        noise = m11 * abs(x) ** 2 + m22 * abs(y) ** 2 + 2.0 * (x.conjugate() * m12 * y).real
+        return r, (x, y), e1 * abs(w1) ** 2 - e2 * abs(w2) ** 2 - noise
 
-    def exit(self, profile: RateProfile) -> float:
-        """r*: where the profile ray leaves the region, the minimum over t
-        of r_hat(t), which is quasi-convex in t (the t failing at a given
-        r form an interval). A ray along one axis keeps one constraint,
-        whose dual weight is its end of [0, 1]. The golden section's
-        weights close in on the minimum, so each r_hat root search
-        starts from the r_hat found before it."""
-        if profile.alpha21 == 0.0:
-            return math.log1p(self.pc.p1 * self.kernel(0.0)[1]) / (2.0 * LN2)
-        if profile.alpha12 == 0.0:
-            return math.log1p(self.pc.p2 * self.kernel(1.0)[0]) / (2.0 * LN2)
+    def exit(self, profile: RateProfile) -> Tuple[float, tuple]:
+        """(r*, ends): where the profile ray leaves the region, the minimum
+        over t of r_hat(t), which is quasi-convex in t (the t failing at a
+        given r form an interval), and the (t, g) whose null vectors give
+        its beamformer, none for an exit of 0. A ray along one axis keeps
+        one constraint, whose dual weight is its end of [0, 1]. Otherwise
+        an end whose gap points inward is the minimum, or a bisection on the
+        sign of gap brackets it, each root search starting from the one
+        before, and r* is the least r_hat seen."""
+        if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
+            t = profile.alpha21  # the kept constraint's end of [0, 1]
+            mu, Z, _, _ = self.whitening
+            gain = self.pc.p2 * np.sum(abs(Z[:, 0]) ** 2 / (1.0 + mu)) if t else self.pc.p1 * np.sum(abs(Z[:, 1]) ** 2)
+            r = math.log1p(float(gain)) / (2.0 * LN2)
+            return r, ((t, (t, 1.0 - t)),) if r > 0.0 else ()
         c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
-        last = None
-
-        def lower(t: float) -> float:
-            nonlocal last
-            last = self.reach(t, c1, c2, last)
-            return -last
-
-        _, low = _golden_max(lower, 0.0, 1.0, tol=EXIT_TOL)
-        return min(-low, self.reach(0.0, c1, c2), self.reach(1.0, c1, c2))
+        (r_lo, g_lo, gap_lo), (r_hi, g_hi, gap_hi) = self.probe(0.0, c1, c2), self.probe(1.0, c1, c2)
+        if min(r_lo, r_hi) == 0.0:
+            return 0.0, ()
+        if gap_lo >= 0.0 or gap_hi <= 0.0:  # an end of [0, 1] is the minimum
+            return (r_lo, ((0.0, g_lo),)) if gap_lo >= 0.0 else (r_hi, ((1.0, g_hi),))
+        lo, hi, r_star, r = 0.0, 1.0, min(r_lo, r_hi), None
+        for _ in range(40):  # to a bracket 2^-40 < 1e-12 wide
+            t = 0.5 * (lo + hi)
+            r, g, gap = self.probe(t, c1, c2, r)
+            r_star = min(r_star, r)
+            if gap < 0.0:
+                lo, g_lo = t, g
+            else:
+                hi, g_hi = t, g
+        return r_star, ((lo, g_lo), (hi, g_hi))
 
 
 def _power_cell(eff: EffectiveChannel, pc: PowerConfig) -> _PowerCell:
@@ -426,52 +414,63 @@ def max_sum_rate(
 ) -> Tuple[float, np.ndarray]:
     """Largest sum rate whose profile-ray SNR targets fit the relay budget.
 
-    The ray's exit r* comes from the exact dual of the power minimization
-    (see _PowerCell) with no solve. One min_relay_power solve at r*
-    certifies it and gives the beamformer. When that solve reports
-    p > P_R (1 + 1e-9), from rounding or from the solver's relative gap
-    tol, its beamformer scaled to spend P_R / (1 + tol) fits the budget,
-    and the rate returned is the smaller of r* and where the ray meets
-    that beamformer's own rate pair. Returns (r, B): r at most delta_r
-    below the exit, B meeting the targets at r within P_R (1 + 1e-9).
+    One search over the dual weight gives the ray's exit r* and its
+    beamformer, with no solve (see _PowerCell.exit and _traced). Returns
+    (r, B): B spends exactly P_R, and r = min(r*, B's own ray value).
 
     Raises:
         InvalidInputError: if delta_r is not positive.
-        NumericalFailureError: if the solve at r* finds its targets
-            infeasible, or the scaled beamformer falls more than delta_r
-            below r*; or propagated from min_relay_power.
+        NumericalFailureError: if B falls more than delta_r below r*.
     """
+    found = _power_cell(eff, pc).exit(profile) if pc.p_relay > 0.0 else (0.0, ())
+    return _traced(eff, pc, profile, found, delta_r)
+
+
+def _traced(
+    eff: EffectiveChannel, pc: PowerConfig, profile: RateProfile, found: tuple, delta_r: float
+) -> Tuple[float, np.ndarray]:
+    """max_sum_rate's (r, B) from the exit (r*, ends) of the cell of pc.
+    By complementary slackness the beamformer is a null vector at t* with
+    equal slack on both constraints: bracket ends whose gaps at r* have
+    opposite signs combine to gap zero, else each end is a candidate.
+    Scaled to spend P_R, the candidate reaching farthest on the ray wins."""
     if delta_r <= 0.0:
         raise InvalidInputError("delta_r must be positive")
-    if pc.p_relay <= 0.0:
+    r_star, ends = found
+    if not ends:
         return 0.0, np.zeros((2, 2), dtype=complex)
-    r_exit = _power_cell(eff, pc).exit(profile)
-    p_star, B = min_relay_power(eff, pc, *snr_targets(profile, r_exit))
-    if p_star <= pc.p_relay * (1.0 + 1e-9):
-        return r_exit, B
-    if B is None:
-        raise NumericalFailureError(f"the solve at the exit {r_exit!r} finds its targets infeasible")
-    B = B * math.sqrt(pc.p_relay / ((1.0 + DEFAULT_TOL) * p_star))
-    rates = rate_pair_reduced(B, eff, pc)
-    r = r_exit
-    for rate, alpha in ((rates.r21, profile.alpha21), (rates.r12, profile.alpha12)):
-        if alpha > 0.0:
-            r = min(r, float(rate) / alpha)
-    if r < r_exit - delta_r:
-        raise NumericalFailureError(
-            f"the exit {r_exit!r} falls to {r!r} with its beamformer scaled into the budget"
-        )
+    cell = _power_cell(eff, pc)
+    mu, Z, basis, _ = cell.whitening
+    vectors = [basis @ ((Z @ np.array(g, dtype=complex)) / (1.0 + t * mu)) for t, g in ends]
+    if len(vectors) == 2:
+        (u1, u2), (Q1, Q2) = cell.u, cell.Q
+        e1 = _over_gamma(pc.p2, 2.0 * profile.alpha21 * LN2 * r_star)
+        e2 = _over_gamma(pc.p1, 2.0 * profile.alpha12 * LN2 * r_star)
+        E = e1 * np.outer(u1, u1.conj()) - e2 * np.outer(u2, u2.conj()) - Q1 + Q2
+        (d_lo, cross), (_, d_hi) = np.real(np.conj(vectors) @ E @ np.transpose(vectors))
+        if d_lo < 0.0 < d_hi:
+            vectors = _zero_form_pair(vectors[0], d_lo, vectors[1], d_hi, cross)
+    best = (-math.inf, None)
+    for b in vectors:
+        B = b.reshape(2, 2) * math.sqrt(pc.p_relay / relay_power_reduced(b.reshape(2, 2), eff, pc))
+        rates = rate_pair_reduced(B, eff, pc)
+        pairs = ((rates.r21, profile.alpha21), (rates.r12, profile.alpha12))
+        best = max(best, (min(r_star, *(x / a for x, a in pairs if a > 0.0)), B), key=lambda item: item[0])
+    r, B = best
+    if r < r_star - delta_r:
+        raise NumericalFailureError(f"the exit {r_star!r} falls to {r!r} with its beamformer")
     return r, B
 
 
 def _prune_dominated(points: Sequence[BoundaryPoint]) -> List[BoundaryPoint]:
-    """Drop the points that another point weakly dominates: no worse in
-    both rates and better in one, within 1e-12. Order is kept."""
+    """Drop the points that another point weakly dominates (no worse in
+    both rates and better in one, within 1e-12), and of the points equal
+    within 1e-12 all but the first. Order is kept."""
     r = np.array([[p.rates.r21, p.rates.r12] for p in points])
     return [
         p
-        for p, x in zip(points, r)
-        if not np.any(np.all(r >= x - 1e-12, axis=1) & np.any(r > x + 1e-12, axis=1))
+        for i, (p, x) in enumerate(zip(points, r))
+        if not np.any(np.all(r >= x - 1e-12, axis=1) & (np.any(r > x + 1e-12, axis=1) | (np.arange(len(r)) < i)))
     ]
 
 
@@ -482,10 +481,9 @@ def _profiles(n_profiles: int) -> List[RateProfile]:
 
 
 def _boundary_point(
-    eff: EffectiveChannel, pc: PowerConfig, profile: RateProfile, delta_r: float
+    eff: EffectiveChannel, pc: PowerConfig, profile: RateProfile, r_sum: float, B: np.ndarray
 ) -> BoundaryPoint:
-    """The traced point of one profile ray at one power setting."""
-    r_sum, B = max_sum_rate(eff, pc, profile, delta_r=delta_r)
+    """The traced point (r_sum, B) of one profile ray at one power setting."""
     bf = Beamformer(B=B, U=eff.U)
     return BoundaryPoint(
         alpha21=profile.alpha21,
@@ -510,7 +508,10 @@ def rate_region_boundary(
     at the first ray and keeps them on eff for the others.
     """
     return RegionBoundary(
-        points=[_boundary_point(eff, pc, profile, delta_r) for profile in _profiles(n_profiles)]
+        points=[
+            _boundary_point(eff, pc, profile, *max_sum_rate(eff, pc, profile, delta_r))
+            for profile in _profiles(n_profiles)
+        ]
     )
 
 
@@ -534,8 +535,9 @@ def capacity_region(
     The grid is log-spaced on (0, P] per axis, endpoint included, so the
     full-power region is always part of the union; a zero limit is the
     one setting 0. Each ray is traced only in the first cell, in p1-major
-    order, whose exit is farthest. Points come in profile order, less
-    those weakly dominated (the union's flat arms).
+    order, whose exit is farthest, from that cell's exit search. Points
+    come in profile order, less those weakly dominated (the union's flat
+    arms) and repeated (rays that all stay at 0).
     """
     if power_grid < 1:
         raise InvalidInputError("power_grid must be at least 1")
@@ -548,8 +550,9 @@ def capacity_region(
     points = []
     for profile in _profiles(n_profiles):
         # with no relay budget every ray stays at 0, and exits need one
-        pc = max(cells, key=lambda c: _power_cell(eff, c).exit(profile)) if P_R > 0.0 else cells[0]
-        points.append(_boundary_point(eff, pc, profile, delta_r))
+        exits = [(pc, _power_cell(eff, pc).exit(profile)) for pc in cells] if P_R > 0.0 else [(cells[0], (0.0, ()))]
+        pc, found = max(exits, key=lambda item: item[1][0])
+        points.append(_boundary_point(eff, pc, profile, *_traced(eff, pc, profile, found, delta_r)))
     return RegionBoundary(points=_prune_dominated(points))
 
 

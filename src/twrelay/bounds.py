@@ -8,9 +8,9 @@ except the relay power split of c_ub. Its minimax over the relay-noise
 split and the power split is a saddle point: the noise split has a
 closed form, and the power split at it is a float-exact bisection on
 the closed-form sign of the objective's derivative. That bisection,
-_crossing, also finds the ray exits of beamformer.py and df.py; the
+_crossing, also finds the scheme and decode-and-forward ray exits; the
 golden-section search here, _golden_max, refines the scheme sum-rate
-maxima in schemes.py and the dual weight of an optimal ray exit.
+maxima in schemes.py.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 
-DEFAULT_TOL = 1e-8
 # min lambda_max at or below this times max |A_i| counts as zero:
 # infeasible targets leave it at rounding level (~1e-17), not <= 0
 INFEASIBLE_TOL = 1e-12
@@ -74,8 +73,8 @@ class SdpProblem:
 class SdpSolution:
     """status is "optimal" or "infeasible". An optimal solution carries the
     rank-one optimum X = x x^T (x also in x_hat) and the dual bound
-    `objective`; tr(F0 X) exceeds it by at most the solve tolerance,
-    relative. `iterations` counts eigen-solves."""
+    `objective`; tr(F0 X) exceeds it by at most 1e-12 relative, or what
+    rounding leaves. `iterations` counts eigen-solves."""
 
     status: str
     X: Optional[np.ndarray] = None
@@ -86,11 +85,11 @@ class SdpSolution:
 
 
 def _zero_form_pair(
-    u: np.ndarray, a: float, w: np.ndarray, c: float, D: np.ndarray
+    u: np.ndarray, a: float, w: np.ndarray, c: float, b: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The two vectors u + s w with zero D-form, given the D-forms a < 0 of
-    u and c > 0 of w; the roots s of c s^2 + 2 b s + a have opposite signs."""
-    b = float(u @ D @ w)
+    """The two vectors u + s w with zero form, given the forms a < 0 of u
+    and c > 0 of w and the cross form b: the roots s of
+    c s^2 + 2 b s + a have opposite signs."""
     q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
     return u + (q / c) * w, u + (a / q) * w
 
@@ -107,10 +106,10 @@ def _scaled(prob: SdpProblem, Linv_T: np.ndarray, z: np.ndarray) -> Tuple[np.nda
     return x, float(x @ prob.F0 @ x)
 
 
-def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
+def solve_sdp(prob: SdpProblem) -> SdpSolution:
     """Solve the SDP through its one-dimensional dual.
 
-    Stops once the rank-one primal candidate costs at most (1 + tol)
+    Stops once the rank-one primal candidate costs at most (1 + 1e-12)
     times the dual bound, or the bracket reaches rounding level.
 
     Raises:
@@ -162,12 +161,10 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     lo, hi = 0.0, 1.0
     best = min(lam_lo, lam_hi)
     while True:
-        x, cost = min(
-            (_scaled(prob, Linv.T, z) for z in _zero_form_pair(v_lo, d_lo, v_hi, d_hi, D)),
-            key=lambda pair: pair[1],
-        )
+        pair = _zero_form_pair(v_lo, d_lo, v_hi, d_hi, float(v_lo @ D @ v_hi))
+        x, cost = min((_scaled(prob, Linv.T, z) for z in pair), key=lambda candidate: candidate[1])
         mid = 0.5 * (lo + hi)
-        if best <= floor or cost * best - 1.0 <= tol or not lo < mid < hi:
+        if best <= floor or cost * best - 1.0 <= 1e-12 or not lo < mid < hi:
             return result(best, x, cost)
         lam, v = top(A2 + mid * D)
         best = min(best, lam)
@@ -183,7 +180,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 def extract_rank_one(sol: SdpSolution, prob: SdpProblem) -> np.ndarray:
     """The rank-one optimum x of an optimal solution: x x^T is feasible,
     with the smaller constraint form equal to 1, and tr(F0 x x^T) is
-    within the solve tolerance of the dual bound."""
+    within the solve's 1e-12 of the dual bound."""
     if sol.status != "optimal" or sol.x_hat is None:
         raise InvalidInputError("extract_rank_one needs an optimal solution")
     return sol.x_hat

@@ -2,6 +2,7 @@
 ray exits, and region tracing."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -216,10 +217,18 @@ class TestMaxSumRate:
         with pytest.raises(InvalidInputError):
             max_sum_rate(eff, symmetric_power(10.0), RateProfile.of(0.5), delta_r=0.0)
 
-    def test_over_budget_at_every_back_off_raises(self, monkeypatch):
+    def test_recovery_short_of_the_exit_raises(self, monkeypatch):
+        # an exit 1e-3 above where the ray really leaves: no beamformer
+        # reaches within delta_r of it, and that must not become a result
         import twrelay.beamformer as bf
 
-        monkeypatch.setattr(bf, "min_relay_power", lambda *args, **kwargs: (math.inf, None))
+        search = bf._PowerCell.exit
+
+        def inflated(self, profile):
+            r_star, ends = search(self, profile)
+            return r_star + 1e-3, ends
+
+        monkeypatch.setattr(bf._PowerCell, "exit", inflated)
         eff = effective(gen_channels(4, 0.5, seed=3))
         with pytest.raises(NumericalFailureError):
             max_sum_rate(eff, symmetric_power(10.0), RateProfile.of(0.5))
@@ -289,46 +298,88 @@ class TestExitCorpus:
         assert rays >= 200
 
 
+class TestTracedCorpus:
+    def test_beamformer_reaches_its_rate_within_budget(self):
+        # rho 0 and 1, silent sources, unnormalized channels, 0-60 dB
+        import twrelay.beamformer as bf
+
+        rays = 0
+        for eff, pc in _exit_corpus(count=60):
+            for alpha21 in (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0):
+                profile = RateProfile.of(alpha21)
+                r_star = bf._power_cell(eff, pc).exit(profile)[0] if pc.p_relay > 0.0 else 0.0
+                r, B = max_sum_rate(eff, pc, profile)
+                assert r_star - DEFAULT_DELTA_R <= r <= r_star
+                assert relay_power_reduced(B, eff, pc) <= pc.p_relay * (1.0 + 1e-12)
+                rates = rate_pair_reduced(B, eff, pc)
+                assert rates.r21 >= profile.alpha21 * r * (1.0 - 1e-15)
+                assert rates.r12 >= profile.alpha12 * r * (1.0 - 1e-15)
+                rays += 1
+        assert rays == 540
+
+
+def _no_solve(monkeypatch):
+    """Make every power-minimization solve that beamformer.py can reach
+    raise."""
+    import twrelay.beamformer as bf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a traced ray made a solve")
+
+    monkeypatch.setattr(bf, "solve_sdp", refuse)
+    monkeypatch.setattr(bf, "min_relay_power", refuse)
+
+
 class TestWorkCounts:
-    def test_one_solve_per_ray(self, monkeypatch):
+    def test_boundary_makes_no_solve(self, monkeypatch):
+        _no_solve(monkeypatch)
+        eff = effective(gen_channels(4, 0.6, seed=19))
+        rb = rate_region_boundary(eff, PowerConfig(30.0, 300.0, 100.0), n_profiles=33)
+        assert len(rb.points) == 33
+        max_sum_rate(eff, PowerConfig(30.0, 300.0, 100.0), RateProfile.of(0.3))
+
+    def test_capacity_makes_no_solve(self, monkeypatch):
+        _no_solve(monkeypatch)
+        cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
+        assert cr.points
+
+    def test_capacity_searches_each_cell_once_per_ray(self, monkeypatch):
+        # the winning cell's search also gives the ray's beamformer: 9
+        # cells x 5 rays, with no second search of the winner
         import twrelay.beamformer as bf
 
-        solves = []
+        searches = []
+        search = bf._PowerCell.exit
 
-        def counting(*args, **kwargs):
-            solves.append(args)
-            return min_relay_power(*args, **kwargs)
+        def counting(self, profile):
+            searches.append(profile)
+            return search(self, profile)
 
-        monkeypatch.setattr(bf, "min_relay_power", counting)
-        eff = effective(gen_channels(4, 0.6, seed=19))
-        rate_region_boundary(eff, PowerConfig(30.0, 300.0, 100.0), n_profiles=33)
-        assert len(solves) == 33
+        monkeypatch.setattr(bf._PowerCell, "exit", counting)
+        capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
+        assert len(searches) == 45
 
-    @pytest.mark.parametrize("alpha21", [0.0, 0.3, 0.5, 0.7, 1.0])
-    def test_over_budget_solve_scales_its_beamformer(self, monkeypatch, alpha21):
+    def test_root_searches_per_exit(self, monkeypatch):
+        # 2 on a ray whose minimum is an end of [0, 1], and 42 otherwise:
+        # the two ends and 40 halvings of the bracket on t
         import twrelay.beamformer as bf
 
-        solves = []
+        roots = []
 
-        def over_budget(*args, **kwargs):
-            # a solve whose beamformer spends 1e-6 more than the minimum
-            solves.append(args)
-            p_star, B = min_relay_power(*args, **kwargs)
-            return p_star * (1.0 + 1e-6), B * math.sqrt(1.0 + 1e-6)
+        def counting(*args):
+            roots.append(args)
+            return _largest_passing(*args)
 
-        monkeypatch.setattr(bf, "min_relay_power", over_budget)
-        eff = effective(gen_channels(4, 0.6, seed=19))
-        pc = PowerConfig(30.0, 300.0, 100.0)
-        profile = RateProfile.of(alpha21)
-        r_exit = bf._power_cell(eff, pc).exit(profile)
-        r, B = max_sum_rate(eff, pc, profile)
-        assert len(solves) == 1
-        assert r_exit - 1e-6 <= r <= r_exit
-        g1b, g2b = snr_targets(profile, r)
-        s1, s2 = snr_pair_reduced(B, eff, pc)
-        assert s1 >= g1b * (1.0 - 1e-9)
-        assert s2 >= g2b * (1.0 - 1e-9)
-        assert relay_power_reduced(B, eff, pc) <= pc.p_relay * (1.0 + 1e-9)
+        monkeypatch.setattr(bf, "_largest_passing", counting)
+        exits = 0
+        for eff, pc in _exit_corpus(count=12):
+            if pc.p_relay > 0.0:
+                for alpha21 in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    roots.clear()
+                    bf._PowerCell(eff, pc).exit(RateProfile.of(alpha21))
+                    assert len(roots) <= 45
+                    exits += 1
+        assert exits == 60
 
     def test_root_steps_per_boundary(self, monkeypatch):
         # each r_hat root search starts from the one before it: 11,076
@@ -345,19 +396,6 @@ class TestWorkCounts:
         eff = effective(gen_channels(4, 0.5, seed=3))
         rate_region_boundary(eff, symmetric_power(10.0), n_profiles=33)
         assert len(steps) <= 15000
-
-    def test_one_capacity_solve_per_ray(self, monkeypatch):
-        import twrelay.beamformer as bf
-
-        solves = []
-
-        def counting(*args, **kwargs):
-            solves.append(args)
-            return min_relay_power(*args, **kwargs)
-
-        monkeypatch.setattr(bf, "min_relay_power", counting)
-        capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
-        assert len(solves) == 5
 
     def test_one_power_cell_per_boundary(self, monkeypatch):
         import twrelay.beamformer as bf
@@ -379,7 +417,7 @@ class TestWorkCounts:
         assert len(set(built)) == 9
 
 
-def _exit_roots(monkeypatch, count: int = 12, seed: int = 31):
+def _exit_roots(monkeypatch, count: int = 18, seed: int = 31):
     """The (X, Y, s, c1, c2, start) of every r_hat root search that the
     exits of seeded rays make: M 2/4/8, rho up to 0.99, unit and
     unnormalized channels, powers over 0-60 dB."""
@@ -429,9 +467,10 @@ class TestWarmStart:
             assert _largest_passing(X, Y, s, c1, c2, start) == cold
 
     def test_start_that_rounds_onto_lo(self):
-        # at one float past lo, gamma1 - X rounds to zero: the start passes
-        # but gives no Newton step, and the search must still reach the root
-        X, Y, s = 0.03282432317852996, 0.9011893051077203, 0.2294747496103047
+        # at one float past lo, c1 r - ln(1 + X) rounds to zero: the start
+        # passes but gives no Newton step, and the search must still reach
+        # the root
+        X, Y, s = 0.032824323178530075, 0.9011893051077203, 0.2294747496103047
         c1, c2 = 0.05036669472906644, 1.3356333052709335
         lo = math.log1p(X) / c1
         start = math.nextafter(lo, math.inf)
@@ -439,6 +478,41 @@ class TestWarmStart:
         assert _log_excess(c1, start, X)[0] == -math.inf
         cold = _largest_passing(X, Y, s, c1, c2)
         assert abs(_largest_passing(X, Y, s, c1, c2, start) - cold) <= 4e-15 * cold
+
+
+def _decimal_root(X: float, Y: float, s: float, c1: float, c2: float) -> Decimal:
+    """The largest passing r of _largest_passing, bisected in 50-digit
+    decimal arithmetic."""
+    X, Y, s, c1, c2 = (Decimal(v) for v in (X, Y, s, c1, c2))
+
+    def passes(r: Decimal) -> bool:
+        x, y = X / ((c1 * r).exp() - 1), Y / ((c2 * r).exp() - 1)
+        return x >= 1 or y >= 1 or (1 - x) * (1 - y) <= s * x * y
+
+    lo, hi = Decimal(0), Decimal(1)
+    while passes(hi):
+        hi *= 2
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
+class TestRootAccuracy:
+    def test_against_decimal_reference(self):
+        # where gamma - X cancels (X and Y near 1e-3) the root is still
+        # right to a few ulps: 3.7e-16 relative at worst here, against
+        # 1.9e-13 with ln(gamma - X) written c r + ln(1 - (1 + X) e^(-c r))
+        rng = np.random.default_rng(41)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for i in range(40):
+                X, Y = 10.0 ** rng.uniform(*((-3.3, -2.7) if i % 2 else (-4.0, 4.0)), size=2)
+                s, alpha = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 0.95))
+                c1, c2 = 2.0 * alpha * math.log(2.0), 2.0 * (1.0 - alpha) * math.log(2.0)
+                want = _decimal_root(float(X), float(Y), s, c1, c2)
+                got = _largest_passing(float(X), float(Y), s, c1, c2)
+                assert abs(Decimal(got) - want) <= Decimal(4e-15) * want
 
 
 def _orthogonal_min_power(pc: PowerConfig, g1b: float, g2b: float) -> float:
@@ -648,10 +722,10 @@ class TestCapacityRegion:
             assert p.rates == RatePair(profile.alpha21 * best, profile.alpha12 * best)
             assert (p.p1, p.p2) == (first.p1, first.p2)
 
-    def test_zero_relay_power_gives_one_zero_point_per_ray(self):
+    def test_zero_relay_power_gives_one_zero_point(self):
+        # every ray stays at (0, 0), and equal points are kept once
         cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 0.0, power_grid=3, n_profiles=5)
-        assert len(cr.points) == 5
-        assert all(p.rates == RatePair(0.0, 0.0) for p in cr.points)
+        assert [p.rates for p in cr.points] == [RatePair(0.0, 0.0)]
 
 
 class TestEnvelope:

@@ -270,6 +270,14 @@ class TestDfCompareCommand:
         assert min(2.0 * mid[1], 2.0 * mid[2]) >= t_mac - 1e-9
 
 
+def _assert_pareto_ordered(rows):
+    """r21 rises and no row is weakly dominated by the one before it."""
+    pts = [(float(r[1]), float(r[2])) for r in rows]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        assert x1 >= x0 - 1e-12
+        assert not (x1 <= x0 + 1e-12 and y1 <= y0 + 1e-12)
+
+
 class TestCapacityCommand:
     def test_envelope_csv_is_pareto_ordered(self, tmp_path):
         argv = [
@@ -279,10 +287,17 @@ class TestCapacityCommand:
         assert run(argv) == 0
         rows = read_csv(tmp_path / "capacity.csv")
         assert rows[0] == tio.REGION_HEADER
-        pts = [(float(r[1]), float(r[2])) for r in rows[1:]]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            assert x1 >= x0 - 1e-12
-            assert not (x1 <= x0 + 1e-12 and y1 <= y0 + 1e-12)
+        _assert_pareto_ordered(rows[1:])
+
+    @pytest.mark.parametrize(
+        "powers", [["--pr", "0"], ["--p1", "0", "--p2", "0"]], ids=["no-relay-power", "silent-sources"]
+    )
+    def test_zero_rates_give_one_row(self, tmp_path, powers):
+        argv = ["capacity", *powers, "--grid", "3", "--profiles", "5", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        rows = read_csv(tmp_path / "capacity.csv")[1:]
+        _assert_pareto_ordered(rows)
+        assert [(float(r[1]), float(r[2])) for r in rows] == [(0.0, 0.0)]
 
     def test_silent_source_gives_one_power_setting(self, tmp_path):
         argv = [
