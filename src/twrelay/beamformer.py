@@ -124,9 +124,9 @@ class BoundaryPoint:
 @dataclass(frozen=True)
 class RegionBoundary:
     """Boundary points ordered by non-decreasing r21 and non-increasing
-    r12: traced boundaries in profile order, scheme sweeps sorted. A
-    traced optimal point sits at most delta_r below where its ray leaves
-    the region."""
+    r12, in the order they are traced: traced boundaries in profile
+    order, scheme sweeps in falling angle. A traced optimal point sits at
+    most delta_r below where its ray leaves the region."""
 
     points: List[BoundaryPoint]
 
@@ -153,7 +153,7 @@ def build_qcqp(
     """
     if gamma1_bar <= 0.0 or gamma2_bar <= 0.0:
         raise InvalidInputError("build_qcqp needs strictly positive SNR targets")
-    return QcqpBuild(prob=_power_cell(eff, pc).problem(gamma1_bar, gamma2_bar))
+    return QcqpBuild(prob=_PowerCell(eff, pc).problem(gamma1_bar, gamma2_bar))
 
 
 def min_relay_power(
@@ -180,7 +180,7 @@ def min_relay_power(
     if (gamma1_bar > 0.0 and pc.p2 == 0.0) or (gamma2_bar > 0.0 and pc.p1 == 0.0):
         return math.inf, None
 
-    prob = _power_cell(eff, pc).problem(gamma1_bar, gamma2_bar)
+    prob = _PowerCell(eff, pc).problem(gamma1_bar, gamma2_bar)
     sol = solve_sdp(prob)
     if sol.status == "infeasible":
         return math.inf, None
@@ -304,7 +304,7 @@ class _PowerCell:
     """
 
     def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
-        self.pc = pc
+        self.eff, self.pc = eff, pc
         theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
         self.E0 = np.kron(np.eye(2), theta.T)
         (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
@@ -367,11 +367,14 @@ class _PowerCell:
         """(r*, ends): where the profile ray leaves the region, the minimum
         over t of r_hat(t), which is quasi-convex in t (the t failing at a
         given r form an interval), and the (t, g) whose null vectors give
-        its beamformer, none for an exit of 0. A ray along one axis keeps
-        one constraint, whose dual weight is its end of [0, 1]. Otherwise
-        an end whose gap points inward is the minimum, or a bisection on the
-        sign of gap brackets it, each root search starting from the one
-        before, and r* is the least r_hat seen."""
+        its beamformer, none for an exit of 0, as with no relay budget. A
+        ray along one axis keeps one constraint, whose dual weight is its
+        end of [0, 1]. Otherwise an end whose gap points inward is the
+        minimum, or a bisection on the sign of gap brackets it, each root
+        search starting from the one before, and r* is the least r_hat
+        seen."""
+        if self.pc.p_relay == 0.0:
+            return 0.0, ()
         if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
             t = profile.alpha21  # the kept constraint's end of [0, 1]
             mu, Z, _, _ = self.whitening
@@ -396,16 +399,6 @@ class _PowerCell:
         return r_star, ((lo, g_lo), (hi, g_hi))
 
 
-def _power_cell(eff: EffectiveChannel, pc: PowerConfig) -> _PowerCell:
-    """The cell of (eff, pc), built once and kept on eff, so that every
-    ray of one boundary and every solve at one power setting share its
-    forms and its whitening."""
-    cell = eff.cells.get(pc)
-    if cell is None:
-        cell = eff.cells[pc] = _PowerCell(eff, pc)
-    return cell
-
-
 def max_sum_rate(
     eff: EffectiveChannel,
     pc: PowerConfig,
@@ -422,14 +415,12 @@ def max_sum_rate(
         InvalidInputError: if delta_r is not positive.
         NumericalFailureError: if B falls more than delta_r below r*.
     """
-    found = _power_cell(eff, pc).exit(profile) if pc.p_relay > 0.0 else (0.0, ())
-    return _traced(eff, pc, profile, found, delta_r)
+    cell = _PowerCell(eff, pc)
+    return _traced(cell, profile, cell.exit(profile), delta_r)
 
 
-def _traced(
-    eff: EffectiveChannel, pc: PowerConfig, profile: RateProfile, found: tuple, delta_r: float
-) -> Tuple[float, np.ndarray]:
-    """max_sum_rate's (r, B) from the exit (r*, ends) of the cell of pc.
+def _traced(cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float) -> Tuple[float, np.ndarray]:
+    """max_sum_rate's (r, B) from the cell's exit (r*, ends).
     By complementary slackness the beamformer is a null vector at t* with
     equal slack on both constraints: bracket ends whose gaps at r* have
     opposite signs combine to gap zero, else each end is a candidate.
@@ -439,7 +430,7 @@ def _traced(
     r_star, ends = found
     if not ends:
         return 0.0, np.zeros((2, 2), dtype=complex)
-    cell = _power_cell(eff, pc)
+    eff, pc = cell.eff, cell.pc
     mu, Z, basis, _ = cell.whitening
     vectors = [basis @ ((Z @ np.array(g, dtype=complex)) / (1.0 + t * mu)) for t, g in ends]
     if len(vectors) == 2:
@@ -480,10 +471,9 @@ def _profiles(n_profiles: int) -> List[RateProfile]:
     return [RateProfile.of(i / (n_profiles - 1)) for i in range(n_profiles)]
 
 
-def _boundary_point(
-    eff: EffectiveChannel, pc: PowerConfig, profile: RateProfile, r_sum: float, B: np.ndarray
-) -> BoundaryPoint:
-    """The traced point (r_sum, B) of one profile ray at one power setting."""
+def _boundary_point(cell: _PowerCell, profile: RateProfile, r_sum: float, B: np.ndarray) -> BoundaryPoint:
+    """The traced point (r_sum, B) of one profile ray in the cell."""
+    eff, pc = cell.eff, cell.pc
     bf = Beamformer(B=B, U=eff.U)
     return BoundaryPoint(
         alpha21=profile.alpha21,
@@ -504,12 +494,13 @@ def rate_region_boundary(
     """Trace the achievable-region boundary with one ray per profile, in
     profile order, which is the boundary's Pareto order.
 
-    All rays see the same (eff, pc), so max_sum_rate whitens its forms
-    at the first ray and keeps them on eff for the others.
+    All rays see the same (eff, pc), so they share one power cell, whose
+    forms are whitened at the first ray.
     """
+    cell = _PowerCell(eff, pc)
     return RegionBoundary(
         points=[
-            _boundary_point(eff, pc, profile, *max_sum_rate(eff, pc, profile, delta_r))
+            _boundary_point(cell, profile, *_traced(cell, profile, cell.exit(profile), delta_r))
             for profile in _profiles(n_profiles)
         ]
     )
@@ -543,16 +534,14 @@ def capacity_region(
         raise InvalidInputError("power_grid must be at least 1")
     eff = effective(pair)
     cells = [
-        PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)
+        _PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R))
         for p1 in _power_grid(P1, power_grid)
         for p2 in _power_grid(P2, power_grid)
     ]
     points = []
     for profile in _profiles(n_profiles):
-        # with no relay budget every ray stays at 0, and exits need one
-        exits = [(pc, _power_cell(eff, pc).exit(profile)) for pc in cells] if P_R > 0.0 else [(cells[0], (0.0, ()))]
-        pc, found = max(exits, key=lambda item: item[1][0])
-        points.append(_boundary_point(eff, pc, profile, *_traced(eff, pc, profile, found, delta_r)))
+        cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
+        points.append(_boundary_point(cell, profile, *_traced(cell, profile, found, delta_r)))
     return RegionBoundary(points=_prune_dominated(points))
 
 

@@ -176,6 +176,28 @@ class _Arc:
         S = self.p_relay * np.outer(v, v.conj())
         return BcPoint(rates=self.rates(theta), S_reduced=S, basis=self.basis)
 
+    def wsrmax(self, w21: float, w12: float) -> BcPoint:
+        """The point of largest w21 r21 + w12 r12 for nonnegative weights,
+        not both zero. Along the arc the weighted sum rate is unimodal, so
+        bisection on the sign of its derivative finds the angle to
+        rounding level; the sign test is monotone in the weights, so the
+        angle falls as w21 grows against w12. w12 = 0 gives theta = 0
+        (all power toward S1), w21 = 0 gives theta = phi (all power
+        toward S2)."""
+        if w12 == 0.0:
+            return self.point(0.0)
+        if w21 == 0.0:
+            return self.point(self.phi)
+        a, b, phi = self.a, self.b, self.phi
+
+        def rising(theta: float) -> bool:
+            gain = w12 * b * math.sin(2.0 * (phi - theta)) / (1.0 + b * math.cos(phi - theta) ** 2)
+            loss = w21 * a * math.sin(2.0 * theta) / (1.0 + a * math.cos(theta) ** 2)
+            return gain > loss
+
+        lo, hi = _crossing(rising, 0.0, phi)
+        return self.point(0.5 * (lo + hi))
+
 
 def _bc_arc(pair: ChannelPair, p_relay: float) -> _Arc:
     if p_relay <= 0.0:
@@ -206,27 +228,11 @@ def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPo
     """Maximize w21 r21 + w12 r12 over the broadcast covariance.
 
     The rate region is convex and the maximum sits on the rank-one arc
-    of _Arc, along which the weighted sum rate is unimodal; bisection
-    on the sign of its derivative finds the angle to rounding level.
-    w12 = 0 gives theta = 0 (all power toward S1), w21 = 0 gives
-    theta = phi (all power toward S2).
+    of _Arc (see _Arc.wsrmax).
     """
     if w21 < 0.0 or w12 < 0.0 or w21 + w12 == 0.0:
         raise InvalidInputError("weights must be nonnegative and not both zero")
-    arc = _bc_arc(pair, p_relay)
-    if w12 == 0.0:
-        return arc.point(0.0)
-    if w21 == 0.0:
-        return arc.point(arc.phi)
-    a, b, phi = arc.a, arc.b, arc.phi
-
-    def rising(theta: float) -> bool:
-        gain = w12 * b * math.sin(2.0 * (phi - theta)) / (1.0 + b * math.cos(phi - theta) ** 2)
-        loss = w21 * a * math.sin(2.0 * theta) / (1.0 + a * math.cos(theta) ** 2)
-        return gain > loss
-
-    lo, hi = _crossing(rising, 0.0, phi)
-    return arc.point(0.5 * (lo + hi))
+    return _bc_arc(pair, p_relay).wsrmax(w21, w12)
 
 
 def bc_boundary(
@@ -234,21 +240,19 @@ def bc_boundary(
 ) -> BcBoundary:
     """Frontier of the broadcast region by a uniform weight sweep.
 
-    Knot k is the bc_wsrmax point for weights (w, 1 - w), w = k / (n - 1);
-    the weights, not the arc angles, are uniform.
+    Knot k is the bc_wsrmax point for weights (w, 1 - w), w = k / (n - 1),
+    all on one arc; the weights, not the arc angles, are uniform. The
+    angle falls as w grows, so the knots come in weight order with r21
+    non-decreasing, as np.interp needs.
     """
     if n_weights < 2:
         raise InvalidInputError("need at least two weights")
-    traced: List[BcPoint] = []
-    for k in range(n_weights):
-        w = k / (n_weights - 1)
-        traced.append(bc_wsrmax(pair, p_relay, w, 1.0 - w))
-    # the angle falls as w grows; np.interp needs r21 sorted even at ties
-    traced.sort(key=lambda p: p.rates.r21)
+    arc = _bc_arc(pair, p_relay)
+    traced = [arc.wsrmax(w, 1.0 - w) for w in (k / (n_weights - 1) for k in range(n_weights))]
     return BcBoundary(
         points=[p.rates for p in traced],
         covariances=[p.S_reduced for p in traced],
-        basis=traced[0].basis,
+        basis=arc.basis,
     )
 
 

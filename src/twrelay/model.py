@@ -15,8 +15,8 @@ channels g_i = U^H h_i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -105,11 +105,6 @@ class EffectiveChannel:
     V: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    # solver data derived from this channel per power setting, kept so
-    # that every ray of one setting shares it; not part of the value
-    cells: Dict[PowerConfig, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def theta1(self) -> float:

@@ -18,7 +18,7 @@ identity relay and one-way rank-one relaying over four slots.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .model import (
     relay_power_reduced,
 )
 
-RATIO_TIE = 1e-9
 _HALF_PI = 0.5 * math.pi
 
 _Reals = Union[float, np.ndarray]
@@ -165,23 +164,6 @@ class _Sweep:
         return Beamformer(B=self.matrices(np.array([math.atan(ratio)]))[0], U=self.eff.U)
 
 
-def _order_boundary(points: Iterable[BoundaryPoint]) -> List[BoundaryPoint]:
-    """Order by increasing r21, grouping near-ties (within RATIO_TIE) so
-    that a vertical arm of the swept frontier, whose r21 values differ
-    only by rounding, reads top-down in r12 instead of shuffling with
-    that noise."""
-    pts = sorted(points, key=lambda p: (p.rates.r21, -p.rates.r12))
-    out: List[BoundaryPoint] = []
-    group: List[BoundaryPoint] = []
-    for p in pts:
-        if group and p.rates.r21 - group[-1].rates.r21 > RATIO_TIE:
-            out.extend(sorted(group, key=lambda q: -q.rates.r12))
-            group = []
-        group.append(p)
-    out.extend(sorted(group, key=lambda q: -q.rates.r12))
-    return out
-
-
 def sweep_region(
     scheme: str,
     pair: ChannelPair,
@@ -191,16 +173,18 @@ def sweep_region(
     """Achievable region of a scheme, traced by sweeping the a/b ratio.
 
     Ratios are tangents of angles uniform on [0, pi/2], so both
-    single-link endpoints (ratio 0 and infinity) are included. One
-    evaluation of the sweep's quadratic forms gives the rate pairs at
-    all angles and one (n, 2, 2) stack holds their relay matrices, whose
-    relay powers are recomputed from the stack in one expression.
+    single-link endpoints (ratio 0 and infinity) are included. The angles
+    run from pi/2 down to 0, along which r21 rises and r12 falls, so the
+    points come in boundary order. One evaluation of the sweep's
+    quadratic forms gives the rate pairs at all angles and one (n, 2, 2)
+    stack holds their relay matrices, whose relay powers are recomputed
+    from the stack in one expression.
     """
     if n_ratios < 2:
         raise InvalidInputError("need at least two ratios")
     sweep = _Sweep(scheme, pair, pc)
-    # the last angle is pi/2 itself: k * (pi/2) / k can round below it
-    angles = np.append(_HALF_PI * np.arange(n_ratios - 1) / (n_ratios - 1), _HALF_PI)
+    # the first angle is pi/2 itself: k * (pi/2) / k can round below it
+    angles = np.append(_HALF_PI, _HALF_PI * np.arange(n_ratios - 2, -1, -1) / (n_ratios - 1))
     r21, r12 = sweep.rates(angles)
     mats = sweep.matrices(angles)
     powers = relay_power_reduced(mats, sweep.eff, pc)
@@ -217,7 +201,7 @@ def sweep_region(
                 p_relay=spent,
             )
         )
-    return RegionBoundary(points=_order_boundary(pts))
+    return RegionBoundary(points=pts)
 
 
 def scheme_profile_sum_rate(

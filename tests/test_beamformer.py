@@ -307,7 +307,7 @@ class TestTracedCorpus:
         for eff, pc in _exit_corpus(count=60):
             for alpha21 in (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0):
                 profile = RateProfile.of(alpha21)
-                r_star = bf._power_cell(eff, pc).exit(profile)[0] if pc.p_relay > 0.0 else 0.0
+                r_star = bf._PowerCell(eff, pc).exit(profile)[0] if pc.p_relay > 0.0 else 0.0
                 r, B = max_sum_rate(eff, pc, profile)
                 assert r_star - DEFAULT_DELTA_R <= r <= r_star
                 assert relay_power_reduced(B, eff, pc) <= pc.p_relay * (1.0 + 1e-12)

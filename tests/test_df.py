@@ -183,6 +183,42 @@ class TestBcBoundary:
             )
         assert t == pytest.approx(best, abs=1e-6)
 
+    @pytest.mark.parametrize("n_weights", (2, 3, 17, 65))
+    def test_one_arc_per_boundary(self, monkeypatch, n_weights):
+        import twrelay.df as df
+
+        built = []
+        build = df._bc_arc
+
+        def counting(pair, p_relay):
+            built.append(p_relay)
+            return build(pair, p_relay)
+
+        monkeypatch.setattr(df, "_bc_arc", counting)
+        bc = bc_boundary(gen_channels(4, 0.7, seed=13), 50.0, n_weights=n_weights)
+        assert len(bc.points) == n_weights
+        assert len(built) == 1
+
+    def test_knots_come_in_weight_order(self):
+        # knot k is the weight-k/(n - 1) point, unsorted, and r21 never
+        # falls along them: rho 0 to 1, unit and unnormalized channels
+        rng = np.random.default_rng(29)
+        boundaries = 0
+        for rho in (0.0, 0.5, 0.99, 1.0):
+            for p_relay in (0.1, 3.0, 100.0, 1e4, 1e6):
+                for normalize in (True, False):
+                    pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)), normalize)
+                    for n in (2, 3, 17, 65):
+                        bc = bc_boundary(pair, p_relay, n_weights=n)
+                        for k, (rates, S) in enumerate(zip(bc.points, bc.covariances)):
+                            point = bc_wsrmax(pair, p_relay, k / (n - 1), 1.0 - k / (n - 1))
+                            assert rates == point.rates
+                            assert np.array_equal(S, point.S_reduced)
+                        r21 = [p.r21 for p in bc.points]
+                        assert all(x <= y for x, y in zip(r21, r21[1:]))
+                        boundaries += 1
+        assert boundaries == 160
+
     def test_ray_exit_degenerate_profiles(self):
         pair = gen_channels(4, 0.95, seed=21)
         assert bc_ray_exit(pair, 100.0, RateProfile.of(1.0)) == pytest.approx(

@@ -182,12 +182,15 @@ class TestSweepRegion:
         assert last.rates.r12 == 0.0 and last.rates.r21 > 0.5
 
     def test_ordering_monotone(self):
-        pair = gen_channels(4, 0.5, seed=6)
-        boundary = sweep_region("zf", pair, symmetric_power(10.0), n_ratios=33)
-        r21 = [p.rates.r21 for p in boundary.points]
-        r12 = [p.rates.r12 for p in boundary.points]
-        assert all(x <= y + 1e-12 for x, y in zip(r21, r21[1:]))
-        assert all(x >= y - 1e-12 for x, y in zip(r12, r12[1:]))
+        # points come in angle order, unsorted; zero-forcing is undefined
+        # on the parallel channels of rho = 1
+        for scheme, rho in (("zf", 0.5), ("mr", 0.5), ("zf", 0.99), ("mr", 0.99), ("mr", 1.0)):
+            pair = gen_channels(4, rho, seed=6)
+            boundary = sweep_region(scheme, pair, symmetric_power(10.0), n_ratios=33)
+            r21 = [p.rates.r21 for p in boundary.points]
+            r12 = [p.rates.r12 for p in boundary.points]
+            assert all(x <= y + 1e-12 for x, y in zip(r21, r21[1:]))
+            assert all(x >= y - 1e-12 for x, y in zip(r12, r12[1:]))
 
     def test_swept_points_inside_optimal_region(self):
         # certificate: the minimum relay power to reach a swept rate pair
