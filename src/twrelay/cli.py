@@ -27,6 +27,7 @@ from . import __version__
 from .beamformer import (
     DEFAULT_DELTA_R,
     RateProfile,
+    _profiles,
     max_sum_rate,
     min_relay_power,
     capacity_region,
@@ -446,8 +447,7 @@ def cmd_df_compare(settings: dict) -> int:
     timer.lap("df_tau_slices")
 
     env_rows = []
-    for alpha in np.linspace(0.0, 1.0, settings["profiles"]):
-        profile = RateProfile(float(alpha), float(1.0 - alpha))
+    for profile in _profiles(settings["profiles"]):
         t, tau = df_boundary_value(pair, p1, p2, pr, profile)
         env_rows.append((tau, profile.alpha21 * t, profile.alpha12 * t))
     tio.write_csv(os.path.join(out, "df_region.csv"), tio.TAU_HEADER, env_rows)

@@ -28,8 +28,7 @@ import numpy as np
 from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _ray_exit
 from .bounds import _crossing
 from .errors import InvalidInputError
-from .linalg import svd_tall
-from .model import ChannelPair, RatePair
+from .model import ChannelPair, RatePair, effective
 
 DEFAULT_TAU_GRID = 65
 DEFAULT_WEIGHTS = 65
@@ -137,18 +136,11 @@ class BcBoundary:
         return float(np.interp(r21, xs, ys))
 
 
-def _bc_frame(pair: ChannelPair) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis of span{h1*, h2*} plus the channels in it."""
-    phi = np.column_stack([pair.h1.conj(), pair.h2.conj()])
-    U, _, _ = svd_tall(phi)
-    return U, U.conj().T @ phi[:, 0], U.conj().T @ phi[:, 1]
-
-
 @dataclass(frozen=True)
 class _Arc:
     """The rank-one Pareto arc of the broadcast SNR region.
 
-    In the _bc_frame basis, u1 = f1/|f1| and e2 is the unit part of
+    In the basis of span{h1*, h2*}, u1 = f1/|f1| and e2 is the unit part of
     f2/|f2| orthogonal to u1, with the phase of f2 turned so that the
     two unit channels meet at a real angle phi in [0, pi/2]. The
     covariance P_R v v^H with v = cos(theta) u1 + sin(theta) e2 gives
@@ -202,7 +194,9 @@ class _Arc:
 def _bc_arc(pair: ChannelPair, p_relay: float) -> _Arc:
     if p_relay <= 0.0:
         raise InvalidInputError("relay power budget must be positive")
-    basis, f1, f2 = _bc_frame(pair)
+    # span{h1*, h2*} has the conjugate of the effective frame as its basis
+    eff = effective(pair)
+    basis, f1, f2 = eff.U.conj(), eff.g1.conj(), eff.g2.conj()
     n1 = float(np.linalg.norm(f1))
     n2 = float(np.linalg.norm(f2))
     a, b = p_relay * n1**2, p_relay * n2**2

@@ -181,7 +181,9 @@ def gen_channels(m: int, rho: float, seed: int, normalize: bool = True) -> Chann
 
 
 def effective(pair: ChannelPair) -> EffectiveChannel:
-    """Reduced coordinates: U spans both channels, g_i = U^H h_i."""
+    """Reduced coordinates: U spans both channels, g_i = U^H h_i. The frame
+    is svd_tall's of [h1, h2], its phases fixed by V[1, 0] real >= 0 and
+    V[0, 1] real <= 0, so a B written to a CSV lifts to the same A."""
     H_ul = np.column_stack([pair.h1, pair.h2])
     U, sigma, V = svd_tall(H_ul)
     return EffectiveChannel(U=U, sigma=sigma, V=V, g1=U.conj().T @ pair.h1, g2=U.conj().T @ pair.h2)

@@ -5,9 +5,11 @@ import math
 import pytest
 
 from twrelay import io as tio
+from twrelay.beamformer import RateProfile
 from twrelay.bounds import BoundsReport, r_lb_zf
 from twrelay.cli import main, parse_bool, parse_power, parse_rho
-from twrelay.model import PowerConfig
+from twrelay.df import df_boundary_value
+from twrelay.model import PowerConfig, gen_channels
 
 
 def run(argv):
@@ -268,6 +270,22 @@ class TestDfCompareCommand:
         t_mac = max(min(2.0 * x, 2.0 * y) for x, y in mac)
         mid = env[len(env) // 2]
         assert min(2.0 * mid[1], 2.0 * mid[2]) >= t_mac - 1e-9
+
+    def test_df_rays_are_the_af_profiles(self, tmp_path):
+        # at 11 profiles, 3 of linspace(0, 1, 11) are 1 ulp off k / 10,
+        # the alpha of the AF boundary's k-th ray
+        argv = [
+            "df-compare", "--rho", "0.95", "--p", "100", "--seed", "7",
+            "--profiles", "11", "--taus", "1", "--weights", "3", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        rows = [tuple(map(float, r)) for r in read_csv(tmp_path / "df_region.csv")[1:]]
+        pair = gen_channels(4, 0.95, 7)
+        assert len(rows) == 11
+        for k, row in enumerate(rows):
+            profile = RateProfile.of(k / 10)
+            t, tau = df_boundary_value(pair, 100.0, 100.0, 100.0, profile)
+            assert row == (tau, profile.alpha21 * t, profile.alpha12 * t)
 
 
 def _assert_pareto_ordered(rows):

@@ -128,6 +128,34 @@ class TestSvdTall:
         assert s[0] >= s[1]
         assert np.linalg.norm((U * s) @ V.conj().T - H) <= 1e-12 * np.linalg.norm(H)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_phase_rule_on_seeded_corpus(self, m, normalize):
+        for rho in (0.1, 0.5, 0.9, 0.99):
+            for seed in range(5):
+                pair = gen_channels(m, rho, seed, normalize=normalize)
+                H = np.column_stack([pair.h1, pair.h2])
+                U, s, V = svd_tall(H)
+                # real to rounding: the phase is applied in floating point
+                assert abs(V[1, 0].imag) <= 1e-15 and V[1, 0].real >= 0.0
+                assert abs(V[0, 1].imag) <= 1e-15 and V[0, 1].real <= 0.0
+                assert s[0] >= s[1] >= 0.0
+                rel = np.linalg.norm((U * s) @ V.conj().T - H) / np.linalg.norm(H)
+                assert rel <= 1e-12
+                assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-14
+                assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= 1e-14
+
+    @pytest.mark.parametrize("live", [[], [0], [1]])
+    def test_zero_columns_keep_orthonormal_frame(self, rng, live):
+        H = np.zeros((4, 2), dtype=complex)
+        for k in live:
+            H[:, k] = random_complex(rng, 4)
+        U, s, V = svd_tall(H)
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= 1e-15
+        assert np.linalg.norm((U * s) @ V.conj().T - H) <= 1e-15 * max(1.0, np.linalg.norm(H))
+        assert s[1] == 0.0
+
     def test_rejects_wide(self):
         with pytest.raises(InvalidInputError):
             svd_tall(np.zeros((1, 2), dtype=complex))

@@ -82,6 +82,21 @@ class TestReduction:
         red = eff.g1.conj() @ eff.g2
         assert abs(full - red) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "seed, g1, g2",
+        [
+            (1, [2.6069472406209977, -0.22516867418458797], [0.8354585871335384, 0.7026115511647428]),
+            (2, [1.3151802996324102, -0.8412787256573597], [2.2438257643649404, 0.49310121314057004]),
+            (3, [1.5552963757306553, -0.65523678390085], [1.5820441521887176, 0.6441586309942877]),
+        ],
+    )
+    def test_frame_is_pinned(self, seed, g1, g2):
+        # written CSVs store B in this frame; a change of the frame's
+        # phases would stop them lifting to the same relay matrix
+        eff = effective(gen_channels(4, 0.5, seed, normalize=False))
+        assert np.max(np.abs(eff.g1 - g1)) <= 1e-13
+        assert np.max(np.abs(eff.g2 - g2)) <= 1e-13
+
     def test_lift_consistency(self, rng):
         pc = PowerConfig(p1=3.0, p2=2.0, p_relay=10.0)
         for _ in range(10):
