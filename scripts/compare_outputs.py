@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Compare the CSV outputs of two runs of the same commands.
+
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Every CSV under PARENT_DIR is paired with the file at the same relative
+path under CHANGE_DIR. Each pair gets one line: `same` when the bytes
+are identical, `missing` when the second file does not exist, and
+otherwise the largest differences by kind of column:
+
+- rate: absolute difference of the r21 and r12 cells, in bits;
+- p_relay: difference relative to the first file's value;
+- B: difference of the eight B_* cells of a row after turning the
+  second row's B by the one unit phase that best matches the first,
+  relative to the first row's largest |B|, since a relay matrix is
+  only defined up to such a phase.
+
+Files whose headers or row counts differ are reported as such. CSVs
+found only under CHANGE_DIR are listed as `new`. The exit status is 0
+when every pair is byte-identical, and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import csv
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+import numpy as np
+
+RATE_COLUMNS = ("r21", "r12")
+
+
+def _read(path: Path) -> List[List[str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def _column(rows: List[List[str]], index: int) -> np.ndarray:
+    return np.array([float(row[index]) for row in rows[1:]])
+
+
+def _b_matrix(rows: List[List[str]], header: List[str]) -> np.ndarray:
+    re = [header.index(f"B_re[{k}]") for k in range(4)]
+    im = [header.index(f"B_im[{k}]") for k in range(4)]
+    return np.column_stack([_column(rows, i) for i in re]) + 1j * np.column_stack(
+        [_column(rows, i) for i in im]
+    )
+
+
+def compare_rows(a: List[List[str]], b: List[List[str]]) -> Dict[str, float]:
+    """Largest differences between two parsed CSVs of one header and
+    length, by kind of column (see the module docstring)."""
+    header = a[0]
+    out: Dict[str, float] = {}
+    for name in RATE_COLUMNS:
+        if name in header:
+            i = header.index(name)
+            out[name] = float(np.max(np.abs(_column(a, i) - _column(b, i)), initial=0.0))
+    if "p_relay" in header:
+        i = header.index("p_relay")
+        x, y = _column(a, i), _column(b, i)
+        scale = np.where(x != 0.0, np.abs(x), 1.0)
+        out["p_relay_rel"] = float(np.max(np.abs(x - y) / scale, initial=0.0))
+    if "B_re[0]" in header:
+        Ba, Bb = _b_matrix(a, header), _b_matrix(b, header)
+        phase = np.exp(1j * np.angle(np.sum(Bb.conj() * Ba, axis=1)))  # 1 where the rows are orthogonal
+        scale = np.max(np.abs(Ba), axis=1)
+        gap = np.max(np.abs(Ba - phase[:, None] * Bb), axis=1)
+        out["B_phase_rel"] = float(np.max(gap / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+    return out
+
+
+def compare_files(first: Path, second: Path) -> str:
+    """One line of report for a pair of files."""
+    if not second.is_file():
+        return "missing"
+    if first.read_bytes() == second.read_bytes():
+        return "same"
+    a, b = _read(first), _read(second)
+    if a[:1] != b[:1]:
+        return "differs: headers differ"
+    if len(a) != len(b):
+        return f"differs: {len(a) - 1} rows against {len(b) - 1}"
+    diffs = compare_rows(a, b)
+    return "differs: " + " ".join(f"{name} {value:.3g}" for name, value in diffs.items())
+
+
+def main(argv: List[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_outputs.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 2
+    first, second = Path(argv[0]), Path(argv[1])
+    for root in (first, second):
+        if not root.is_dir():
+            print(f"not a directory: {root}", file=sys.stderr)
+            return 2
+    identical = True
+    names = sorted(p.relative_to(first) for p in first.rglob("*.csv"))
+    for name in names:
+        line = compare_files(first / name, second / name)
+        identical &= line == "same"
+        print(f"{name}: {line}")
+    for name in sorted(p.relative_to(second) for p in second.rglob("*.csv")):
+        if not (first / name).is_file():
+            identical = False
+            print(f"{name}: new")
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,8 @@ solves it through sdp.py). A _PowerCell per channel and power setting
 whitens the problem's forms once; a ray then leaves the rate region at
 the minimum over the dual weight t of a scalar root r_hat(t), and the
 dual matrix's null vector at t has a slack difference with the sign of
-r_hat'(t). One bisection on that sign finds the exit, and by
+r_hat'(t). One ITP search on that sign (Oliveira and Takahashi, 2020:
+at most one step more than bisection) finds the exit, and by
 complementary slackness the null vectors at its bracket's ends give the
 beamformer, with no solve. Boundaries come in profile order, their
 Pareto order; on each ray the capacity region over a grid of source
@@ -132,9 +133,11 @@ class RegionBoundary:
 
 
 def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(u, Q) with |g_rx^T B g_tx|^2 = |u^H b|^2 and ||B^T g_rx||^2 = b^H Q b."""
-    G = np.kron(g_rx[None, :], np.eye(2))
-    return np.kron(g_rx, g_tx).conj(), G.conj().T @ G
+    """(u, Q) with |g_rx^T B g_tx|^2 = |u^H b|^2 and ||B^T g_rx||^2 = b^H Q b:
+    u = conj(vec(g_rx g_tx^T)), Q = conj(g_rx) g_rx^T on the even and the odd b_k."""
+    Q = np.zeros((4, 4), dtype=complex)
+    Q[0::2, 0::2] = Q[1::2, 1::2] = np.outer(g_rx.conj(), g_rx)
+    return np.outer(g_rx, g_tx).ravel().conj(), Q
 
 
 def _realify(E: np.ndarray) -> np.ndarray:
@@ -306,7 +309,8 @@ class _PowerCell:
     def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
         self.eff, self.pc = eff, pc
         theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
-        self.E0 = np.kron(np.eye(2), theta.T)
+        self.E0 = np.zeros((4, 4), dtype=complex)
+        self.E0[:2, :2] = self.E0[2:, 2:] = theta.T
         (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
         self.u, self.Q = (u1, u2), (Q1, Q2)
 
@@ -370,9 +374,13 @@ class _PowerCell:
         its beamformer, none for an exit of 0, as with no relay budget. A
         ray along one axis keeps one constraint, whose dual weight is its
         end of [0, 1]. Otherwise an end whose gap points inward is the
-        minimum, or a bisection on the sign of gap brackets it, each root
-        search starting from the one before, and r* is the least r_hat
-        seen."""
+        minimum, or an ITP search on the sign of gap brackets it to 2^-40
+        in at most 41 steps, each root search starting from the one
+        before, and r* is the least r_hat seen. Step j moves the regula
+        falsi point max(0.2 w^2, 2^-41) toward the bracket's midpoint (the
+        floor keeps a point that rounds onto an end from repeating it) and
+        into the ball of radius 2^-j - w/2 about it, w the bracket width,
+        or takes the midpoint where the interpolation is not finite."""
         if self.pc.p_relay == 0.0:
             return 0.0, ()
         if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
@@ -387,15 +395,23 @@ class _PowerCell:
             return 0.0, ()
         if gap_lo >= 0.0 or gap_hi <= 0.0:  # an end of [0, 1] is the minimum
             return (r_lo, ((0.0, g_lo),)) if gap_lo >= 0.0 else (r_hi, ((1.0, g_hi),))
-        lo, hi, r_star, r = 0.0, 1.0, min(r_lo, r_hi), None
-        for _ in range(40):  # to a bracket 2^-40 < 1e-12 wide
-            t = 0.5 * (lo + hi)
-            r, g, gap = self.probe(t, c1, c2, r)
-            r_star = min(r_star, r)
-            if gap < 0.0:
-                lo, g_lo = t, g
+        lo, hi, r_star, r, j = 0.0, 1.0, min(r_lo, r_hi), None, 0
+        while hi - lo > 2.0**-40:  # 2^-40 < 1e-12, in at most 41 steps
+            width, mid = hi - lo, 0.5 * (lo + hi)
+            t = (gap_hi * lo - gap_lo * hi) / (gap_hi - gap_lo)  # regula falsi
+            delta = max(0.2 * width * width, 2.0**-41)
+            if math.isfinite(t) and abs(mid - t) > delta:
+                t += math.copysign(delta, mid - t)
             else:
-                hi, g_hi = t, g
+                t = mid
+            radius = 2.0**-j - 0.5 * width
+            t = min(max(t, mid - radius), mid + radius)
+            r, g, gap = self.probe(t, c1, c2, r)
+            r_star, j = min(r_star, r), j + 1
+            if gap < 0.0:
+                lo, g_lo, gap_lo = t, g, gap
+            else:
+                hi, g_hi, gap_hi = t, g, gap
         return r_star, ((lo, g_lo), (hi, g_hi))
 
 

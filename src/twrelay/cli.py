@@ -35,7 +35,7 @@ from .beamformer import (
     snr_targets,
 )
 from .bounds import bounds_report, c_ub0, c_ub_sym, r_lb_mr, r_lb_zf
-from .df import bc_boundary, bc_wsrmax, df_boundary_value, df_tau_slice, mac_region
+from .df import _bc_arc, _df_ray, bc_wsrmax, df_boundary_value, df_tau_slice, mac_region
 from .errors import InvalidInputError, RankDeficiencyError
 from .model import (
     PowerConfig,
@@ -431,7 +431,8 @@ def cmd_df_compare(settings: dict) -> int:
     files.append("half_mac.csv")
     timer.lap("half_mac")
 
-    bc = bc_boundary(pair, pr, n_weights=settings["weights"])
+    arc = _bc_arc(pair, pr)  # one broadcast arc for the sweep and every ray
+    bc = arc.boundary(settings["weights"])
     rows = [(0.5 * pt.r21, 0.5 * pt.r12) for pt in bc.points]
     tio.write_csv(os.path.join(out, "half_bc.csv"), tio.RATE_PAIR_HEADER, rows)
     files.append("half_bc.csv")
@@ -448,7 +449,7 @@ def cmd_df_compare(settings: dict) -> int:
 
     env_rows = []
     for profile in _profiles(settings["profiles"]):
-        t, tau = df_boundary_value(pair, p1, p2, pr, profile)
+        t, tau = _df_ray(pent, arc, profile)
         env_rows.append((tau, profile.alpha21 * t, profile.alpha12 * t))
     tio.write_csv(os.path.join(out, "df_region.csv"), tio.TAU_HEADER, env_rows)
     files.append("df_region.csv")

@@ -190,6 +190,15 @@ class _Arc:
         lo, hi = _crossing(rising, 0.0, phi)
         return self.point(0.5 * (lo + hi))
 
+    def boundary(self, n_weights: int) -> BcBoundary:
+        """bc_boundary's weight sweep of n_weights >= 2 knots on this arc."""
+        traced = [self.wsrmax(w, 1.0 - w) for w in (k / (n_weights - 1) for k in range(n_weights))]
+        return BcBoundary(
+            points=[p.rates for p in traced],
+            covariances=[p.S_reduced for p in traced],
+            basis=self.basis,
+        )
+
 
 def _bc_arc(pair: ChannelPair, p_relay: float) -> _Arc:
     if p_relay <= 0.0:
@@ -241,13 +250,7 @@ def bc_boundary(
     """
     if n_weights < 2:
         raise InvalidInputError("need at least two weights")
-    arc = _bc_arc(pair, p_relay)
-    traced = [arc.wsrmax(w, 1.0 - w) for w in (k / (n_weights - 1) for k in range(n_weights))]
-    return BcBoundary(
-        points=[p.rates for p in traced],
-        covariances=[p.S_reduced for p in traced],
-        basis=arc.basis,
-    )
+    return _bc_arc(pair, p_relay).boundary(n_weights)
 
 
 def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> float:
@@ -349,8 +352,12 @@ def df_boundary_value(
     side like (1 - tau) * t_bc, so the best split equalizes them; this
     avoids the tau-grid discretization entirely.
     """
-    t_mac = mac_region(pair, p1, p2).ray_exit(profile)
-    t_bc = bc_ray_exit(pair, p_relay, profile)
+    return _df_ray(mac_region(pair, p1, p2), _bc_arc(pair, p_relay), profile)
+
+
+def _df_ray(pent: MacPentagon, arc: _Arc, profile: RateProfile) -> Tuple[float, float]:
+    """df_boundary_value from the pentagon and broadcast arc of its setting."""
+    t_mac, t_bc = pent.ray_exit(profile), _ray_exit(arc.rates, 0.0, arc.phi, profile)
     if t_mac <= 0.0 or t_bc <= 0.0:
         return 0.0, 0.5
     tau = t_bc / (t_mac + t_bc)

@@ -14,7 +14,9 @@ from twrelay.beamformer import (
     RateProfile,
     _largest_passing,
     _log_excess,
+    _PowerCell,
     _ray_exit,
+    _snr_forms,
     build_qcqp,
     capacity_region,
     envelope_value,
@@ -26,6 +28,7 @@ from twrelay.beamformer import (
 from twrelay.bounds import c21, c_ub0
 from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.model import (
+    LN2,
     Beamformer,
     PowerConfig,
     RatePair,
@@ -310,6 +313,7 @@ class TestTracedCorpus:
                 r_star = bf._PowerCell(eff, pc).exit(profile)[0] if pc.p_relay > 0.0 else 0.0
                 r, B = max_sum_rate(eff, pc, profile)
                 assert r_star - DEFAULT_DELTA_R <= r <= r_star
+                assert r_star - r <= 1e-9
                 assert relay_power_reduced(B, eff, pc) <= pc.p_relay * (1.0 + 1e-12)
                 rates = rate_pair_reduced(B, eff, pc)
                 assert rates.r21 >= profile.alpha21 * r * (1.0 - 1e-15)
@@ -360,8 +364,8 @@ class TestWorkCounts:
         assert len(searches) == 45
 
     def test_root_searches_per_exit(self, monkeypatch):
-        # 2 on a ray whose minimum is an end of [0, 1], and 42 otherwise:
-        # the two ends and 40 halvings of the bracket on t
+        # 2 on a ray whose minimum is an end of [0, 1], and at most 43
+        # otherwise: the two ends and <= 41 ITP steps
         import twrelay.beamformer as bf
 
         roots = []
@@ -377,7 +381,7 @@ class TestWorkCounts:
                 for alpha21 in (0.1, 0.3, 0.5, 0.7, 0.9):
                     roots.clear()
                     bf._PowerCell(eff, pc).exit(RateProfile.of(alpha21))
-                    assert len(roots) <= 45
+                    assert len(roots) <= 43
                     exits += 1
         assert exits == 60
 
@@ -415,6 +419,125 @@ class TestWorkCounts:
         capacity_region(pair, 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
         assert len(built) == 9
         assert len(set(built)) == 9
+
+
+def _halving_exit(cell, profile):
+    """The r* of an interior exit as 40 halvings of [0, 1] on the sign of
+    gap find it, the search that _PowerCell.exit made before ITP, kept
+    as the reference; None where an end of [0, 1] is the minimum."""
+    c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
+    (r_lo, _, gap_lo), (r_hi, _, gap_hi) = cell.probe(0.0, c1, c2), cell.probe(1.0, c1, c2)
+    if min(r_lo, r_hi) == 0.0 or gap_lo >= 0.0 or gap_hi <= 0.0:
+        return None
+    lo, hi, r_star, r = 0.0, 1.0, min(r_lo, r_hi), None
+    for _ in range(40):
+        t = 0.5 * (lo + hi)
+        r, _, gap = cell.probe(t, c1, c2, r)
+        r_star = min(r_star, r)
+        if gap < 0.0:
+            lo = t
+        else:
+            hi = t
+    return r_star
+
+
+class TestItpExit:
+    def test_matches_the_halving_search(self):
+        # rho 0 and 1, silent sources, unnormalized channels, 0-60 dB. At
+        # rho 0 (every sixth instance) r_hat has a kink at its minimum, so
+        # r* moves by r_hat's slope times where in the 2^-40 bracket the
+        # last probes fall: up to 1.9e-13 relative here
+        exits = 0
+        for i, (eff, pc) in enumerate(_exit_corpus(count=60)):
+            if pc.p_relay > 0.0:
+                cell = _PowerCell(eff, pc)
+                for alpha21 in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+                    profile = RateProfile.of(alpha21)
+                    reference = _halving_exit(cell, profile)
+                    if reference is not None:
+                        tol = 1e-12 if i % 6 == 0 else 1e-15
+                        assert abs(cell.exit(profile)[0] - reference) <= tol * reference
+                        exits += 1
+        assert exits >= 100
+
+    def test_few_steps_on_moderate_instances(self, monkeypatch):
+        # the four cells of a two-point capacity grid, 0-30 dB: the
+        # halving search takes 40 steps on every interior exit, ITP 10.4
+        # on average here
+        import twrelay.beamformer as bf
+
+        roots = []
+
+        def counting(*args):
+            roots.append(args)
+            return _largest_passing(*args)
+
+        monkeypatch.setattr(bf, "_largest_passing", counting)
+        rng = np.random.default_rng(1)
+        steps = []
+        for i in range(24):
+            p = float(10.0 ** rng.uniform(0.0, 3.0))
+            eff = effective(gen_channels((2, 4, 8)[i % 3], float(rng.uniform(0.1, 0.95)), int(rng.integers(0, 2**31))))
+            for pc in [PowerConfig(a, b, p) for a in (p / 100, p) for b in (p / 100, p)]:
+                cell = _PowerCell(eff, pc)
+                for alpha21 in (0.25, 0.5, 0.75):
+                    roots.clear()
+                    cell.exit(RateProfile.of(alpha21))
+                    if len(roots) > 2:
+                        steps.append(len(roots) - 2)
+        assert len(steps) >= 80
+        assert np.mean(steps) <= 15.0
+
+
+def _kron_forms(g_rx, g_tx):
+    """_snr_forms as np.kron builds them, kept as the reference."""
+    G = np.kron(g_rx[None, :], np.eye(2))
+    return np.kron(g_rx, g_tx).conj(), G.conj().T @ G
+
+
+def _channel_vectors(rng):
+    """Seeded complex 2-vectors, some with exact zero entries."""
+    for k in range(12):
+        g = rng.normal(size=2) + 1j * rng.normal(size=2)
+        if k % 4 == 1:
+            g[0] = 0.0
+        if k % 4 == 2:
+            g[1] = 0.0
+        yield g
+
+
+class TestPowerCellForms:
+    def test_forms_match_kron_construction(self):
+        # BLAS can move an entry of the kron Q by an ulp, so not bitwise
+        rng = np.random.default_rng(43)
+        vectors = list(_channel_vectors(rng))
+        for g_rx, g_tx in zip(vectors, vectors[::-1]):
+            (u, Q), (u_ref, Q_ref) = _snr_forms(g_rx, g_tx), _kron_forms(g_rx, g_tx)
+            assert np.max(abs(u - u_ref)) <= 1e-15 * np.max(abs(u_ref), initial=1.0)
+            assert np.max(abs(Q - Q_ref)) <= 1e-15 * np.max(abs(Q_ref), initial=1.0)
+        for m, rho, seed in ((2, 0.0, 3), (4, 0.5, 8), (8, 0.95, 21)):
+            eff = effective(gen_channels(m, rho, seed))
+            pc = PowerConfig(3.0, 70.0, 10.0)
+            cell = _PowerCell(eff, pc)
+            theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
+            E0 = np.kron(np.eye(2), theta.T)
+            assert np.max(abs(cell.E0 - E0)) <= 1e-15 * np.max(abs(E0))
+            for (u, Q), g_rx, g_tx in zip(zip(cell.u, cell.Q), (eff.g1, eff.g2), (eff.g2, eff.g1)):
+                u_ref, Q_ref = _kron_forms(g_rx, g_tx)
+                assert np.max(abs(u - u_ref)) <= 1e-15 * np.max(abs(u_ref))
+                assert np.max(abs(Q - Q_ref)) <= 1e-15 * np.max(abs(Q_ref))
+
+    def test_docstring_identities(self):
+        rng = np.random.default_rng(47)
+        vectors = list(_channel_vectors(rng))
+        for g_rx, g_tx in zip(vectors, vectors[1:] + vectors[:1]):
+            u, Q = _snr_forms(g_rx, g_tx)
+            B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            b = B.ravel()
+            signal, noise = abs(g_rx @ B @ g_tx) ** 2, np.linalg.norm(B.T @ g_rx) ** 2
+            assert abs(np.vdot(u, b)) ** 2 == pytest.approx(signal, rel=1e-13, abs=1e-13)
+            assert np.vdot(b, Q @ b).real == pytest.approx(noise, rel=1e-13, abs=1e-13)
+            assert abs(np.vdot(b, Q @ b).imag) <= 1e-13 * max(noise, 1.0)
 
 
 def _exit_roots(monkeypatch, count: int = 18, seed: int = 31):

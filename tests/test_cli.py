@@ -271,6 +271,25 @@ class TestDfCompareCommand:
         mid = env[len(env) // 2]
         assert min(2.0 * mid[1], 2.0 * mid[2]) >= t_mac - 1e-9
 
+    def test_one_broadcast_arc_per_job(self, tmp_path, monkeypatch):
+        # the weight sweep and all five df rays share one arc
+        import twrelay.df as df
+
+        built = []
+        arc = df._Arc
+
+        def counting(*args):
+            built.append(args)
+            return arc(*args)
+
+        monkeypatch.setattr(df, "_Arc", counting)
+        argv = [
+            "df-compare", "--rho", "0.95", "--p", "100", "--seed", "7",
+            "--profiles", "5", "--taus", "3", "--weights", "9", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        assert len(built) == 1
+
     def test_df_rays_are_the_af_profiles(self, tmp_path):
         # at 11 profiles, 3 of linspace(0, 1, 11) are 1 ulp off k / 10,
         # the alpha of the AF boundary's k-th ray

@@ -1,0 +1,66 @@
+"""Tests for scripts/compare_outputs.py on two hand-made output folders."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+HEADER = "alpha21,r21,r12,p1,p2,B_re[0],B_re[1],B_re[2],B_re[3],B_im[0],B_im[1],B_im[2],B_im[3],p_relay\n"
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(path: pathlib.Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def _folders(tmp_path):
+    first, second = tmp_path / "parent", tmp_path / "change"
+    for root in (first, second):
+        _write(root / "df" / "half_mac.csv", "r21,r12\n0.0,1.5\n1.5,0.0\n")
+    # the second B is the first turned by the unit phase i, with one cell
+    # moved by 1e-13 of the row's largest |B| = 2; r12 moves by 2e-15 bits
+    # and p_relay by 1e-14 relative
+    _write(first / "region" / "boundary_optimal.csv",
+           HEADER + "0.5,1.0,1.0,10.0,10.0,2.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,10.0\n")
+    _write(second / "region" / "boundary_optimal.csv",
+           HEADER + "0.5,1.0,1.000000000000002,10.0,10.0,0.0,0.0,0.0,0.0,2.0,0.0,0.0,1.0000000000002,10.0000000000001\n")
+    _write(first / "gone.csv", "r21,r12\n1.0,1.0\n")
+    _write(second / "extra.csv", "r21,r12\n1.0,1.0\n")
+    return first, second
+
+
+def test_reports_each_pair(compare, tmp_path, capsys):
+    first, second = _folders(tmp_path)
+    assert compare.main([str(first), str(second)]) == 1
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["df/half_mac.csv"] == "same"
+    assert lines["gone.csv"] == "missing"
+    assert lines["extra.csv"] == "new"
+    cells = lines["region/boundary_optimal.csv"].split()
+    assert cells[0] == "differs:"
+    diffs = dict(zip(cells[1::2], map(float, cells[2::2])))
+    assert diffs["r21"] == 0.0
+    assert diffs["r12"] == pytest.approx(2.2e-15, rel=0.1)
+    assert diffs["p_relay_rel"] == pytest.approx(1e-14, rel=0.1)
+    assert diffs["B_phase_rel"] == pytest.approx(1e-13, rel=0.1)
+
+
+def test_identical_folders_exit_zero(compare, tmp_path, capsys):
+    first, _ = _folders(tmp_path)
+    assert compare.main([str(first), str(first)]) == 0
+    assert all(line.endswith(": same") for line in capsys.readouterr().out.splitlines())
+
+
+def test_bad_arguments(compare, tmp_path):
+    assert compare.main([str(tmp_path)]) == 2
+    assert compare.main([str(tmp_path), str(tmp_path / "absent")]) == 2
