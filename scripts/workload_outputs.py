@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Write the outputs of every benchmark workload's jobs.
+
+    python3 scripts/workload_outputs.py OUT_DIR [--seeds 1,2,3,9001]
+
+Every job of every workload in perfbench/workloads.py, at each seed,
+runs through twrelay.cli.main and writes its files to
+OUT_DIR/<workload>/<seed>/<job>, where <job> is the job's index in the
+workload's list. The program is imported from src/ of the checkout that
+holds this script. Run it from two checkouts and pass both folders to
+scripts/compare_outputs.py to compare their outputs; for a checkout
+that predates this script, copy the script into that checkout's
+scripts/ first. The exit status is 0 when every job exits 0, and 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+from typing import List, Optional, Sequence
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from twrelay.cli import main as twrelay_main  # noqa: E402
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_outputs(out_dir: Path, seeds: Sequence[int], tiny: bool = False) -> List[str]:
+    """Run every job of every workload at every seed into out_dir; returns
+    one line for each job that did not exit 0."""
+    workloads = _workloads()
+    failed = []
+    for name in workloads.NAMES:
+        for seed in seeds:
+            for index, argv in enumerate(workloads.jobs(name, seed, tiny=tiny)):
+                out = Path(out_dir) / name / str(seed) / str(index)
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = twrelay_main(argv + ["--out", str(out)])
+                except SystemExit as exc:  # usage errors exit through argparse
+                    code = exc.code
+                if code != 0:
+                    failed.append(f"{name}/{seed}/{index}: exit {code}: {' '.join(argv)}")
+    return failed
+
+
+def _seeds(text: str) -> List[int]:
+    return [int(seed) for seed in text.split(",")]
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--seeds", type=_seeds, default=[1, 2, 3, 9001], help="comma-separated workload seeds")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code)
+    failed = write_outputs(args.out_dir, args.seeds)
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

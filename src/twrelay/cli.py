@@ -47,6 +47,8 @@ from .model import (
 )
 from .oracle import oracle_max_sum_rate, oracle_min_power
 from .schemes import (
+    _ChannelForms,
+    _Sweep,
     direct_relay,
     oneway_alternating,
     scheme_max_sum_rate,
@@ -56,11 +58,19 @@ from .schemes import (
 # ---------------------------------------------------------------- converters
 
 
+def _from_db(db: float) -> float:
+    """Linear power of a value in decibels."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise InvalidInputError(f"{db!r} dB overflows a float power") from None
+
+
 def parse_power(text: str) -> float:
     """Linear power, or decibels when suffixed with 'db' (10 -> 10, 20db -> 100)."""
     s = text.strip().lower()
     if s.endswith("db"):
-        return 10.0 ** (float(s[:-2]) / 10.0)
+        return _from_db(float(s[:-2]))
     value = float(s)
     if value < 0.0:
         raise ValueError(f"power must be nonnegative, got {text}")
@@ -76,8 +86,15 @@ def parse_rho(text: str) -> float:
 
 def parse_positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise ValueError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {text}")
+    return value
+
+
+def parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text}")
     return value
 
 
@@ -157,8 +174,8 @@ OPTS: Dict[str, List[Opt]] = {
     "sumrate": [
         Opt("m", _parse_int_min(2), 4, "number of relay antennas"),
         Opt("rho", parse_rho, 1.0 / 3.0, "squared channel correlation in [0, 1]"),
-        Opt("snr-min", float, 0.0, "grid start in dB"),
-        Opt("snr-max", float, 40.0, "grid end in dB"),
+        Opt("snr-min", parse_finite, 0.0, "grid start in dB"),
+        Opt("snr-max", parse_finite, 40.0, "grid end in dB"),
         Opt("snr-step", parse_positive, 2.0, "grid step in dB"),
         Opt("seed", _parse_int_min(0), 42, "channel draw seed"),
         Opt("ow-equal-energy", parse_bool, False, "one-way relay splits the budget across its two forwarding slots", is_flag=True),
@@ -370,11 +387,24 @@ def cmd_sumrate(settings: dict) -> int:
     lo, hi, step = settings["snr-min"], settings["snr-max"], settings["snr-step"]
     if hi < lo:
         raise InvalidInputError("snr-max must not be below snr-min")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    _from_db(lo + (count - 1) * step)  # the grid's largest power overflows before any work
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     theta1, theta2, rho = pair.theta1, pair.theta2, pair.correlation
     timer = Timer()
+    # one reduced frame per job, and each scheme's channel forms built at
+    # its first use (after the first row's bounds have checked rho) and
+    # scaled at every grid point
+    eff = effective(pair)
+    forms: Dict[str, _ChannelForms] = {}
+
+    def scheme_sum(scheme: str, pc: PowerConfig) -> float:
+        if scheme not in forms:
+            forms[scheme] = _ChannelForms(scheme, eff)
+        rates = _Sweep(forms[scheme], pc).best_rates()
+        return rates.r21 + rates.r12
+
     rows = []
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     for k in range(count):
         snr_db = lo + k * step
         p = 10.0 ** (snr_db / 10.0)
@@ -385,9 +415,9 @@ def cmd_sumrate(settings: dict) -> int:
                 snr_db,
                 c_ub_sym(theta1, p),
                 r_lb_mr(pc, theta1, theta2, rho),
-                scheme_max_sum_rate("mr", pair, pc),
+                scheme_sum("mr", pc),
                 r_lb_zf(pc, theta1, theta2, rho),
-                scheme_max_sum_rate("zf", pair, pc),
+                scheme_sum("zf", pc),
                 dr.r21 + dr.r12,
                 oneway_alternating(pair, pc, equal_energy=settings["ow-equal-energy"]),
             ]

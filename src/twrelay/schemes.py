@@ -8,15 +8,16 @@ so the relay spends its whole budget. Sweeping the angle atan(a/b) over
 relay power of the unit matrix, and at each receiver its forwarded noise
 and signal power, are real 2x2 quadratic forms in (a, b); scaling to the
 budget P_R makes each link's SNR P_R n / (P_R q + pw). So the sweeps,
-the sum-rate search and the ray exits build these five forms once per
-channel and power setting, evaluate them for a whole array of angles in
-one numpy expression or for one angle in scalar arithmetic, and form
-relay matrices only where they return them. The baselines are a scaled
+the sum-rate search and the ray exits build the power-free forms once
+per scheme and channel, scale them per power setting, evaluate them for
+a whole array of angles in one numpy expression or for one angle in
+scalar arithmetic, and form relay matrices only where they return them. The baselines are a scaled
 identity relay and one-way rank-one relaying over four slots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Tuple, Union
 
@@ -40,12 +41,12 @@ _HALF_PI = 0.5 * math.pi
 _Reals = Union[float, np.ndarray]
 
 
-def _basis(scheme: str, eff: EffectiveChannel, pc: PowerConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray]:
     """The scheme's unit relay matrices (Ba, Bb) in reduced coordinates:
     with weights (a, b) its relay matrix is a Ba + b Bb before scaling.
 
     Raises:
-        InvalidInputError: unknown scheme, or no positive relay budget.
+        InvalidInputError: unknown scheme.
         RankDeficiencyError: zero-forcing on parallel channels.
     """
     if scheme == "mr":
@@ -62,8 +63,6 @@ def _basis(scheme: str, eff: EffectiveChannel, pc: PowerConfig) -> Tuple[np.ndar
         Ba, Bb = np.outer(left[:, 1], right[0]), np.outer(left[:, 0], right[1])
     else:
         raise InvalidInputError(f"unknown scheme {scheme!r}")
-    if pc.p_relay <= 0.0:
-        raise InvalidInputError("relay power budget must be positive")
     return Ba, Bb
 
 
@@ -72,7 +71,7 @@ def mrr_mrt(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
 
     A = a h2* h1^H + b h1* h2^H, a/b = ratio, scaled to spend P_R.
     """
-    return _Sweep("mr", pair, pc).beamformer(ratio)
+    return _Sweep.build("mr", pair, pc).beamformer(ratio)
 
 
 def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
@@ -84,7 +83,7 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
         RankDeficiencyError: parallel channels, the inverse direction
             does not exist.
     """
-    return _Sweep("zf", pair, pc).beamformer(ratio)
+    return _Sweep.build("zf", pair, pc).beamformer(ratio)
 
 
 def _form(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -97,62 +96,100 @@ def _quad(c: Tuple[float, float, float], a: _Reals, b: _Reals) -> _Reals:
     return c[0] * a * a + 2.0 * c[1] * a * b + c[2] * b * b
 
 
+def _weights(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(a, b) = (sin t, cos t) at each angle t, and (1, 0) at t = pi/2 itself."""
+    end = angles >= _HALF_PI
+    return np.where(end, 1.0, np.sin(angles)), np.where(end, 0.0, np.cos(angles))
+
+
+# the sum-rate search's grid and its weights; odd, so it includes pi/4 exactly
+_GRID = np.linspace(0.0, _HALF_PI, 513)
+_GRID_A, _GRID_B = _weights(_GRID)
+
+
+class _ChannelForms:
+    """A scheme on one channel: its unit relay matrices and the forms of
+    B = a Ba + b Bb that no power changes, the relay power parts
+    F1 = |B g1|^2, F2 = |B g2|^2 and F0 = |B|_F^2, the forwarded noise
+    q21 = |g1^T B|^2 and q12 = |g2^T B|^2, and the unscaled signal powers
+    N21 = |g1^T B g2|^2 and N12 = |g2^T B g1|^2."""
+
+    def __init__(self, scheme: str, eff: EffectiveChannel) -> None:
+        self.eff = eff
+        self.Ba, self.Bb = Ba, Bb = _basis(scheme, eff)
+        g1, g2 = eff.g1, eff.g2
+        self.F1, self.F2, self.F0 = _form(Ba @ g1, Bb @ g1), _form(Ba @ g2, Bb @ g2), _form(Ba, Bb)
+        self.N21, self.N12 = _form(g1 @ Ba @ g2, g1 @ Bb @ g2), _form(g2 @ Ba @ g1, g2 @ Bb @ g1)
+        # Python floats keep the one-angle evaluation in scalar arithmetic
+        self.q21, self.q12 = (tuple(_form(g @ Ba, g @ Bb).tolist()) for g in (g1, g2))
+
+    @functools.cached_property
+    def grid_noise(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _quad(self.q21, _GRID_A, _GRID_B), _quad(self.q12, _GRID_A, _GRID_B)
+
+
 class _Sweep:
     """A scheme on one channel and power setting, as a function of the
     sweep angle t in [0, pi/2].
 
     The unit relay matrix at t is a Ba + b Bb with (a, b) = (sin t, cos t),
-    and (1, 0) at t = pi/2 itself. Its relay power pw, the forwarded noise
-    q21 = |g1^T B|^2 and q12 = |g2^T B|^2 and the signal powers
-    n21 = p2 |g1^T B g2|^2 and n12 = p1 |g2^T B g1|^2 are real quadratic
-    forms in (a, b). Scaling the matrix by sqrt(P_R / pw) spends the
+    and (1, 0) at t = pi/2 itself. Its relay power pw = p1 F1 + p2 F2 + F0,
+    the forwarded noise q21 and q12 and the signal powers n21 = p2 N21 and
+    n12 = p1 N12 are real quadratic forms in (a, b), scaled here from the
+    channel's forms. Scaling the matrix by sqrt(P_R / pw) spends the
     budget and gives snr21 = P_R n21 / (P_R q21 + pw), and snr12 alike.
     """
 
-    def __init__(self, scheme: str, pair: ChannelPair, pc: PowerConfig) -> None:
-        self.eff = effective(pair)
-        self.Ba, self.Bb = _basis(scheme, self.eff, pc)
-        self.p_relay = pc.p_relay
-        g1, g2, Ba, Bb = self.eff.g1, self.eff.g2, self.Ba, self.Bb
-        forms = (
-            pc.p1 * _form(Ba @ g1, Bb @ g1) + pc.p2 * _form(Ba @ g2, Bb @ g2) + _form(Ba, Bb),
-            _form(g1 @ Ba, g1 @ Bb),
-            _form(g2 @ Ba, g2 @ Bb),
-            pc.p2 * _form(g1 @ Ba @ g2, g1 @ Bb @ g2),
-            pc.p1 * _form(g2 @ Ba @ g1, g2 @ Bb @ g1),
-        )
-        # Python floats keep the one-angle evaluation in scalar arithmetic
-        self.pw, self.q21, self.q12, self.n21, self.n12 = (tuple(f.tolist()) for f in forms)
+    def __init__(self, forms: _ChannelForms, pc: PowerConfig) -> None:
+        if pc.p_relay <= 0.0:
+            raise InvalidInputError("relay power budget must be positive")
+        self.forms, self.eff, self.Ba, self.Bb = forms, forms.eff, forms.Ba, forms.Bb
+        self.p_relay, self.q21, self.q12 = pc.p_relay, forms.q21, forms.q12
+        scaled = (pc.p1 * forms.F1 + pc.p2 * forms.F2 + forms.F0, pc.p2 * forms.N21, pc.p1 * forms.N12)
+        self.pw, self.n21, self.n12 = (tuple(f.tolist()) for f in scaled)
 
-    @staticmethod
-    def weights(angle: _Reals) -> Tuple[_Reals, _Reals]:
-        """(a, b) at one angle, or arrays of them at an array of angles."""
-        if isinstance(angle, np.ndarray):
-            end = angle >= _HALF_PI
-            return np.where(end, 1.0, np.sin(angle)), np.where(end, 0.0, np.cos(angle))
-        if angle >= _HALF_PI:
-            return 1.0, 0.0
-        return math.sin(angle), math.cos(angle)
+    @classmethod
+    def build(cls, scheme: str, pair: ChannelPair, pc: PowerConfig) -> _Sweep:
+        return cls(_ChannelForms(scheme, effective(pair)), pc)
+
+    def _rates(self, a: _Reals, b: _Reals, q21: _Reals, q12: _Reals, log2) -> Tuple[_Reals, _Reals]:
+        """(r21, r12) at the weights (a, b), where the forwarded noise is q21, q12."""
+        pw = _quad(self.pw, a, b)
+        p = self.p_relay
+        snr21 = p * _quad(self.n21, a, b) / (p * q21 + pw)
+        snr12 = p * _quad(self.n12, a, b) / (p * q12 + pw)
+        return 0.5 * log2(1.0 + snr21), 0.5 * log2(1.0 + snr12)
+
+    def _point(self, angle: float) -> Tuple[float, float]:
+        """(r21, r12) at one angle, in scalar arithmetic."""
+        a, b = (1.0, 0.0) if angle >= _HALF_PI else (math.sin(angle), math.cos(angle))
+        return self._rates(a, b, _quad(self.q21, a, b), _quad(self.q12, a, b), math.log2)
 
     def rates(self, angle: _Reals) -> Tuple[_Reals, _Reals]:
         """(r21, r12) at one angle with math, or arrays of them at an
         array of angles with numpy."""
-        a, b = self.weights(angle)
-        pw = _quad(self.pw, a, b)
-        p = self.p_relay
-        snr21 = p * _quad(self.n21, a, b) / (p * _quad(self.q21, a, b) + pw)
-        snr12 = p * _quad(self.n12, a, b) / (p * _quad(self.q12, a, b) + pw)
-        log2 = np.log2 if isinstance(angle, np.ndarray) else math.log2
-        return 0.5 * log2(1.0 + snr21), 0.5 * log2(1.0 + snr12)
+        if not isinstance(angle, np.ndarray):
+            return self._point(angle)
+        a, b = _weights(angle)
+        return self._rates(a, b, _quad(self.q21, a, b), _quad(self.q12, a, b), np.log2)
 
     def rate_pair(self, angle: float) -> RatePair:
         r21, r12 = self.rates(angle)
         return RatePair(r21=r21, r12=r12)
 
+    def best_rates(self) -> RatePair:
+        """The rate pair at the largest sum rate, as scheme_best_rates finds it."""
+        r21, r12 = self._rates(_GRID_A, _GRID_B, *self.forms.grid_noise, np.log2)
+        vals = r21 + r12
+        k = int(np.argmax(vals))
+        lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])
+        x, best = _golden_max(lambda angle: sum(self._point(angle)), lo, hi)
+        return self.rate_pair(x if best > vals[k] else float(_GRID[k]))
+
     def matrices(self, angles: np.ndarray) -> np.ndarray:
         """The (n, 2, 2) stack of relay matrices at the angles, each scaled
         to spend the budget."""
-        a, b = self.weights(angles)
+        a, b = _weights(angles)
         scale = np.sqrt(self.p_relay / _quad(self.pw, a, b))[:, None, None]
         return scale * (a[:, None, None] * self.Ba + b[:, None, None] * self.Bb)
 
@@ -182,7 +219,7 @@ def sweep_region(
     """
     if n_ratios < 2:
         raise InvalidInputError("need at least two ratios")
-    sweep = _Sweep(scheme, pair, pc)
+    sweep = _Sweep.build(scheme, pair, pc)
     # the first angle is pi/2 itself: k * (pi/2) / k can round below it
     angles = np.append(_HALF_PI, _HALF_PI * np.arange(n_ratios - 2, -1, -1) / (n_ratios - 1))
     r21, r12 = sweep.rates(angles)
@@ -214,7 +251,7 @@ def scheme_profile_sum_rate(
     bisection on the angle, over the scalar form of the sweep's rates,
     finds the ray's side switch.
     """
-    return _ray_exit(_Sweep(scheme, pair, pc).rate_pair, 0.0, _HALF_PI, profile)
+    return _ray_exit(_Sweep.build(scheme, pair, pc).rate_pair, 0.0, _HALF_PI, profile)
 
 
 def scheme_max_sum_rate(scheme: str, pair: ChannelPair, pc: PowerConfig) -> float:
@@ -233,19 +270,7 @@ def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePa
     golden-section search on their scalar form refines it, and the
     refined angle is kept only if it beats the best grid point.
     """
-    sweep = _Sweep(scheme, pair, pc)
-
-    def total(angle: float) -> float:
-        r21, r12 = sweep.rates(angle)
-        return r21 + r12
-
-    n = 513  # odd: includes pi/4 exactly
-    angles = np.linspace(0.0, _HALF_PI, n)
-    r21, r12 = sweep.rates(angles)
-    vals = r21 + r12
-    k = int(np.argmax(vals))
-    x, best = _golden_max(total, float(angles[max(0, k - 1)]), float(angles[min(n - 1, k + 1)]))
-    return sweep.rate_pair(x if best > vals[k] else float(angles[k]))
+    return _Sweep.build(scheme, pair, pc).best_rates()
 
 
 def direct_relay(pair: ChannelPair, pc: PowerConfig) -> np.ndarray:

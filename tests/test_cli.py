@@ -204,6 +204,62 @@ class TestSumrateCommand:
         assert record["r_dr"] < record["r_mr"]
         assert record["r_ow"] < record["r_mr"]
 
+    def test_one_reduced_frame_and_one_forms_build_per_scheme(self, tmp_path, monkeypatch):
+        # the five grid points share one effective channel and one set of
+        # channel forms per scheme
+        import twrelay.cli as cli
+        import twrelay.schemes as schemes
+
+        frames, built = [], []
+        effective, forms = schemes.effective, schemes._ChannelForms
+
+        def counting_effective(pair):
+            frames.append(pair)
+            return effective(pair)
+
+        def counting_forms(scheme, eff):
+            built.append(scheme)
+            return forms(scheme, eff)
+
+        for module in (cli, schemes):
+            monkeypatch.setattr(module, "effective", counting_effective)
+        monkeypatch.setattr(cli, "_ChannelForms", counting_forms)
+        argv = ["sumrate", "--snr-max", "8", "--snr-step", "2", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert len(read_csv(tmp_path / "sumrate.csv")) - 1 == 5
+        assert len(frames) == 1
+        assert built == ["mr", "zf"]
+
+    def test_parallel_channels_fail_on_the_zf_bound(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["sumrate", "--rho", "1", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "twrelay sumrate: error: zero-forcing bound requires rho < 1" in capsys.readouterr().err
+        assert not (tmp_path / "sumrate.csv").exists()
+
+
+BAD_NUMBERS = {
+    "db-overflow-bounds-p1": (["bounds", "--p1", "4000db"], "argument --p1: 4000.0 dB overflows"),
+    "db-overflow-region-pr": (["region", "--pr", "3100db"], "argument --pr: 3100.0 dB overflows"),
+    "nan-theta1": (["bounds", "--theta1", "nan"], "argument --theta1: must be positive and finite"),
+    "nan-delta-r": (["region", "--delta-r", "nan"], "argument --delta-r: must be positive and finite"),
+    "nan-snr-min": (["sumrate", "--snr-min", "nan"], "argument --snr-min: must be finite"),
+    "inf-snr-max": (["sumrate", "--snr-max", "inf"], "argument --snr-max: must be finite"),
+    "nan-snr-step": (["sumrate", "--snr-step", "nan"], "argument --snr-step: must be positive and finite"),
+    "inf-snr-step": (["sumrate", "--snr-step", "inf"], "argument --snr-step: must be positive and finite"),
+    "snr-overflow": (["sumrate", "--snr-max", "3090"], "3090.0 dB overflows"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_number_exits_2_with_a_usage_error(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run([*argv, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"twrelay {argv[0]}: error: " in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestBoundsCommand:
     def test_writes_json_and_prints_table(self, tmp_path, capsys):

@@ -24,7 +24,9 @@ from twrelay.model import (
     relay_power_reduced,
 )
 from twrelay.schemes import (
+    _ChannelForms,
     _Sweep,
+    _form,
     direct_relay,
     mrr_mrt,
     oneway_alternating,
@@ -234,7 +236,7 @@ class TestSweepForms:
         for pair, pc in _evaluator_corpus():
             eff = effective(pair)
             for scheme, build in (("mr", mrr_mrt), ("zf", zfr_zft)):
-                sweep = _Sweep(scheme, pair, pc)
+                sweep = _Sweep.build(scheme, pair, pc)
                 r21s, r12s = sweep.rates(np.array(angles))
                 for k, angle in enumerate(angles):
                     ratio = math.inf if angle == 0.5 * math.pi else math.tan(angle)
@@ -362,6 +364,56 @@ class TestSchemeEvaluators:
             calls.clear()
             run()
             assert len(calls) == 1
+
+
+def _per_job_corpus():
+    """(pair, powers) over M 2/4/8, rho from 0 to 0.999, unit and
+    unnormalized channels, and equal and unequal powers from -30 to 60 dB."""
+    seed = 500
+    for m in (2, 4, 8):
+        for rho in (0.0, 0.3, 0.9, 0.999):
+            for normalize in (True, False):
+                seed += 1
+                powers = []
+                for db in range(-30, 61, 15):
+                    p = 10.0 ** (db / 10.0)
+                    powers += [
+                        PowerConfig(p, p, p),
+                        PowerConfig(p, 0.1 * p, 10.0 * p),
+                        PowerConfig(10.0 * p, p, 0.5 * p),
+                    ]
+                yield gen_channels(m, rho, seed, normalize=normalize), powers
+
+
+class TestPerJobForms:
+    def test_maximum_from_per_job_forms_equals_a_fresh_search(self):
+        # one set of channel forms per scheme and channel, scaled at every
+        # power setting, gives exactly what a search from scratch gives
+        for pair, powers in _per_job_corpus():
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                forms = _ChannelForms(scheme, eff)
+                Ba, Bb, g1, g2 = forms.Ba, forms.Bb, eff.g1, eff.g2
+                for pc in powers:
+                    sweep = _Sweep(forms, pc)
+                    assert sweep.best_rates() == scheme_best_rates(scheme, pair, pc)
+                    # the scaled forms are the one-shot build's, bit for bit
+                    pw = pc.p1 * _form(Ba @ g1, Bb @ g1) + pc.p2 * _form(Ba @ g2, Bb @ g2) + _form(Ba, Bb)
+                    assert sweep.pw == tuple(pw.tolist())
+                    assert sweep.n21 == tuple((pc.p2 * _form(g1 @ Ba @ g2, g1 @ Bb @ g2)).tolist())
+                    assert sweep.n12 == tuple((pc.p1 * _form(g2 @ Ba @ g1, g2 @ Bb @ g1)).tolist())
+
+    def test_errors_keep_their_order(self):
+        # unknown scheme, then rank deficiency, then the relay budget
+        parallel = gen_channels(4, 1.0, seed=3)
+        no_budget = PowerConfig(1.0, 1.0, 0.0)
+        with pytest.raises(InvalidInputError, match="unknown scheme"):
+            scheme_best_rates("dirty-paper", parallel, no_budget)
+        with pytest.raises(RankDeficiencyError):
+            scheme_best_rates("zf", parallel, no_budget)
+        forms = _ChannelForms("mr", effective(parallel))
+        with pytest.raises(InvalidInputError, match="relay power budget"):
+            _Sweep(forms, no_budget)
 
 
 class TestDirectRelay:
