@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Compare the CSV outputs of two runs of the same commands.
+"""Compare the CSV and JSON outputs of two runs of the same commands.
 
     python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-Every CSV under PARENT_DIR is paired with the file at the same relative
-path under CHANGE_DIR. Each pair gets one line: `same` when the bytes
-are identical, `missing` when the second file does not exist, and
-otherwise the largest differences by kind of column:
+Every CSV and JSON file under PARENT_DIR, except the manifests
+(`manifest.json`, whose timings vary from run to run), is paired with
+the file at the same relative path under CHANGE_DIR. Each pair gets one
+line: `same` when the bytes are identical, `missing` when the second
+file does not exist, and otherwise, for a JSON object, the absolute
+difference of each field (0 or inf for a field that is not a number on
+both sides, by whether the two values are equal), and for a CSV the
+largest differences by kind of column:
 
 - rate: absolute difference of the r21 and r12 cells, in bits;
 - p_relay: difference relative to the first file's value;
@@ -15,7 +19,7 @@ otherwise the largest differences by kind of column:
   relative to the first row's largest |B|, since a relay matrix is
   only defined up to such a phase.
 
-Files whose headers or row counts differ are reported as such. CSVs
+CSVs whose headers or row counts differ are reported as such. Files
 found only under CHANGE_DIR are listed as `new`. The exit status is 0
 when every pair is byte-identical, and 1 otherwise.
 """
@@ -23,9 +27,11 @@ when every pair is byte-identical, and 1 otherwise.
 from __future__ import annotations
 
 import csv
+import json
+import math
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -72,19 +78,49 @@ def compare_rows(a: List[List[str]], b: List[List[str]]) -> Dict[str, float]:
     return out
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare_fields(a: dict, b: dict) -> Dict[str, float]:
+    """Absolute difference of each field of two JSON objects; a field
+    that is not a number on both sides gives 0 when the two values are
+    equal and inf when they are not (a missing field reads as null)."""
+    out: Dict[str, float] = {}
+    for name in sorted(set(a) | set(b)):
+        x, y = a.get(name), b.get(name)
+        if _number(x) and _number(y):
+            out[name] = abs(float(x) - float(y))
+        else:
+            out[name] = 0.0 if x == y else math.inf
+    return out
+
+
+def _diff_line(diffs: Dict[str, float]) -> str:
+    return "differs: " + " ".join(f"{name} {value:.3g}" for name, value in diffs.items())
+
+
 def compare_files(first: Path, second: Path) -> str:
     """One line of report for a pair of files."""
     if not second.is_file():
         return "missing"
     if first.read_bytes() == second.read_bytes():
         return "same"
+    if first.suffix == ".json":
+        return _diff_line(compare_fields(json.loads(first.read_text()), json.loads(second.read_text())))
     a, b = _read(first), _read(second)
     if a[:1] != b[:1]:
         return "differs: headers differ"
     if len(a) != len(b):
         return f"differs: {len(a) - 1} rows against {len(b) - 1}"
-    diffs = compare_rows(a, b)
-    return "differs: " + " ".join(f"{name} {value:.3g}" for name, value in diffs.items())
+    return _diff_line(compare_rows(a, b))
+
+
+def _outputs(root: Path) -> Iterator[Path]:
+    """Relative paths of the compared files under root."""
+    for path in root.rglob("*"):
+        if path.suffix in (".csv", ".json") and path.name != "manifest.json":
+            yield path.relative_to(root)
 
 
 def main(argv: List[str]) -> int:
@@ -97,12 +133,11 @@ def main(argv: List[str]) -> int:
             print(f"not a directory: {root}", file=sys.stderr)
             return 2
     identical = True
-    names = sorted(p.relative_to(first) for p in first.rglob("*.csv"))
-    for name in names:
+    for name in sorted(_outputs(first)):
         line = compare_files(first / name, second / name)
         identical &= line == "same"
         print(f"{name}: {line}")
-    for name in sorted(p.relative_to(second) for p in second.rglob("*.csv")):
+    for name in sorted(_outputs(second)):
         if not (first / name).is_file():
             identical = False
             print(f"{name}: new")

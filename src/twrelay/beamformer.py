@@ -549,10 +549,11 @@ def capacity_region(
     if power_grid < 1:
         raise InvalidInputError("power_grid must be at least 1")
     eff = effective(pair)
+    p1_grid, p2_grid = _power_grid(P1, power_grid), _power_grid(P2, power_grid)
     cells = [
         _PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R))
-        for p1 in _power_grid(P1, power_grid)
-        for p2 in _power_grid(P2, power_grid)
+        for p1 in p1_grid
+        for p2 in p2_grid
     ]
     points = []
     for profile in _profiles(n_profiles):

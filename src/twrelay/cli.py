@@ -36,7 +36,7 @@ from .beamformer import (
 )
 from .bounds import bounds_report, c_ub0, c_ub_sym, r_lb_mr, r_lb_zf
 from .df import _bc_arc, _df_ray, bc_wsrmax, df_boundary_value, df_tau_slice, mac_region
-from .errors import InvalidInputError, RankDeficiencyError
+from .errors import InvalidInputError, NumericalFailureError, RankDeficiencyError
 from .model import (
     PowerConfig,
     effective,
@@ -159,6 +159,8 @@ def _common(*names: str) -> List[Opt]:
     return [table[name] for name in names]
 
 
+SUMRATE_MAX_POINTS = 100_001  # sumrate keeps every row in memory until it writes
+
 OPTS: Dict[str, List[Opt]] = {
     "region": _common("m", "rho", "p1", "p2", "pr", "profiles", "ratios", "delta-r", "seed", "out")
     + [
@@ -176,7 +178,7 @@ OPTS: Dict[str, List[Opt]] = {
         Opt("rho", parse_rho, 1.0 / 3.0, "squared channel correlation in [0, 1]"),
         Opt("snr-min", parse_finite, 0.0, "grid start in dB"),
         Opt("snr-max", parse_finite, 40.0, "grid end in dB"),
-        Opt("snr-step", parse_positive, 2.0, "grid step in dB"),
+        Opt("snr-step", parse_positive, 2.0, f"grid step in dB; the grid holds at most {SUMRATE_MAX_POINTS} points"),
         Opt("seed", _parse_int_min(0), 42, "channel draw seed"),
         Opt("ow-equal-energy", parse_bool, False, "one-way relay splits the budget across its two forwarding slots", is_flag=True),
         Opt("out", str, ".", "output directory"),
@@ -387,7 +389,10 @@ def cmd_sumrate(settings: dict) -> int:
     lo, hi, step = settings["snr-min"], settings["snr-max"], settings["snr-step"]
     if hi < lo:
         raise InvalidInputError("snr-max must not be below snr-min")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step + 1e-9
+    if not steps < SUMRATE_MAX_POINTS:  # an infinite span fails too
+        raise InvalidInputError(f"the SNR grid would hold more than {SUMRATE_MAX_POINTS} points")
+    count = int(math.floor(steps)) + 1
     _from_db(lo + (count - 1) * step)  # the grid's largest power overflows before any work
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     theta1, theta2, rho = pair.theta1, pair.theta2, pair.correlation
@@ -461,7 +466,8 @@ def cmd_df_compare(settings: dict) -> int:
     files.append("half_mac.csv")
     timer.lap("half_mac")
 
-    arc = _bc_arc(pair, pr)  # one broadcast arc for the sweep and every ray
+    eff = effective(pair)  # one reduced frame for the broadcast arc and the AF region
+    arc = _bc_arc(eff, pr)  # one broadcast arc for the sweep and every ray
     bc = arc.boundary(settings["weights"])
     rows = [(0.5 * pt.r21, 0.5 * pt.r12) for pt in bc.points]
     tio.write_csv(os.path.join(out, "half_bc.csv"), tio.RATE_PAIR_HEADER, rows)
@@ -470,9 +476,10 @@ def cmd_df_compare(settings: dict) -> int:
 
     slice_rows = []
     taus = [0.5] if settings["taus"] == 1 else np.linspace(0.0, 1.0, settings["taus"])
-    for tau in taus:
-        for x, y in df_tau_slice(pent, bc, float(tau)):
-            slice_rows.append((float(tau), x, y))
+    for tau in map(float, taus):
+        cell = tio._fmt(tau)  # every row of the slice shares its tau cell
+        for x, y in df_tau_slice(pent, bc, tau):
+            slice_rows.append((cell, x, y))
     tio.write_csv(os.path.join(out, "df_tau_slices.csv"), tio.TAU_HEADER, slice_rows)
     files.append("df_tau_slices.csv")
     timer.lap("df_tau_slices")
@@ -485,7 +492,7 @@ def cmd_df_compare(settings: dict) -> int:
     files.append("df_region.csv")
     timer.lap("df_region")
 
-    boundary = rate_region_boundary(effective(pair), pc, settings["profiles"], settings["delta-r"])
+    boundary = rate_region_boundary(eff, pc, settings["profiles"], settings["delta-r"])
     tio.write_region_csv(os.path.join(out, "af_region.csv"), boundary)
     files.append("af_region.csv")
     timer.lap("af_region")
@@ -702,6 +709,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _HANDLERS[ns.command](settings)
     except InvalidInputError as exc:
         sub.error(str(exc))
+    except NumericalFailureError as exc:
+        print(f"twrelay {ns.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

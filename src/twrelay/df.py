@@ -19,6 +19,7 @@ that one angle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
@@ -28,7 +29,7 @@ import numpy as np
 from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _ray_exit
 from .bounds import _crossing
 from .errors import InvalidInputError
-from .model import ChannelPair, RatePair, effective
+from .model import ChannelPair, EffectiveChannel, RatePair, effective
 
 DEFAULT_TAU_GRID = 65
 DEFAULT_WEIGHTS = 65
@@ -123,17 +124,36 @@ class BcBoundary:
     basis: np.ndarray
 
     @cached_property
-    def _knots(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.array([p.r21 for p in self.points]), np.array([p.r12 for p in self.points])
+    def _knots(self) -> Tuple[List[float], List[float]]:
+        return [float(p.r21) for p in self.points], [float(p.r12) for p in self.points]
 
     def frontier(self, r21: float) -> float:
-        """Largest r12 at a given r21 on the piecewise-linear frontier."""
+        """Largest r12 at a given r21 on the piecewise-linear frontier.
+
+        At or left of the first knot it is that knot's r12, and past the
+        last knot -inf. In between it is np.interp's value by np.interp's
+        own arithmetic: on a knot, the r12 of the last knot with that
+        r21; between knots j and j + 1, the slope
+        (y[j+1] - y[j]) / (x[j+1] - x[j]) applied from knot j, or from
+        knot j + 1 where that gives NaN.
+        """
         xs, ys = self._knots
         if r21 > xs[-1]:
             return -math.inf
         if r21 <= xs[0]:
-            return float(ys[0])
-        return float(np.interp(r21, xs, ys))
+            return ys[0]
+        j = bisect_right(xs, r21) - 1
+        if xs[j] == r21:
+            return ys[j]
+        if j == len(xs) - 1:  # only a NaN query passes both tests above
+            return r21
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        y = slope * (r21 - xs[j]) + ys[j]
+        if math.isnan(y):
+            y = slope * (r21 - xs[j + 1]) + ys[j + 1]
+            if math.isnan(y) and ys[j] == ys[j + 1]:
+                y = ys[j]
+        return y
 
 
 @dataclass(frozen=True)
@@ -200,11 +220,10 @@ class _Arc:
         )
 
 
-def _bc_arc(pair: ChannelPair, p_relay: float) -> _Arc:
+def _bc_arc(eff: EffectiveChannel, p_relay: float) -> _Arc:
     if p_relay <= 0.0:
         raise InvalidInputError("relay power budget must be positive")
     # span{h1*, h2*} has the conjugate of the effective frame as its basis
-    eff = effective(pair)
     basis, f1, f2 = eff.U.conj(), eff.g1.conj(), eff.g2.conj()
     n1 = float(np.linalg.norm(f1))
     n2 = float(np.linalg.norm(f2))
@@ -235,7 +254,7 @@ def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPo
     """
     if w21 < 0.0 or w12 < 0.0 or w21 + w12 == 0.0:
         raise InvalidInputError("weights must be nonnegative and not both zero")
-    return _bc_arc(pair, p_relay).wsrmax(w21, w12)
+    return _bc_arc(effective(pair), p_relay).wsrmax(w21, w12)
 
 
 def bc_boundary(
@@ -246,11 +265,11 @@ def bc_boundary(
     Knot k is the bc_wsrmax point for weights (w, 1 - w), w = k / (n - 1),
     all on one arc; the weights, not the arc angles, are uniform. The
     angle falls as w grows, so the knots come in weight order with r21
-    non-decreasing, as np.interp needs.
+    non-decreasing, as BcBoundary.frontier's bisection needs.
     """
     if n_weights < 2:
         raise InvalidInputError("need at least two weights")
-    return _bc_arc(pair, p_relay).boundary(n_weights)
+    return _bc_arc(effective(pair), p_relay).boundary(n_weights)
 
 
 def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> float:
@@ -260,7 +279,7 @@ def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> floa
     one rate is already at its single-link maximum; along the arc r21
     falls and r12 rises, so bisection on the angle lands on the ray.
     """
-    arc = _bc_arc(pair, p_relay)
+    arc = _bc_arc(effective(pair), p_relay)
     return _ray_exit(arc.rates, 0.0, arc.phi, profile)
 
 
@@ -352,7 +371,7 @@ def df_boundary_value(
     side like (1 - tau) * t_bc, so the best split equalizes them; this
     avoids the tau-grid discretization entirely.
     """
-    return _df_ray(mac_region(pair, p1, p2), _bc_arc(pair, p_relay), profile)
+    return _df_ray(mac_region(pair, p1, p2), _bc_arc(effective(pair), p_relay), profile)
 
 
 def _df_ray(pent: MacPentagon, arc: _Arc, profile: RateProfile) -> Tuple[float, float]:

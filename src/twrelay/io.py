@@ -4,7 +4,8 @@ Every file is written atomically: content goes to a temporary file in
 the destination directory and is renamed into place, so an interrupted
 run never leaves a truncated file behind. CSV cells use repr() floats
 (full round-trip precision, '.' decimal separator), LF line endings,
-and always start with a header row.
+and always start with a header row. A table with a non-finite cell is
+refused and no file is written.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .beamformer import RegionBoundary
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 REGION_HEADER = [
     "alpha21",
@@ -52,6 +53,27 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+
+
+def _csv_text(lines: List[str]) -> str:
+    """The CSV text of a header line and its row lines.
+
+    Raises:
+        NumericalFailureError: if a cell reads inf, -inf or nan, as the
+            repr of a non-finite float does.
+    """
+    text = "\n".join(lines) + "\n"
+    # one substring scan of the whole table; cells are split only when it hits
+    if "inf" in text or "nan" in text:
+        header = lines[0].split(",")
+        for row, line in enumerate(lines[1:], start=1):
+            for name, cell in zip(header, line.split(",")):
+                if cell in _NON_FINITE:
+                    raise NumericalFailureError(f"row {row}, column {name} is {cell}, not a finite number")
+    return text
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path through a same-directory temp file + rename."""
     target = os.path.abspath(path)
@@ -69,6 +91,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV text of rows under header; raises NumericalFailureError
+    on a non-finite cell (see _csv_text)."""
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
@@ -76,7 +100,7 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
                 f"row has {len(row)} cells, header has {len(header)}"
             )
         lines.append(",".join(map(_fmt, row)))
-    return "\n".join(lines) + "\n"
+    return _csv_text(lines)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -96,6 +120,8 @@ def write_region_csv(
     Raises:
         InvalidInputError: if a point carries no beamformer or its B is
             not 2x2; no file is written then.
+        NumericalFailureError: if a cell is not a finite number; no file
+            is written then.
     """
     points = boundary.points
     if any(point.beamformer is None for point in points):
@@ -122,8 +148,7 @@ def write_region_csv(
     if scheme is not None:
         header = header + ["scheme"]
         cells.append([scheme] * len(points))
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _csv_text([",".join(header), *map(",".join, zip(*cells))]))
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -845,6 +845,21 @@ class TestCapacityRegion:
             assert p.rates == RatePair(profile.alpha21 * best, profile.alpha12 * best)
             assert (p.p1, p.p2) == (first.p1, first.p2)
 
+    @pytest.mark.parametrize("grid", (1, 3, 8))
+    def test_power_grid_built_once_per_axis(self, monkeypatch, grid):
+        import twrelay.beamformer as bf
+
+        calls = []
+        build = bf._power_grid
+
+        def counting(limit, count):
+            calls.append(limit)
+            return build(limit, count)
+
+        monkeypatch.setattr(bf, "_power_grid", counting)
+        capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 20.0, 10.0, power_grid=grid, n_profiles=3)
+        assert sorted(calls) == [10.0, 20.0]
+
     def test_zero_relay_power_gives_one_zero_point(self):
         # every ray stays at (0, 0), and equal points are kept once
         cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 0.0, power_grid=3, n_profiles=5)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from twrelay import io as tio
@@ -230,6 +232,33 @@ class TestSumrateCommand:
         assert len(frames) == 1
         assert built == ["mr", "zf"]
 
+    def test_non_finite_rates_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # at 1600 dB p^2 overflows and the schemes' rates come out inf
+        with np.errstate(over="ignore"):
+            code = run(["sumrate", "--snr-min", "1600", "--snr-max", "1600", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "twrelay sumrate: error: row 1, column r_mr is inf, not a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sumrate.csv").exists()
+
+    def test_largest_grid_is_accepted(self, monkeypatch, tmp_path):
+        # 1562.5 dB in steps of 2^-6 dB is 100000 exact steps, 100001
+        # points; the job is stopped at its channel draw
+        import twrelay.cli as cli
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        monkeypatch.setattr(cli, "gen_channels", stop)
+        with pytest.raises(Stop):
+            run(["sumrate", "--snr-max", "1562.5", "--snr-step", "0.015625", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit):
+            run(["sumrate", "--snr-max", "1562.515625", "--snr-step", "0.015625", "--out", str(tmp_path)])
+
     def test_parallel_channels_fail_on_the_zf_bound(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run(["sumrate", "--rho", "1", "--out", str(tmp_path)])
@@ -248,6 +277,9 @@ BAD_NUMBERS = {
     "nan-snr-step": (["sumrate", "--snr-step", "nan"], "argument --snr-step: must be positive and finite"),
     "inf-snr-step": (["sumrate", "--snr-step", "inf"], "argument --snr-step: must be positive and finite"),
     "snr-overflow": (["sumrate", "--snr-max", "3090"], "3090.0 dB overflows"),
+    # about 4e13 points: refused before any channel is drawn
+    "oversized-grid": (["sumrate", "--snr-step", "1e-12"], "more than 100001 points"),
+    "infinite-span": (["sumrate", "--snr-min=-1e308", "--snr-max", "1e308"], "more than 100001 points"),
 }
 
 
@@ -345,6 +377,38 @@ class TestDfCompareCommand:
         ]
         assert run(argv) == 0
         assert len(built) == 1
+
+    def test_no_np_interp_and_one_reduced_frame_per_job(self, tmp_path, monkeypatch):
+        frames = []
+
+        def no_interp(*args, **kwargs):
+            raise AssertionError("np.interp called")
+
+        monkeypatch.setattr(np, "interp", no_interp)
+        for module in [m for name, m in sys.modules.items() if name.startswith("twrelay.")]:
+            effective = getattr(module, "effective", None)
+            if callable(effective):
+
+                def counting(pair, effective=effective):
+                    frames.append(pair)
+                    return effective(pair)
+
+                monkeypatch.setattr(module, "effective", counting)
+        argv = [
+            "df-compare", "--rho", "0.95", "--p", "100", "--seed", "7",
+            "--profiles", "5", "--taus", "9", "--weights", "9", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        assert len(frames) == 1
+
+    def test_tau_cells_read_as_floats(self, tmp_path):
+        argv = [
+            "df-compare", "--rho", "0.95", "--p", "100", "--seed", "7",
+            "--profiles", "3", "--taus", "11", "--weights", "5", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        rows = read_csv(tmp_path / "df_tau_slices.csv")[1:]
+        assert sorted({r[0] for r in rows}, key=float) == [repr(float(t)) for t in np.linspace(0.0, 1.0, 11)]
 
     def test_df_rays_are_the_af_profiles(self, tmp_path):
         # at 11 profiles, 3 of linspace(0, 1, 11) are 1 ulp off k / 10,

@@ -34,6 +34,14 @@ def _folders(tmp_path):
            HEADER + "0.5,1.0,1.0,10.0,10.0,2.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,10.0\n")
     _write(second / "region" / "boundary_optimal.csv",
            HEADER + "0.5,1.0,1.000000000000002,10.0,10.0,0.0,0.0,0.0,0.0,2.0,0.0,0.0,1.0000000000002,10.0000000000001\n")
+    # bounds.json: c_ub moves by 2 ulp at 2.0 and r_lb_zf turns null;
+    # manifests differ in their timings and are not compared
+    _write(first / "sumrate" / "bounds.json", '{"c_ub": 2.0, "r_lb_zf": 1.25, "kappa21_star": 0.5}\n')
+    _write(second / "sumrate" / "bounds.json", '{"c_ub": 2.0000000000000009, "r_lb_zf": null, "kappa21_star": 0.5}\n')
+    _write(first / "df" / "bounds.json", '{"c_ub": 2.0}\n')
+    _write(second / "df" / "bounds.json", '{"c_ub": 2.0}\n')
+    _write(first / "df" / "manifest.json", '{"timings_s": {"total": 0.5}}\n')
+    _write(second / "df" / "manifest.json", '{"timings_s": {"total": 0.7}}\n')
     _write(first / "gone.csv", "r21,r12\n1.0,1.0\n")
     _write(second / "extra.csv", "r21,r12\n1.0,1.0\n")
     return first, second
@@ -46,6 +54,9 @@ def test_reports_each_pair(compare, tmp_path, capsys):
     assert lines["df/half_mac.csv"] == "same"
     assert lines["gone.csv"] == "missing"
     assert lines["extra.csv"] == "new"
+    assert lines["df/bounds.json"] == "same"
+    assert "df/manifest.json" not in lines
+    assert lines["sumrate/bounds.json"] == "differs: c_ub 8.88e-16 kappa21_star 0 r_lb_zf inf"
     cells = lines["region/boundary_optimal.csv"].split()
     assert cells[0] == "differs:"
     diffs = dict(zip(cells[1::2], map(float, cells[2::2])))

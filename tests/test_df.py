@@ -1,6 +1,7 @@
 """Tests for the decode-and-forward baseline."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import orthogonal_pair
 
 from twrelay.beamformer import RateProfile, envelope_value, max_sum_rate
 from twrelay.df import (
+    BcBoundary,
     bc_boundary,
     bc_ray_exit,
     bc_wsrmax,
@@ -18,7 +20,7 @@ from twrelay.df import (
 )
 from twrelay.errors import InvalidInputError
 from twrelay.linalg import eig_herm2
-from twrelay.model import ChannelPair, PowerConfig, effective, gen_channels
+from twrelay.model import ChannelPair, PowerConfig, RatePair, effective, gen_channels
 
 
 class TestMacRegion:
@@ -404,3 +406,88 @@ def test_broadcast_reaches_the_eigenvector_sweep(pair, p_relay):
         if profile.alpha12 > 0.0:
             ray = np.minimum(ray, r12 / profile.alpha12)
         assert bc_ray_exit(pair, p_relay, profile) >= float(np.max(ray)) - 1e-12
+
+
+# ------------------------------------------------ frontier lookup reference
+
+
+def _interp_frontier(bc, r21):
+    """BcBoundary.frontier as np.interp on knot arrays: the reference that
+    the bisect lookup must match bit for bit."""
+    xs = np.array([p.r21 for p in bc.points])
+    ys = np.array([p.r12 for p in bc.points])
+    if r21 > xs[-1]:
+        return -math.inf
+    if r21 <= xs[0]:
+        return float(ys[0])
+    return float(np.interp(r21, xs, ys))
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _hand_boundary(knots):
+    return BcBoundary(points=[RatePair(x, y) for x, y in knots], covariances=[], basis=np.eye(2))
+
+
+def _lookup_corpus():
+    """Traced boundaries (rho = 1 repeats every knot; large budgets repeat
+    the end knots) and hand-made ones with repeated knots and infinite
+    r12, whose slopes are NaN and take np.interp's fallback."""
+    rng = np.random.default_rng(31)
+    boundaries = []
+    for rho in (0.3, 0.8, 0.95, 1.0):
+        for p_relay in (1.0, 100.0, 1e6):
+            pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)))
+            for n in (2, 17, 65):
+                boundaries.append(bc_boundary(pair, p_relay, n_weights=n))
+    boundaries.append(_hand_boundary([(0.0, 3.0), (1.0, 2.0), (1.0, 1.5), (1.0, 1.0), (2.0, 0.5), (2.0, 0.0)]))
+    boundaries.append(_hand_boundary([(0.5, 1.0), (0.5, 0.25)]))
+    boundaries.append(_hand_boundary([(0.0, math.inf), (1.0, math.inf), (2.0, 1.0)]))
+    return boundaries
+
+
+class TestFrontierLookup:
+    def test_matches_np_interp_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        queries = 0
+        for bc in _lookup_corpus():
+            xs = [p.r21 for p in bc.points]
+            cases = [*xs, xs[0] - 1.0, math.nextafter(xs[0], -math.inf), math.nextafter(xs[-1], math.inf)]
+            cases += [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+            cases += [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+            cases += list(rng.uniform(xs[0], xs[-1], size=16))
+            for r21 in cases:
+                got = bc.frontier(float(r21))
+                assert type(got) is float
+                assert _bits(got) == _bits(_interp_frontier(bc, float(r21))), (bc.points, r21)
+                queries += 1
+            assert bc.frontier(math.nextafter(xs[-1], math.inf)) == -math.inf
+        assert queries > 4000
+
+    def test_nan_query_gives_nan_as_np_interp_does(self):
+        bc = _hand_boundary([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)])
+        assert math.isnan(bc.frontier(math.nan))
+        assert math.isnan(_interp_frontier(bc, math.nan))
+
+    def test_tau_slices_match_the_np_interp_reference(self, monkeypatch):
+        # 65 taus, 0 and 1 included; rho = 1 has phi = 0, and a silent
+        # source with a dead uplink leaves every BC knot at r21 = 0
+        rng = np.random.default_rng(41)
+        h = gen_channels(4, 0.5, seed=3).h2
+        settings = [(ChannelPair(m=4, h1=np.zeros(4, dtype=complex), h2=h, rho=0.0, seed=None), 0.0, 100.0)]
+        for rho in (0.5, 0.8, 0.95, 1.0):
+            pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)))
+            settings += [(pair, 100.0, 100.0), (pair, 1.0, 1e4)]
+        taus = [float(t) for t in np.linspace(0.0, 1.0, 65)]
+        for pair, p, p_relay in settings:
+            pent = mac_region(pair, p, 100.0)
+            bc = bc_boundary(pair, p_relay, n_weights=17)
+            got = [df_tau_slice(pent, bc, tau) for tau in taus]
+            with monkeypatch.context() as patch:
+                patch.setattr(BcBoundary, "frontier", _interp_frontier)
+                want = [df_tau_slice(pent, bc, tau) for tau in taus]
+            assert [[tuple(map(_bits, xy)) for xy in s] for s in got] == [
+                [tuple(map(_bits, xy)) for xy in s] for s in want
+            ]

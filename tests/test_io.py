@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from twrelay import io as tio
 from twrelay.beamformer import BoundaryPoint, RegionBoundary
-from twrelay.errors import InvalidInputError
+from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.model import Beamformer, RatePair
 
 
@@ -42,6 +43,32 @@ class TestFormatCsv:
     def test_strings_and_bools_pass_through(self):
         text = tio.format_csv(["s", "f"], [["mr", True]])
         assert text.splitlines()[1] == "mr,true"
+
+
+NON_FINITE = [math.nan, -math.inf, np.float64(math.inf)]
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "-inf", "inf"])
+    def test_write_csv_refuses_and_writes_nothing(self, tmp_path, value):
+        with pytest.raises(NumericalFailureError, match=f"row 2, column b is {float(value)!r}"):
+            tio.write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0], [3.0, value]])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "-inf", "inf"])
+    def test_write_region_csv_refuses_and_writes_nothing(self, tmp_path, value):
+        boundary = RegionBoundary(points=[make_point(), make_point(r12=value)])
+        with pytest.raises(NumericalFailureError, match=f"row 2, column r12 is {float(value)!r}"):
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary, scheme="mr")
+        assert os.listdir(tmp_path) == []
+
+    def test_preformatted_cell_is_checked_too(self):
+        with pytest.raises(NumericalFailureError):
+            tio.format_csv(["tau", "r21"], [["nan", 1.0]])
+
+    def test_text_that_only_contains_inf_or_nan_passes(self):
+        text = tio.format_csv(["info", "nano"], [["info", "nano"], [1e300, -1e-300]])
+        assert text == "info,nano\ninfo,nano\n1e+300,-1e-300\n"
 
 
 class TestAtomicWrite:
