@@ -17,7 +17,11 @@ largest differences by kind of column:
 - B: difference of the eight B_* cells of a row after turning the
   second row's B by the one unit phase that best matches the first,
   relative to the first row's largest |B|, since a relay matrix is
-  only defined up to such a phase.
+  only defined up to such a phase;
+- every other column, in header order: the absolute difference of its
+  cells, relative to the first file's value for the source powers p1
+  and p2 (reported as p1_rel and p2_rel); 0 or inf for a column that is
+  not numeric in both files, by whether its cells are equal.
 
 CSVs whose headers or row counts differ are reported as such. Files
 found only under CHANGE_DIR are listed as `new`. The exit status is 0
@@ -36,6 +40,7 @@ from typing import Dict, Iterator, List
 import numpy as np
 
 RATE_COLUMNS = ("r21", "r12")
+RELATIVE_COLUMNS = ("p1", "p2")
 
 
 def _read(path: Path) -> List[List[str]]:
@@ -55,6 +60,14 @@ def _b_matrix(rows: List[List[str]], header: List[str]) -> np.ndarray:
     )
 
 
+def _largest_gap(x: np.ndarray, y: np.ndarray, relative: bool = False) -> float:
+    """Largest |x - y|, divided by |x| where x is not 0 when relative."""
+    gap = np.abs(x - y)
+    if relative:
+        gap = gap / np.where(x != 0.0, np.abs(x), 1.0)
+    return float(np.max(gap, initial=0.0))
+
+
 def compare_rows(a: List[List[str]], b: List[List[str]]) -> Dict[str, float]:
     """Largest differences between two parsed CSVs of one header and
     length, by kind of column (see the module docstring)."""
@@ -63,18 +76,25 @@ def compare_rows(a: List[List[str]], b: List[List[str]]) -> Dict[str, float]:
     for name in RATE_COLUMNS:
         if name in header:
             i = header.index(name)
-            out[name] = float(np.max(np.abs(_column(a, i) - _column(b, i)), initial=0.0))
+            out[name] = _largest_gap(_column(a, i), _column(b, i))
     if "p_relay" in header:
         i = header.index("p_relay")
-        x, y = _column(a, i), _column(b, i)
-        scale = np.where(x != 0.0, np.abs(x), 1.0)
-        out["p_relay_rel"] = float(np.max(np.abs(x - y) / scale, initial=0.0))
+        out["p_relay_rel"] = _largest_gap(_column(a, i), _column(b, i), relative=True)
     if "B_re[0]" in header:
         Ba, Bb = _b_matrix(a, header), _b_matrix(b, header)
         phase = np.exp(1j * np.angle(np.sum(Bb.conj() * Ba, axis=1)))  # 1 where the rows are orthogonal
         scale = np.max(np.abs(Ba), axis=1)
         gap = np.max(np.abs(Ba - phase[:, None] * Bb), axis=1)
         out["B_phase_rel"] = float(np.max(gap / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+    for i, name in enumerate(header):
+        if name in RATE_COLUMNS or name == "p_relay" or name.startswith(("B_re[", "B_im[")):
+            continue
+        relative = name in RELATIVE_COLUMNS
+        try:
+            gap = _largest_gap(_column(a, i), _column(b, i), relative)
+        except ValueError:  # a text column
+            gap = 0.0 if [row[i] for row in a[1:]] == [row[i] for row in b[1:]] else math.inf
+        out[f"{name}_rel" if relative else name] = gap
     return out
 
 

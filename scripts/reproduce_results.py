@@ -4,8 +4,9 @@
 Each run writes its CSVs plus a manifest into its own folder under the
 given base directory (default results/). All runs are seeded, so
 reruns produce byte-identical CSVs; only manifest timings move. The
-capacity envelope is the slow run, about 0.4 s of process wall time at
-the default grid on a shared 2-vCPU Linux VM.
+capacity envelope is the slowest run, about 0.03 s in the command and
+0.3 s of process wall time, mostly starting Python and numpy, at the
+default grid on a shared 2-vCPU Linux VM.
 """
 
 import os

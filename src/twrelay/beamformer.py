@@ -14,7 +14,9 @@ at most one step more than bisection) finds the exit, and by
 complementary slackness the null vectors at its bracket's ends give the
 beamformer, with no solve. Boundaries come in profile order, their
 Pareto order; on each ray the capacity region over a grid of source
-powers reaches as far as the cell with the farthest exit.
+powers reaches as far as the cell with the farthest exit. Only cells
+with one source at full power can be that cell: scaling both source
+powers by c > 1 and B back to the budget raises every positive SNR.
 """
 
 from __future__ import annotations
@@ -330,7 +332,10 @@ class _PowerCell:
         K(t) = sum_j z_j^H z_j / (1 + t mu_j) stays in scalar arithmetic.
         It needs a positive budget, so the first exit builds it."""
         Q1, Q2 = self.Q
-        Linv = np.linalg.inv(np.linalg.cholesky(Q2 + self.E0 / self.pc.p_relay))
+        try:
+            Linv = np.linalg.inv(np.linalg.cholesky(Q2 + self.E0 / self.pc.p_relay))
+        except np.linalg.LinAlgError:
+            raise NumericalFailureError("N(0) = Q2 + E0/P_R is not numerically positive definite") from None
         mu, V = np.linalg.eigh(Linv @ (Q1 - Q2) @ Linv.conj().T)
         Z = V.conj().T @ Linv @ np.column_stack(self.u)
         terms = zip(mu.tolist(), *(abs(Z) ** 2).T.tolist(), (Z[:, 0].conj() * Z[:, 1]).tolist())
@@ -459,13 +464,16 @@ def _traced(cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float
             vectors = _zero_form_pair(vectors[0], d_lo, vectors[1], d_hi, cross)
     best = (-math.inf, None)
     for b in vectors:
-        B = b.reshape(2, 2) * math.sqrt(pc.p_relay / relay_power_reduced(b.reshape(2, 2), eff, pc))
-        rates = rate_pair_reduced(B, eff, pc)
-        pairs = ((rates.r21, profile.alpha21), (rates.r12, profile.alpha12))
-        best = max(best, (min(r_star, *(x / a for x, a in pairs if a > 0.0)), B), key=lambda item: item[0])
+        spent = relay_power_reduced(b.reshape(2, 2), eff, pc)
+        if spent > 0.0:  # a power that underflows to 0 gives no direction to scale
+            B = b.reshape(2, 2) * math.sqrt(pc.p_relay / spent)
+            rates = rate_pair_reduced(B, eff, pc)
+            pairs = ((rates.r21, profile.alpha21), (rates.r12, profile.alpha12))
+            best = max(best, (min(r_star, *(x / a for x, a in pairs if a > 0.0)), B), key=lambda item: item[0])
     r, B = best
     if r < r_star - delta_r:
-        raise NumericalFailureError(f"the exit {r_star!r} falls to {r!r} with its beamformer")
+        cause = "with its beamformer" if B is not None else "as every beamformer's relay power underflows to 0"
+        raise NumericalFailureError(f"the exit {float(r_star)!r} falls to {float(r)!r} {cause}")
     return r, B
 
 
@@ -487,18 +495,17 @@ def _profiles(n_profiles: int) -> List[RateProfile]:
     return [RateProfile.of(i / (n_profiles - 1)) for i in range(n_profiles)]
 
 
-def _boundary_point(cell: _PowerCell, profile: RateProfile, r_sum: float, B: np.ndarray) -> BoundaryPoint:
-    """The traced point (r_sum, B) of one profile ray in the cell."""
-    eff, pc = cell.eff, cell.pc
-    bf = Beamformer(B=B, U=eff.U)
-    return BoundaryPoint(
-        alpha21=profile.alpha21,
-        rates=RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum),
-        beamformer=bf,
-        p1=pc.p1,
-        p2=pc.p2,
-        p_relay=relay_power_reduced(bf, eff, pc),
-    )
+def _trace(cells: Sequence[_PowerCell], n_profiles: int, delta_r: float) -> List[BoundaryPoint]:
+    """One point per profile, in profile order, each traced from the exit
+    search of the first of the cells whose exit is farthest."""
+    points = []
+    for profile in _profiles(n_profiles):
+        cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
+        r_sum, B = _traced(cell, profile, found, delta_r)
+        eff, pc, bf = cell.eff, cell.pc, Beamformer(B=B, U=cell.eff.U)
+        rates = RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum)
+        points.append(BoundaryPoint(profile.alpha21, rates, bf, pc.p1, pc.p2, relay_power_reduced(bf, eff, pc)))
+    return points
 
 
 def rate_region_boundary(
@@ -508,18 +515,9 @@ def rate_region_boundary(
     delta_r: float = DEFAULT_DELTA_R,
 ) -> RegionBoundary:
     """Trace the achievable-region boundary with one ray per profile, in
-    profile order, which is the boundary's Pareto order.
-
-    All rays see the same (eff, pc), so they share one power cell, whose
-    forms are whitened at the first ray.
-    """
-    cell = _PowerCell(eff, pc)
-    return RegionBoundary(
-        points=[
-            _boundary_point(cell, profile, *_traced(cell, profile, cell.exit(profile), delta_r))
-            for profile in _profiles(n_profiles)
-        ]
-    )
+    profile order, which is the boundary's Pareto order. All rays see the
+    same (eff, pc), so they share one power cell."""
+    return RegionBoundary(points=_trace([_PowerCell(eff, pc)], n_profiles, delta_r))
 
 
 def _power_grid(limit: float, count: int) -> np.ndarray:
@@ -539,27 +537,25 @@ def capacity_region(
 ) -> RegionBoundary:
     """Boundary of the union of rate regions over a source-power grid.
 
-    The grid is log-spaced on (0, P] per axis, endpoint included, so the
-    full-power region is always part of the union; a zero limit is the
-    one setting 0. Each ray is traced only in the first cell, in p1-major
-    order, whose exit is farthest, from that cell's exit search. Points
-    come in profile order, less those weakly dominated (the union's flat
-    arms) and repeated (rays that all stay at 0).
+    The grid is log-spaced on (0, P] per axis, endpoint included; a zero
+    limit is the one setting 0. Only the 2 grid - 1 edge cells, p1 = P1
+    or p2 = P2, are searched, in p1-major order. No other cell wins a
+    ray: the axes are ladders of one ratio, so scaling a cell's source
+    powers by c = min(P1/p1, P2/p2) > 1 lands on an edge cell. A B that
+    spends a + b at the cell, b = ||B||^2 > 0, spends c a + b at the edge
+    cell, so its budget scale s = P_R/(a + b) becomes s' = P_R/(c a + b),
+    s' <= s < c s', and each SNR c p num s'/(s' noise + 1) rises strictly
+    where num > 0. _trace takes each ray's first farthest edge cell, as
+    the full grid would; points come in profile order, less those weakly
+    dominated (the union's flat arms) and repeated (rays that stay at 0).
     """
     if power_grid < 1:
         raise InvalidInputError("power_grid must be at least 1")
     eff = effective(pair)
     p1_grid, p2_grid = _power_grid(P1, power_grid), _power_grid(P2, power_grid)
-    cells = [
-        _PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R))
-        for p1 in p1_grid
-        for p2 in p2_grid
-    ]
-    points = []
-    for profile in _profiles(n_profiles):
-        cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
-        points.append(_boundary_point(cell, profile, *_traced(cell, profile, found, delta_r)))
-    return RegionBoundary(points=_prune_dominated(points))
+    edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1]] + [(p1_grid[-1], p2) for p2 in p2_grid]
+    cells = [_PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)) for p1, p2 in edges]
+    return RegionBoundary(points=_prune_dominated(_trace(cells, n_profiles, delta_r)))
 
 
 def envelope_value(boundary: RegionBoundary, r21: float) -> float:

@@ -26,6 +26,8 @@ from . import io as tio
 from . import __version__
 from .beamformer import (
     DEFAULT_DELTA_R,
+    DEFAULT_N_PROFILES,
+    DEFAULT_POWER_GRID,
     RateProfile,
     _profiles,
     max_sum_rate,
@@ -35,7 +37,7 @@ from .beamformer import (
     snr_targets,
 )
 from .bounds import bounds_report, c_ub0, c_ub_sym, r_lb_mr, r_lb_zf
-from .df import _bc_arc, _df_ray, bc_wsrmax, df_boundary_value, df_tau_slice, mac_region
+from .df import DEFAULT_TAU_GRID, DEFAULT_WEIGHTS, _bc_arc, _df_ray, _tau_grid, bc_wsrmax, df_boundary_value, df_tau_slice, mac_region
 from .errors import InvalidInputError, NumericalFailureError, RankDeficiencyError
 from .model import (
     PowerConfig,
@@ -47,6 +49,7 @@ from .model import (
 )
 from .oracle import oracle_max_sum_rate, oracle_min_power
 from .schemes import (
+    DEFAULT_RATIOS,
     _ChannelForms,
     _Sweep,
     direct_relay,
@@ -150,9 +153,9 @@ def _common(*names: str) -> List[Opt]:
         "p1": Opt("p1", parse_power, 10.0, "terminal 1 transmit power (linear or '..db')"),
         "p2": Opt("p2", parse_power, 10.0, "terminal 2 transmit power (linear or '..db')"),
         "pr": Opt("pr", parse_power, 10.0, "relay power budget (linear or '..db')"),
-        "profiles": Opt("profiles", _parse_int_min(2), 33, "rate-profile rays traced"),
-        "ratios": Opt("ratios", _parse_int_min(2), 65, "ratio sweep points per scheme"),
-        "delta-r": Opt("delta-r", parse_positive, 1e-4, "largest gap in bits between a traced sum rate and its ray's exit"),
+        "profiles": Opt("profiles", _parse_int_min(2), DEFAULT_N_PROFILES, "rate-profile rays traced"),
+        "ratios": Opt("ratios", _parse_int_min(2), DEFAULT_RATIOS, "ratio sweep points per scheme"),
+        "delta-r": Opt("delta-r", parse_positive, DEFAULT_DELTA_R, "largest gap in bits between a traced sum rate and its ray's exit"),
         "seed": Opt("seed", _parse_int_min(0), 42, "channel draw seed"),
         "out": Opt("out", str, ".", "output directory"),
     }
@@ -172,7 +175,8 @@ OPTS: Dict[str, List[Opt]] = {
         )
     ],
     "capacity": _common("m", "rho", "p1", "p2", "pr", "profiles", "delta-r", "seed", "out")
-    + [Opt("grid", _parse_int_min(2), 8, "points per source-power sweep axis")],
+    + [Opt("grid", _parse_int_min(2), DEFAULT_POWER_GRID, "log-spaced points per source-power axis; "
+           "only cells with one source at full power are searched")],
     "sumrate": [
         Opt("m", _parse_int_min(2), 4, "number of relay antennas"),
         Opt("rho", parse_rho, 1.0 / 3.0, "squared channel correlation in [0, 1]"),
@@ -199,8 +203,8 @@ OPTS: Dict[str, List[Opt]] = {
         Opt("p1", parse_power, None, "terminal 1 power override"),
         Opt("p2", parse_power, None, "terminal 2 power override"),
         Opt("pr", parse_power, None, "relay budget override"),
-        Opt("taus", _parse_int_min(1), 65, "time-split grid size"),
-        Opt("weights", _parse_int_min(2), 65, "broadcast weight sweep size"),
+        Opt("taus", _parse_int_min(1), DEFAULT_TAU_GRID, "time-split grid size"),
+        Opt("weights", _parse_int_min(2), DEFAULT_WEIGHTS, "broadcast weight sweep size"),
     ],
     "validate": [
         Opt(
@@ -475,8 +479,7 @@ def cmd_df_compare(settings: dict) -> int:
     timer.lap("half_bc")
 
     slice_rows = []
-    taus = [0.5] if settings["taus"] == 1 else np.linspace(0.0, 1.0, settings["taus"])
-    for tau in map(float, taus):
+    for tau in _tau_grid(settings["taus"]):
         cell = tio._fmt(tau)  # every row of the slice shares its tau cell
         for x, y in df_tau_slice(pent, bc, tau):
             slice_rows.append((cell, x, y))

@@ -323,6 +323,11 @@ def _pareto_envelope(points: List[Tuple[float, float]]) -> List[Tuple[float, flo
     return best[::-1]
 
 
+def _tau_grid(n_tau: int) -> List[float]:
+    """1/2 alone for n_tau = 1, else n_tau splits uniform on [0, 1]."""
+    return [0.5] if n_tau == 1 else np.linspace(0.0, 1.0, n_tau).tolist()
+
+
 def df_capacity_region(
     pair: ChannelPair,
     p1: float,
@@ -340,9 +345,8 @@ def df_capacity_region(
         raise InvalidInputError("need at least one tau")
     pent = mac_region(pair, p1, p2)
     bc = bc_boundary(pair, p_relay, n_weights)
-    taus = [0.5] if n_tau == 1 else list(np.linspace(0.0, 1.0, n_tau))
     cloud: List[Tuple[float, float]] = []
-    for tau in taus:
+    for tau in _tau_grid(n_tau):
         cloud.extend(df_tau_slice(pent, bc, tau))
     pts = [
         BoundaryPoint(

@@ -36,6 +36,7 @@ from .model import (
     relay_power_reduced,
 )
 
+DEFAULT_RATIOS = 65
 _HALF_PI = 0.5 * math.pi
 
 _Reals = Union[float, np.ndarray]
@@ -205,7 +206,7 @@ def sweep_region(
     scheme: str,
     pair: ChannelPair,
     pc: PowerConfig,
-    n_ratios: int = 65,
+    n_ratios: int = DEFAULT_RATIOS,
 ) -> RegionBoundary:
     """Achievable region of a scheme, traced by sweeping the a/b ratio.
 

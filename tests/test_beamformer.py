@@ -215,6 +215,21 @@ class TestMaxSumRate:
         assert s2 >= g2b * (1.0 - 1e-9)
         assert relay_power_reduced(B, eff, pc) <= pr * (1.0 + 1e-9)
 
+    def test_failed_whitening_raises(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(NumericalFailureError, match="not numerically positive definite"):
+            max_sum_rate(effective(gen_channels(3, 0.4, seed=17)), symmetric_power(10.0), RateProfile.of(0.5))
+
+    def test_zero_power_candidates_raise(self, monkeypatch):
+        import twrelay.beamformer as bf
+
+        monkeypatch.setattr(bf, "relay_power_reduced", lambda B, eff, pc: 0.0)
+        with pytest.raises(NumericalFailureError, match="relay power underflows to 0"):
+            max_sum_rate(effective(gen_channels(3, 0.4, seed=17)), symmetric_power(10.0), RateProfile.of(0.5))
+
     def test_rejects_bad_delta(self):
         eff = effective(orthogonal_pair())
         with pytest.raises(InvalidInputError):
@@ -348,8 +363,9 @@ class TestWorkCounts:
         assert cr.points
 
     def test_capacity_searches_each_cell_once_per_ray(self, monkeypatch):
-        # the winning cell's search also gives the ray's beamformer: 9
-        # cells x 5 rays, with no second search of the winner
+        # the winning cell's search also gives the ray's beamformer: the
+        # 5 edge cells of the 3 x 3 grid x 5 rays, with no second search
+        # of the winner
         import twrelay.beamformer as bf
 
         searches = []
@@ -361,7 +377,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(bf._PowerCell, "exit", counting)
         capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
-        assert len(searches) == 45
+        assert len(searches) == 25
 
     def test_root_searches_per_exit(self, monkeypatch):
         # 2 on a ray whose minimum is an end of [0, 1], and at most 43
@@ -417,8 +433,8 @@ class TestWorkCounts:
         assert len(built) == 1
         built.clear()
         capacity_region(pair, 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
-        assert len(built) == 9
-        assert len(set(built)) == 9
+        assert len(built) == 5
+        assert len(set(built)) == 5
 
 
 def _halving_exit(cell, profile):
@@ -793,6 +809,68 @@ class TestRegionBoundary:
             rate_region_boundary(eff, symmetric_power(10.0), n_profiles=1)
 
 
+def _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles):
+    """The capacity envelope as the search of every grid^2 cell gives it:
+    cells in p1-major order, each ray traced in the first cell whose exit
+    is farthest, then the dominance prune."""
+    import twrelay.beamformer as bf
+
+    eff = effective(pair)
+    cells = [
+        bf._PowerCell(eff, PowerConfig(float(p1), float(p2), P_R))
+        for p1 in bf._power_grid(P1, grid)
+        for p2 in bf._power_grid(P2, grid)
+    ]
+    points = []
+    for profile in bf._profiles(n_profiles):
+        cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
+        r, B = bf._traced(cell, profile, found, DEFAULT_DELTA_R)
+        beamformer = Beamformer(B=B, U=eff.U)
+        points.append(
+            bf.BoundaryPoint(
+                alpha21=profile.alpha21,
+                rates=RatePair(r21=profile.alpha21 * r, r12=profile.alpha12 * r),
+                beamformer=beamformer,
+                p1=cell.pc.p1,
+                p2=cell.pc.p2,
+                p_relay=relay_power_reduced(beamformer, eff, cell.pc),
+            )
+        )
+    return bf._prune_dominated(points)
+
+
+def _capacity_corpus(count: int = 40, seed: int = 4242):
+    """(m, rho, seed, P1, P2, P_R, grid): the edges first (rho 0 and 1, a
+    silent source, source limits 1e-4 and 1e4 apart, no relay budget),
+    then draws with every power in [1e-4, 1e4] and grid 1, 2, 3 or 8."""
+    cases = [
+        (4, 0.0, 7, 10.0, 10.0, 10.0, 8),
+        (4, 1.0, 7, 10.0, 10.0, 10.0, 8),
+        (3, 0.5, 8, 0.0, 100.0, 10.0, 3),
+        (3, 0.5, 8, 100.0, 0.0, 10.0, 8),
+        (2, 0.3, 9, 1e-4, 1e4, 10.0, 8),
+        (2, 0.3, 9, 1e4, 1e-4, 1e4, 3),
+        (4, 0.6, 10, 1e4, 1e4, 1e-4, 2),
+        (4, 0.6, 10, 10.0, 1000.0, 0.0, 3),
+        (4, 0.6, 10, 10.0, 10.0, 10.0, 1),
+    ]
+    rng = np.random.default_rng(seed)
+    while len(cases) < count:
+        P1, P2, P_R = (10.0 ** rng.uniform(-4.0, 4.0, size=3)).tolist()
+        cases.append(
+            (
+                int(rng.choice([2, 4, 8])),
+                float(rng.uniform()),
+                int(rng.integers(0, 2**31)),
+                P1,
+                P2,
+                P_R,
+                int(rng.choice([1, 2, 3, 8])),
+            )
+        )
+    return cases
+
+
 class TestCapacityRegion:
     def test_grid_one_equals_plain_boundary(self):
         pair = orthogonal_pair()
@@ -844,6 +922,39 @@ class TestCapacityRegion:
             first = cells[values.index(best)]
             assert p.rates == RatePair(profile.alpha21 * best, profile.alpha12 * best)
             assert (p.p1, p.p2) == (first.p1, first.p2)
+
+    def test_matches_the_full_grid_search(self):
+        # only edge cells can hold the union's boundary, so searching them
+        # alone gives every point of the full grid's search; with no relay
+        # budget every exit ties at 0 and only the rates are defined
+        for m, rho, seed, P1, P2, P_R, grid in _capacity_corpus():
+            pair = gen_channels(m, rho, seed)
+            got = capacity_region(pair, P1, P2, P_R, power_grid=grid, n_profiles=9).points
+            want = _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles=9)
+            assert [p.rates for p in got] == [p.rates for p in want]
+            if P_R > 0.0:
+                assert [(p.p1, p.p2, p.p_relay) for p in got] == [(p.p1, p.p2, p.p_relay) for p in want]
+                assert [p.beamformer.B.tobytes() for p in got] == [p.beamformer.B.tobytes() for p in want]
+
+    @pytest.mark.parametrize("grid", (1, 2, 3, 8))
+    def test_searches_only_the_edge_cells(self, monkeypatch, grid):
+        # the 2 grid - 1 cells with one source at full power, in the
+        # p1-major order of the full grid
+        import twrelay.beamformer as bf
+
+        built = []
+
+        class Counting(bf._PowerCell):
+            def __init__(self, eff, pc):
+                built.append((pc.p1, pc.p2))
+                super().__init__(eff, pc)
+
+        monkeypatch.setattr(bf, "_PowerCell", Counting)
+        capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 20.0, 10.0, power_grid=grid, n_profiles=3)
+        p1_grid, p2_grid = bf._power_grid(10.0, grid).tolist(), bf._power_grid(20.0, grid).tolist()
+        full = [(p1, p2) for p1 in p1_grid for p2 in p2_grid]
+        assert len(built) == 2 * grid - 1
+        assert built == [cell for cell in full if cell[0] == p1_grid[-1] or cell[1] == p2_grid[-1]]
 
     @pytest.mark.parametrize("grid", (1, 3, 8))
     def test_power_grid_built_once_per_axis(self, monkeypatch, grid):

@@ -293,6 +293,27 @@ def test_bad_number_exits_2_with_a_usage_error(argv, message, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+NUMERICAL_FAILURES = {
+    # N(0) = Q2 + E0/P_R loses its positive definiteness to rounding
+    "cholesky": (["--p1", "210db", "--profiles", "3", "--scheme", "optimal"], "is not numerically positive definite"),
+    # every candidate beamformer's relay power underflows to 0
+    "zero-power": (["--p1", "1e300", "--profiles", "3", "--scheme", "optimal"], "relay power underflows to 0"),
+    # no beamformer comes within delta-r of the exit; both rates print as floats
+    "delta-r": (["--delta-r", "1e-300", "--profiles", "5"], "exit 1.5651532299507442 falls to 1.5651532299507436"),
+}
+
+
+@pytest.mark.parametrize("argv, message", NUMERICAL_FAILURES.values(), ids=NUMERICAL_FAILURES.keys())
+def test_optimal_tracer_failure_exits_1_with_an_error(argv, message, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        code = run(["region", *argv, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("twrelay region: error: ") and message in err
+    assert "Traceback" not in err and "np.float64" not in err
+    assert not (tmp_path / "boundary_optimal.csv").exists()
+
+
 class TestBoundsCommand:
     def test_writes_json_and_prints_table(self, tmp_path, capsys):
         assert run(["bounds", "--rho", "0.5", "--out", str(tmp_path)]) == 0
@@ -523,3 +544,31 @@ class TestTopLevel:
             run(["--version"])
         assert info.value.code == 0
         assert "twrelay" in capsys.readouterr().out
+
+    def test_defaults_are_the_library_defaults(self):
+        # each default that mirrors a library parameter is read from it,
+        # with the values and types the options have always had
+        import inspect
+
+        from twrelay import beamformer, df, schemes
+        from twrelay.cli import OPTS
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        given = {(command, opt.name): opt.default for command, opts in OPTS.items() for opt in opts}
+        mirrors = {
+            ("region", "ratios"): (default(schemes.sweep_region, "n_ratios"), 65),
+            ("capacity", "grid"): (default(beamformer.capacity_region, "power_grid"), 8),
+            ("df-compare", "taus"): (default(df.df_capacity_region, "n_tau"), 65),
+            ("df-compare", "weights"): (default(df.bc_boundary, "n_weights"), 65),
+        }
+        for command in ("region", "capacity", "df-compare"):
+            mirrors[command, "profiles"] = (default(beamformer.rate_region_boundary, "n_profiles"), 33)
+            mirrors[command, "delta-r"] = (default(beamformer.max_sum_rate, "delta_r"), 1e-4)
+        for key, (library, value) in mirrors.items():
+            assert (given[key], type(given[key])) == (library, type(library)), key
+            assert library == value, key
+        assert default(beamformer.capacity_region, "n_profiles") == beamformer.DEFAULT_N_PROFILES
+        assert default(beamformer.capacity_region, "delta_r") == beamformer.DEFAULT_DELTA_R
+        assert default(beamformer.rate_region_boundary, "delta_r") == beamformer.DEFAULT_DELTA_R

@@ -1,6 +1,7 @@
 """Tests for scripts/compare_outputs.py on two hand-made output folders."""
 
 import importlib.util
+import math
 import pathlib
 
 import pytest
@@ -75,3 +76,38 @@ def test_identical_folders_exit_zero(compare, tmp_path, capsys):
 def test_bad_arguments(compare, tmp_path):
     assert compare.main([str(tmp_path)]) == 2
     assert compare.main([str(tmp_path), str(tmp_path / "absent")]) == 2
+
+
+
+def _diffs(tmp_path, name, first, second, compare):
+    """The figures of the report line for one pair of CSV texts."""
+    for root, text in ((tmp_path / "parent", first), (tmp_path / "change", second)):
+        _write(root / name, text)
+    cells = compare.compare_files(tmp_path / "parent" / name, tmp_path / "change" / name).split()
+    assert cells[0] == "differs:"
+    return dict(zip(cells[1::2], map(float, cells[2::2])))
+
+
+def test_every_differing_column_is_figured(compare, tmp_path):
+    # a capacity row whose only change is its p2 cell, from 0.1 to 10
+    row = "0.5,0.0,0.0,0.1,{},0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+    diffs = _diffs(tmp_path, "capacity.csv", HEADER + row.format("0.1"), HEADER + row.format("10.0"), compare)
+    assert diffs.pop("p2_rel") == pytest.approx(99.0)
+    assert set(diffs.values()) == {0.0}
+    assert set(diffs) == {"r21", "r12", "p_relay_rel", "B_phase_rel", "alpha21", "p1_rel"}
+    # a sumrate row whose only change is r_mr
+    header = "snr_db,c_ub_sym,r_lb_mr,r_mr,r_lb_zf,r_zf,r_dr,r_ow\n"
+    first, second = header + "0.0,1.0,0.5,0.75,0.5,0.7,0.4,0.3\n", header + "0.0,1.0,0.5,0.875,0.5,0.7,0.4,0.3\n"
+    diffs = _diffs(tmp_path, "sumrate.csv", first, second, compare)
+    assert diffs == {name: 0.125 if name == "r_mr" else 0.0 for name in header.strip().split(",")}
+    # a tau slice whose only change is its tau cell
+    diffs = _diffs(tmp_path, "df_tau_slices.csv", "tau,r21,r12\n0.25,1.0,2.0\n", "tau,r21,r12\n0.5,1.0,2.0\n", compare)
+    assert diffs == {"r21": 0.0, "r12": 0.0, "tau": 0.25}
+
+
+def test_text_columns_compare_by_equality(compare, tmp_path):
+    header = "r21,r12,scheme\n"
+    diffs = _diffs(tmp_path, "a.csv", header + "1.0,1.0,mr\n", header + "1.0,1.5,mr\n", compare)
+    assert diffs == {"r21": 0.0, "r12": 0.5, "scheme": 0.0}
+    diffs = _diffs(tmp_path, "b.csv", header + "1.0,1.0,mr\n", header + "1.0,1.0,zf\n", compare)
+    assert diffs == {"r21": 0.0, "r12": 0.0, "scheme": math.inf}

@@ -14,6 +14,7 @@ from twrelay.df import (
     bc_ray_exit,
     bc_wsrmax,
     df_boundary_value,
+    _tau_grid,
     df_capacity_region,
     df_tau_slice,
     mac_region,
@@ -318,6 +319,14 @@ class TestDfRegion:
         r12 = [p.rates.r12 for p in region.points]
         assert all(a <= b + 1e-12 for a, b in zip(r21, r21[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(r12, r12[1:]))
+
+    def test_tau_grid(self):
+        # one tau is the equal split; more cover [0, 1] as Python floats
+        assert _tau_grid(1) == [0.5]
+        assert _tau_grid(3) == [0.0, 0.5, 1.0]
+        taus = _tau_grid(65)
+        assert taus == [float(t) for t in np.linspace(0.0, 1.0, 65)]
+        assert all(type(t) is float for t in taus)
 
     def test_rejects_empty_tau_grid(self):
         with pytest.raises(InvalidInputError):
