@@ -124,14 +124,66 @@ class BoundaryPoint:
     p_relay: float  # relay power actually spent by the beamformer
 
 
-@dataclass(frozen=True)
-class RegionBoundary:
-    """Boundary points ordered by non-decreasing r21 and non-increasing
-    r12, in the order they are traced: traced boundaries in profile
-    order, scheme sweeps in falling angle. A traced optimal point sits at
-    most delta_r below where its ray leaves the region."""
+_COLUMNS = ("alpha21", "r21", "r12", "p1", "p2", "p_relay")
 
-    points: List[BoundaryPoint]
+
+@dataclass(frozen=True, eq=False)
+class RegionBoundary:
+    """A rate-region boundary as columns, one row per point, ordered by
+    non-decreasing r21 and non-increasing r12 in the order the points are
+    traced: traced boundaries in profile order, scheme sweeps in falling
+    angle. A traced optimal point sits at most delta_r below where its
+    ray leaves the region.
+
+    alpha21, r21, r12, p1, p2 and p_relay are float64 arrays of length n,
+    p_relay the relay power each row's beamformer actually spends. B is
+    the (n, 2, 2) complex stack of the rows' reduced relay matrices, or
+    None where no relay matrix applies, and U the isometry they lift
+    through. `points` views the rows as BoundaryPoint objects, and
+    from_points builds a boundary from such objects.
+    """
+
+    alpha21: np.ndarray
+    r21: np.ndarray
+    r12: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    p_relay: np.ndarray
+    B: Optional[np.ndarray]
+    U: Optional[np.ndarray]
+
+    @staticmethod
+    def from_points(points: Sequence[BoundaryPoint]) -> "RegionBoundary":
+        """The boundary of the points, in their order. B is None unless
+        every point carries a beamformer, and U is the first one's.
+
+        Raises:
+            InvalidInputError: if a beamformer's B is not 2x2.
+        """
+        bfs = [p.beamformer for p in points]
+        if any(bf is not None and np.shape(bf.B) != (2, 2) for bf in bfs):
+            raise InvalidInputError("boundary relay matrix is not 2x2")
+        rows = [(p.alpha21, p.rates.r21, p.rates.r12, p.p1, p.p2, p.p_relay) for p in points]
+        B = U = None
+        if all(bf is not None for bf in bfs):
+            B = np.array([bf.B for bf in bfs], dtype=complex).reshape(-1, 2, 2)
+            U = bfs[0].U if bfs else None
+        return RegionBoundary(*np.array(rows, dtype=np.float64).reshape(-1, 6).T, B=B, U=U)
+
+    @cached_property
+    def points(self) -> Tuple[BoundaryPoint, ...]:
+        """The rows as BoundaryPoint objects, built at first use."""
+        bfs = [None] * len(self.r21) if self.B is None else [Beamformer(B=b, U=self.U) for b in self.B]
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return tuple(
+            BoundaryPoint(a, RatePair(r21=x, r12=y), bf, p1, p2, spent)
+            for a, x, y, p1, p2, spent, bf in zip(*columns, bfs)
+        )
+
+    def _rows(self, index: np.ndarray) -> "RegionBoundary":
+        """The boundary of the rows that index selects."""
+        B = None if self.B is None else self.B[index]
+        return RegionBoundary(*(getattr(self, name)[index] for name in _COLUMNS), B=B, U=self.U)
 
 
 def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -477,16 +529,15 @@ def _traced(cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float
     return r, B
 
 
-def _prune_dominated(points: Sequence[BoundaryPoint]) -> List[BoundaryPoint]:
-    """Drop the points that another point weakly dominates (no worse in
-    both rates and better in one, within 1e-12), and of the points equal
-    within 1e-12 all but the first. Order is kept."""
-    r = np.array([[p.rates.r21, p.rates.r12] for p in points])
-    return [
-        p
-        for i, (p, x) in enumerate(zip(points, r))
-        if not np.any(np.all(r >= x - 1e-12, axis=1) & (np.any(r > x + 1e-12, axis=1) | (np.arange(len(r)) < i)))
-    ]
+def _prune_dominated(r21: np.ndarray, r12: np.ndarray) -> np.ndarray:
+    """Indices of the points that survive dropping those another point
+    weakly dominates (no worse in both rates and better in one, within
+    1e-12), and of the points equal within 1e-12 all but the first. Order
+    is kept."""
+    r = np.column_stack((r21, r12))
+    no_worse = np.all(r[None, :] >= r[:, None] - 1e-12, axis=2)  # [i, j]: j no worse than i
+    ahead = np.any(r[None, :] > r[:, None] + 1e-12, axis=2) | np.tri(len(r), k=-1, dtype=bool)
+    return np.flatnonzero(~np.any(no_worse & ahead, axis=1))
 
 
 def _profiles(n_profiles: int) -> List[RateProfile]:
@@ -495,17 +546,25 @@ def _profiles(n_profiles: int) -> List[RateProfile]:
     return [RateProfile.of(i / (n_profiles - 1)) for i in range(n_profiles)]
 
 
-def _trace(cells: Sequence[_PowerCell], n_profiles: int, delta_r: float) -> List[BoundaryPoint]:
-    """One point per profile, in profile order, each traced from the exit
-    search of the first of the cells whose exit is farthest."""
-    points = []
-    for profile in _profiles(n_profiles):
-        cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
-        r_sum, B = _traced(cell, profile, found, delta_r)
-        eff, pc, bf = cell.eff, cell.pc, Beamformer(B=B, U=cell.eff.U)
-        rates = RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum)
-        points.append(BoundaryPoint(profile.alpha21, rates, bf, pc.p1, pc.p2, relay_power_reduced(bf, eff, pc)))
-    return points
+def _trace(cells: Sequence[_PowerCell], n_profiles: int, delta_r: float) -> RegionBoundary:
+    """One row per profile, in profile order, each traced from the exit
+    search of the first of the cells whose exit is farthest. The relay
+    powers come from one relay_power_reduced per winning cell, over the
+    stack of its rows' matrices."""
+    profiles = _profiles(n_profiles)
+    n = len(profiles)
+    alpha21 = np.array([profile.alpha21 for profile in profiles])
+    won, r_sum, B = np.empty(n, dtype=int), np.empty(n), np.empty((n, 2, 2), dtype=complex)
+    for i, profile in enumerate(profiles):
+        won[i], found = max(((k, cell.exit(profile)) for k, cell in enumerate(cells)), key=lambda item: item[1][0])
+        r_sum[i], B[i] = _traced(cells[won[i]], profile, found, delta_r)
+    p_relay = np.empty(n)
+    for k in set(won.tolist()):
+        rows = np.flatnonzero(won == k)  # integer rows: a first boolean index into B allocates a buffer
+        p_relay[rows] = relay_power_reduced(B[rows], cells[k].eff, cells[k].pc)
+    powers = np.array([(cell.pc.p1, cell.pc.p2) for cell in cells], dtype=np.float64)[won]
+    r21, r12 = alpha21 * r_sum, (1.0 - alpha21) * r_sum
+    return RegionBoundary(alpha21, r21, r12, powers[:, 0], powers[:, 1], p_relay, B=B, U=cells[0].eff.U)
 
 
 def rate_region_boundary(
@@ -517,7 +576,7 @@ def rate_region_boundary(
     """Trace the achievable-region boundary with one ray per profile, in
     profile order, which is the boundary's Pareto order. All rays see the
     same (eff, pc), so they share one power cell."""
-    return RegionBoundary(points=_trace([_PowerCell(eff, pc)], n_profiles, delta_r))
+    return _trace([_PowerCell(eff, pc)], n_profiles, delta_r)
 
 
 def _power_grid(limit: float, count: int) -> np.ndarray:
@@ -555,14 +614,12 @@ def capacity_region(
     p1_grid, p2_grid = _power_grid(P1, power_grid), _power_grid(P2, power_grid)
     edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1]] + [(p1_grid[-1], p2) for p2 in p2_grid]
     cells = [_PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)) for p1, p2 in edges]
-    return RegionBoundary(points=_prune_dominated(_trace(cells, n_profiles, delta_r)))
+    boundary = _trace(cells, n_profiles, delta_r)
+    return boundary._rows(_prune_dominated(boundary.r21, boundary.r12))
 
 
 def envelope_value(boundary: RegionBoundary, r21: float) -> float:
     """Largest r12 available on the boundary at first coordinate >= r21;
     -inf when the boundary does not reach that far."""
-    best = -math.inf
-    for p in boundary.points:
-        if p.rates.r21 >= r21 - 1e-12:
-            best = max(best, p.rates.r12)
-    return best
+    r12 = boundary.r12[boundary.r21 >= r21 - 1e-12]
+    return float(r12.max()) if r12.size else -math.inf

@@ -332,33 +332,34 @@ def cmd_region(settings: dict) -> int:
     out = settings["out"]
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     pc = PowerConfig(settings["p1"], settings["p2"], settings["pr"])
-    eff = effective(pair)
+    eff = effective(pair)  # one reduced frame for every boundary
     timer = Timer()
-    files: List[str] = []
+    tables = []  # (file, boundary, scheme), all traced before the first write
     notes: List[str] = []
     pick = settings["scheme"]
 
     if pick in ("all", "optimal"):
         boundary = rate_region_boundary(eff, pc, settings["profiles"], settings["delta-r"])
-        tio.write_region_csv(os.path.join(out, "boundary_optimal.csv"), boundary)
-        files.append("boundary_optimal.csv")
+        tables.append(("boundary_optimal.csv", boundary, None))
         timer.lap("optimal")
     for scheme in ("mr", "zf"):
         if pick not in ("all", scheme):
             continue
         try:
-            boundary = sweep_region(scheme, pair, pc, settings["ratios"])
+            boundary = sweep_region(scheme, eff, pc, settings["ratios"])
         except RankDeficiencyError as exc:
             if pick == scheme:
                 print(f"twrelay region: error: {exc}", file=sys.stderr)
                 return 2
             notes.append(f"{scheme} skipped: {exc}")
             continue
-        name = f"boundary_{scheme}.csv"
-        tio.write_region_csv(os.path.join(out, name), boundary, scheme=scheme)
-        files.append(name)
+        tables.append((f"boundary_{scheme}.csv", boundary, scheme))
         timer.lap(scheme)
 
+    for name, boundary, scheme in tables:
+        tio.write_region_csv(os.path.join(out, name), boundary, scheme=scheme)
+    timer.lap("write")
+    files = [name for name, _, _ in tables]
     _write_manifest(out, "region", settings, timer, files, notes)
     for name in files:
         print(os.path.join(out, name))
@@ -462,20 +463,16 @@ def cmd_df_compare(settings: dict) -> int:
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     pc = PowerConfig(p1, p2, pr)
     timer = Timer()
-    files = []
 
+    # every table is computed before the first write
     pent = mac_region(pair, p1, p2)
-    rows = [(0.5 * x, 0.5 * y) for x, y in pent.corners()]
-    tio.write_csv(os.path.join(out, "half_mac.csv"), tio.RATE_PAIR_HEADER, rows)
-    files.append("half_mac.csv")
+    mac_rows = [(0.5 * x, 0.5 * y) for x, y in pent.corners()]
     timer.lap("half_mac")
 
     eff = effective(pair)  # one reduced frame for the broadcast arc and the AF region
     arc = _bc_arc(eff, pr)  # one broadcast arc for the sweep and every ray
     bc = arc.boundary(settings["weights"])
-    rows = [(0.5 * pt.r21, 0.5 * pt.r12) for pt in bc.points]
-    tio.write_csv(os.path.join(out, "half_bc.csv"), tio.RATE_PAIR_HEADER, rows)
-    files.append("half_bc.csv")
+    bc_rows = [(0.5 * pt.r21, 0.5 * pt.r12) for pt in bc.points]
     timer.lap("half_bc")
 
     slice_rows = []
@@ -483,22 +480,28 @@ def cmd_df_compare(settings: dict) -> int:
         cell = tio._fmt(tau)  # every row of the slice shares its tau cell
         for x, y in df_tau_slice(pent, bc, tau):
             slice_rows.append((cell, x, y))
-    tio.write_csv(os.path.join(out, "df_tau_slices.csv"), tio.TAU_HEADER, slice_rows)
-    files.append("df_tau_slices.csv")
     timer.lap("df_tau_slices")
 
     env_rows = []
     for profile in _profiles(settings["profiles"]):
         t, tau = _df_ray(pent, arc, profile)
         env_rows.append((tau, profile.alpha21 * t, profile.alpha12 * t))
-    tio.write_csv(os.path.join(out, "df_region.csv"), tio.TAU_HEADER, env_rows)
-    files.append("df_region.csv")
     timer.lap("df_region")
 
     boundary = rate_region_boundary(eff, pc, settings["profiles"], settings["delta-r"])
-    tio.write_region_csv(os.path.join(out, "af_region.csv"), boundary)
-    files.append("af_region.csv")
     timer.lap("af_region")
+
+    tables = [
+        ("half_mac.csv", tio.RATE_PAIR_HEADER, mac_rows),
+        ("half_bc.csv", tio.RATE_PAIR_HEADER, bc_rows),
+        ("df_tau_slices.csv", tio.TAU_HEADER, slice_rows),
+        ("df_region.csv", tio.TAU_HEADER, env_rows),
+    ]
+    for name, header, rows in tables:
+        tio.write_csv(os.path.join(out, name), header, rows)
+    tio.write_region_csv(os.path.join(out, "af_region.csv"), boundary)
+    timer.lap("write")
+    files = [name for name, _, _ in tables] + ["af_region.csv"]
 
     _write_manifest(out, "df-compare", settings, timer, files, [])
     for name in files:
@@ -557,24 +560,21 @@ def _suite_schemes(seed: int, count: int) -> List[Check]:
         pair = gen_channels(4, rho, child)
         eff = effective(pair)
         for scheme in ("mr", "zf"):
-            boundary = sweep_region(scheme, pair, pc, n_ratios=17)
-            spend = max(
-                abs(relay_power_reduced(pt.beamformer.B, eff, pc) - pc.p_relay)
-                for pt in boundary.points
-            )
+            boundary = sweep_region(scheme, eff, pc, n_ratios=17)
+            spend = max(abs(relay_power_reduced(B, eff, pc) - pc.p_relay) for B in boundary.B)
             checks.append(
                 (f"{scheme}-budget-{i}", spend <= 1e-9 * pc.p_relay, f"max deviation {spend:.3e}")
             )
             # the sweep's closed-form rates against the matrix path
             gap = 0.0
-            for pt in boundary.points:
-                want = rate_pair_reduced(pt.beamformer, eff, pc)
-                gap = max(gap, abs(pt.rates.r21 - want.r21), abs(pt.rates.r12 - want.r12))
+            for B, r21, r12 in zip(boundary.B, boundary.r21.tolist(), boundary.r12.tolist()):
+                want = rate_pair_reduced(B, eff, pc)
+                gap = max(gap, abs(r21 - want.r21), abs(r12 - want.r12))
             checks.append((f"{scheme}-rates-{i}", gap <= 1e-9, f"max deviation {gap:.3e}"))
             worst = 0.0
-            for pt in boundary.points[4:-4:2]:
-                g1 = 2.0 ** (2.0 * pt.rates.r21) - 1.0
-                g2 = 2.0 ** (2.0 * pt.rates.r12) - 1.0
+            for r21, r12 in zip(boundary.r21[4:-4:2].tolist(), boundary.r12[4:-4:2].tolist()):
+                g1 = 2.0 ** (2.0 * r21) - 1.0
+                g2 = 2.0 ** (2.0 * r12) - 1.0
                 p_min, _ = min_relay_power(eff, pc, g1, g2)
                 worst = max(worst, p_min)
             ok = worst <= pc.p_relay * (1.0 + 1e-6)

@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _ray_exit
+from .beamformer import RateProfile, RegionBoundary, _ray_exit
 from .bounds import _crossing
 from .errors import InvalidInputError
 from .model import ChannelPair, EffectiveChannel, RatePair, effective
@@ -336,7 +336,8 @@ def df_capacity_region(
     n_tau: int = DEFAULT_TAU_GRID,
     n_weights: int = DEFAULT_WEIGHTS,
 ) -> RegionBoundary:
-    """Decode-and-forward region: Pareto envelope of the tau-grid slices.
+    """Decode-and-forward region: Pareto envelope of the tau-grid slices,
+    as a boundary with no relay matrices (B is None).
 
     n_tau = 1 evaluates the single equal split tau = 1/2; larger grids
     cover [0, 1] uniformly and only enlarge the region.
@@ -348,18 +349,11 @@ def df_capacity_region(
     cloud: List[Tuple[float, float]] = []
     for tau in _tau_grid(n_tau):
         cloud.extend(df_tau_slice(pent, bc, tau))
-    pts = [
-        BoundaryPoint(
-            alpha21=x / (x + y) if x + y > 0.0 else 0.5,
-            rates=RatePair(r21=x, r12=y),
-            beamformer=None,
-            p1=p1,
-            p2=p2,
-            p_relay=p_relay,
-        )
-        for x, y in _pareto_envelope(cloud)
-    ]
-    return RegionBoundary(points=pts)
+    x, y = np.array(_pareto_envelope(cloud), dtype=np.float64).reshape(-1, 2).T
+    total, n = x + y, len(x)
+    alpha21 = np.divide(x, total, out=np.full(n, 0.5), where=total > 0.0)
+    powers = (np.full(n, p, dtype=np.float64) for p in (p1, p2, p_relay))
+    return RegionBoundary(alpha21, x, y, *powers, B=None, U=None)
 
 
 def df_boundary_value(

@@ -110,44 +110,29 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 def write_region_csv(
     path: str, boundary: RegionBoundary, scheme: Optional[str] = None
 ) -> None:
-    """The boundary CSV, one row per point, built column by column; the
-    scheme name is appended as a last column when given.
+    """The boundary CSV, one row per boundary row, formatted straight
+    from the boundary's columns; the scheme name is appended as a last
+    column when given.
 
-    The eight B_* cells hold the reduced 2x2 beamformer row-major
+    The eight B_* cells hold each row's reduced 2x2 beamformer row-major
     (B[0,0], B[0,1], B[1,0], B[1,1]), real parts then imaginary parts.
     Every other cell is written as a float.
 
     Raises:
-        InvalidInputError: if a point carries no beamformer or its B is
-            not 2x2; no file is written then.
+        InvalidInputError: if the boundary carries no relay matrices (its
+            B is None); no file is written then.
         NumericalFailureError: if a cell is not a finite number; no file
             is written then.
     """
-    points = boundary.points
-    if any(point.beamformer is None for point in points):
-        raise InvalidInputError("boundary point carries no relay matrix")
-    if any(np.shape(point.beamformer.B) != (2, 2) for point in points):
-        raise InvalidInputError("boundary relay matrix is not 2x2")
-    B = np.array([point.beamformer.B for point in points], dtype=complex)
-    B = B.reshape(len(points), 4)
-    columns = [
-        [point.alpha21 for point in points],
-        [point.rates.r21 for point in points],
-        [point.rates.r12 for point in points],
-        [point.p1 for point in points],
-        [point.p2 for point in points],
-        *B.real.T,
-        *B.imag.T,
-        [point.p_relay for point in points],
-    ]
-    cells = [
-        list(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
-        for values in columns
-    ]
+    if boundary.B is None:
+        raise InvalidInputError("boundary carries no relay matrices")
+    B = boundary.B.reshape(-1, 4)
+    columns = [boundary.alpha21, boundary.r21, boundary.r12, boundary.p1, boundary.p2, *B.real.T, *B.imag.T, boundary.p_relay]
+    cells = [list(map(float.__repr__, column.tolist())) for column in columns]
     header = REGION_HEADER
     if scheme is not None:
         header = header + ["scheme"]
-        cells.append([scheme] * len(points))
+        cells.append([scheme] * len(B))
     atomic_write_text(path, _csv_text([",".join(header), *map(",".join, zip(*cells))]))
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from .beamformer import BoundaryPoint, RateProfile, RegionBoundary, _ray_exit
+from .beamformer import RateProfile, RegionBoundary, _ray_exit
 from .bounds import _golden_max
 from .errors import InvalidInputError, RankDeficiencyError
 from .model import (
@@ -204,42 +204,32 @@ class _Sweep:
 
 def sweep_region(
     scheme: str,
-    pair: ChannelPair,
+    eff: EffectiveChannel,
     pc: PowerConfig,
     n_ratios: int = DEFAULT_RATIOS,
 ) -> RegionBoundary:
-    """Achievable region of a scheme, traced by sweeping the a/b ratio.
+    """Achievable region of a scheme on the effective channel, traced by
+    sweeping the a/b ratio.
 
     Ratios are tangents of angles uniform on [0, pi/2], so both
     single-link endpoints (ratio 0 and infinity) are included. The angles
     run from pi/2 down to 0, along which r21 rises and r12 falls, so the
-    points come in boundary order. One evaluation of the sweep's
-    quadratic forms gives the rate pairs at all angles and one (n, 2, 2)
-    stack holds their relay matrices, whose relay powers are recomputed
-    from the stack in one expression.
+    rows come in boundary order. One evaluation of the sweep's quadratic
+    forms fills the rate columns, one (n, 2, 2) stack holds the relay
+    matrices, and one expression over the stack recomputes their relay
+    powers. alpha21 is r21 / (r21 + r12), and 0.5 where both rates are 0.
     """
     if n_ratios < 2:
         raise InvalidInputError("need at least two ratios")
-    sweep = _Sweep.build(scheme, pair, pc)
+    sweep = _Sweep(_ChannelForms(scheme, eff), pc)
     # the first angle is pi/2 itself: k * (pi/2) / k can round below it
     angles = np.append(_HALF_PI, _HALF_PI * np.arange(n_ratios - 2, -1, -1) / (n_ratios - 1))
     r21, r12 = sweep.rates(angles)
-    mats = sweep.matrices(angles)
-    powers = relay_power_reduced(mats, sweep.eff, pc)
-    pts: List[BoundaryPoint] = []
-    for B, x21, x12, spent in zip(mats, r21.tolist(), r12.tolist(), powers.tolist()):
-        total = x21 + x12
-        pts.append(
-            BoundaryPoint(
-                alpha21=x21 / total if total > 0 else 0.5,
-                rates=RatePair(r21=x21, r12=x12),
-                beamformer=Beamformer(B=B, U=sweep.eff.U),
-                p1=pc.p1,
-                p2=pc.p2,
-                p_relay=spent,
-            )
-        )
-    return RegionBoundary(points=pts)
+    B = sweep.matrices(angles)
+    total = r21 + r12
+    alpha21 = np.divide(r21, total, out=np.full(n_ratios, 0.5), where=total > 0)
+    p1, p2 = np.full(n_ratios, pc.p1, dtype=np.float64), np.full(n_ratios, pc.p2, dtype=np.float64)
+    return RegionBoundary(alpha21, r21, r12, p1, p2, relay_power_reduced(B, eff, pc), B=B, U=eff.U)
 
 
 def scheme_profile_sum_rate(

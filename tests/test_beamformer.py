@@ -808,6 +808,19 @@ class TestRegionBoundary:
         with pytest.raises(InvalidInputError):
             rate_region_boundary(eff, symmetric_power(10.0), n_profiles=1)
 
+    def test_points_view_the_columns(self):
+        from twrelay.beamformer import RegionBoundary
+
+        rb = rate_region_boundary(effective(gen_channels(4, 0.5, seed=13)), symmetric_power(10.0), n_profiles=5)
+        points = rb.points
+        assert isinstance(points, tuple) and rb.points is points
+        assert [p.rates for p in points] == [RatePair(x, y) for x, y in zip(rb.r21.tolist(), rb.r12.tolist())]
+        assert all(p.beamformer.U is rb.U for p in points)
+        again = RegionBoundary.from_points(points)
+        for name in ("alpha21", "r21", "r12", "p1", "p2", "p_relay", "B"):
+            assert getattr(again, name).tobytes() == getattr(rb, name).tobytes()
+        assert again.U is rb.U
+
 
 def _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles):
     """The capacity envelope as the search of every grid^2 cell gives it:
@@ -836,7 +849,8 @@ def _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles):
                 p_relay=relay_power_reduced(beamformer, eff, cell.pc),
             )
         )
-    return bf._prune_dominated(points)
+    keep = bf._prune_dominated(np.array([p.rates.r21 for p in points]), np.array([p.rates.r12 for p in points]))
+    return [points[i] for i in keep]
 
 
 def _capacity_corpus(count: int = 40, seed: int = 4242):
@@ -987,8 +1001,8 @@ class TestEnvelope:
         from twrelay.beamformer import BoundaryPoint, RegionBoundary
 
         bf = Beamformer(B=np.zeros((2, 2), dtype=complex), U=np.eye(2, dtype=complex))
-        rb = RegionBoundary(
-            points=[
+        rb = RegionBoundary.from_points(
+            [
                 BoundaryPoint(alpha21=0.0, rates=RatePair(x, y), beamformer=bf, p1=1, p2=1, p_relay=0)
                 for x, y in pts
             ]

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ class TestRegionCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["files"] == ["boundary_mr.csv"]
         assert not (tmp_path / "boundary_optimal.csv").exists()
+
+    def test_one_reduced_frame_per_job(self, tmp_path, monkeypatch):
+        # the optimal boundary and both sweeps share the job's effective
+        # channel, and each boundary is written once
+        import twrelay.cli as cli
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("twrelay.")]:
+            if callable(getattr(module, "effective", None)):
+                monkeypatch.setattr(module, "effective", counting("effective", module.effective))
+        for name in ("sweep_region", "rate_region_boundary"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setattr(tio, "write_region_csv", counting("write_region_csv", tio.write_region_csv))
+        assert run(["region", "--rho", "0.5", *REGION_ARGS, "--out", str(tmp_path)]) == 0
+        assert Counter(calls) == {"effective": 1, "rate_region_boundary": 1, "sweep_region": 2, "write_region_csv": 3}
 
 
 class TestConfigFile:
@@ -312,6 +336,27 @@ def test_optimal_tracer_failure_exits_1_with_an_error(argv, message, tmp_path, c
     assert err.startswith("twrelay region: error: ") and message in err
     assert "Traceback" not in err and "np.float64" not in err
     assert not (tmp_path / "boundary_optimal.csv").exists()
+
+
+FAILING_JOBS = {
+    # the AF region's tracer fails after every decode-and-forward table is computed
+    "df-compare-tracer": (["df-compare", "--p1", "1e300", "--profiles", "3", "--weights", "3", "--taus", "2"], 1),
+    # the broadcast arc refuses the budget after the MAC table is computed
+    "df-compare-no-budget": (["df-compare", "--pr", "0", "--profiles", "3", "--weights", "3", "--taus", "2"], 2),
+    # the sweeps refuse the budget after the optimal boundary is traced
+    "region-no-budget": (["region", "--pr", "0", "--profiles", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", FAILING_JOBS.values(), ids=FAILING_JOBS.keys())
+def test_a_failing_command_writes_nothing(argv, code, tmp_path):
+    try:
+        with np.errstate(all="ignore"):
+            got = run([*argv, "--out", str(tmp_path)])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBoundsCommand:

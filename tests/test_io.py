@@ -5,10 +5,20 @@ import os
 import numpy as np
 import pytest
 
+from conftest import orthogonal_pair
+
+import twrelay.beamformer as bf
 from twrelay import io as tio
-from twrelay.beamformer import BoundaryPoint, RegionBoundary
+from twrelay.beamformer import (
+    DEFAULT_DELTA_R,
+    BoundaryPoint,
+    RegionBoundary,
+    capacity_region,
+    rate_region_boundary,
+)
 from twrelay.errors import InvalidInputError, NumericalFailureError
-from twrelay.model import Beamformer, RatePair
+from twrelay.model import Beamformer, PowerConfig, RatePair, effective, gen_channels, relay_power_reduced
+from twrelay.schemes import _HALF_PI, _Sweep, sweep_region
 
 
 def make_point(r21=0.5, r12=0.25, with_bf=True):
@@ -57,7 +67,7 @@ class TestNonFiniteCells:
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "-inf", "inf"])
     def test_write_region_csv_refuses_and_writes_nothing(self, tmp_path, value):
-        boundary = RegionBoundary(points=[make_point(), make_point(r12=value)])
+        boundary = RegionBoundary.from_points([make_point(), make_point(r12=value)])
         with pytest.raises(NumericalFailureError, match=f"row 2, column r12 is {float(value)!r}"):
             tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary, scheme="mr")
         assert os.listdir(tmp_path) == []
@@ -91,12 +101,12 @@ def _region_csv(tmp_path, boundary, scheme=None):
     return path.read_text()
 
 
-def _rows_per_point(boundary, scheme=None):
+def _rows_per_point(points, scheme=None):
     """The boundary rows as the writer built them before it went by
     column: one list per point, each cell formatted on its own."""
     header = list(tio.REGION_HEADER) + (["scheme"] if scheme is not None else [])
     rows = []
-    for point in boundary.points:
+    for point in points:
         flat = np.asarray(point.beamformer.B, dtype=complex).reshape(-1)
         row = [
             point.alpha21,
@@ -119,7 +129,7 @@ def _rows_per_point(boundary, scheme=None):
 EDGE_CELLS = [-0.0, 0.0, 5e-324, 1e308, -1e-300]
 
 
-def _edge_boundary(n):
+def _edge_points(n):
     """n points with constant p1 and p2, varying rates and edge cells in B
     and p_relay, and a p2 column that is 0.0 and -0.0 by turns."""
     points = []
@@ -136,13 +146,13 @@ def _edge_boundary(n):
                 p_relay=EDGE_CELLS[-1 - i % len(EDGE_CELLS)],
             )
         )
-    return RegionBoundary(points=points)
+    return points
 
 
 class TestRegionRows:
     def test_b_cells_reconstruct_the_matrix(self, tmp_path):
         point = make_point()
-        lines = _region_csv(tmp_path, RegionBoundary(points=[point])).splitlines()
+        lines = _region_csv(tmp_path, RegionBoundary.from_points([point])).splitlines()
         assert lines[0].split(",") == tio.REGION_HEADER
         row = [float(cell) for cell in lines[1].split(",")]
         re_part = np.array(row[5:9]).reshape(2, 2)
@@ -150,39 +160,171 @@ class TestRegionRows:
         assert np.array_equal(re_part + 1j * im_part, point.beamformer.B)
 
     def test_scheme_column_appended_last(self, tmp_path):
-        text = _region_csv(tmp_path, RegionBoundary(points=[make_point()]), scheme="mr")
+        text = _region_csv(tmp_path, RegionBoundary.from_points([make_point()]), scheme="mr")
         header, row = text.splitlines()
         assert header.split(",")[-1] == "scheme"
         assert row.split(",")[-1] == "mr"
 
     def test_missing_beamformer_raises(self, tmp_path):
-        boundary = RegionBoundary(points=[make_point(), make_point(with_bf=False)])
+        boundary = RegionBoundary.from_points([make_point(), make_point(with_bf=False)])
+        assert boundary.B is None
         with pytest.raises(InvalidInputError):
             tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
         assert os.listdir(tmp_path) == []
 
     def test_non_2x2_beamformer_raises(self, tmp_path):
+        # a boundary holds a stack of 2x2 matrices, so the bad point is
+        # refused where the boundary is built
         bf = Beamformer(B=np.eye(3, dtype=complex), U=np.eye(3, dtype=complex))
         bad = BoundaryPoint(
             alpha21=0.5, rates=RatePair(r21=0.5, r12=0.25), beamformer=bf,
             p1=10.0, p2=10.0, p_relay=10.0,
         )
-        boundary = RegionBoundary(points=[make_point(), bad])
         with pytest.raises(InvalidInputError):
-            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), RegionBoundary.from_points([make_point(), bad]))
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
     @pytest.mark.parametrize("scheme", [None, "zf"])
     def test_columns_match_the_rows_per_point(self, tmp_path, n, scheme):
-        boundary = _edge_boundary(n)
-        want = tio.format_csv(*_rows_per_point(boundary, scheme))
-        assert _region_csv(tmp_path, boundary, scheme) == want
+        points = _edge_points(n)
+        want = tio.format_csv(*_rows_per_point(points, scheme))
+        assert _region_csv(tmp_path, RegionBoundary.from_points(points), scheme) == want
 
     def test_signed_zeros_keep_their_sign(self, tmp_path):
-        lines = _region_csv(tmp_path, _edge_boundary(3)).splitlines()[1:]
+        lines = _region_csv(tmp_path, RegionBoundary.from_points(_edge_points(3))).splitlines()[1:]
         assert [line.split(",")[4] for line in lines] == ["0.0", "-0.0", "0.0"]
         assert [line.split(",")[3] for line in lines] == ["10.0"] * 3
+
+
+# The boundaries as they were built point by point, and the writer that
+# took the points apart again, kept here as the reference for the columns.
+
+
+def _per_point_sweep(scheme, pair, pc, n_ratios):
+    sweep = _Sweep.build(scheme, pair, pc)
+    angles = np.append(_HALF_PI, _HALF_PI * np.arange(n_ratios - 2, -1, -1) / (n_ratios - 1))
+    r21, r12 = sweep.rates(angles)
+    mats = sweep.matrices(angles)
+    powers = relay_power_reduced(mats, sweep.eff, pc)
+    points = []
+    for B, x21, x12, spent in zip(mats, r21.tolist(), r12.tolist(), powers.tolist()):
+        total = x21 + x12
+        points.append(
+            BoundaryPoint(
+                alpha21=x21 / total if total > 0 else 0.5,
+                rates=RatePair(r21=x21, r12=x12),
+                beamformer=Beamformer(B=B, U=sweep.eff.U),
+                p1=pc.p1,
+                p2=pc.p2,
+                p_relay=spent,
+            )
+        )
+    return points
+
+
+def _per_point_trace(cells, n_profiles):
+    points = []
+    for profile in bf._profiles(n_profiles):
+        cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
+        r_sum, B = bf._traced(cell, profile, found, DEFAULT_DELTA_R)
+        eff, pc, beam = cell.eff, cell.pc, Beamformer(B=B, U=cell.eff.U)
+        rates = RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum)
+        points.append(BoundaryPoint(profile.alpha21, rates, beam, pc.p1, pc.p2, relay_power_reduced(beam, eff, pc)))
+    return points
+
+
+def _per_point_capacity(pair, P1, P2, P_R, grid, n_profiles):
+    eff = effective(pair)
+    p1_grid, p2_grid = bf._power_grid(P1, grid), bf._power_grid(P2, grid)
+    edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1]] + [(p1_grid[-1], p2) for p2 in p2_grid]
+    cells = [bf._PowerCell(eff, PowerConfig(float(p1), float(p2), P_R)) for p1, p2 in edges]
+    points = _per_point_trace(cells, n_profiles)
+    r = np.array([[p.rates.r21, p.rates.r12] for p in points])
+    return [
+        p
+        for i, (p, x) in enumerate(zip(points, r))
+        if not np.any(np.all(r >= x - 1e-12, axis=1) & (np.any(r > x + 1e-12, axis=1) | (np.arange(len(r)) < i)))
+    ]
+
+
+def _per_point_csv(points, scheme=None):
+    if any(point.beamformer is None for point in points):
+        raise InvalidInputError("boundary point carries no relay matrix")
+    if any(np.shape(point.beamformer.B) != (2, 2) for point in points):
+        raise InvalidInputError("boundary relay matrix is not 2x2")
+    B = np.array([point.beamformer.B for point in points], dtype=complex)
+    B = B.reshape(len(points), 4)
+    columns = [
+        [point.alpha21 for point in points],
+        [point.rates.r21 for point in points],
+        [point.rates.r12 for point in points],
+        [point.p1 for point in points],
+        [point.p2 for point in points],
+        *B.real.T,
+        *B.imag.T,
+        [point.p_relay for point in points],
+    ]
+    cells = [list(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist())) for values in columns]
+    header = tio.REGION_HEADER
+    if scheme is not None:
+        header = header + ["scheme"]
+        cells.append([scheme] * len(points))
+    return tio._csv_text([",".join(header), *map(",".join, zip(*cells))])
+
+
+# equal powers, a silent source on each side, both sources silent (every
+# alpha21 is 0.5) and powers far apart
+SWEEP_POWERS = [(10.0, 10.0, 10.0), (0.0, 5.0, 10.0), (5.0, 0.0, 10.0), (0.0, 0.0, 10.0), (1e-3, 1e3, 1.0)]
+
+
+# zero-forcing is undefined on the parallel channels of rho = 1
+SWEEPS = [(scheme, rho) for scheme in ("mr", "zf") for rho in (0.0, 0.5, 0.999, 1.0) if (scheme, rho) != ("zf", 1.0)]
+
+
+class TestColumnsMatchThePerPointPath:
+    @pytest.mark.parametrize("n_ratios", [2, 9, 65])
+    @pytest.mark.parametrize("scheme, rho", SWEEPS)
+    def test_sweeps(self, tmp_path, scheme, rho, n_ratios):
+        pair = gen_channels(4, rho, seed=21)
+        for powers in SWEEP_POWERS:
+            pc = PowerConfig(*powers)
+            got = _region_csv(tmp_path, sweep_region(scheme, effective(pair), pc, n_ratios), scheme)
+            assert got == _per_point_csv(_per_point_sweep(scheme, pair, pc, n_ratios), scheme)
+        silent = sweep_region(scheme, effective(pair), PowerConfig(0.0, 0.0, 10.0), n_ratios)
+        assert silent.alpha21.tolist() == [0.5] * n_ratios
+
+    @pytest.mark.parametrize(
+        "pair, powers",
+        [
+            (orthogonal_pair(), (10.0, 10.0, 10.0)),
+            (gen_channels(4, 0.5, seed=21), (10.0, 10.0, 10.0)),
+            (gen_channels(3, 0.999, seed=22), (100.0, 1.0, 30.0)),
+            (gen_channels(2, 1.0, seed=23), (10.0, 10.0, 10.0)),
+            (gen_channels(4, 0.5, seed=21), (0.0, 10.0, 10.0)),
+            (gen_channels(4, 0.5, seed=21), (0.0, 0.0, 10.0)),
+        ],
+    )
+    def test_optimal_boundaries(self, tmp_path, pair, powers):
+        pc = PowerConfig(*powers)
+        eff = effective(pair)
+        got = _region_csv(tmp_path, rate_region_boundary(eff, pc, n_profiles=9))
+        assert got == _per_point_csv(_per_point_trace([bf._PowerCell(eff, pc)], 9))
+
+    @pytest.mark.parametrize(
+        "rho, powers, grid",
+        [(0.4, (10.0, 10.0, 10.0), 2), (0.041, (1000.0, 10.0, 10.0), 3), (0.9, (1e-4, 1e4, 10.0), 8), (0.4, (10.0, 10.0, 0.0), 3)],
+    )
+    def test_capacity_envelopes(self, tmp_path, rho, powers, grid):
+        pair = gen_channels(3, rho, seed=17)
+        got = _region_csv(tmp_path, capacity_region(pair, *powers, power_grid=grid, n_profiles=9))
+        assert got == _per_point_csv(_per_point_capacity(pair, *powers, grid, 9))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_hand_made_edge_cells(self, tmp_path, n):
+        # -0.0, the least subnormal and the top of the range
+        points = _edge_points(n)
+        assert _region_csv(tmp_path, RegionBoundary.from_points(points), "mr") == _per_point_csv(points, "mr")
 
 
 class TestManifest:

@@ -176,7 +176,7 @@ class TestSweepRegion:
     def test_two_ratio_sweep_hits_single_link_endpoints(self):
         pair = orthogonal_pair()
         pc = symmetric_power(10.0)
-        boundary = sweep_region("mr", pair, pc, n_ratios=2)
+        boundary = sweep_region("mr", effective(pair), pc, n_ratios=2)
         assert len(boundary.points) == 2
         first, last = boundary.points[0], boundary.points[-1]
         # ordered by increasing r21: ratio inf point first, ratio 0 last
@@ -188,7 +188,7 @@ class TestSweepRegion:
         # on the parallel channels of rho = 1
         for scheme, rho in (("zf", 0.5), ("mr", 0.5), ("zf", 0.99), ("mr", 0.99), ("mr", 1.0)):
             pair = gen_channels(4, rho, seed=6)
-            boundary = sweep_region(scheme, pair, symmetric_power(10.0), n_ratios=33)
+            boundary = sweep_region(scheme, effective(pair), symmetric_power(10.0), n_ratios=33)
             r21 = [p.rates.r21 for p in boundary.points]
             r12 = [p.rates.r12 for p in boundary.points]
             assert all(x <= y + 1e-12 for x, y in zip(r21, r21[1:]))
@@ -200,7 +200,7 @@ class TestSweepRegion:
         pair = gen_channels(4, 0.5, seed=4)
         eff = effective(pair)
         pc = symmetric_power(10.0)
-        for point in sweep_region("mr", pair, pc, n_ratios=9).points:
+        for point in sweep_region("mr", eff, pc, n_ratios=9).points:
             g1bar = 2.0 ** (2.0 * point.rates.r21) - 1.0
             g2bar = 2.0 ** (2.0 * point.rates.r12) - 1.0
             p_star, _ = min_relay_power(eff, pc, g1bar, g2bar)
@@ -208,11 +208,11 @@ class TestSweepRegion:
 
     def test_rejects_single_ratio(self):
         with pytest.raises(InvalidInputError):
-            sweep_region("mr", orthogonal_pair(), symmetric_power(10.0), n_ratios=1)
+            sweep_region("mr", effective(orthogonal_pair()), symmetric_power(10.0), n_ratios=1)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidInputError):
-            sweep_region("dirty-paper", orthogonal_pair(), symmetric_power(10.0))
+            sweep_region("dirty-paper", effective(orthogonal_pair()), symmetric_power(10.0))
 
 
 def _evaluator_corpus():
@@ -255,7 +255,7 @@ class TestSweepForms:
         for pair, pc in list(_evaluator_corpus())[::5]:
             eff = effective(pair)
             for scheme in ("mr", "zf"):
-                for point in sweep_region(scheme, pair, pc, n_ratios=17).points:
+                for point in sweep_region(scheme, eff, pc, n_ratios=17).points:
                     want = rate_pair_reduced(point.beamformer, eff, pc)
                     assert point.rates.r21 == pytest.approx(want.r21, rel=1e-12, abs=0.0)
                     assert point.rates.r12 == pytest.approx(want.r12, rel=1e-12, abs=0.0)
@@ -277,9 +277,9 @@ class TestSweepForms:
         for scheme in ("mr", "zf"):
             scheme_best_rates(scheme, pair, pc)
             scheme_profile_sum_rate(scheme, pair, pc, RateProfile.of(0.25))
+        # the sweep's rows hold one stack of relay matrices, not one object each
+        sweep_region("zf", effective(pair), pc, n_ratios=9)
         assert built == []
-        sweep_region("zf", pair, pc, n_ratios=9)
-        assert len(built) == 9
 
 
 class TestSchemeEvaluators:
@@ -303,7 +303,7 @@ class TestSchemeEvaluators:
         pair = gen_channels(4, 0.5, seed=8)
         pc = symmetric_power(10.0)
         for scheme in ("mr", "zf"):
-            pts = [p.rates for p in sweep_region(scheme, pair, pc, n_ratios=1025).points]
+            pts = [p.rates for p in sweep_region(scheme, effective(pair), pc, n_ratios=1025).points]
             for alpha21 in (0.0, 0.25, 0.5, 0.9, 1.0):
                 profile = RateProfile.of(alpha21)
 
@@ -329,7 +329,7 @@ class TestSchemeEvaluators:
         pc = symmetric_power(10.0)
         t = scheme_profile_sum_rate("mr", pair, pc, RateProfile.of(1.0))
         best = max(
-            p.rates.r21 for p in sweep_region("mr", pair, pc, n_ratios=1025).points
+            p.rates.r21 for p in sweep_region("mr", effective(pair), pc, n_ratios=1025).points
         )
         assert t == pytest.approx(best, abs=1e-6)
 
@@ -356,14 +356,16 @@ class TestSchemeEvaluators:
         monkeypatch.setattr(schemes, "effective", counting)
         pair = gen_channels(4, 0.5, seed=8)
         pc = symmetric_power(10.0)
-        for run in (
-            lambda: sweep_region("zf", pair, pc, n_ratios=9),
-            lambda: scheme_best_rates("mr", pair, pc),
-            lambda: scheme_profile_sum_rate("zf", pair, pc, RateProfile.of(0.25)),
+        eff = effective(pair)
+        # the sweep takes the effective channel and makes none of its own
+        for run, frames in (
+            (lambda: sweep_region("zf", eff, pc, n_ratios=9), 0),
+            (lambda: scheme_best_rates("mr", pair, pc), 1),
+            (lambda: scheme_profile_sum_rate("zf", pair, pc, RateProfile.of(0.25)), 1),
         ):
             calls.clear()
             run()
-            assert len(calls) == 1
+            assert len(calls) == frames
 
 
 def _per_job_corpus():
