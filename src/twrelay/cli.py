@@ -37,7 +37,7 @@ from .beamformer import (
     snr_targets,
 )
 from .bounds import bounds_report, c_ub0, c_ub_sym, r_lb_mr, r_lb_zf
-from .df import DEFAULT_TAU_GRID, DEFAULT_WEIGHTS, _bc_arc, _df_ray, _tau_grid, bc_wsrmax, df_boundary_value, df_tau_slice, mac_region
+from .df import DEFAULT_TAU_GRID, DEFAULT_WEIGHTS, _bc_arc, _df_ray, _tau_grid, bc_wsrmax, df_boundary_value, df_tau_slices, mac_region
 from .errors import InvalidInputError, NumericalFailureError, RankDeficiencyError
 from .model import (
     PowerConfig,
@@ -334,7 +334,7 @@ def cmd_region(settings: dict) -> int:
     pc = PowerConfig(settings["p1"], settings["p2"], settings["pr"])
     eff = effective(pair)  # one reduced frame for every boundary
     timer = Timer()
-    tables = []  # (file, boundary, scheme), all traced before the first write
+    tables = []  # (file, boundary, scheme), all traced and formatted before the first write
     notes: List[str] = []
     pick = settings["scheme"]
 
@@ -356,10 +356,11 @@ def cmd_region(settings: dict) -> int:
         tables.append((f"boundary_{scheme}.csv", boundary, scheme))
         timer.lap(scheme)
 
-    for name, boundary, scheme in tables:
-        tio.write_region_csv(os.path.join(out, name), boundary, scheme=scheme)
+    texts = [(name, tio.format_region_csv(boundary, scheme)) for name, boundary, scheme in tables]
+    for name, text in texts:
+        tio.atomic_write_text(os.path.join(out, name), text)
     timer.lap("write")
-    files = [name for name, _, _ in tables]
+    files = [name for name, _ in texts]
     _write_manifest(out, "region", settings, timer, files, notes)
     for name in files:
         print(os.path.join(out, name))
@@ -454,6 +455,12 @@ def cmd_bounds(settings: dict) -> int:
     return 0
 
 
+def _slice_csv(taus: Sequence[float], index: np.ndarray, x: np.ndarray, y: np.ndarray) -> str:
+    """df_tau_slices.csv from df_tau_slices' columns, each tau cell formatted once."""
+    tau_cells = list(map(float.__repr__, taus))
+    return tio.format_columns(tio.TAU_HEADER, [[tau_cells[i] for i in index.tolist()], x, y])
+
+
 def cmd_df_compare(settings: dict) -> int:
     out = settings["out"]
     p1 = settings["p1"] if settings["p1"] is not None else settings["p"]
@@ -464,7 +471,7 @@ def cmd_df_compare(settings: dict) -> int:
     pc = PowerConfig(p1, p2, pr)
     timer = Timer()
 
-    # every table is computed before the first write
+    # every table is computed, formatted and checked before the first write
     pent = mac_region(pair, p1, p2)
     mac_rows = [(0.5 * x, 0.5 * y) for x, y in pent.corners()]
     timer.lap("half_mac")
@@ -475,11 +482,8 @@ def cmd_df_compare(settings: dict) -> int:
     bc_rows = [(0.5 * pt.r21, 0.5 * pt.r12) for pt in bc.points]
     timer.lap("half_bc")
 
-    slice_rows = []
-    for tau in _tau_grid(settings["taus"]):
-        cell = tio._fmt(tau)  # every row of the slice shares its tau cell
-        for x, y in df_tau_slice(pent, bc, tau):
-            slice_rows.append((cell, x, y))
+    taus = _tau_grid(settings["taus"])
+    index, x, y = df_tau_slices(pent, bc, taus)
     timer.lap("df_tau_slices")
 
     env_rows = []
@@ -491,17 +495,17 @@ def cmd_df_compare(settings: dict) -> int:
     boundary = rate_region_boundary(eff, pc, settings["profiles"], settings["delta-r"])
     timer.lap("af_region")
 
-    tables = [
-        ("half_mac.csv", tio.RATE_PAIR_HEADER, mac_rows),
-        ("half_bc.csv", tio.RATE_PAIR_HEADER, bc_rows),
-        ("df_tau_slices.csv", tio.TAU_HEADER, slice_rows),
-        ("df_region.csv", tio.TAU_HEADER, env_rows),
+    texts = [
+        ("half_mac.csv", tio.format_csv(tio.RATE_PAIR_HEADER, mac_rows)),
+        ("half_bc.csv", tio.format_csv(tio.RATE_PAIR_HEADER, bc_rows)),
+        ("df_tau_slices.csv", _slice_csv(taus, index, x, y)),
+        ("df_region.csv", tio.format_csv(tio.TAU_HEADER, env_rows)),
+        ("af_region.csv", tio.format_region_csv(boundary)),
     ]
-    for name, header, rows in tables:
-        tio.write_csv(os.path.join(out, name), header, rows)
-    tio.write_region_csv(os.path.join(out, "af_region.csv"), boundary)
+    for name, text in texts:
+        tio.atomic_write_text(os.path.join(out, name), text)
     timer.lap("write")
-    files = [name for name, _, _ in tables] + ["af_region.csv"]
+    files = [name for name, _ in texts]
 
     _write_manifest(out, "df-compare", settings, timer, files, [])
     for name in files:

@@ -19,10 +19,9 @@ that one angle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,36 +123,19 @@ class BcBoundary:
     basis: np.ndarray
 
     @cached_property
-    def _knots(self) -> Tuple[List[float], List[float]]:
-        return [float(p.r21) for p in self.points], [float(p.r12) for p in self.points]
+    def _knots(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.array([p.r21 for p in self.points]), np.array([p.r12 for p in self.points])
 
     def frontier(self, r21: float) -> float:
-        """Largest r12 at a given r21 on the piecewise-linear frontier.
-
-        At or left of the first knot it is that knot's r12, and past the
-        last knot -inf. In between it is np.interp's value by np.interp's
-        own arithmetic: on a knot, the r12 of the last knot with that
-        r21; between knots j and j + 1, the slope
-        (y[j+1] - y[j]) / (x[j+1] - x[j]) applied from knot j, or from
-        knot j + 1 where that gives NaN.
-        """
+        """Largest r12 at a given r21 on the piecewise-linear frontier: at
+        or left of the first knot that knot's r12, past the last knot
+        -inf, and np.interp's value in between."""
         xs, ys = self._knots
         if r21 > xs[-1]:
             return -math.inf
         if r21 <= xs[0]:
-            return ys[0]
-        j = bisect_right(xs, r21) - 1
-        if xs[j] == r21:
-            return ys[j]
-        if j == len(xs) - 1:  # only a NaN query passes both tests above
-            return r21
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        y = slope * (r21 - xs[j]) + ys[j]
-        if math.isnan(y):
-            y = slope * (r21 - xs[j + 1]) + ys[j + 1]
-            if math.isnan(y) and ys[j] == ys[j + 1]:
-                y = ys[j]
-        return y
+            return float(ys[0])
+        return float(np.interp(r21, xs, ys))
 
 
 @dataclass(frozen=True)
@@ -265,7 +247,7 @@ def bc_boundary(
     Knot k is the bc_wsrmax point for weights (w, 1 - w), w = k / (n - 1),
     all on one arc; the weights, not the arc angles, are uniform. The
     angle falls as w grows, so the knots come in weight order with r21
-    non-decreasing, as BcBoundary.frontier's bisection needs.
+    non-decreasing, as BcBoundary.frontier's np.interp needs.
     """
     if n_weights < 2:
         raise InvalidInputError("need at least two weights")
@@ -283,36 +265,45 @@ def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> floa
     return _ray_exit(arc.rates, 0.0, arc.phi, profile)
 
 
-def df_tau_slice(
-    pent: MacPentagon, bc: BcBoundary, tau: float
-) -> List[Tuple[float, float]]:
-    """Pareto boundary of tau * MAC intersected with (1 - tau) * BC.
-
-    Both regions are downward closed, so the intersection's frontier is
-    the pointwise minimum of the two scaled frontiers; its knots are
-    the scaled knots of either one.
-    """
-    if not 0.0 <= tau <= 1.0:
+def df_tau_slices(pent: MacPentagon, bc: BcBoundary, taus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pareto boundaries of tau * MAC intersected with (1 - tau) * BC for
+    every tau, as columns (index into taus, r21, r12), slice by slice with
+    r21 rising. Both regions are downward closed, so a slice's frontier is
+    the lower of the two scaled frontiers; its knots are 0, its end x_max
+    and either frontier's scaled knots in [0, x_max], each value once."""
+    tau = np.array(taus, dtype=np.float64).reshape(-1, 1)
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise InvalidInputError("tau must lie in [0, 1]")
     sigma = 1.0 - tau
-    bc_cap = bc.points[-1].r21
-    x_max = min(tau * pent.c1, sigma * bc_cap)
-    knots = {0.0, x_max}
-    for x, _ in pent.corners():
-        if 0.0 <= tau * x <= x_max:
-            knots.add(tau * x)
-    for p in bc.points:
-        if 0.0 <= sigma * p.r21 <= x_max:
-            knots.add(sigma * p.r21)
-    out = []
-    for x in sorted(knots):
-        # x <= x_max keeps x / tau within c1 and x / sigma within the last
-        # BC knot, but rounding can put the quotient one ulp past the cap,
-        # where the frontier ends at -inf
-        y_mac = tau * pent.frontier(min(x / tau, pent.c1)) if tau > 0.0 else 0.0
-        y_bc = sigma * bc.frontier(min(x / sigma, bc_cap)) if sigma > 0.0 else 0.0
-        out.append((x, max(0.0, min(y_mac, y_bc))))
-    return out
+    xs, ys = bc._knots
+    x_max = np.where(sigma * xs[-1] < tau * pent.c1, sigma * xs[-1], tau * pent.c1)
+    # + 0.0 turns -0.0 into the 0.0 knot that every slice holds
+    cand = np.hstack([np.zeros_like(tau), x_max, tau * [x for x, _ in pent.corners()], sigma * xs]) + 0.0
+    valid = (cand >= 0.0) & (cand <= x_max)
+    valid[:, :2] = True
+    cand = np.sort(np.where(valid, cand, np.nan), axis=1)  # the left-out NaNs go last
+    keep = np.arange(cand.shape[1]) < valid.sum(axis=1, keepdims=True)
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    row, col = np.nonzero(keep)
+    x, t, s = cand[row, col], tau[row, 0], sigma[row, 0]
+    # a zero share gives a zero frontier; the quotients are capped at c1 and
+    # the last BC knot, which rounding can pass by an ulp
+    q = np.divide(x, t, out=np.zeros_like(x), where=t > 0.0)
+    v = pent.c_sum - np.where(pent.c1 < q, pent.c1, q)
+    y_mac = np.multiply(t, np.where(v < pent.c2, v, pent.c2), out=np.zeros_like(x), where=t > 0.0)
+    q = np.divide(x, s, out=np.zeros_like(x), where=s > 0.0)
+    q = np.where(xs[-1] < q, xs[-1], q)
+    front = np.where(q <= xs[0], ys[0], np.interp(q, xs, ys))
+    y_bc = np.multiply(s, front, out=np.zeros_like(x), where=s > 0.0)
+    # the where-selects keep Python's min and max, signed zeros included
+    y = np.where(y_bc < y_mac, y_bc, y_mac)
+    return row, x, np.where(y > 0.0, y, 0.0)
+
+
+def df_tau_slice(pent: MacPentagon, bc: BcBoundary, tau: float) -> List[Tuple[float, float]]:
+    """The one-tau case of df_tau_slices, as (r21, r12) knots."""
+    _, x, y = df_tau_slices(pent, bc, [tau])
+    return list(zip(x.tolist(), y.tolist()))
 
 
 def _pareto_envelope(points: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -346,10 +337,8 @@ def df_capacity_region(
         raise InvalidInputError("need at least one tau")
     pent = mac_region(pair, p1, p2)
     bc = bc_boundary(pair, p_relay, n_weights)
-    cloud: List[Tuple[float, float]] = []
-    for tau in _tau_grid(n_tau):
-        cloud.extend(df_tau_slice(pent, bc, tau))
-    x, y = np.array(_pareto_envelope(cloud), dtype=np.float64).reshape(-1, 2).T
+    _, x, y = df_tau_slices(pent, bc, _tau_grid(n_tau))
+    x, y = np.array(_pareto_envelope(list(zip(x.tolist(), y.tolist()))), dtype=np.float64).reshape(-1, 2).T
     total, n = x + y, len(x)
     alpha21 = np.divide(x, total, out=np.full(n, 0.5), where=total > 0.0)
     powers = (np.full(n, p, dtype=np.float64) for p in (p1, p2, p_relay))

@@ -107,33 +107,38 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     atomic_write_text(path, format_csv(header, rows))
 
 
-def write_region_csv(
-    path: str, boundary: RegionBoundary, scheme: Optional[str] = None
-) -> None:
-    """The boundary CSV, one row per boundary row, formatted straight
+def format_columns(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """The CSV text of a table given by its columns, one per header name
+    and all of one length: a float64 array column as repr() floats, any
+    other as its string cells. Raises NumericalFailureError on a
+    non-finite cell (see _csv_text)."""
+    cells = [list(map(float.__repr__, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
+    return _csv_text([",".join(header), *map(",".join, zip(*cells))])
+
+
+def format_region_csv(boundary: RegionBoundary, scheme: Optional[str] = None) -> str:
+    """The boundary CSV text, one row per boundary row, formatted straight
     from the boundary's columns; the scheme name is appended as a last
     column when given.
 
     The eight B_* cells hold each row's reduced 2x2 beamformer row-major
     (B[0,0], B[0,1], B[1,0], B[1,1]), real parts then imaginary parts.
-    Every other cell is written as a float.
-
-    Raises:
-        InvalidInputError: if the boundary carries no relay matrices (its
-            B is None); no file is written then.
-        NumericalFailureError: if a cell is not a finite number; no file
-            is written then.
+    Every other cell is written as a float. Raises InvalidInputError if
+    the boundary carries no relay matrices (its B is None), and
+    NumericalFailureError on a non-finite cell.
     """
     if boundary.B is None:
         raise InvalidInputError("boundary carries no relay matrices")
     B = boundary.B.reshape(-1, 4)
     columns = [boundary.alpha21, boundary.r21, boundary.r12, boundary.p1, boundary.p2, *B.real.T, *B.imag.T, boundary.p_relay]
-    cells = [list(map(float.__repr__, column.tolist())) for column in columns]
-    header = REGION_HEADER
-    if scheme is not None:
-        header = header + ["scheme"]
-        cells.append([scheme] * len(B))
-    atomic_write_text(path, _csv_text([",".join(header), *map(",".join, zip(*cells))]))
+    if scheme is None:
+        return format_columns(REGION_HEADER, columns)
+    return format_columns(REGION_HEADER + ["scheme"], columns + [[scheme] * len(B)])
+
+
+def write_region_csv(path: str, boundary: RegionBoundary, scheme: Optional[str] = None) -> None:
+    """Write format_region_csv's text to path; nothing is written when it raises."""
+    atomic_write_text(path, format_region_csv(boundary, scheme))
 
 
 def write_manifest(path: str, manifest: dict) -> None:

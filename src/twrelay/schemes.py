@@ -172,7 +172,8 @@ class _Sweep:
         if not isinstance(angle, np.ndarray):
             return self._point(angle)
         a, b = _weights(angle)
-        return self._rates(a, b, _quad(self.q21, a, b), _quad(self.q12, a, b), np.log2)
+        with np.errstate(over="ignore"):  # an infinite rate is refused where it is written
+            return self._rates(a, b, _quad(self.q21, a, b), _quad(self.q12, a, b), np.log2)
 
     def rate_pair(self, angle: float) -> RatePair:
         r21, r12 = self.rates(angle)
@@ -180,7 +181,8 @@ class _Sweep:
 
     def best_rates(self) -> RatePair:
         """The rate pair at the largest sum rate, as scheme_best_rates finds it."""
-        r21, r12 = self._rates(_GRID_A, _GRID_B, *self.forms.grid_noise, np.log2)
+        with np.errstate(over="ignore"):  # as in rates
+            r21, r12 = self._rates(_GRID_A, _GRID_B, *self.forms.grid_noise, np.log2)
         vals = r21 + r12
         k = int(np.argmax(vals))
         lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])

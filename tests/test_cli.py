@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -151,9 +152,9 @@ class TestRegionCommand:
                 monkeypatch.setattr(module, "effective", counting("effective", module.effective))
         for name in ("sweep_region", "rate_region_boundary"):
             monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-        monkeypatch.setattr(tio, "write_region_csv", counting("write_region_csv", tio.write_region_csv))
+        monkeypatch.setattr(tio, "format_region_csv", counting("format_region_csv", tio.format_region_csv))
         assert run(["region", "--rho", "0.5", *REGION_ARGS, "--out", str(tmp_path)]) == 0
-        assert Counter(calls) == {"effective": 1, "rate_region_boundary": 1, "sweep_region": 2, "write_region_csv": 3}
+        assert Counter(calls) == {"effective": 1, "rate_region_boundary": 1, "sweep_region": 2, "format_region_csv": 3}
 
 
 class TestConfigFile:
@@ -359,6 +360,31 @@ def test_a_failing_command_writes_nothing(argv, code, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _infinite_df_ray(pent, arc, profile):
+    return math.inf, 0.5
+
+
+NON_FINITE_TABLES = {
+    # the MR boundary's r12 overflows after the optimal boundary is traced
+    "region": (["region", "--p1", "1e200", "--pr", "1e200", "--profiles", "3"], None),
+    # the df_region table is formatted after the two half-region tables and the slices
+    "df-compare": (["df-compare", "--profiles", "3", "--weights", "3", "--taus", "2"], _infinite_df_ray),
+}
+
+
+@pytest.mark.parametrize("argv, df_ray", NON_FINITE_TABLES.values(), ids=NON_FINITE_TABLES.keys())
+def test_a_non_finite_table_exits_1_and_writes_nothing(argv, df_ray, tmp_path, monkeypatch, capsys):
+    import twrelay.cli as cli
+
+    if df_ray is not None:
+        monkeypatch.setattr(cli, "_df_ray", df_ray)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+    assert "not a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestBoundsCommand:
     def test_writes_json_and_prints_table(self, tmp_path, capsys):
         assert run(["bounds", "--rho", "0.5", "--out", str(tmp_path)]) == 0
@@ -444,28 +470,29 @@ class TestDfCompareCommand:
         assert run(argv) == 0
         assert len(built) == 1
 
-    def test_no_np_interp_and_one_reduced_frame_per_job(self, tmp_path, monkeypatch):
-        frames = []
+    def test_one_np_interp_one_reduced_frame_and_no_scalar_slice_per_job(self, tmp_path, monkeypatch):
+        # every tau slice comes from one array pass, which reads the
+        # broadcast frontier with one np.interp call
+        calls = []
 
-        def no_interp(*args, **kwargs):
-            raise AssertionError("np.interp called")
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(np, "interp", no_interp)
+            return wrapper
+
+        monkeypatch.setattr(np, "interp", counting("interp", np.interp))
         for module in [m for name, m in sys.modules.items() if name.startswith("twrelay.")]:
-            effective = getattr(module, "effective", None)
-            if callable(effective):
-
-                def counting(pair, effective=effective):
-                    frames.append(pair)
-                    return effective(pair)
-
-                monkeypatch.setattr(module, "effective", counting)
+            for name in ("effective", "df_tau_slice"):
+                if callable(getattr(module, name, None)):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         argv = [
             "df-compare", "--rho", "0.95", "--p", "100", "--seed", "7",
             "--profiles", "5", "--taus", "9", "--weights", "9", "--out", str(tmp_path),
         ]
         assert run(argv) == 0
-        assert len(frames) == 1
+        assert Counter(calls) == {"interp": 1, "effective": 1}
 
     def test_tau_cells_read_as_floats(self, tmp_path):
         argv = [

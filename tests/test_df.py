@@ -8,8 +8,10 @@ import pytest
 from conftest import orthogonal_pair
 
 from twrelay.beamformer import RateProfile, envelope_value, max_sum_rate
+from twrelay.cli import _slice_csv, main
 from twrelay.df import (
     BcBoundary,
+    _pareto_envelope,
     bc_boundary,
     bc_ray_exit,
     bc_wsrmax,
@@ -17,8 +19,10 @@ from twrelay.df import (
     _tau_grid,
     df_capacity_region,
     df_tau_slice,
+    df_tau_slices,
     mac_region,
 )
+from twrelay.io import TAU_HEADER, format_csv
 from twrelay.errors import InvalidInputError
 from twrelay.linalg import eig_herm2
 from twrelay.model import ChannelPair, PowerConfig, RatePair, effective, gen_channels
@@ -457,6 +461,64 @@ def _lookup_corpus():
     return boundaries
 
 
+def _scalar_tau_slice(pent, bc, tau):
+    """The scalar knot loop that df_tau_slices replaced, reading the
+    broadcast frontier through _interp_frontier: the reference that the
+    array pass must match bit for bit."""
+    sigma = 1.0 - tau
+    bc_cap = bc.points[-1].r21
+    x_max = min(tau * pent.c1, sigma * bc_cap)
+    knots = {0.0, x_max}
+    for x, _ in pent.corners():
+        if 0.0 <= tau * x <= x_max:
+            knots.add(tau * x)
+    for p in bc.points:
+        if 0.0 <= sigma * p.r21 <= x_max:
+            knots.add(sigma * p.r21)
+    out = []
+    for x in sorted(knots):
+        y_mac = tau * pent.frontier(min(x / tau, pent.c1)) if tau > 0.0 else 0.0
+        y_bc = sigma * _interp_frontier(bc, min(x / sigma, bc_cap)) if sigma > 0.0 else 0.0
+        out.append((x, max(0.0, min(y_mac, y_bc))))
+    return out
+
+
+def _bits_of(pairs):
+    return [(_bits(x), _bits(y)) for x, y in pairs]
+
+
+@pytest.fixture(scope="module")
+def slice_corpus():
+    """(pent, bc, taus) settings: every pairing of 1, 2, 3, 65 and 129 taus
+    with 2, 3, 17 and 65 weights, at rho 0, 0.5, 0.95 and 1 (phi = 0),
+    P_R from 1e-2 to 1e5 and P1, P2 up to 1e4; a silent source with a
+    dead uplink, whose BC knots all sit at r21 = 0; hand-made boundaries
+    whose first knots repeat, and one ending at r12 = -0.0."""
+    rng = np.random.default_rng(41)
+    corpus = []
+    rhos = (0.0, 0.5, 0.95, 1.0)
+    for k, (n_tau, n_weights) in enumerate((t, w) for t in (1, 2, 3, 65, 129) for w in (2, 3, 17, 65)):
+        pair = gen_channels(int(rng.choice((2, 4, 8))), rhos[k % 4], int(rng.integers(0, 2**31)))
+        p1, p2 = 10.0 ** rng.uniform(-2.0, 4.0, size=2)
+        p_relay = 10.0 ** rng.uniform(-2.0, 5.0)
+        corpus.append((mac_region(pair, p1, p2), bc_boundary(pair, p_relay, n_weights), _tau_grid(n_tau)))
+    taus = _tau_grid(65)
+    for p, p_relay in ((1e4, 1e-2), (1e-2, 1e5), (1e4, 1e5)):
+        pair = gen_channels(4, 0.8, int(rng.integers(0, 2**31)))
+        corpus.append((mac_region(pair, p, p), bc_boundary(pair, p_relay, 17), taus))
+    h = gen_channels(4, 0.5, seed=3).h2
+    silent = ChannelPair(m=4, h1=np.zeros(4, dtype=complex), h2=h, rho=0.0, seed=None)
+    corpus.append((mac_region(silent, 0.0, 100.0), bc_boundary(silent, 100.0, 17), taus))
+    pent = mac_region(gen_channels(4, 0.5, seed=3), 10.0, 10.0)
+    for knots in (
+        [(0.5, 2.0), (0.5, 1.5), (1.0, 1.0), (2.0, 0.0)],
+        [(0.0, 3.0), (0.0, 2.0), (0.0, 1.0), (1.5, 0.5), (3.0, 0.25)],
+        [(0.0, 2.0), (1.0, 1.0), (2.0, -0.0)],
+    ):
+        corpus.append((pent, _hand_boundary(knots), taus))
+    return corpus
+
+
 class TestFrontierLookup:
     def test_matches_np_interp_bit_for_bit(self):
         rng = np.random.default_rng(37)
@@ -480,23 +542,39 @@ class TestFrontierLookup:
         assert math.isnan(bc.frontier(math.nan))
         assert math.isnan(_interp_frontier(bc, math.nan))
 
-    def test_tau_slices_match_the_np_interp_reference(self, monkeypatch):
-        # 65 taus, 0 and 1 included; rho = 1 has phi = 0, and a silent
-        # source with a dead uplink leaves every BC knot at r21 = 0
-        rng = np.random.default_rng(41)
-        h = gen_channels(4, 0.5, seed=3).h2
-        settings = [(ChannelPair(m=4, h1=np.zeros(4, dtype=complex), h2=h, rho=0.0, seed=None), 0.0, 100.0)]
-        for rho in (0.5, 0.8, 0.95, 1.0):
+    def test_tau_slices_match_the_np_interp_reference(self, slice_corpus):
+        # df_tau_slices and its one-tau case against the scalar knot loop,
+        # bit for bit and knot for knot
+        for pent, bc, taus in slice_corpus:
+            want = [_scalar_tau_slice(pent, bc, tau) for tau in taus]
+            index, x, y = df_tau_slices(pent, bc, taus)
+            assert index.tolist() == [i for i, s in enumerate(want) for _ in s]
+            assert _bits_of(zip(x.tolist(), y.tolist())) == _bits_of(xy for s in want for xy in s)
+            for tau, s in list(zip(taus, want))[:: max(1, len(taus) // 4)]:
+                assert _bits_of(df_tau_slice(pent, bc, tau)) == _bits_of(s)
+
+    def test_slice_csv_matches_the_scalar_rows(self, slice_corpus):
+        for pent, bc, taus in slice_corpus:
+            want = format_csv(TAU_HEADER, [(tau, x, y) for tau in taus for x, y in _scalar_tau_slice(pent, bc, tau)])
+            assert _slice_csv(taus, *df_tau_slices(pent, bc, taus)) == want
+
+    def test_df_compare_writes_the_scalar_rows(self, tmp_path):
+        for rho, taus in ((0.95, None), (0.5, 1), (1.0, 2)):
+            argv = ["df-compare", "--rho", str(rho), "--profiles", "2", "--weights", "17", "--out", str(tmp_path)]
+            assert main(argv + (["--taus", str(taus)] if taus else [])) == 0
+            pair = gen_channels(4, rho, 42)
+            pent, bc = mac_region(pair, 100.0, 100.0), bc_boundary(pair, 100.0, 17)
+            grid = _tau_grid(taus or 65)
+            rows = [(tau, x, y) for tau in grid for x, y in _scalar_tau_slice(pent, bc, tau)]
+            assert (tmp_path / "df_tau_slices.csv").read_text() == format_csv(TAU_HEADER, rows)
+
+    def test_capacity_region_matches_the_scalar_cloud(self):
+        rng = np.random.default_rng(43)
+        for rho in (0.0, 0.5, 0.95, 1.0):
             pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)))
-            settings += [(pair, 100.0, 100.0), (pair, 1.0, 1e4)]
-        taus = [float(t) for t in np.linspace(0.0, 1.0, 65)]
-        for pair, p, p_relay in settings:
-            pent = mac_region(pair, p, 100.0)
-            bc = bc_boundary(pair, p_relay, n_weights=17)
-            got = [df_tau_slice(pent, bc, tau) for tau in taus]
-            with monkeypatch.context() as patch:
-                patch.setattr(BcBoundary, "frontier", _interp_frontier)
-                want = [df_tau_slice(pent, bc, tau) for tau in taus]
-            assert [[tuple(map(_bits, xy)) for xy in s] for s in got] == [
-                [tuple(map(_bits, xy)) for xy in s] for s in want
-            ]
+            for n_tau, n_weights in ((1, 2), (3, 17), (65, 3), (129, 65)):
+                region = df_capacity_region(pair, 100.0, 10.0, 1e3, n_tau=n_tau, n_weights=n_weights)
+                pent, bc = mac_region(pair, 100.0, 10.0), bc_boundary(pair, 1e3, n_weights)
+                cloud = [xy for tau in _tau_grid(n_tau) for xy in _scalar_tau_slice(pent, bc, tau)]
+                want = _pareto_envelope(cloud)
+                assert _bits_of(zip(region.r21.tolist(), region.r12.tolist())) == _bits_of(want)
