@@ -32,7 +32,6 @@ from .bounds import _crossing
 from .errors import InvalidInputError, NumericalFailureError
 from .model import (
     LN2,
-    Beamformer,
     ChannelPair,
     EffectiveChannel,
     PowerConfig,
@@ -106,24 +105,6 @@ class QcqpBuild:
     prob: SdpProblem
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """One traced point of a rate-region boundary.
-
-    `rates` is the point where the profile ray exits the region; the
-    stored beamformer achieves at least these rates componentwise (its
-    own rate pair can sit strictly above the ray on the unconstrained
-    side).
-    """
-
-    alpha21: float
-    rates: RatePair
-    beamformer: Optional[Beamformer]  # None when no relay matrix applies
-    p1: float
-    p2: float
-    p_relay: float  # relay power actually spent by the beamformer
-
-
 _COLUMNS = ("alpha21", "r21", "r12", "p1", "p2", "p_relay")
 
 
@@ -139,8 +120,9 @@ class RegionBoundary:
     p_relay the relay power each row's beamformer actually spends. B is
     the (n, 2, 2) complex stack of the rows' reduced relay matrices, or
     None where no relay matrix applies, and U the isometry they lift
-    through. `points` views the rows as BoundaryPoint objects, and
-    from_points builds a boundary from such objects.
+    through. Row k's beamformer Beamformer(B=B[k], U=U) reaches at least
+    the row's rates componentwise; its own rate pair can sit above the
+    ray on the unconstrained side.
     """
 
     alpha21: np.ndarray
@@ -151,34 +133,6 @@ class RegionBoundary:
     p_relay: np.ndarray
     B: Optional[np.ndarray]
     U: Optional[np.ndarray]
-
-    @staticmethod
-    def from_points(points: Sequence[BoundaryPoint]) -> "RegionBoundary":
-        """The boundary of the points, in their order. B is None unless
-        every point carries a beamformer, and U is the first one's.
-
-        Raises:
-            InvalidInputError: if a beamformer's B is not 2x2.
-        """
-        bfs = [p.beamformer for p in points]
-        if any(bf is not None and np.shape(bf.B) != (2, 2) for bf in bfs):
-            raise InvalidInputError("boundary relay matrix is not 2x2")
-        rows = [(p.alpha21, p.rates.r21, p.rates.r12, p.p1, p.p2, p.p_relay) for p in points]
-        B = U = None
-        if all(bf is not None for bf in bfs):
-            B = np.array([bf.B for bf in bfs], dtype=complex).reshape(-1, 2, 2)
-            U = bfs[0].U if bfs else None
-        return RegionBoundary(*np.array(rows, dtype=np.float64).reshape(-1, 6).T, B=B, U=U)
-
-    @cached_property
-    def points(self) -> Tuple[BoundaryPoint, ...]:
-        """The rows as BoundaryPoint objects, built at first use."""
-        bfs = [None] * len(self.r21) if self.B is None else [Beamformer(B=b, U=self.U) for b in self.B]
-        columns = (getattr(self, name).tolist() for name in _COLUMNS)
-        return tuple(
-            BoundaryPoint(a, RatePair(r21=x, r12=y), bf, p1, p2, spent)
-            for a, x, y, p1, p2, spent, bf in zip(*columns, bfs)
-        )
 
     def _rows(self, index: np.ndarray) -> "RegionBoundary":
         """The boundary of the rows that index selects."""

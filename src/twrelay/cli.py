@@ -305,14 +305,7 @@ class Timer:
         self._t0 = now
 
 
-def _write_manifest(
-    out: str,
-    command: str,
-    settings: dict,
-    timer: Timer,
-    files: List[str],
-    notes: List[str],
-) -> None:
+def _write_manifest(command: str, settings: dict, timer: Timer, files: List[str], notes: List[str]) -> None:
     manifest = {
         "command": command,
         "library_version": __version__,
@@ -322,14 +315,27 @@ def _write_manifest(
         "timings_s": dict(timer.laps, total=round(sum(timer.laps.values()), 6)),
         "notes": notes,
     }
-    tio.write_manifest(os.path.join(out, "manifest.json"), manifest)
+    tio.write_manifest(os.path.join(settings["out"], "manifest.json"), manifest)
+
+
+def _write_tables(command: str, settings: dict, timer: Timer, texts: List[Tuple[str, str]], notes: List[str]) -> int:
+    """Write each (file, text) into settings["out"] atomically, take the
+    write lap, write the manifest, then print the files' paths."""
+    out = settings["out"]
+    for name, text in texts:
+        tio.atomic_write_text(os.path.join(out, name), text)
+    timer.lap("write")
+    files = [name for name, _ in texts]
+    _write_manifest(command, settings, timer, files, notes)
+    for name in files:
+        print(os.path.join(out, name))
+    return 0
 
 
 # ----------------------------------------------------------------- commands
 
 
 def cmd_region(settings: dict) -> int:
-    out = settings["out"]
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     pc = PowerConfig(settings["p1"], settings["p2"], settings["pr"])
     eff = effective(pair)  # one reduced frame for every boundary
@@ -357,14 +363,7 @@ def cmd_region(settings: dict) -> int:
         timer.lap(scheme)
 
     texts = [(name, tio.format_region_csv(boundary, scheme)) for name, boundary, scheme in tables]
-    for name, text in texts:
-        tio.atomic_write_text(os.path.join(out, name), text)
-    timer.lap("write")
-    files = [name for name, _ in texts]
-    _write_manifest(out, "region", settings, timer, files, notes)
-    for name in files:
-        print(os.path.join(out, name))
-    return 0
+    return _write_tables("region", settings, timer, texts, notes)
 
 
 def cmd_capacity(settings: dict) -> int:
@@ -382,7 +381,7 @@ def cmd_capacity(settings: dict) -> int:
     )
     tio.write_region_csv(os.path.join(out, "capacity.csv"), envelope)
     timer.lap("envelope")
-    _write_manifest(out, "capacity", settings, timer, ["capacity.csv"], [])
+    _write_manifest("capacity", settings, timer, ["capacity.csv"], [])
     print(os.path.join(out, "capacity.csv"))
     return 0
 
@@ -435,7 +434,7 @@ def cmd_sumrate(settings: dict) -> int:
         )
     tio.write_csv(os.path.join(out, "sumrate.csv"), SUMRATE_HEADER, rows)
     timer.lap("grid")
-    _write_manifest(out, "sumrate", settings, timer, ["sumrate.csv"], [])
+    _write_manifest("sumrate", settings, timer, ["sumrate.csv"], [])
     print(os.path.join(out, "sumrate.csv"))
     return 0
 
@@ -447,7 +446,7 @@ def cmd_bounds(settings: dict) -> int:
     report = bounds_report(pc, settings["theta1"], settings["theta2"], settings["rho"])
     tio.atomic_write_text(os.path.join(out, "bounds.json"), report.to_json() + "\n")
     timer.lap("bounds")
-    _write_manifest(out, "bounds", settings, timer, ["bounds.json"], [])
+    _write_manifest("bounds", settings, timer, ["bounds.json"], [])
     for name in ("c21", "c12", "c_ub", "c_ub0", "r_lb_mr", "r_lb_zf", "c_ub_sym", "kappa21_star", "p21_star"):
         value = getattr(report, name)
         shown = "n/a" if value is None else repr(float(value))
@@ -462,7 +461,6 @@ def _slice_csv(taus: Sequence[float], index: np.ndarray, x: np.ndarray, y: np.nd
 
 
 def cmd_df_compare(settings: dict) -> int:
-    out = settings["out"]
     p1 = settings["p1"] if settings["p1"] is not None else settings["p"]
     p2 = settings["p2"] if settings["p2"] is not None else settings["p"]
     pr = settings["pr"] if settings["pr"] is not None else settings["p"]
@@ -479,7 +477,6 @@ def cmd_df_compare(settings: dict) -> int:
     eff = effective(pair)  # one reduced frame for the broadcast arc and the AF region
     arc = _bc_arc(eff, pr)  # one broadcast arc for the sweep and every ray
     bc = arc.boundary(settings["weights"])
-    bc_rows = [(0.5 * pt.r21, 0.5 * pt.r12) for pt in bc.points]
     timer.lap("half_bc")
 
     taus = _tau_grid(settings["taus"])
@@ -497,20 +494,12 @@ def cmd_df_compare(settings: dict) -> int:
 
     texts = [
         ("half_mac.csv", tio.format_csv(tio.RATE_PAIR_HEADER, mac_rows)),
-        ("half_bc.csv", tio.format_csv(tio.RATE_PAIR_HEADER, bc_rows)),
+        ("half_bc.csv", tio.format_columns(tio.RATE_PAIR_HEADER, [0.5 * bc.r21, 0.5 * bc.r12])),
         ("df_tau_slices.csv", _slice_csv(taus, index, x, y)),
         ("df_region.csv", tio.format_csv(tio.TAU_HEADER, env_rows)),
         ("af_region.csv", tio.format_region_csv(boundary)),
     ]
-    for name, text in texts:
-        tio.atomic_write_text(os.path.join(out, name), text)
-    timer.lap("write")
-    files = [name for name, _ in texts]
-
-    _write_manifest(out, "df-compare", settings, timer, files, [])
-    for name in files:
-        print(os.path.join(out, name))
-    return 0
+    return _write_tables("df-compare", settings, timer, texts, [])
 
 
 # ----------------------------------------------------------------- validate

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .beamformer import RateProfile, RegionBoundary, _ray_exit
 from .bounds import _crossing
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .model import ChannelPair, EffectiveChannel, RatePair, effective
 
 DEFAULT_TAU_GRID = 65
@@ -74,6 +73,9 @@ def mac_region(pair: ChannelPair, p1: float, p2: float) -> MacPentagon:
 
     The M x M determinants collapse to 2 x 2 ones through the channel
     Gram matrix.
+
+    Raises NumericalFailureError if the sum rate is not finite, as from
+    source powers near 1e155, where the determinant overflows to inf - inf.
     """
     if p1 < 0.0 or p2 < 0.0:
         raise InvalidInputError("source powers must be nonnegative")
@@ -84,7 +86,11 @@ def mac_region(pair: ChannelPair, p1: float, p2: float) -> MacPentagon:
         ],
         dtype=complex,
     )
-    c_sum = math.log2(float(np.real(np.linalg.det(np.eye(2) + gram))))
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(np.eye(2) + gram)
+    c_sum = math.log2(float(np.real(det)))
+    if not math.isfinite(c_sum):
+        raise NumericalFailureError(f"the MAC sum rate is {c_sum}, not a finite number")
     return MacPentagon(
         c1=math.log2(1.0 + p2 * pair.theta2),
         c2=math.log2(1.0 + p1 * pair.theta1),
@@ -109,28 +115,27 @@ class BcPoint:
         return self.basis @ self.S_reduced @ self.basis.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BcBoundary:
-    """Weight-sweep trace of the broadcast region frontier.
+    """Weight-sweep trace of the broadcast region frontier, as columns.
 
-    Points run from the r12-maximizing corner to the r21-maximizing one
-    (r21 non-decreasing); covariances are the reduced rank-one 2x2
-    matrices of the corresponding points.
+    r21 and r12 are float64 arrays of length n, the knots in weight order
+    from the r12-maximizing corner to the r21-maximizing one (r21
+    non-decreasing); covariances is the (n, 2, 2) complex stack of the
+    knots' reduced rank-one covariances in the orthonormal frame `basis`
+    of span{h1*, h2*}.
     """
 
-    points: List[RatePair]
-    covariances: List[np.ndarray]
+    r21: np.ndarray
+    r12: np.ndarray
+    covariances: np.ndarray
     basis: np.ndarray
-
-    @cached_property
-    def _knots(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.array([p.r21 for p in self.points]), np.array([p.r12 for p in self.points])
 
     def frontier(self, r21: float) -> float:
         """Largest r12 at a given r21 on the piecewise-linear frontier: at
         or left of the first knot that knot's r12, past the last knot
         -inf, and np.interp's value in between."""
-        xs, ys = self._knots
+        xs, ys = self.r21, self.r12
         if r21 > xs[-1]:
             return -math.inf
         if r21 <= xs[0]:
@@ -165,13 +170,12 @@ class _Arc:
             r12=math.log2(1.0 + self.b * math.cos(self.phi - theta) ** 2),
         )
 
-    def point(self, theta: float) -> BcPoint:
+    def covariance(self, theta: float) -> np.ndarray:
         v = math.cos(theta) * self.u1 + math.sin(theta) * self.e2
-        S = self.p_relay * np.outer(v, v.conj())
-        return BcPoint(rates=self.rates(theta), S_reduced=S, basis=self.basis)
+        return self.p_relay * np.outer(v, v.conj())
 
-    def wsrmax(self, w21: float, w12: float) -> BcPoint:
-        """The point of largest w21 r21 + w12 r12 for nonnegative weights,
+    def angle(self, w21: float, w12: float) -> float:
+        """The angle of largest w21 r21 + w12 r12 for nonnegative weights,
         not both zero. Along the arc the weighted sum rate is unimodal, so
         bisection on the sign of its derivative finds the angle to
         rounding level; the sign test is monotone in the weights, so the
@@ -179,9 +183,9 @@ class _Arc:
         (all power toward S1), w21 = 0 gives theta = phi (all power
         toward S2)."""
         if w12 == 0.0:
-            return self.point(0.0)
+            return 0.0
         if w21 == 0.0:
-            return self.point(self.phi)
+            return self.phi
         a, b, phi = self.a, self.b, self.phi
 
         def rising(theta: float) -> bool:
@@ -190,14 +194,16 @@ class _Arc:
             return gain > loss
 
         lo, hi = _crossing(rising, 0.0, phi)
-        return self.point(0.5 * (lo + hi))
+        return 0.5 * (lo + hi)
 
     def boundary(self, n_weights: int) -> BcBoundary:
         """bc_boundary's weight sweep of n_weights >= 2 knots on this arc."""
-        traced = [self.wsrmax(w, 1.0 - w) for w in (k / (n_weights - 1) for k in range(n_weights))]
+        thetas = [self.angle(w, 1.0 - w) for w in (k / (n_weights - 1) for k in range(n_weights))]
+        rates = [self.rates(theta) for theta in thetas]
         return BcBoundary(
-            points=[p.rates for p in traced],
-            covariances=[p.S_reduced for p in traced],
+            r21=np.array([r.r21 for r in rates], dtype=np.float64),
+            r12=np.array([r.r12 for r in rates], dtype=np.float64),
+            covariances=np.array([self.covariance(theta) for theta in thetas]),
             basis=self.basis,
         )
 
@@ -232,11 +238,13 @@ def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPo
     """Maximize w21 r21 + w12 r12 over the broadcast covariance.
 
     The rate region is convex and the maximum sits on the rank-one arc
-    of _Arc (see _Arc.wsrmax).
+    of _Arc, at _Arc.angle(w21, w12).
     """
     if w21 < 0.0 or w12 < 0.0 or w21 + w12 == 0.0:
         raise InvalidInputError("weights must be nonnegative and not both zero")
-    return _bc_arc(effective(pair), p_relay).wsrmax(w21, w12)
+    arc = _bc_arc(effective(pair), p_relay)
+    theta = arc.angle(w21, w12)
+    return BcPoint(rates=arc.rates(theta), S_reduced=arc.covariance(theta), basis=arc.basis)
 
 
 def bc_boundary(
@@ -275,7 +283,7 @@ def df_tau_slices(pent: MacPentagon, bc: BcBoundary, taus: Sequence[float]) -> T
     if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise InvalidInputError("tau must lie in [0, 1]")
     sigma = 1.0 - tau
-    xs, ys = bc._knots
+    xs, ys = bc.r21, bc.r12
     x_max = np.where(sigma * xs[-1] < tau * pent.c1, sigma * xs[-1], tau * pent.c1)
     # + 0.0 turns -0.0 into the 0.0 knot that every slice holds
     cand = np.hstack([np.zeros_like(tau), x_max, tau * [x for x, _ in pent.corners()], sigma * xs]) + 0.0

@@ -110,8 +110,11 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 def format_columns(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """The CSV text of a table given by its columns, one per header name
     and all of one length: a float64 array column as repr() floats, any
-    other as its string cells. Raises NumericalFailureError on a
-    non-finite cell (see _csv_text)."""
+    other as its string cells. Raises InvalidInputError if the columns
+    are not one per header name or differ in length, and
+    NumericalFailureError on a non-finite cell (see _csv_text)."""
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise InvalidInputError(f"{len(header)} header names, columns of lengths {[len(c) for c in columns]}")
     cells = [list(map(float.__repr__, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
     return _csv_text([",".join(header), *map(",".join, zip(*cells))])
 
@@ -124,11 +127,12 @@ def format_region_csv(boundary: RegionBoundary, scheme: Optional[str] = None) ->
     The eight B_* cells hold each row's reduced 2x2 beamformer row-major
     (B[0,0], B[0,1], B[1,0], B[1,1]), real parts then imaginary parts.
     Every other cell is written as a float. Raises InvalidInputError if
-    the boundary carries no relay matrices (its B is None), and
-    NumericalFailureError on a non-finite cell.
+    B is None (no relay matrix applies) or not an (n, 2, 2) stack, or if
+    the columns differ in length, and NumericalFailureError on a
+    non-finite cell.
     """
-    if boundary.B is None:
-        raise InvalidInputError("boundary carries no relay matrices")
+    if boundary.B is None or boundary.B.shape != (len(boundary.r21), 2, 2):
+        raise InvalidInputError("the boundary's relay matrices are not an (n, 2, 2) stack, n its row count")
     B = boundary.B.reshape(-1, 4)
     columns = [boundary.alpha21, boundary.r21, boundary.r12, boundary.p1, boundary.p2, *B.real.T, *B.imag.T, boundary.p_relay]
     if scheme is None:

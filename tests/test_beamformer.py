@@ -354,13 +354,13 @@ class TestWorkCounts:
         _no_solve(monkeypatch)
         eff = effective(gen_channels(4, 0.6, seed=19))
         rb = rate_region_boundary(eff, PowerConfig(30.0, 300.0, 100.0), n_profiles=33)
-        assert len(rb.points) == 33
+        assert len(rb.r21) == 33
         max_sum_rate(eff, PowerConfig(30.0, 300.0, 100.0), RateProfile.of(0.3))
 
     def test_capacity_makes_no_solve(self, monkeypatch):
         _no_solve(monkeypatch)
         cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 10.0, power_grid=3, n_profiles=5)
-        assert cr.points
+        assert len(cr.r21) > 0
 
     def test_capacity_searches_each_cell_once_per_ray(self, monkeypatch):
         # the winning cell's search also gives the ray's beamformer: the
@@ -768,9 +768,8 @@ class TestRegionBoundary:
         # below 4e-4 bits, where a sort with a tie that wide scrambles r21
         for rho, pc in ((0.8, symmetric_power(10.0)), (1.0, PowerConfig(27.0, 3397.0, 0.457))):
             rb = rate_region_boundary(effective(gen_channels(4, rho, seed=7)), pc)
-            assert [p.alpha21 for p in rb.points] == [i / 32 for i in range(33)]
-            r21s = [p.rates.r21 for p in rb.points]
-            r12s = [p.rates.r12 for p in rb.points]
+            assert rb.alpha21.tolist() == [i / 32 for i in range(33)]
+            r21s, r12s = rb.r21.tolist(), rb.r12.tolist()
             assert all(a <= b + 1e-12 for a, b in zip(r21s, r21s[1:]))
             assert all(a >= b - 1e-12 for a, b in zip(r12s, r12s[1:]))
 
@@ -778,54 +777,42 @@ class TestRegionBoundary:
         eff = effective(gen_channels(4, 0.5, seed=13))
         pc = symmetric_power(10.0)
         rb = rate_region_boundary(eff, pc, n_profiles=9)
-        for p in rb.points:
-            achieved = rate_pair_reduced(p.beamformer, eff, pc)
-            assert achieved.r21 >= p.rates.r21 - 1e-9
-            assert achieved.r12 >= p.rates.r12 - 1e-9
-            assert p.p_relay <= pc.p_relay * (1 + 1e-6)
+        for B, r21, r12, spent in zip(rb.B, rb.r21, rb.r12, rb.p_relay):
+            achieved = rate_pair_reduced(Beamformer(B=B, U=rb.U), eff, pc)
+            assert achieved.r21 >= r21 - 1e-9
+            assert achieved.r12 >= r12 - 1e-9
+            assert spent <= pc.p_relay * (1 + 1e-6)
 
     def test_symmetric_instance_boundary_is_symmetric(self):
         eff = effective(orthogonal_pair())
         rb = rate_region_boundary(eff, symmetric_power(10.0))
-        for p in rb.points:
-            assert envelope_value(rb, p.rates.r12) >= p.rates.r21 - 1e-3
+        for r21, r12 in zip(rb.r21.tolist(), rb.r12.tolist()):
+            assert envelope_value(rb, r12) >= r21 - 1e-3
 
     def test_contains_equal_rate_closed_form(self):
         eff = effective(orthogonal_pair())
         rb = rate_region_boundary(eff, PowerConfig(4.0, 4.0, 10.0))
-        mid = next(p for p in rb.points if p.alpha21 == 0.5)
-        assert abs(mid.rates.r21 - EQUAL_RATE) <= 1e-3
-        assert abs(mid.rates.r12 - EQUAL_RATE) <= 1e-3
+        mid = rb.alpha21.tolist().index(0.5)
+        assert abs(rb.r21[mid] - EQUAL_RATE) <= 1e-3
+        assert abs(rb.r12[mid] - EQUAL_RATE) <= 1e-3
 
     def test_silent_source_collapses_to_axis(self):
         eff = effective(orthogonal_pair())
         rb = rate_region_boundary(eff, PowerConfig(0.0, 4.0, 10.0), n_profiles=9)
-        assert max(p.rates.r12 for p in rb.points) == 0.0
-        assert max(p.rates.r21 for p in rb.points) > 0.5
+        assert rb.r12.max() == 0.0
+        assert rb.r21.max() > 0.5
 
     def test_rejects_single_profile(self):
         eff = effective(orthogonal_pair())
         with pytest.raises(InvalidInputError):
             rate_region_boundary(eff, symmetric_power(10.0), n_profiles=1)
 
-    def test_points_view_the_columns(self):
-        from twrelay.beamformer import RegionBoundary
-
-        rb = rate_region_boundary(effective(gen_channels(4, 0.5, seed=13)), symmetric_power(10.0), n_profiles=5)
-        points = rb.points
-        assert isinstance(points, tuple) and rb.points is points
-        assert [p.rates for p in points] == [RatePair(x, y) for x, y in zip(rb.r21.tolist(), rb.r12.tolist())]
-        assert all(p.beamformer.U is rb.U for p in points)
-        again = RegionBoundary.from_points(points)
-        for name in ("alpha21", "r21", "r12", "p1", "p2", "p_relay", "B"):
-            assert getattr(again, name).tobytes() == getattr(rb, name).tobytes()
-        assert again.U is rb.U
-
 
 def _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles):
     """The capacity envelope as the search of every grid^2 cell gives it:
     cells in p1-major order, each ray traced in the first cell whose exit
-    is farthest, then the dominance prune."""
+    is farthest, then the dominance prune; one (r21, r12, p1, p2,
+    p_relay, B) tuple per kept ray."""
     import twrelay.beamformer as bf
 
     eff = effective(pair)
@@ -838,18 +825,9 @@ def _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles):
     for profile in bf._profiles(n_profiles):
         cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
         r, B = bf._traced(cell, profile, found, DEFAULT_DELTA_R)
-        beamformer = Beamformer(B=B, U=eff.U)
-        points.append(
-            bf.BoundaryPoint(
-                alpha21=profile.alpha21,
-                rates=RatePair(r21=profile.alpha21 * r, r12=profile.alpha12 * r),
-                beamformer=beamformer,
-                p1=cell.pc.p1,
-                p2=cell.pc.p2,
-                p_relay=relay_power_reduced(beamformer, eff, cell.pc),
-            )
-        )
-    keep = bf._prune_dominated(np.array([p.rates.r21 for p in points]), np.array([p.rates.r12 for p in points]))
+        spent = relay_power_reduced(Beamformer(B=B, U=eff.U), eff, cell.pc)
+        points.append((profile.alpha21 * r, profile.alpha12 * r, cell.pc.p1, cell.pc.p2, spent, B))
+    keep = bf._prune_dominated(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
     return [points[i] for i in keep]
 
 
@@ -890,24 +868,22 @@ class TestCapacityRegion:
         pair = orthogonal_pair()
         rb = rate_region_boundary(effective(pair), symmetric_power(10.0), n_profiles=9)
         cr = capacity_region(pair, 10.0, 10.0, 10.0, power_grid=1, n_profiles=9)
-        assert len(cr.points) == len(rb.points)
-        for a, b in zip(rb.points, cr.points):
-            assert a.rates == b.rates
-            assert np.array_equal(a.beamformer.B, b.beamformer.B)
+        assert len(cr.r21) == len(rb.r21)
+        assert np.array_equal(cr.r21, rb.r21) and np.array_equal(cr.r12, rb.r12)
+        assert np.array_equal(cr.B, rb.B)
 
     def test_envelope_contains_full_power_boundary(self):
         pair = gen_channels(3, 0.4, seed=17)
         rb = rate_region_boundary(effective(pair), symmetric_power(10.0), n_profiles=9)
         cr = capacity_region(pair, 10.0, 10.0, 10.0, power_grid=2, n_profiles=9)
-        for p in rb.points:
-            assert envelope_value(cr, p.rates.r21) >= p.rates.r12 - 1e-9
+        for r21, r12 in zip(rb.r21.tolist(), rb.r12.tolist()):
+            assert envelope_value(cr, r21) >= r12 - 1e-9
 
     def test_more_relay_power_dominates(self):
         eff = effective(gen_channels(3, 0.4, seed=17))
         lo = rate_region_boundary(eff, PowerConfig(10.0, 10.0, 5.0), n_profiles=5)
         hi = rate_region_boundary(eff, PowerConfig(10.0, 10.0, 10.0), n_profiles=5)
-        for a, b in zip(lo.points, hi.points):
-            assert a.rates.r21 + a.rates.r12 <= b.rates.r21 + b.rates.r12 + 2e-4
+        assert np.all(lo.r21 + lo.r12 <= hi.r21 + hi.r12 + 2e-4)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidInputError):
@@ -927,15 +903,15 @@ class TestCapacityRegion:
             for p1 in bf._power_grid(powers[0], 3)
             for p2 in bf._power_grid(powers[1], 3)
         ]
-        alphas = [p.alpha21 for p in cr.points]
+        alphas = cr.alpha21.tolist()
         assert len(set(alphas)) == len(alphas)
-        for p in cr.points:
-            profile = RateProfile.of(p.alpha21)
+        for alpha21, r21, r12, p1, p2 in zip(alphas, cr.r21.tolist(), cr.r12.tolist(), cr.p1.tolist(), cr.p2.tolist()):
+            profile = RateProfile.of(alpha21)
             values = [max_sum_rate(eff, pc, profile)[0] for pc in cells]
             best = max(values)
             first = cells[values.index(best)]
-            assert p.rates == RatePair(profile.alpha21 * best, profile.alpha12 * best)
-            assert (p.p1, p.p2) == (first.p1, first.p2)
+            assert (r21, r12) == (profile.alpha21 * best, profile.alpha12 * best)
+            assert (p1, p2) == (first.p1, first.p2)
 
     def test_matches_the_full_grid_search(self):
         # only edge cells can hold the union's boundary, so searching them
@@ -943,12 +919,13 @@ class TestCapacityRegion:
         # budget every exit ties at 0 and only the rates are defined
         for m, rho, seed, P1, P2, P_R, grid in _capacity_corpus():
             pair = gen_channels(m, rho, seed)
-            got = capacity_region(pair, P1, P2, P_R, power_grid=grid, n_profiles=9).points
+            got = capacity_region(pair, P1, P2, P_R, power_grid=grid, n_profiles=9)
             want = _full_grid_capacity(pair, P1, P2, P_R, grid, n_profiles=9)
-            assert [p.rates for p in got] == [p.rates for p in want]
+            assert list(zip(got.r21.tolist(), got.r12.tolist())) == [p[:2] for p in want]
             if P_R > 0.0:
-                assert [(p.p1, p.p2, p.p_relay) for p in got] == [(p.p1, p.p2, p.p_relay) for p in want]
-                assert [p.beamformer.B.tobytes() for p in got] == [p.beamformer.B.tobytes() for p in want]
+                columns = (got.p1.tolist(), got.p2.tolist(), got.p_relay.tolist())
+                assert list(zip(*columns)) == [p[2:5] for p in want]
+                assert [B.tobytes() for B in got.B] == [p[5].tobytes() for p in want]
 
     @pytest.mark.parametrize("grid", (1, 2, 3, 8))
     def test_searches_only_the_edge_cells(self, monkeypatch, grid):
@@ -988,7 +965,7 @@ class TestCapacityRegion:
     def test_zero_relay_power_gives_one_zero_point(self):
         # every ray stays at (0, 0), and equal points are kept once
         cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 0.0, power_grid=3, n_profiles=5)
-        assert [p.rates for p in cr.points] == [RatePair(0.0, 0.0)]
+        assert (cr.r21.tolist(), cr.r12.tolist()) == ([0.0], [0.0])
 
 
 class TestEnvelope:
@@ -998,15 +975,11 @@ class TestEnvelope:
             (1.0, 1.5),
             (2.0, 0.5),
         ]
-        from twrelay.beamformer import BoundaryPoint, RegionBoundary
+        from twrelay.beamformer import RegionBoundary
 
-        bf = Beamformer(B=np.zeros((2, 2), dtype=complex), U=np.eye(2, dtype=complex))
-        rb = RegionBoundary.from_points(
-            [
-                BoundaryPoint(alpha21=0.0, rates=RatePair(x, y), beamformer=bf, p1=1, p2=1, p_relay=0)
-                for x, y in pts
-            ]
-        )
+        r21, r12 = np.array(pts).T
+        zeros, ones = np.zeros(len(pts)), np.ones(len(pts))
+        rb = RegionBoundary(zeros, r21, r12, ones, ones, zeros, B=np.zeros((len(pts), 2, 2), dtype=complex), U=np.eye(2))
         assert envelope_value(rb, 0.0) == 2.0
         assert envelope_value(rb, 0.5) == 1.5
         assert envelope_value(rb, 2.0) == 0.5

@@ -385,6 +385,16 @@ def test_a_non_finite_table_exits_1_and_writes_nothing(argv, df_ray, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_overflowing_mac_exits_1_naming_the_mac_sum_rate(tmp_path, capsys):
+    # at p = 1e200 the MAC's 2x2 determinant overflows to inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["df-compare", "--p", "1e200", "--profiles", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "twrelay df-compare: error: the MAC sum rate is nan, not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestBoundsCommand:
     def test_writes_json_and_prints_table(self, tmp_path, capsys):
         assert run(["bounds", "--rho", "0.5", "--out", str(tmp_path)]) == 0

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from twrelay.df import (
     mac_region,
 )
 from twrelay.io import TAU_HEADER, format_csv
-from twrelay.errors import InvalidInputError
+from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.linalg import eig_herm2
-from twrelay.model import ChannelPair, PowerConfig, RatePair, effective, gen_channels
+from twrelay.model import ChannelPair, PowerConfig, effective, gen_channels
 
 
 class TestMacRegion:
@@ -72,6 +73,16 @@ class TestMacRegion:
             assert r21 <= pent.c1 + 1e-12
             assert r12 <= pent.c2 + 1e-12
             assert r21 + r12 <= pent.c_sum + 1e-12
+
+    def test_overflowing_sum_rate_raises_with_no_warning(self):
+        # from about p = 1e155 the 2x2 determinant overflows to inf - inf
+        pair = gen_channels(4, 0.95, seed=42)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(mac_region(pair, 1e154, 1e154).c_sum)
+            for p in (1e160, 1e200):
+                with pytest.raises(NumericalFailureError, match="MAC sum rate is nan"):
+                    mac_region(pair, p, p)
 
     def test_ray_exit_agrees_with_caps(self):
         pair = gen_channels(4, 0.8, seed=2)
@@ -160,8 +171,7 @@ class TestBcBoundary:
     def test_sweep_monotone_and_concave(self):
         pair = gen_channels(4, 0.95, seed=21)
         bc = bc_boundary(pair, 100.0, n_weights=17)
-        xs = [p.r21 for p in bc.points]
-        ys = [p.r12 for p in bc.points]
+        xs, ys = bc.r21.tolist(), bc.r12.tolist()
         assert all(a <= b + 1e-9 for a, b in zip(xs, xs[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(ys, ys[1:]))
         slopes = [
@@ -203,7 +213,7 @@ class TestBcBoundary:
 
         monkeypatch.setattr(df, "_bc_arc", counting)
         bc = bc_boundary(gen_channels(4, 0.7, seed=13), 50.0, n_weights=n_weights)
-        assert len(bc.points) == n_weights
+        assert len(bc.r21) == n_weights
         assert len(built) == 1
 
     def test_knots_come_in_weight_order(self):
@@ -217,14 +227,22 @@ class TestBcBoundary:
                     pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)), normalize)
                     for n in (2, 3, 17, 65):
                         bc = bc_boundary(pair, p_relay, n_weights=n)
-                        for k, (rates, S) in enumerate(zip(bc.points, bc.covariances)):
+                        for k, (r21, r12, S) in enumerate(zip(bc.r21.tolist(), bc.r12.tolist(), bc.covariances)):
                             point = bc_wsrmax(pair, p_relay, k / (n - 1), 1.0 - k / (n - 1))
-                            assert rates == point.rates
-                            assert np.array_equal(S, point.S_reduced)
-                        r21 = [p.r21 for p in bc.points]
+                            assert _bits(r21) == _bits(point.rates.r21) and _bits(r12) == _bits(point.rates.r12)
+                            assert S.tobytes() == point.S_reduced.tobytes()
+                        r21 = bc.r21.tolist()
                         assert all(x <= y for x, y in zip(r21, r21[1:]))
                         boundaries += 1
         assert boundaries == 160
+
+    def test_columns_and_covariance_stack(self):
+        for rho, n in ((0.0, 2), (0.7, 17), (1.0, 65)):
+            bc = bc_boundary(gen_channels(4, rho, seed=13), 50.0, n_weights=n)
+            assert bc.r21.dtype == bc.r12.dtype == np.float64
+            assert bc.r21.shape == bc.r12.shape == (n,)
+            assert np.all(np.diff(bc.r21) >= 0.0)
+            assert bc.covariances.shape == (n, 2, 2) and bc.covariances.dtype == np.complex128
 
     def test_ray_exit_degenerate_profiles(self):
         pair = gen_channels(4, 0.95, seed=21)
@@ -243,7 +261,7 @@ class TestDfRegion:
         bc = bc_boundary(pair, 100.0, n_weights=33)
         slice_pts = df_tau_slice(pent, bc, 0.5)
         region = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=1, n_weights=33)
-        got = {(p.rates.r21, p.rates.r12) for p in region.points}
+        got = set(zip(region.r21.tolist(), region.r12.tolist()))
         want = {
             (x, y)
             for x, y in slice_pts
@@ -284,11 +302,8 @@ class TestDfRegion:
             t, tau = df_boundary_value(pair, 100.0, 100.0, 100.0, profile)
             assert 0.0 < tau < 1.0
             grid_t = max(
-                min(
-                    p.rates.r21 / profile.alpha21,
-                    p.rates.r12 / profile.alpha12,
-                )
-                for p in region.points
+                min(r21 / profile.alpha21, r12 / profile.alpha12)
+                for r21, r12 in zip(region.r21.tolist(), region.r12.tolist())
             )
             assert grid_t <= t + 1e-9
             assert grid_t == pytest.approx(t, abs=0.02)
@@ -319,8 +334,7 @@ class TestDfRegion:
     def test_region_ordered(self):
         pair = gen_channels(4, 0.8, seed=21)
         region = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=9, n_weights=9)
-        r21 = [p.rates.r21 for p in region.points]
-        r12 = [p.rates.r12 for p in region.points]
+        r21, r12 = region.r21.tolist(), region.r12.tolist()
         assert all(a <= b + 1e-12 for a, b in zip(r21, r21[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(r12, r12[1:]))
 
@@ -427,8 +441,7 @@ def test_broadcast_reaches_the_eigenvector_sweep(pair, p_relay):
 def _interp_frontier(bc, r21):
     """BcBoundary.frontier as np.interp on knot arrays: the reference that
     the bisect lookup must match bit for bit."""
-    xs = np.array([p.r21 for p in bc.points])
-    ys = np.array([p.r12 for p in bc.points])
+    xs, ys = bc.r21, bc.r12
     if r21 > xs[-1]:
         return -math.inf
     if r21 <= xs[0]:
@@ -441,7 +454,8 @@ def _bits(value):
 
 
 def _hand_boundary(knots):
-    return BcBoundary(points=[RatePair(x, y) for x, y in knots], covariances=[], basis=np.eye(2))
+    r21, r12 = np.array(knots, dtype=np.float64).T
+    return BcBoundary(r21=r21, r12=r12, covariances=np.zeros((len(knots), 2, 2), dtype=complex), basis=np.eye(2))
 
 
 def _lookup_corpus():
@@ -466,15 +480,15 @@ def _scalar_tau_slice(pent, bc, tau):
     broadcast frontier through _interp_frontier: the reference that the
     array pass must match bit for bit."""
     sigma = 1.0 - tau
-    bc_cap = bc.points[-1].r21
+    bc_cap = bc.r21.tolist()[-1]
     x_max = min(tau * pent.c1, sigma * bc_cap)
     knots = {0.0, x_max}
     for x, _ in pent.corners():
         if 0.0 <= tau * x <= x_max:
             knots.add(tau * x)
-    for p in bc.points:
-        if 0.0 <= sigma * p.r21 <= x_max:
-            knots.add(sigma * p.r21)
+    for r21 in bc.r21.tolist():
+        if 0.0 <= sigma * r21 <= x_max:
+            knots.add(sigma * r21)
     out = []
     for x in sorted(knots):
         y_mac = tau * pent.frontier(min(x / tau, pent.c1)) if tau > 0.0 else 0.0
@@ -524,7 +538,7 @@ class TestFrontierLookup:
         rng = np.random.default_rng(37)
         queries = 0
         for bc in _lookup_corpus():
-            xs = [p.r21 for p in bc.points]
+            xs = bc.r21.tolist()
             cases = [*xs, xs[0] - 1.0, math.nextafter(xs[0], -math.inf), math.nextafter(xs[-1], math.inf)]
             cases += [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
             cases += [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
@@ -532,7 +546,7 @@ class TestFrontierLookup:
             for r21 in cases:
                 got = bc.frontier(float(r21))
                 assert type(got) is float
-                assert _bits(got) == _bits(_interp_frontier(bc, float(r21))), (bc.points, r21)
+                assert _bits(got) == _bits(_interp_frontier(bc, float(r21))), (xs, r21)
                 queries += 1
             assert bc.frontier(math.nextafter(xs[-1], math.inf)) == -math.inf
         assert queries > 4000

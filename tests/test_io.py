@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,23 +13,28 @@ import twrelay.beamformer as bf
 from twrelay import io as tio
 from twrelay.beamformer import (
     DEFAULT_DELTA_R,
-    BoundaryPoint,
     RegionBoundary,
     capacity_region,
     rate_region_boundary,
 )
 from twrelay.errors import InvalidInputError, NumericalFailureError
-from twrelay.model import Beamformer, PowerConfig, RatePair, effective, gen_channels, relay_power_reduced
+from twrelay.model import Beamformer, PowerConfig, effective, gen_channels, relay_power_reduced
 from twrelay.schemes import _HALF_PI, _Sweep, sweep_region
 
 
-def make_point(r21=0.5, r12=0.25, with_bf=True):
-    B = np.array([[0.1 + 0.2j, -0.3], [0.4j, 1.5 - 0.6j]])
-    bf = Beamformer(B=B, U=np.eye(2, dtype=complex)) if with_bf else None
-    return BoundaryPoint(
-        alpha21=0.5, rates=RatePair(r21=r21, r12=r12), beamformer=bf,
-        p1=10.0, p2=10.0, p_relay=10.0,
-    )
+# one boundary row: the RegionBoundary columns in order, then its 2x2 B
+Row = namedtuple("Row", "alpha21 r21 r12 p1 p2 p_relay B")
+
+
+def make_row(r21=0.5, r12=0.25):
+    return Row(0.5, r21, r12, 10.0, 10.0, 10.0, np.array([[0.1 + 0.2j, -0.3], [0.4j, 1.5 - 0.6j]]))
+
+
+def make_boundary(rows):
+    """The boundary of the rows, in their order, with an identity frame."""
+    columns = np.array([row[:6] for row in rows], dtype=np.float64).reshape(-1, 6).T
+    B = np.array([row.B for row in rows], dtype=complex).reshape(-1, 2, 2)
+    return RegionBoundary(*columns, B=B, U=np.eye(2, dtype=complex))
 
 
 class TestFormatCsv:
@@ -55,6 +62,27 @@ class TestFormatCsv:
         assert text.splitlines()[1] == "mr,true"
 
 
+class TestFormatColumns:
+    def test_columns_become_rows(self):
+        text = tio.format_columns(["x", "s"], [np.array([0.1, -0.0]), ["a", "b"]])
+        assert text == "x,s\n0.1,a\n-0.0,b\n"
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["x", "y"], [np.array([1.0, 2.0, 3.0]), np.array([4.0])]),
+            (["x", "y"], [np.array([1.0]), np.array([2.0, 3.0])]),
+            (["x", "s"], [np.array([1.0, 2.0]), ["a"]]),
+            (["x", "y"], [np.array([1.0, 2.0])]),
+        ],
+        ids=["short-last", "short-first", "short-strings", "missing-column"],
+    )
+    def test_ragged_columns_raise_and_write_nothing(self, tmp_path, header, columns):
+        with pytest.raises(InvalidInputError):
+            tio.atomic_write_text(str(tmp_path / "t.csv"), tio.format_columns(header, columns))
+        assert os.listdir(tmp_path) == []
+
+
 NON_FINITE = [math.nan, -math.inf, np.float64(math.inf)]
 
 
@@ -67,7 +95,7 @@ class TestNonFiniteCells:
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "-inf", "inf"])
     def test_write_region_csv_refuses_and_writes_nothing(self, tmp_path, value):
-        boundary = RegionBoundary.from_points([make_point(), make_point(r12=value)])
+        boundary = make_boundary([make_row(), make_row(r12=value)])
         with pytest.raises(NumericalFailureError, match=f"row 2, column r12 is {float(value)!r}"):
             tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary, scheme="mr")
         assert os.listdir(tmp_path) == []
@@ -107,11 +135,11 @@ def _rows_per_point(points, scheme=None):
     header = list(tio.REGION_HEADER) + (["scheme"] if scheme is not None else [])
     rows = []
     for point in points:
-        flat = np.asarray(point.beamformer.B, dtype=complex).reshape(-1)
+        flat = np.asarray(point.B, dtype=complex).reshape(-1)
         row = [
             point.alpha21,
-            point.rates.r21,
-            point.rates.r12,
+            point.r21,
+            point.r12,
             point.p1,
             point.p2,
             *[float(v) for v in flat.real],
@@ -137,13 +165,14 @@ def _edge_points(n):
         cells = [EDGE_CELLS[(i + k) % len(EDGE_CELLS)] for k in range(8)]
         B = np.array(cells[:4]).reshape(2, 2) + 1j * np.array(cells[4:]).reshape(2, 2)
         points.append(
-            BoundaryPoint(
+            Row(
                 alpha21=i / 3.0,
-                rates=RatePair(r21=0.1 * i, r12=EDGE_CELLS[i % len(EDGE_CELLS)]),
-                beamformer=Beamformer(B=B, U=np.eye(2, dtype=complex)),
+                r21=0.1 * i,
+                r12=EDGE_CELLS[i % len(EDGE_CELLS)],
                 p1=10.0,
                 p2=(0.0, -0.0)[i % 2],
                 p_relay=EDGE_CELLS[-1 - i % len(EDGE_CELLS)],
+                B=B,
             )
         )
     return points
@@ -151,37 +180,45 @@ def _edge_points(n):
 
 class TestRegionRows:
     def test_b_cells_reconstruct_the_matrix(self, tmp_path):
-        point = make_point()
-        lines = _region_csv(tmp_path, RegionBoundary.from_points([point])).splitlines()
+        point = make_row()
+        lines = _region_csv(tmp_path, make_boundary([point])).splitlines()
         assert lines[0].split(",") == tio.REGION_HEADER
         row = [float(cell) for cell in lines[1].split(",")]
         re_part = np.array(row[5:9]).reshape(2, 2)
         im_part = np.array(row[9:13]).reshape(2, 2)
-        assert np.array_equal(re_part + 1j * im_part, point.beamformer.B)
+        assert np.array_equal(re_part + 1j * im_part, point.B)
 
     def test_scheme_column_appended_last(self, tmp_path):
-        text = _region_csv(tmp_path, RegionBoundary.from_points([make_point()]), scheme="mr")
+        text = _region_csv(tmp_path, make_boundary([make_row()]), scheme="mr")
         header, row = text.splitlines()
         assert header.split(",")[-1] == "scheme"
         assert row.split(",")[-1] == "mr"
 
     def test_missing_beamformer_raises(self, tmp_path):
-        boundary = RegionBoundary.from_points([make_point(), make_point(with_bf=False)])
-        assert boundary.B is None
+        boundary = dataclasses.replace(make_boundary([make_row(), make_row()]), B=None)
         with pytest.raises(InvalidInputError):
             tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
         assert os.listdir(tmp_path) == []
 
     def test_non_2x2_beamformer_raises(self, tmp_path):
-        # a boundary holds a stack of 2x2 matrices, so the bad point is
-        # refused where the boundary is built
-        bf = Beamformer(B=np.eye(3, dtype=complex), U=np.eye(3, dtype=complex))
-        bad = BoundaryPoint(
-            alpha21=0.5, rates=RatePair(r21=0.5, r12=0.25), beamformer=bf,
-            p1=10.0, p2=10.0, p_relay=10.0,
-        )
+        boundary = dataclasses.replace(make_boundary([make_row(), make_row()]), B=np.zeros((2, 3, 3), dtype=complex))
+        with pytest.raises(InvalidInputError, match="stack"):
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 2, 2), (2, 4), (2, 2)], ids=["long", "short", "flat", "one-matrix"])
+    def test_b_not_one_matrix_per_row_raises(self, tmp_path, shape):
+        # a 2-row boundary whose relay matrices do not stack to (2, 2, 2)
+        boundary = dataclasses.replace(make_boundary([make_row(), make_row()]), B=np.zeros(shape, dtype=complex))
+        with pytest.raises(InvalidInputError, match="stack"):
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
+        assert os.listdir(tmp_path) == []
+
+    def test_ragged_columns_raise(self, tmp_path):
+        boundary = make_boundary([make_row(), make_row()])
+        boundary = dataclasses.replace(boundary, r12=boundary.r12[:1])
         with pytest.raises(InvalidInputError):
-            tio.write_region_csv(str(tmp_path / "boundary.csv"), RegionBoundary.from_points([make_point(), bad]))
+            tio.write_region_csv(str(tmp_path / "boundary.csv"), boundary)
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
@@ -189,10 +226,10 @@ class TestRegionRows:
     def test_columns_match_the_rows_per_point(self, tmp_path, n, scheme):
         points = _edge_points(n)
         want = tio.format_csv(*_rows_per_point(points, scheme))
-        assert _region_csv(tmp_path, RegionBoundary.from_points(points), scheme) == want
+        assert _region_csv(tmp_path, make_boundary(points), scheme) == want
 
     def test_signed_zeros_keep_their_sign(self, tmp_path):
-        lines = _region_csv(tmp_path, RegionBoundary.from_points(_edge_points(3))).splitlines()[1:]
+        lines = _region_csv(tmp_path, make_boundary(_edge_points(3))).splitlines()[1:]
         assert [line.split(",")[4] for line in lines] == ["0.0", "-0.0", "0.0"]
         assert [line.split(",")[3] for line in lines] == ["10.0"] * 3
 
@@ -210,16 +247,7 @@ def _per_point_sweep(scheme, pair, pc, n_ratios):
     points = []
     for B, x21, x12, spent in zip(mats, r21.tolist(), r12.tolist(), powers.tolist()):
         total = x21 + x12
-        points.append(
-            BoundaryPoint(
-                alpha21=x21 / total if total > 0 else 0.5,
-                rates=RatePair(r21=x21, r12=x12),
-                beamformer=Beamformer(B=B, U=sweep.eff.U),
-                p1=pc.p1,
-                p2=pc.p2,
-                p_relay=spent,
-            )
-        )
+        points.append(Row(x21 / total if total > 0 else 0.5, x21, x12, pc.p1, pc.p2, spent, B))
     return points
 
 
@@ -229,8 +257,8 @@ def _per_point_trace(cells, n_profiles):
         cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
         r_sum, B = bf._traced(cell, profile, found, DEFAULT_DELTA_R)
         eff, pc, beam = cell.eff, cell.pc, Beamformer(B=B, U=cell.eff.U)
-        rates = RatePair(r21=profile.alpha21 * r_sum, r12=profile.alpha12 * r_sum)
-        points.append(BoundaryPoint(profile.alpha21, rates, beam, pc.p1, pc.p2, relay_power_reduced(beam, eff, pc)))
+        r21, r12 = profile.alpha21 * r_sum, profile.alpha12 * r_sum
+        points.append(Row(profile.alpha21, r21, r12, pc.p1, pc.p2, relay_power_reduced(beam, eff, pc), B))
     return points
 
 
@@ -240,7 +268,7 @@ def _per_point_capacity(pair, P1, P2, P_R, grid, n_profiles):
     edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1]] + [(p1_grid[-1], p2) for p2 in p2_grid]
     cells = [bf._PowerCell(eff, PowerConfig(float(p1), float(p2), P_R)) for p1, p2 in edges]
     points = _per_point_trace(cells, n_profiles)
-    r = np.array([[p.rates.r21, p.rates.r12] for p in points])
+    r = np.array([[p.r21, p.r12] for p in points])
     return [
         p
         for i, (p, x) in enumerate(zip(points, r))
@@ -249,16 +277,16 @@ def _per_point_capacity(pair, P1, P2, P_R, grid, n_profiles):
 
 
 def _per_point_csv(points, scheme=None):
-    if any(point.beamformer is None for point in points):
+    if any(point.B is None for point in points):
         raise InvalidInputError("boundary point carries no relay matrix")
-    if any(np.shape(point.beamformer.B) != (2, 2) for point in points):
+    if any(np.shape(point.B) != (2, 2) for point in points):
         raise InvalidInputError("boundary relay matrix is not 2x2")
-    B = np.array([point.beamformer.B for point in points], dtype=complex)
+    B = np.array([point.B for point in points], dtype=complex)
     B = B.reshape(len(points), 4)
     columns = [
         [point.alpha21 for point in points],
-        [point.rates.r21 for point in points],
-        [point.rates.r12 for point in points],
+        [point.r21 for point in points],
+        [point.r12 for point in points],
         [point.p1 for point in points],
         [point.p2 for point in points],
         *B.real.T,
@@ -324,7 +352,7 @@ class TestColumnsMatchThePerPointPath:
     def test_hand_made_edge_cells(self, tmp_path, n):
         # -0.0, the least subnormal and the top of the range
         points = _edge_points(n)
-        assert _region_csv(tmp_path, RegionBoundary.from_points(points), "mr") == _per_point_csv(points, "mr")
+        assert _region_csv(tmp_path, make_boundary(points), "mr") == _per_point_csv(points, "mr")
 
 
 class TestManifest:

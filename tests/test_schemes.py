@@ -16,6 +16,7 @@ from twrelay.model import (
     Beamformer,
     ChannelPair,
     PowerConfig,
+    RatePair,
     effective,
     gen_channels,
     rate_pair,
@@ -177,11 +178,10 @@ class TestSweepRegion:
         pair = orthogonal_pair()
         pc = symmetric_power(10.0)
         boundary = sweep_region("mr", effective(pair), pc, n_ratios=2)
-        assert len(boundary.points) == 2
-        first, last = boundary.points[0], boundary.points[-1]
+        assert len(boundary.r21) == 2
         # ordered by increasing r21: ratio inf point first, ratio 0 last
-        assert first.rates.r21 == 0.0 and first.rates.r12 > 0.5
-        assert last.rates.r12 == 0.0 and last.rates.r21 > 0.5
+        assert boundary.r21[0] == 0.0 and boundary.r12[0] > 0.5
+        assert boundary.r12[-1] == 0.0 and boundary.r21[-1] > 0.5
 
     def test_ordering_monotone(self):
         # points come in angle order, unsorted; zero-forcing is undefined
@@ -189,8 +189,7 @@ class TestSweepRegion:
         for scheme, rho in (("zf", 0.5), ("mr", 0.5), ("zf", 0.99), ("mr", 0.99), ("mr", 1.0)):
             pair = gen_channels(4, rho, seed=6)
             boundary = sweep_region(scheme, effective(pair), symmetric_power(10.0), n_ratios=33)
-            r21 = [p.rates.r21 for p in boundary.points]
-            r12 = [p.rates.r12 for p in boundary.points]
+            r21, r12 = boundary.r21.tolist(), boundary.r12.tolist()
             assert all(x <= y + 1e-12 for x, y in zip(r21, r21[1:]))
             assert all(x >= y - 1e-12 for x, y in zip(r12, r12[1:]))
 
@@ -200,9 +199,10 @@ class TestSweepRegion:
         pair = gen_channels(4, 0.5, seed=4)
         eff = effective(pair)
         pc = symmetric_power(10.0)
-        for point in sweep_region("mr", eff, pc, n_ratios=9).points:
-            g1bar = 2.0 ** (2.0 * point.rates.r21) - 1.0
-            g2bar = 2.0 ** (2.0 * point.rates.r12) - 1.0
+        boundary = sweep_region("mr", eff, pc, n_ratios=9)
+        for r21, r12 in zip(boundary.r21.tolist(), boundary.r12.tolist()):
+            g1bar = 2.0 ** (2.0 * r21) - 1.0
+            g2bar = 2.0 ** (2.0 * r12) - 1.0
             p_star, _ = min_relay_power(eff, pc, g1bar, g2bar)
             assert p_star <= pc.p_relay * (1.0 + 1e-6)
 
@@ -255,12 +255,14 @@ class TestSweepForms:
         for pair, pc in list(_evaluator_corpus())[::5]:
             eff = effective(pair)
             for scheme in ("mr", "zf"):
-                for point in sweep_region(scheme, eff, pc, n_ratios=17).points:
-                    want = rate_pair_reduced(point.beamformer, eff, pc)
-                    assert point.rates.r21 == pytest.approx(want.r21, rel=1e-12, abs=0.0)
-                    assert point.rates.r12 == pytest.approx(want.r12, rel=1e-12, abs=0.0)
-                    assert point.p_relay == relay_power_reduced(point.beamformer, eff, pc)
-                    assert point.p_relay == pytest.approx(pc.p_relay, rel=1e-9)
+                boundary = sweep_region(scheme, eff, pc, n_ratios=17)
+                for B, r21, r12, spent in zip(boundary.B, boundary.r21, boundary.r12, boundary.p_relay):
+                    beamformer = Beamformer(B=B, U=boundary.U)
+                    want = rate_pair_reduced(beamformer, eff, pc)
+                    assert r21 == pytest.approx(want.r21, rel=1e-12, abs=0.0)
+                    assert r12 == pytest.approx(want.r12, rel=1e-12, abs=0.0)
+                    assert spent == relay_power_reduced(beamformer, eff, pc)
+                    assert spent == pytest.approx(pc.p_relay, rel=1e-9)
 
     def test_searches_build_no_beamformer(self, monkeypatch):
         import twrelay.schemes as schemes
@@ -303,7 +305,8 @@ class TestSchemeEvaluators:
         pair = gen_channels(4, 0.5, seed=8)
         pc = symmetric_power(10.0)
         for scheme in ("mr", "zf"):
-            pts = [p.rates for p in sweep_region(scheme, effective(pair), pc, n_ratios=1025).points]
+            boundary = sweep_region(scheme, effective(pair), pc, n_ratios=1025)
+            pts = [RatePair(x, y) for x, y in zip(boundary.r21.tolist(), boundary.r12.tolist())]
             for alpha21 in (0.0, 0.25, 0.5, 0.9, 1.0):
                 profile = RateProfile.of(alpha21)
 
@@ -328,9 +331,7 @@ class TestSchemeEvaluators:
         pair = gen_channels(4, 0.5, seed=8)
         pc = symmetric_power(10.0)
         t = scheme_profile_sum_rate("mr", pair, pc, RateProfile.of(1.0))
-        best = max(
-            p.rates.r21 for p in sweep_region("mr", effective(pair), pc, n_ratios=1025).points
-        )
+        best = sweep_region("mr", effective(pair), pc, n_ratios=1025).r21.max()
         assert t == pytest.approx(best, abs=1e-6)
 
     def test_best_rates_sum_to_the_maximum(self):

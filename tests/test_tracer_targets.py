@@ -1,5 +1,7 @@
-"""The benchmark's tracer looks up twrelay functions by name; a rename
-must fail here, not only in the slower perfbench smoke test."""
+"""Names that are looked up as strings: the benchmark's tracer finds
+twrelay functions by name, and `from twrelay import *` reads
+twrelay.__all__. A rename or a deletion must fail here, not only in the
+slower perfbench smoke test or at a user's import."""
 
 import importlib
 import importlib.util
@@ -24,3 +26,10 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"twrelay.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_every_public_name_resolves():
+    import twrelay
+
+    assert len(set(twrelay.__all__)) == len(twrelay.__all__)
+    assert [name for name in twrelay.__all__ if not hasattr(twrelay, name)] == []
