@@ -24,8 +24,12 @@ largest differences by kind of column:
   not numeric in both files, by whether its cells are equal.
 
 CSVs whose headers or row counts differ are reported as such. Files
-found only under CHANGE_DIR are listed as `new`. The exit status is 0
-when every pair is byte-identical, and 1 otherwise.
+found only under CHANGE_DIR are listed as `new`. The last line sums the
+report up: the number of files compared; how many are the same, differ,
+are missing or have another header or row count; the number of new
+files; and the largest difference of each kind (each name above) over
+all files. The exit status is 0 when every pair is byte-identical, and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -120,20 +125,37 @@ def _diff_line(diffs: Dict[str, float]) -> str:
     return "differs: " + " ".join(f"{name} {value:.3g}" for name, value in diffs.items())
 
 
-def compare_files(first: Path, second: Path) -> str:
-    """One line of report for a pair of files."""
+def _compare(first: Path, second: Path) -> Tuple[str, Dict[str, float]]:
+    """compare_files' line for a pair of files, with the differences it
+    reports (none for a pair that is the same, missing or of another
+    shape)."""
     if not second.is_file():
-        return "missing"
+        return "missing", {}
     if first.read_bytes() == second.read_bytes():
-        return "same"
+        return "same", {}
     if first.suffix == ".json":
-        return _diff_line(compare_fields(json.loads(first.read_text()), json.loads(second.read_text())))
+        diffs = compare_fields(json.loads(first.read_text()), json.loads(second.read_text()))
+        return _diff_line(diffs), diffs
     a, b = _read(first), _read(second)
     if a[:1] != b[:1]:
-        return "differs: headers differ"
+        return "differs: headers differ", {}
     if len(a) != len(b):
-        return f"differs: {len(a) - 1} rows against {len(b) - 1}"
-    return _diff_line(compare_rows(a, b))
+        return f"differs: {len(a) - 1} rows against {len(b) - 1}", {}
+    diffs = compare_rows(a, b)
+    return _diff_line(diffs), diffs
+
+
+def compare_files(first: Path, second: Path) -> str:
+    """One line of report for a pair of files."""
+    return _compare(first, second)[0]
+
+
+def summary_line(counts: Counter, largest: Dict[str, float]) -> str:
+    """The report's last line: the counts of compared files and of each
+    outcome, and the largest difference of each kind over all files."""
+    outcomes = ", ".join(f"{counts[key]} {key}" for key in ("same", "differ", "missing", "of another shape", "new"))
+    kinds = " ".join(f"{name} {value:.3g}" for name, value in sorted(largest.items())) or "none"
+    return f"summary: {counts['compared']} files compared: {outcomes}; largest differences: {kinds}"
 
 
 def _outputs(root: Path) -> Iterator[Path]:
@@ -152,16 +174,21 @@ def main(argv: List[str]) -> int:
         if not root.is_dir():
             print(f"not a directory: {root}", file=sys.stderr)
             return 2
-    identical = True
+    counts: Counter = Counter()
+    largest: Dict[str, float] = {}
     for name in sorted(_outputs(first)):
-        line = compare_files(first / name, second / name)
-        identical &= line == "same"
+        line, diffs = _compare(first / name, second / name)
         print(f"{name}: {line}")
+        counts["compared"] += 1
+        counts[line if line in ("same", "missing") else "differ" if diffs else "of another shape"] += 1
+        for kind, value in diffs.items():
+            largest[kind] = max(largest.get(kind, 0.0), value)
     for name in sorted(_outputs(second)):
         if not (first / name).is_file():
-            identical = False
+            counts["new"] += 1
             print(f"{name}: new")
-    return 0 if identical else 1
+    print(summary_line(counts, largest))
+    return 0 if counts["same"] == counts["compared"] and not counts["new"] else 1
 
 
 if __name__ == "__main__":

@@ -12,11 +12,15 @@ dual matrix's null vector at t has a slack difference with the sign of
 r_hat'(t). One ITP search on that sign (Oliveira and Takahashi, 2020:
 at most one step more than bisection) finds the exit, and by
 complementary slackness the null vectors at its bracket's ends give the
-beamformer, with no solve. Boundaries come in profile order, their
-Pareto order; on each ray the capacity region over a grid of source
-powers reaches as far as the cell with the farthest exit. Only cells
-with one source at full power can be that cell: scaling both source
-powers by c > 1 and B back to the budget raises every positive SNR.
+beamformer, with no solve. Past the cell's whitening a ray runs in
+Python scalars, from the search to its beamformer's power and rates,
+which come from the evaluator of model.rate_pair_reduced. Boundaries
+come in profile order, their Pareto order; on each ray the capacity
+region over a grid of source powers reaches as far as the cell with the
+farthest exit. Only cells with one source at full power can be that
+cell: scaling both source powers by c > 1 and B back to the budget
+raises every positive SNR. The cells of one channel share its
+power-free forms.
 """
 
 from __future__ import annotations
@@ -36,11 +40,12 @@ from .model import (
     EffectiveChannel,
     PowerConfig,
     RatePair,
+    _evaluate_2x2,
+    _rate,
     effective,
-    rate_pair_reduced,
     relay_power_reduced,
 )
-from .sdp import SdpProblem, _zero_form_pair, extract_rank_one, solve_sdp
+from .sdp import SdpProblem, _zero_form_steps, extract_rank_one, solve_sdp
 
 DEFAULT_DELTA_R = 1e-4
 DEFAULT_N_PROFILES = 33
@@ -146,6 +151,15 @@ def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     Q = np.zeros((4, 4), dtype=complex)
     Q[0::2, 0::2] = Q[1::2, 1::2] = np.outer(g_rx.conj(), g_rx)
     return np.outer(g_rx, g_tx).ravel().conj(), Q
+
+
+def _channel_forms(eff: EffectiveChannel) -> tuple:
+    """The forms of a power cell that no power changes, built once per
+    channel: (u1, u2) and (Q1, Q2) from _snr_forms, (g1 g1^H, g2 g2^H),
+    and g1 and g2 as lists of Python scalars."""
+    (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
+    grams = (np.outer(eff.g1, eff.g1.conj()), np.outer(eff.g2, eff.g2.conj()))
+    return (u1, u2), (Q1, Q2), grams, (eff.g1.tolist(), eff.g2.tolist())
 
 
 def _realify(E: np.ndarray) -> np.ndarray:
@@ -312,15 +326,19 @@ class _PowerCell:
     it is 1 with eigenvector g, N(t)^-1 W g is a null vector of the dual
     matrix. With N(0) = L L^H and L^-1 (Q1 - Q2) L^-H = V diag(mu) V^H,
     N(t)^-1 = L^-H V diag(1/(1 + t mu)) V^H L^-1 for every t.
+
+    The cells of one channel can share its power-free forms (forms, from
+    _channel_forms); a cell builds them itself when given none. The
+    whitening's factors are kept as Python scalars, from which probe
+    sums K(t) and null_vector gives N(t)^-1 W g for the tracer.
     """
 
-    def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
+    def __init__(self, eff: EffectiveChannel, pc: PowerConfig, forms: Optional[tuple] = None) -> None:
         self.eff, self.pc = eff, pc
-        theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
+        self.u, self.Q, (G1, G2), self.g = forms or _channel_forms(eff)
+        theta = pc.p1 * G1 + pc.p2 * G2 + np.eye(2)
         self.E0 = np.zeros((4, 4), dtype=complex)
         self.E0[:2, :2] = self.E0[2:, 2:] = theta.T
-        (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
-        self.u, self.Q = (u1, u2), (Q1, Q2)
 
     def problem(self, gamma1_bar: float, gamma2_bar: float) -> SdpProblem:
         """The SDP at these SNR targets; a zero target drops its constraint."""
@@ -332,9 +350,10 @@ class _PowerCell:
         return SdpProblem(8, _realify(self.E0), *forms)
 
     @cached_property
-    def whitening(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """(mu, Z, L^-H V, terms), Z = V^H L^-1 W, with mu_j, |z_j1|^2,
-        |z_j2|^2 and conj(z_j1) z_j2 in terms as Python scalars, so that
+    def whitening(self) -> Tuple[list, list, list]:
+        """(terms, Z, basis) in Python scalars: the rows (z_j1, z_j2) of
+        Z = V^H L^-1 W, the rows of basis = L^-H V, and in terms mu_j,
+        |z_j1|^2, |z_j2|^2 and conj(z_j1) z_j2, so that
         K(t) = sum_j z_j^H z_j / (1 + t mu_j) stays in scalar arithmetic.
         It needs a positive budget, so the first exit builds it."""
         Q1, Q2 = self.Q
@@ -343,9 +362,22 @@ class _PowerCell:
         except np.linalg.LinAlgError:
             raise NumericalFailureError("N(0) = Q2 + E0/P_R is not numerically positive definite") from None
         mu, V = np.linalg.eigh(Linv @ (Q1 - Q2) @ Linv.conj().T)
-        Z = V.conj().T @ Linv @ np.column_stack(self.u)
+        # the elementwise terms come after the last matrix product: a BLAS
+        # kernel can return with the upper vector registers dirty, which
+        # on AVX-512 hosts slows the scalar libm calls of every probe after
+        # it severalfold, until a compiled numpy loop clears them
+        Z, basis = V.conj().T @ Linv @ np.column_stack(self.u), Linv.conj().T @ V
         terms = zip(mu.tolist(), *(abs(Z) ** 2).T.tolist(), (Z[:, 0].conj() * Z[:, 1]).tolist())
-        return mu, Z, Linv.conj().T @ V, list(terms)
+        return list(terms), Z.tolist(), basis.tolist()
+
+    def null_vector(self, t: float, g: tuple) -> List[complex]:
+        """b = N(t)^-1 W g, the dual matrix's null vector at weight t and
+        top eigenvector g, as the entries (b0, b1, b2, b3) of
+        B = [[b0, b1], [b2, b3]] in Python scalars."""
+        terms, Z, basis = self.whitening
+        x, y = g
+        z0, z1, z2, z3 = [(zx * x + zy * y) * (1.0 / (1.0 + t * term[0])) for term, (zx, zy) in zip(terms, Z)]
+        return [v0 * z0 + v1 * z1 + v2 * z2 + v3 * z3 for v0, v1, v2, v3 in basis]
 
     def probe(self, t: float, c1: float, c2: float, start: Optional[float] = None) -> tuple:
         """(r_hat(t), g, gap) on a ray with gamma_i(r) = e^(c_i r) - 1,
@@ -355,7 +387,7 @@ class _PowerCell:
         the sign of r_hat'(t); b^H (Q1 - Q2) b is g^H M g, M = -K'(t)."""
         k11 = k22 = m11 = m22 = 0.0
         k12 = m12 = 0j
-        for mu, w11, w22, w12 in self.whitening[3]:
+        for mu, w11, w22, w12 in self.whitening[0]:
             d = 1.0 / (1.0 + t * mu)
             e = mu * d * d
             k11, k22, k12 = k11 + w11 * d, k22 + w22 * d, k12 + w12 * d
@@ -396,9 +428,12 @@ class _PowerCell:
             return 0.0, ()
         if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
             t = profile.alpha21  # the kept constraint's end of [0, 1]
-            mu, Z, _, _ = self.whitening
-            gain = self.pc.p2 * np.sum(abs(Z[:, 0]) ** 2 / (1.0 + mu)) if t else self.pc.p1 * np.sum(abs(Z[:, 1]) ** 2)
-            r = math.log1p(float(gain)) / (2.0 * LN2)
+            terms = self.whitening[0]
+            if t:
+                gain = self.pc.p2 * sum(w11 / (1.0 + mu) for mu, w11, _, _ in terms)
+            else:
+                gain = self.pc.p1 * sum(w22 for _, _, w22, _ in terms)
+            r = math.log1p(gain) / (2.0 * LN2)
             return r, ((t, (t, 1.0 - t)),) if r > 0.0 else ()
         c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
         (r_lo, g_lo, gap_lo), (r_hi, g_hi, gap_hi) = self.probe(0.0, c1, c2), self.probe(1.0, c1, c2)
@@ -440,47 +475,86 @@ def max_sum_rate(
 
     Raises:
         InvalidInputError: if delta_r is not positive.
-        NumericalFailureError: if B falls more than delta_r below r*.
+        NumericalFailureError: if B falls more than delta_r below r*, or
+            its relay power, matrix or rates are not finite.
     """
     cell = _PowerCell(eff, pc)
     return _traced(cell, profile, cell.exit(profile), delta_r)
 
 
 def _traced(cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float) -> Tuple[float, np.ndarray]:
-    """max_sum_rate's (r, B) from the cell's exit (r*, ends).
-    By complementary slackness the beamformer is a null vector at t* with
-    equal slack on both constraints: bracket ends whose gaps at r* have
-    opposite signs combine to gap zero, else each end is a candidate.
-    Scaled to spend P_R, the candidate reaching farthest on the ray wins."""
+    """max_sum_rate's (r, B) from the cell's exit (r*, ends), in Python
+    scalars. By complementary slackness the beamformer is a null vector
+    at t* with equal slack on both constraints: bracket ends whose gaps
+    at r* have opposite signs combine to gap zero, else each end is a
+    candidate; the slack forms take E_i at r* (see _slack_forms). Scaled
+    to spend P_R, the candidate reaching farthest on the ray wins; its
+    power and rates come from model._evaluate_2x2, the evaluator of
+    rate_pair_reduced.
+
+    Raises:
+        InvalidInputError: if delta_r is not positive.
+        NumericalFailureError: if a candidate's relay power, matrix or
+            rates are not finite, or the winner falls more than delta_r
+            below r*.
+    """
     if delta_r <= 0.0:
         raise InvalidInputError("delta_r must be positive")
     r_star, ends = found
     if not ends:
         return 0.0, np.zeros((2, 2), dtype=complex)
-    eff, pc = cell.eff, cell.pc
-    mu, Z, basis, _ = cell.whitening
-    vectors = [basis @ ((Z @ np.array(g, dtype=complex)) / (1.0 + t * mu)) for t, g in ends]
+    pc, (g1, g2) = cell.pc, cell.g
+    vectors = [cell.null_vector(t, g) for t, g in ends]
     if len(vectors) == 2:
-        (u1, u2), (Q1, Q2) = cell.u, cell.Q
         e1 = _over_gamma(pc.p2, 2.0 * profile.alpha21 * LN2 * r_star)
         e2 = _over_gamma(pc.p1, 2.0 * profile.alpha12 * LN2 * r_star)
-        E = e1 * np.outer(u1, u1.conj()) - e2 * np.outer(u2, u2.conj()) - Q1 + Q2
-        (d_lo, cross), (_, d_hi) = np.real(np.conj(vectors) @ E @ np.transpose(vectors))
+        d_lo, cross, d_hi = _slack_forms(*vectors, g1, g2, e1, e2)
         if d_lo < 0.0 < d_hi:
-            vectors = _zero_form_pair(vectors[0], d_lo, vectors[1], d_hi, cross)
+            lo, hi = vectors
+            vectors = [[v + step * w for v, w in zip(lo, hi)] for step in _zero_form_steps(d_lo, d_hi, cross)]
     best = (-math.inf, None)
     for b in vectors:
-        spent = relay_power_reduced(b.reshape(2, 2), eff, pc)
+        spent = _evaluate_2x2(b, g1, g2, pc.p1, pc.p2)[0]
+        if not math.isfinite(spent):
+            raise NumericalFailureError(f"the exit {float(r_star)!r} gives a beamformer of relay power {spent!r}")
         if spent > 0.0:  # a power that underflows to 0 gives no direction to scale
-            B = b.reshape(2, 2) * math.sqrt(pc.p_relay / spent)
-            rates = rate_pair_reduced(B, eff, pc)
-            pairs = ((rates.r21, profile.alpha21), (rates.r12, profile.alpha12))
+            scale = math.sqrt(pc.p_relay / spent)
+            B = [x * scale for x in b]
+            _, s21, s12 = _evaluate_2x2(B, g1, g2, pc.p1, pc.p2)
+            r21, r12 = _rate(s21), _rate(s12)
+            if not (math.isfinite(scale) and math.isfinite(r21 + r12)):
+                cause = "gives a beamformer whose matrix or rates are not finite"
+                raise NumericalFailureError(f"the exit {float(r_star)!r} {cause}")
+            pairs = ((r21, profile.alpha21), (r12, profile.alpha12))
             best = max(best, (min(r_star, *(x / a for x, a in pairs if a > 0.0)), B), key=lambda item: item[0])
     r, B = best
-    if r < r_star - delta_r:
+    if not r >= r_star - delta_r:
         cause = "with its beamformer" if B is not None else "as every beamformer's relay power underflows to 0"
         raise NumericalFailureError(f"the exit {float(r_star)!r} falls to {float(r)!r} {cause}")
-    return r, B
+    return r, np.array(B, dtype=complex).reshape(2, 2)
+
+
+def _slack_forms(lo: list, hi: list, g1: list, g2: list, e1: float, e2: float) -> Tuple[float, float, float]:
+    """Re v^H (E1 - E2) w of (v, w) = (lo, lo), (lo, hi) and (hi, hi),
+    with E_i = e_i u_i u_i^H - Q_i, from u_1^H b = g1^T B g2,
+    u_2^H b = g2^T B g1 and B^T g_i of each vector b = vec(B): the Q_i
+    forms are the inner products of the B^T g_i."""
+    (x0, x1), (y0, y1) = g1, g2
+
+    def terms(b: list) -> tuple:
+        b0, b1, b2, b3 = b
+        n0, n1 = b0 * x0 + b2 * x1, b1 * x0 + b3 * x1  # B^T g1
+        m0, m1 = b0 * y0 + b2 * y1, b1 * y0 + b3 * y1  # B^T g2
+        return n0 * y0 + n1 * y1, m0 * x0 + m1 * x1, n0, n1, m0, m1
+
+    def form(v: tuple, w: tuple) -> float:
+        a, c, n0, n1, m0, m1 = v
+        a_, c_, n0_, n1_, m0_, m1_ = w
+        noise = n0.conjugate() * n0_ + n1.conjugate() * n1_ - m0.conjugate() * m0_ - m1.conjugate() * m1_
+        return (e1 * (a.conjugate() * a_) - e2 * (c.conjugate() * c_) - noise).real
+
+    v, w = terms(lo), terms(hi)
+    return form(v, v), form(v, w), form(w, w)
 
 
 def _prune_dominated(r21: np.ndarray, r12: np.ndarray) -> np.ndarray:
@@ -561,13 +635,17 @@ def capacity_region(
     where num > 0. _trace takes each ray's first farthest edge cell, as
     the full grid would; points come in profile order, less those weakly
     dominated (the union's flat arms) and repeated (rays that stay at 0).
+    The cells share the channel's power-free forms, and equal limits
+    share one grid.
     """
     if power_grid < 1:
         raise InvalidInputError("power_grid must be at least 1")
     eff = effective(pair)
-    p1_grid, p2_grid = _power_grid(P1, power_grid), _power_grid(P2, power_grid)
-    edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1]] + [(p1_grid[-1], p2) for p2 in p2_grid]
-    cells = [_PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)) for p1, p2 in edges]
+    forms = _channel_forms(eff)
+    p1_grid = _power_grid(P1, power_grid)
+    p2_grid = p1_grid if P2 == P1 else _power_grid(P2, power_grid)
+    edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1].tolist()] + [(p1_grid[-1], p2) for p2 in p2_grid.tolist()]
+    cells = [_PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R), forms) for p1, p2 in edges]
     boundary = _trace(cells, n_profiles, delta_r)
     return boundary._rows(_prune_dominated(boundary.r21, boundary.r12))
 

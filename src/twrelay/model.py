@@ -15,8 +15,9 @@ channels g_i = U^H h_i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -203,11 +204,12 @@ def relay_power(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> float:
 
 
 def _snr_pair(B: np.ndarray, g1: np.ndarray, g2: np.ndarray, pc: PowerConfig) -> tuple:
-    num21 = abs(g1 @ B @ g2) ** 2 * pc.p2
-    den21 = np.linalg.norm(B.conj().T @ np.conj(g1)) ** 2 + 1.0
-    num12 = abs(g2 @ B @ g1) ** 2 * pc.p1
-    den12 = np.linalg.norm(B.conj().T @ np.conj(g2)) ** 2 + 1.0
-    return float(num21 / den21), float(num12 / den12)
+    with np.errstate(all="ignore"):  # an overflow is an inf or nan in the result, not a warning
+        num21 = abs(g1 @ B @ g2) ** 2 * pc.p2
+        den21 = np.linalg.norm(B.conj().T @ np.conj(g1)) ** 2 + 1.0
+        num12 = abs(g2 @ B @ g1) ** 2 * pc.p1
+        den12 = np.linalg.norm(B.conj().T @ np.conj(g2)) ** 2 + 1.0
+        return float(num21 / den21), float(num12 / den12)
 
 
 def rate_pair(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> RatePair:
@@ -222,20 +224,58 @@ def rate_pair(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> RatePair:
     return RatePair(r21=0.5 * np.log2(1.0 + s21), r12=0.5 * np.log2(1.0 + s12))
 
 
+def _sq(z):
+    """|z|^2 of a complex scalar or array; a Python complex overflows to
+    inf, where abs(z) ** 2 would raise."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _evaluate_2x2(b: Sequence[complex], g1: Sequence[complex], g2: Sequence[complex], p1: float, p2: float) -> tuple:
+    """(relay power, gamma1, gamma2) of one reduced matrix
+    B = [[b0, b1], [b2, b3]], with b, g1 and g2 given as Python scalars:
+    the power p1 ||B g1||^2 + p2 ||B g2||^2 + ||B||_F^2 and the SNRs
+    gamma1 = |g1^T B g2|^2 p2 / (||B^T g1||^2 + 1) and
+    gamma2 = |g2^T B g1|^2 p1 / (||B^T g2||^2 + 1). An overflow gives inf
+    or nan, never an error or a warning."""
+    b0, b1, b2, b3 = b
+    x0, x1 = g1
+    y0, y1 = g2
+    n0, n1 = b0 * x0 + b2 * x1, b1 * x0 + b3 * x1  # B^T g1
+    m0, m1 = b0 * y0 + b2 * y1, b1 * y0 + b3 * y1  # B^T g2
+    power = (
+        (_sq(b0 * x0 + b1 * x1) + _sq(b2 * x0 + b3 * x1)) * p1
+        + (_sq(b0 * y0 + b1 * y1) + _sq(b2 * y0 + b3 * y1)) * p2
+        + (_sq(b0) + _sq(b1) + _sq(b2) + _sq(b3))
+    )
+    gamma1 = _sq(n0 * y0 + n1 * y1) * p2 / (_sq(n0) + _sq(n1) + 1.0)
+    gamma2 = _sq(m0 * x0 + m1 * x1) * p1 / (_sq(m0) + _sq(m1) + 1.0)
+    return power, gamma1, gamma2
+
+
+def _rate(gamma: float) -> float:
+    """(1/2) log2(1 + gamma) of an SNR gamma >= 0, inf or nan."""
+    return 0.5 * math.log2(1.0 + gamma)
+
+
 def snr_pair_reduced(
     bf: Union[Beamformer, np.ndarray], eff: EffectiveChannel, pc: PowerConfig
 ) -> tuple:
-    """Receiver SNRs (gamma1 at S1, gamma2 at S2) in reduced coordinates."""
+    """Receiver SNRs (gamma1 at S1, gamma2 at S2) of one reduced 2x2
+    matrix, from _evaluate_2x2."""
     B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf, dtype=complex)
-    return _snr_pair(B, eff.g1, eff.g2, pc)
+    return _evaluate_2x2(B.ravel().tolist(), eff.g1.tolist(), eff.g2.tolist(), pc.p1, pc.p2)[1:]
 
 
 def rate_pair_reduced(
     bf: Union[Beamformer, np.ndarray], eff: EffectiveChannel, pc: PowerConfig
 ) -> RatePair:
-    """rate_pair evaluated on the reduced 2x2 matrix; equals the lifted value."""
+    """rate_pair evaluated on one reduced 2x2 matrix; equals the lifted
+    value to rounding. It takes the SNRs of snr_pair_reduced and the
+    rates of _rate, the same scalar arithmetic in which the beamformer
+    tracer finishes each ray, so a traced row's rates and this
+    evaluator's agree bit for bit."""
     s21, s12 = snr_pair_reduced(bf, eff, pc)
-    return RatePair(r21=0.5 * np.log2(1.0 + s21), r12=0.5 * np.log2(1.0 + s12))
+    return RatePair(r21=_rate(s21), r12=_rate(s12))
 
 
 def relay_power_reduced(
@@ -244,15 +284,12 @@ def relay_power_reduced(
     """Relay power of the lifted matrix, computed from B directly:
     p1 ||B g1||^2 + p2 ||B g2||^2 + ||B||_F^2. An (n, 2, 2) stack of
     matrices gives the array of their n powers, each equal to the power
-    of its matrix alone."""
+    of its matrix alone. An overflow gives inf, not a warning."""
     B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf, dtype=complex)
-
-    def sq(z: np.ndarray) -> np.ndarray:
-        return z.real * z.real + z.imag * z.imag
-
-    power = (
-        sq((B * eff.g1).sum(-1)).sum(-1) * pc.p1
-        + sq((B * eff.g2).sum(-1)).sum(-1) * pc.p2
-        + sq(B).sum((-2, -1))
-    )
+    with np.errstate(all="ignore"):
+        power = (
+            _sq((B * eff.g1).sum(-1)).sum(-1) * pc.p1
+            + _sq((B * eff.g2).sum(-1)).sum(-1) * pc.p2
+            + _sq(B).sum((-2, -1))
+        )
     return float(power) if power.ndim == 0 else power

@@ -84,14 +84,13 @@ class SdpSolution:
     iterations: int = 0
 
 
-def _zero_form_pair(
-    u: np.ndarray, a: float, w: np.ndarray, c: float, b: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The two vectors u + s w with zero form, given the forms a < 0 of u
-    and c > 0 of w and the cross form b: the roots s of
-    c s^2 + 2 b s + a have opposite signs."""
+def _zero_form_steps(a: float, c: float, b: float) -> Tuple[float, float]:
+    """The two steps s for which u + s w has zero form, given the forms
+    a < 0 of u and c > 0 of w and the cross form b: the roots of
+    c s^2 + 2 b s + a, of opposite signs, each from the formula in which
+    nothing cancels."""
     q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
-    return u + (q / c) * w, u + (a / q) * w
+    return q / c, a / q
 
 
 def _scaled(prob: SdpProblem, Linv_T: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -161,7 +160,7 @@ def solve_sdp(prob: SdpProblem) -> SdpSolution:
     lo, hi = 0.0, 1.0
     best = min(lam_lo, lam_hi)
     while True:
-        pair = _zero_form_pair(v_lo, d_lo, v_hi, d_hi, float(v_lo @ D @ v_hi))
+        pair = [v_lo + s * v_hi for s in _zero_form_steps(d_lo, d_hi, float(v_lo @ D @ v_hi))]
         x, cost = min((_scaled(prob, Linv.T, z) for z in pair), key=lambda candidate: candidate[1])
         mid = 0.5 * (lo + hi)
         if best <= floor or cost * best - 1.0 <= 1e-12 or not lo < mid < hi:

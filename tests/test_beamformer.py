@@ -30,11 +30,16 @@ from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.model import (
     LN2,
     Beamformer,
+    ChannelPair,
     PowerConfig,
     RatePair,
+    _evaluate_2x2,
+    _rate,
     effective,
     gen_channels,
+    rate_pair,
     rate_pair_reduced,
+    relay_power,
     relay_power_reduced,
     snr_pair_reduced,
 )
@@ -226,8 +231,26 @@ class TestMaxSumRate:
     def test_zero_power_candidates_raise(self, monkeypatch):
         import twrelay.beamformer as bf
 
-        monkeypatch.setattr(bf, "relay_power_reduced", lambda B, eff, pc: 0.0)
+        # every candidate's relay power underflows to 0 in the scalar evaluator
+        evaluate = bf._evaluate_2x2
+        monkeypatch.setattr(bf, "_evaluate_2x2", lambda *args: (0.0, *evaluate(*args)[1:]))
         with pytest.raises(NumericalFailureError, match="relay power underflows to 0"):
+            max_sum_rate(effective(gen_channels(3, 0.4, seed=17)), symmetric_power(10.0), RateProfile.of(0.5))
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ((math.inf, 1.0, 1.0), "relay power inf"),
+            ((math.nan, 1.0, 1.0), "relay power nan"),
+            ((1.0, math.nan, 1.0), "matrix or rates are not finite"),
+            ((1e-320, 1.0, 1.0), "matrix or rates are not finite"),  # the budget scale overflows
+        ],
+    )
+    def test_non_finite_candidates_raise(self, monkeypatch, terms, message):
+        import twrelay.beamformer as bf
+
+        monkeypatch.setattr(bf, "_evaluate_2x2", lambda *args: terms)
+        with pytest.raises(NumericalFailureError, match=message):
             max_sum_rate(effective(gen_channels(3, 0.4, seed=17)), symmetric_power(10.0), RateProfile.of(0.5))
 
     def test_rejects_bad_delta(self):
@@ -337,6 +360,32 @@ class TestTracedCorpus:
         assert rays == 540
 
 
+class TestScalarEvaluator:
+    def test_agrees_with_the_lifted_evaluators(self):
+        # rho 0 and 1, silent sources, unnormalized channels, 0-60 dB: each
+        # traced beamformer's power and rates in scalars against those of
+        # the full-size matrix A = U* B U^H on the channels U g_i. A rate
+        # near 0 carries the cancellation in g_i^T B g_j, which the lifted
+        # path rounds through U, so rates are compared relative to the
+        # larger of the pair (7.5e-13 at most here)
+        matrices = 0
+        for eff, pc in _exit_corpus(count=60):
+            lifted = ChannelPair(m=eff.U.shape[0], h1=eff.U @ eff.g1, h2=eff.U @ eff.g2, rho=0.0)
+            stack = np.array([max_sum_rate(eff, pc, RateProfile.of(a))[1] for a in (0.0, 0.3, 0.5, 0.9, 1.0)])
+            for B in stack:
+                power, s21, s12 = _evaluate_2x2(B.ravel().tolist(), eff.g1.tolist(), eff.g2.tolist(), pc.p1, pc.p2)
+                A = Beamformer(B=B, U=eff.U).full()
+                want = rate_pair(A, lifted, pc)
+                assert power == pytest.approx(relay_power(A, lifted, pc), rel=1e-12, abs=0.0)
+                scale = max(want.r21, want.r12)
+                assert abs(_rate(s21) - want.r21) <= 1e-12 * scale
+                assert abs(_rate(s12) - want.r12) <= 1e-12 * scale
+                matrices += 1
+            # the stack form that fills a boundary's p_relay column
+            assert relay_power_reduced(stack, eff, pc).tolist() == [relay_power_reduced(B, eff, pc) for B in stack]
+        assert matrices == 300
+
+
 def _no_solve(monkeypatch):
     """Make every power-minimization solve that beamformer.py can reach
     raise."""
@@ -423,9 +472,9 @@ class TestWorkCounts:
         built = []
 
         class Counting(bf._PowerCell):
-            def __init__(self, eff, pc):
+            def __init__(self, eff, pc, *forms):
                 built.append(pc)
-                super().__init__(eff, pc)
+                super().__init__(eff, pc, *forms)
 
         monkeypatch.setattr(bf, "_PowerCell", Counting)
         pair = gen_channels(3, 0.4, seed=17)
@@ -936,9 +985,9 @@ class TestCapacityRegion:
         built = []
 
         class Counting(bf._PowerCell):
-            def __init__(self, eff, pc):
+            def __init__(self, eff, pc, *forms):
                 built.append((pc.p1, pc.p2))
-                super().__init__(eff, pc)
+                super().__init__(eff, pc, *forms)
 
         monkeypatch.setattr(bf, "_PowerCell", Counting)
         capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 20.0, 10.0, power_grid=grid, n_profiles=3)

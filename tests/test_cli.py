@@ -324,7 +324,7 @@ NUMERICAL_FAILURES = {
     # every candidate beamformer's relay power underflows to 0
     "zero-power": (["--p1", "1e300", "--profiles", "3", "--scheme", "optimal"], "relay power underflows to 0"),
     # no beamformer comes within delta-r of the exit; both rates print as floats
-    "delta-r": (["--delta-r", "1e-300", "--profiles", "5"], "exit 1.5651532299507442 falls to 1.5651532299507436"),
+    "delta-r": (["--delta-r", "1e-300", "--profiles", "17"], "exit 1.7003725145680828 falls to 1.7003725145680817"),
 }
 
 
@@ -392,6 +392,27 @@ def test_an_overflowing_mac_exits_1_naming_the_mac_sum_rate(tmp_path, capsys):
         assert run(["df-compare", "--p", "1e200", "--profiles", "3", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == "twrelay df-compare: error: the MAC sum rate is nan, not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+HUGE_SOURCE_POWERS = {
+    "region": ["region", "--scheme", "optimal"],
+    "df-compare": ["df-compare"],
+    "capacity": ["capacity", "--grid", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_SOURCE_POWERS.values(), ids=HUGE_SOURCE_POWERS.keys())
+def test_huge_source_powers_exit_1_with_no_warning(argv, tmp_path, capsys):
+    # at p1 = p2 = 1e154 the AF tracer's beamformers lose their digits:
+    # the run fails with one error line, no numpy warning and no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([*argv, "--p1", "1e154", "--p2", "1e154", "--profiles", "3", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"twrelay {argv[0]}: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -65,12 +65,41 @@ def test_reports_each_pair(compare, tmp_path, capsys):
     assert diffs["r12"] == pytest.approx(2.2e-15, rel=0.1)
     assert diffs["p_relay_rel"] == pytest.approx(1e-14, rel=0.1)
     assert diffs["B_phase_rel"] == pytest.approx(1e-13, rel=0.1)
+    counts, largest = lines["summary"].split("; largest differences: ")
+    assert counts == "5 files compared: 2 same, 2 differ, 1 missing, 0 of another shape, 1 new"
+    largest = largest.split()
+    assert largest[0::2] == sorted(largest[0::2])
+    largest = dict(zip(largest[0::2], map(float, largest[1::2])))
+    assert largest == {**diffs, "c_ub": pytest.approx(8.88e-16, rel=0.01), "kappa21_star": 0.0, "r_lb_zf": math.inf}
 
 
 def test_identical_folders_exit_zero(compare, tmp_path, capsys):
     first, _ = _folders(tmp_path)
     assert compare.main([str(first), str(first)]) == 0
-    assert all(line.endswith(": same") for line in capsys.readouterr().out.splitlines())
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(": same") for line in lines)
+    assert summary == (
+        "summary: 5 files compared: 5 same, 0 differ, 0 missing, 0 of another shape, 0 new; "
+        "largest differences: none"
+    )
+
+
+def test_summary_takes_the_largest_difference_of_each_kind(compare, tmp_path, capsys):
+    first, second = tmp_path / "parent", tmp_path / "change"
+    for name, a, b in (
+        ("a.csv", "r21,r12\n1.0,1.0\n", "r21,r12\n1.5,1.0\n"),
+        ("b.csv", "r21,r12\n1.0,1.0\n", "r21,r12\n1.25,1.0\n"),
+        ("c.csv", "r21,r12\n1.0,1.0\n", "r21,r12\n1.0,1.0\n1.0,1.0\n"),
+        ("d.csv", "r21,r12\n1.0,1.0\n", "r12,r21\n1.0,1.0\n"),
+    ):
+        _write(first / name, a)
+        _write(second / name, b)
+    assert compare.main([str(first), str(second)]) == 1
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == (
+        "summary: 4 files compared: 0 same, 2 differ, 0 missing, 2 of another shape, 0 new; "
+        "largest differences: r12 0 r21 0.5"
+    )
 
 
 def test_bad_arguments(compare, tmp_path):

@@ -38,8 +38,9 @@ def test_every_job_writes_its_own_folder(script, tmp_path, capsys):
     assert script.write_outputs(tmp_path / "b", [1, 2], tiny=True) == []
     capsys.readouterr()
     assert _load("compare_outputs").main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, summary = capsys.readouterr().out.splitlines()
     assert lines and all(line.endswith(": same") for line in lines)
+    assert summary.startswith(f"summary: {len(lines)} files compared: {len(lines)} same, 0 differ, ")
 
 
 def test_failed_jobs_are_reported(script, tmp_path, monkeypatch):
