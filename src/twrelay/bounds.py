@@ -11,6 +11,11 @@ the closed-form sign of the objective's derivative. That bisection,
 _crossing, also finds the scheme and decode-and-forward ray exits; the
 golden-section search here, _golden_max, refines the scheme sum-rate
 maxima in schemes.py.
+
+A sum of two terms that each fit a float may overflow; such sums are
+formed from halved terms, an exact rescaling that leaves every
+quotient's bits as they are. A setting at which a term itself leaves
+the float range raises NumericalFailureError in place of a wrong bound.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .model import PowerConfig
 
 GOLDEN_TOL = 1e-8
@@ -35,9 +40,9 @@ def c21(kappa21: float, P21: float, theta1: float, theta2: float, p2: float) -> 
     if P21 <= 0.0 or A == 0.0:
         return 0.0
     # the SNR as A times a ratio of at most 1, so that no product of two
-    # powers forms and no quotient overflows
-    x = theta1 * P21
-    return 0.5 * math.log2(1.0 + A * (x / (x + A + kappa21)))
+    # powers forms and no quotient overflows; the ratio's terms are halved
+    x = 0.5 * theta1 * P21
+    return 0.5 * math.log2(1.0 + A * (x / (x + 0.5 * A + 0.5 * kappa21)))
 
 
 def c12(kappa12: float, P12: float, theta1: float, theta2: float, p1: float) -> float:
@@ -45,8 +50,8 @@ def c12(kappa12: float, P12: float, theta1: float, theta2: float, p1: float) -> 
     B = theta1 * p1
     if P12 <= 0.0 or B == 0.0:
         return 0.0
-    y = theta2 * P12
-    return 0.5 * math.log2(1.0 + B * (y / (y + B + kappa12)))
+    y = 0.5 * theta2 * P12
+    return 0.5 * math.log2(1.0 + B * (y / (y + 0.5 * B + 0.5 * kappa12)))
 
 
 def c_ub0(pc: PowerConfig, theta1: float, theta2: float) -> float:
@@ -60,10 +65,14 @@ def c_ub0(pc: PowerConfig, theta1: float, theta2: float) -> float:
 def c_ub_sym(theta: float, p_relay: float) -> float:
     """Tightened upper bound for the symmetric setup theta1 = theta2 =
     theta, p1 = p2 = P_R."""
-    if p_relay <= 0.0:
-        return 0.0
     x = theta * p_relay
+    if x <= 0.0:  # p_relay = 0, or a product that underflows
+        return 0.0
     return math.log2(1.0 + x / (3.0 + 1.0 / x))
+
+
+def _out_of_range(bound: str) -> NumericalFailureError:
+    return NumericalFailureError(f"{bound}: a term leaves the float range at these gains and powers")
 
 
 def _golden_max(
@@ -134,13 +143,21 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
         # through by max(P_R, 1) so that (1 + A) P_R cannot overflow.
         # Formed without A, and with B - R A taken first, it gives
         # kappa = 1/2 exactly on a symmetric setup at any power, where
-        # 1 + B - R A would cancel.
-        u, v = (1.0 + A + B) / theta1, (1.0 + A + B) / theta2
+        # 1 + B - R A would cancel. u, v and the terms added to them are
+        # halved.
+        u, v = (0.5 + 0.5 * A + 0.5 * B) / theta1, (0.5 + 0.5 * A + 0.5 * B) / theta2
         m = max(P, 1.0)
-        lead = ((1.0 + A) * (P / m) + u / m) / ((1.0 + B) * (P / m) + v / m)
-        RA = B * (theta1 / theta2) * lead * ((P + u) / (P + v))
+        lead = (0.5 * (1.0 + A) * (P / m) + u / m) / (0.5 * (1.0 + B) * (P / m) + v / m)
+        ratio = (0.5 * P + u) / (0.5 * P + v)
+        RA = B * (theta1 / theta2) * lead * ratio
+        if not math.isfinite(RA):  # regrouped where a partial product overflows
+            RA = (B * lead) * ((theta1 / theta2) * ratio)
+        if not math.isfinite(RA):
+            raise _out_of_range("c_ub")
         kappa = min(1.0, max(0.0, (1.0 + (B - RA)) / (1.0 + RA / A)))
     a, b = (A + kappa) / theta1, (B + 1.0 - kappa) / theta2
+    if max(a, b) == math.inf:
+        raise _out_of_range("c_ub")
     # A/((1 + A) x + a) with (1 + A) divided out, and its mirror
     A_, a_, B_, b_ = A / (1.0 + A), a / (1.0 + A), B / (1.0 + B), b / (1.0 + B)
 
@@ -163,8 +180,14 @@ def r_lb_mr(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
     if P <= 0.0:
         return 0.0
     pen = (1.0 + 3.0 * rho) / (1.0 + rho) ** 2
-    d1 = (1.0 + (pc.p1 + (theta2 / theta1) * pc.p2) / P) * pen + 2.0 / (theta1 * (1.0 + rho) * P)
-    d2 = (1.0 + ((theta1 / theta2) * pc.p1 + pc.p2) / P) * pen + 2.0 / (theta2 * (1.0 + rho) * P)
+    n1, n2 = theta1 * (1.0 + rho) * P, theta2 * (1.0 + rho) * P
+    if min(n1, n2) == 0.0:
+        raise _out_of_range("r_lb_mr")
+    # each sum of two powers from halved terms
+    d1 = (1.0 + (0.5 * pc.p1 + 0.5 * (theta2 / theta1) * pc.p2) / (0.5 * P)) * pen + 2.0 / n1
+    d2 = (1.0 + (0.5 * (theta1 / theta2) * pc.p1 + 0.5 * pc.p2) / (0.5 * P)) * pen + 2.0 / n2
+    if max(d1, d2) == math.inf:
+        raise _out_of_range("r_lb_mr")
     return 0.5 * math.log2(1.0 + theta2 * pc.p2 / d1) + 0.5 * math.log2(
         1.0 + theta1 * pc.p1 / d2
     )
@@ -177,12 +200,17 @@ def r_lb_zf(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
     P = pc.p_relay
     if P <= 0.0 or pc.p1 <= 0.0 or pc.p2 <= 0.0:
         return 0.0
-    S = (theta1 + theta2) / (theta1 * theta2 * (1.0 - rho))
+    q = theta1 * theta2 * (1.0 - rho)
+    # where theta1 theta2 leaves the float range, S from 1/theta1 + 1/theta2
+    S = (theta1 + theta2) / q if 0.0 < q < math.inf else (1.0 / theta1 + 1.0 / theta2) / (1.0 - rho)
+    # each sum of two powers from halved terms
     den = (
         S
         * (1.0 + pc.p1 / P + pc.p2 / P)
-        * (max(pc.p1, pc.p2) + S * (pc.p1 + pc.p2) / (P + pc.p1 + pc.p2))
+        * (max(pc.p1, pc.p2) + S * (0.5 * pc.p1 + 0.5 * pc.p2) / (0.5 * P + 0.5 * pc.p1 + 0.5 * pc.p2))
     )
+    if not 0.0 < den < math.inf:
+        raise _out_of_range("r_lb_zf")
     return math.log2(1.0 + 2.0 * pc.p1 * pc.p2 / den)
 
 
@@ -259,6 +287,11 @@ class BoundsReport:
     c_ub_sym: Optional[float] = None
 
     def to_json(self) -> str:
+        """The report as JSON. Raises NumericalFailureError on a
+        non-finite bound, as the CSV writers do on a non-finite cell."""
+        for name, value in self.__dict__.items():
+            if value is not None and not math.isfinite(value):
+                raise NumericalFailureError(f"{name} is {value!r}, not a finite number")
         return json.dumps(self.__dict__, indent=2)
 
     @staticmethod

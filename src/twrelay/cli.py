@@ -305,7 +305,16 @@ class Timer:
         self._t0 = now
 
 
-def _write_manifest(command: str, settings: dict, timer: Timer, files: List[str], notes: List[str]) -> None:
+def _write_tables(command: str, settings: dict, timer: Timer, texts: List[Tuple[str, str]], notes: List[str], lines: Optional[List[str]] = None) -> int:
+    """The tail of every file-writing command, called once all its texts
+    are formatted and checked: write each (file, text) into
+    settings["out"] atomically, take the write lap, write the manifest,
+    then print lines, or the files' paths when lines is None."""
+    out = settings["out"]
+    for name, text in texts:
+        tio.atomic_write_text(os.path.join(out, name), text)
+    timer.lap("write")
+    files = [name for name, _ in texts]
     manifest = {
         "command": command,
         "library_version": __version__,
@@ -315,20 +324,9 @@ def _write_manifest(command: str, settings: dict, timer: Timer, files: List[str]
         "timings_s": dict(timer.laps, total=round(sum(timer.laps.values()), 6)),
         "notes": notes,
     }
-    tio.write_manifest(os.path.join(settings["out"], "manifest.json"), manifest)
-
-
-def _write_tables(command: str, settings: dict, timer: Timer, texts: List[Tuple[str, str]], notes: List[str]) -> int:
-    """Write each (file, text) into settings["out"] atomically, take the
-    write lap, write the manifest, then print the files' paths."""
-    out = settings["out"]
-    for name, text in texts:
-        tio.atomic_write_text(os.path.join(out, name), text)
-    timer.lap("write")
-    files = [name for name, _ in texts]
-    _write_manifest(command, settings, timer, files, notes)
-    for name in files:
-        print(os.path.join(out, name))
+    tio.write_manifest(os.path.join(out, "manifest.json"), manifest)
+    for line in [os.path.join(out, name) for name in files] if lines is None else lines:
+        print(line)
     return 0
 
 
@@ -355,8 +353,7 @@ def cmd_region(settings: dict) -> int:
             boundary = sweep_region(scheme, eff, pc, settings["ratios"])
         except RankDeficiencyError as exc:
             if pick == scheme:
-                print(f"twrelay region: error: {exc}", file=sys.stderr)
-                return 2
+                raise
             notes.append(f"{scheme} skipped: {exc}")
             continue
         tables.append((f"boundary_{scheme}.csv", boundary, scheme))
@@ -367,7 +364,6 @@ def cmd_region(settings: dict) -> int:
 
 
 def cmd_capacity(settings: dict) -> int:
-    out = settings["out"]
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     timer = Timer()
     envelope = capacity_region(
@@ -379,18 +375,14 @@ def cmd_capacity(settings: dict) -> int:
         n_profiles=settings["profiles"],
         delta_r=settings["delta-r"],
     )
-    tio.write_region_csv(os.path.join(out, "capacity.csv"), envelope)
     timer.lap("envelope")
-    _write_manifest("capacity", settings, timer, ["capacity.csv"], [])
-    print(os.path.join(out, "capacity.csv"))
-    return 0
+    return _write_tables("capacity", settings, timer, [("capacity.csv", tio.format_region_csv(envelope))], [])
 
 
 SUMRATE_HEADER = ["snr_db", "c_ub_sym", "r_lb_mr", "r_mr", "r_lb_zf", "r_zf", "r_dr", "r_ow"]
 
 
 def cmd_sumrate(settings: dict) -> int:
-    out = settings["out"]
     lo, hi, step = settings["snr-min"], settings["snr-max"], settings["snr-step"]
     if hi < lo:
         raise InvalidInputError("snr-max must not be below snr-min")
@@ -432,26 +424,19 @@ def cmd_sumrate(settings: dict) -> int:
                 oneway_alternating(pair, pc, equal_energy=settings["ow-equal-energy"]),
             ]
         )
-    tio.write_csv(os.path.join(out, "sumrate.csv"), SUMRATE_HEADER, rows)
     timer.lap("grid")
-    _write_manifest("sumrate", settings, timer, ["sumrate.csv"], [])
-    print(os.path.join(out, "sumrate.csv"))
-    return 0
+    return _write_tables("sumrate", settings, timer, [("sumrate.csv", tio.format_columns(SUMRATE_HEADER, np.array(rows).T))], [])
 
 
 def cmd_bounds(settings: dict) -> int:
-    out = settings["out"]
     pc = PowerConfig(settings["p1"], settings["p2"], settings["pr"])
     timer = Timer()
     report = bounds_report(pc, settings["theta1"], settings["theta2"], settings["rho"])
-    tio.atomic_write_text(os.path.join(out, "bounds.json"), report.to_json() + "\n")
     timer.lap("bounds")
-    _write_manifest("bounds", settings, timer, ["bounds.json"], [])
-    for name in ("c21", "c12", "c_ub", "c_ub0", "r_lb_mr", "r_lb_zf", "c_ub_sym", "kappa21_star", "p21_star"):
-        value = getattr(report, name)
-        shown = "n/a" if value is None else repr(float(value))
-        print(f"{name:12s} {shown}")
-    return 0
+    names = ("c21", "c12", "c_ub", "c_ub0", "r_lb_mr", "r_lb_zf", "c_ub_sym", "kappa21_star", "p21_star")
+    values = [getattr(report, name) for name in names]
+    lines = [f"{name:12s} {'n/a' if v is None else repr(float(v))}" for name, v in zip(names, values)]
+    return _write_tables("bounds", settings, timer, [("bounds.json", report.to_json() + "\n")], [], lines)
 
 
 def _slice_csv(taus: Sequence[float], index: np.ndarray, x: np.ndarray, y: np.ndarray) -> str:
@@ -471,7 +456,7 @@ def cmd_df_compare(settings: dict) -> int:
 
     # every table is computed, formatted and checked before the first write
     pent = mac_region(pair, p1, p2)
-    mac_rows = [(0.5 * x, 0.5 * y) for x, y in pent.corners()]
+    mac = 0.5 * np.array(pent.corners())
     timer.lap("half_mac")
 
     eff = effective(pair)  # one reduced frame for the broadcast arc and the AF region
@@ -493,10 +478,10 @@ def cmd_df_compare(settings: dict) -> int:
     timer.lap("af_region")
 
     texts = [
-        ("half_mac.csv", tio.format_csv(tio.RATE_PAIR_HEADER, mac_rows)),
+        ("half_mac.csv", tio.format_columns(tio.RATE_PAIR_HEADER, mac.T)),
         ("half_bc.csv", tio.format_columns(tio.RATE_PAIR_HEADER, [0.5 * bc.r21, 0.5 * bc.r12])),
         ("df_tau_slices.csv", _slice_csv(taus, index, x, y)),
-        ("df_region.csv", tio.format_csv(tio.TAU_HEADER, env_rows)),
+        ("df_region.csv", tio.format_columns(tio.TAU_HEADER, np.array(env_rows).T)),
         ("af_region.csv", tio.format_region_csv(boundary)),
     ]
     return _write_tables("df-compare", settings, timer, texts, [])

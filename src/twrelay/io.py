@@ -1,11 +1,12 @@
-"""CSV and JSON writers shared by the command line tools.
+"""CSV and JSON formatting and atomic writes for the command line tools.
 
-Every file is written atomically: content goes to a temporary file in
-the destination directory and is renamed into place, so an interrupted
-run never leaves a truncated file behind. CSV cells use repr() floats
-(full round-trip precision, '.' decimal separator), LF line endings,
-and always start with a header row. A table with a non-finite cell is
-refused and no file is written.
+Every CSV table is formatted from its columns by format_columns: repr()
+floats (full round-trip precision), LF line endings, a header row first,
+and NumericalFailureError, before any file is written, on a non-finite
+cell. Every file is written through a same-directory temporary file and
+a rename, so an interrupted run never leaves a truncated file behind.
+write_csv and write_region_csv have no caller in the package and stay
+only because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,18 +40,6 @@ REGION_HEADER = [
 
 RATE_PAIR_HEADER = ["r21", "r12"]
 TAU_HEADER = ["tau", "r21", "r12"]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):  # np.float64 included
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 _NON_FINITE = frozenset(("inf", "-inf", "nan"))
@@ -90,23 +79,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The CSV text of rows under header; raises NumericalFailureError
-    on a non-finite cell (see _csv_text)."""
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise InvalidInputError(
-                f"row has {len(row)} cells, header has {len(header)}"
-            )
-        lines.append(",".join(map(_fmt, row)))
-    return _csv_text(lines)
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    atomic_write_text(path, format_csv(header, rows))
-
-
 def format_columns(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """The CSV text of a table given by its columns, one per header name
     and all of one length: a float64 array column as repr() floats, any
@@ -138,6 +110,11 @@ def format_region_csv(boundary: RegionBoundary, scheme: Optional[str] = None) ->
     if scheme is None:
         return format_columns(REGION_HEADER, columns)
     return format_columns(REGION_HEADER + ["scheme"], columns + [[scheme] * len(B)])
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write format_columns' text to path; nothing is written when it raises."""
+    atomic_write_text(path, format_columns(header, columns))
 
 
 def write_region_csv(path: str, boundary: RegionBoundary, scheme: Optional[str] = None) -> None:

@@ -75,7 +75,7 @@ class ChannelPair:
     @property
     def correlation(self) -> float:
         """|h1^H h2|^2 / (||h1||^2 ||h2||^2)."""
-        return abs(self.h1.conj() @ self.h2) ** 2 / (self.theta1 * self.theta2)
+        return float(abs(self.h1.conj() @ self.h2) ** 2) / (self.theta1 * self.theta2)
 
     def to_json(self) -> str:
         doc = {

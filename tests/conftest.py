@@ -28,3 +28,15 @@ def orthogonal_pair(m: int = 2) -> ChannelPair:
 
 def symmetric_power(p: float) -> PowerConfig:
     return PowerConfig(p1=p, p2=p, p_relay=p)
+
+
+def format_rows(header, rows) -> str:
+    """The CSV text of rows under header, each cell formatted on its own:
+    a string as it is, any other cell as the repr() of its float. This
+    is the row-wise formatter the program used before every table went
+    by column, kept as the reference for io.format_columns."""
+
+    def cell(value):
+        return value if isinstance(value, str) else float.__repr__(float(value))
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])

@@ -1,5 +1,6 @@
 """Tests for the closed-form bounds and asymptotics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from twrelay.bounds import (
     r_lb_mr,
     r_lb_zf,
 )
-from twrelay.errors import InvalidInputError
+from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.model import PowerConfig, gen_channels
 
 SYM10 = PowerConfig(10.0, 10.0, 10.0)
@@ -229,3 +230,9 @@ class TestReport:
         rep = bounds_report(SYM10, 1.0, 1.0, 1.0)
         assert rep.r_lb_zf is None
         assert rep.r_lb_mr > 0.0
+
+    @pytest.mark.parametrize("name, value", [("c_ub0", math.nan), ("r_lb_zf", math.inf), ("c_ub_sym", -math.inf)])
+    def test_json_refuses_a_non_finite_bound(self, name, value):
+        rep = dataclasses.replace(bounds_report(SYM10, 1.0, 1.0, 0.5), **{name: value})
+        with pytest.raises(NumericalFailureError, match=f"{name} is {value!r}, not a finite number"):
+            rep.to_json()

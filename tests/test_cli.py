@@ -13,6 +13,7 @@ from twrelay.beamformer import RateProfile
 from twrelay.bounds import BoundsReport, r_lb_zf
 from twrelay.cli import main, parse_bool, parse_power, parse_rho
 from twrelay.df import df_boundary_value
+from twrelay.errors import RankDeficiencyError
 from twrelay.model import PowerConfig, gen_channels
 
 
@@ -105,6 +106,19 @@ class TestRegionCommand:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--scheme" in err and "rho = 1" in err
+
+    def test_rank_deficient_zf_sweep_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        import twrelay.cli as cli
+
+        def deficient(scheme, eff, pc, n_ratios):
+            raise RankDeficiencyError("the channel pair is rank deficient")
+
+        monkeypatch.setattr(cli, "sweep_region", deficient)
+        with pytest.raises(SystemExit) as info:
+            run(["region", "--scheme", "zf", *REGION_ARGS, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "twrelay region: error: the channel pair is rank deficient" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_scheme_all_at_rho_one_skips_zf_with_note(self, tmp_path):
         assert run(["region", "--rho", "1.0", *REGION_ARGS, "--out", str(tmp_path)]) == 0
@@ -395,10 +409,13 @@ def test_an_overflowing_mac_exits_1_naming_the_mac_sum_rate(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+HUGE_TRACED = ["--p1", "1e154", "--p2", "1e154", "--profiles", "3"]
 HUGE_SOURCE_POWERS = {
-    "region": ["region", "--scheme", "optimal"],
-    "df-compare": ["df-compare"],
-    "capacity": ["capacity", "--grid", "2"],
+    "region": ["region", "--scheme", "optimal", *HUGE_TRACED],
+    "df-compare": ["df-compare", *HUGE_TRACED],
+    "capacity": ["capacity", "--grid", "2", *HUGE_TRACED],
+    # the top of the accepted SNR range: the schemes' rates divide inf by inf
+    "sumrate": ["sumrate", "--snr-min", "3070", "--snr-max", "3080", "--snr-step", "1"],
 }
 
 
@@ -408,12 +425,49 @@ def test_huge_source_powers_exit_1_with_no_warning(argv, tmp_path, capsys):
     # the run fails with one error line, no numpy warning and no file
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = run([*argv, "--p1", "1e154", "--p2", "1e154", "--profiles", "3", "--out", str(tmp_path)])
+        code = run([*argv, "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"twrelay {argv[0]}: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _bounds_settings():
+    """Gains from 1e-200 to 1e200 and equal powers from 1e-300 to the top
+    of the float range, the default powers and six seeded draws among
+    them, at rho = 0, 0.5, 0.99 and 1."""
+    draws = 10.0 ** np.random.default_rng(22).uniform(-300.0, 308.0, size=6)
+    powers = [1e-300, 10.0, 9e307, 1e308, *draws.tolist()]
+    for theta1 in (1e-200, 1.0, 1e100, 1e200):
+        for theta2 in (1.0, 1e200):
+            for rho in (0.0, 0.5, 0.99, 1.0):
+                for p in powers:
+                    yield theta1, theta2, rho, p
+
+
+def test_bounds_write_finite_ordered_values_or_exit_1(tmp_path, capsys):
+    # every setting ends in a finite bounds.json with
+    # r_lb_mr <= c_ub <= c_ub0, or in one error line and no file
+    written = 0
+    for i, (theta1, theta2, rho, p) in enumerate(_bounds_settings()):
+        out = tmp_path / str(i)
+        argv = ["bounds", "--theta1", repr(theta1), "--theta2", repr(theta2), "--rho", repr(rho)]
+        argv += ["--p1", repr(p), "--p2", repr(p), "--pr", repr(p), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        std = capsys.readouterr()
+        if code == 1:
+            assert std.err.startswith("twrelay bounds: error: ") and std.err.count("\n") == 1, argv
+            assert not out.exists() or list(out.iterdir()) == [], argv
+            continue
+        assert code == 0 and std.err == "", argv
+        values = json.loads((out / "bounds.json").read_text())
+        assert all(math.isfinite(v) for v in values.values() if v is not None), argv
+        assert values["r_lb_mr"] <= values["c_ub"] <= values["c_ub0"], argv
+        written += 1
+    assert written >= 100
 
 
 class TestBoundsCommand:

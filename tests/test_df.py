@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import orthogonal_pair
+from conftest import format_rows, orthogonal_pair
 
 from twrelay.beamformer import RateProfile, envelope_value, max_sum_rate
 from twrelay.cli import _slice_csv, main
@@ -23,7 +23,7 @@ from twrelay.df import (
     df_tau_slices,
     mac_region,
 )
-from twrelay.io import TAU_HEADER, format_csv
+from twrelay.io import TAU_HEADER
 from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.linalg import eig_herm2
 from twrelay.model import ChannelPair, PowerConfig, effective, gen_channels
@@ -569,7 +569,7 @@ class TestFrontierLookup:
 
     def test_slice_csv_matches_the_scalar_rows(self, slice_corpus):
         for pent, bc, taus in slice_corpus:
-            want = format_csv(TAU_HEADER, [(tau, x, y) for tau in taus for x, y in _scalar_tau_slice(pent, bc, tau)])
+            want = format_rows(TAU_HEADER, [(tau, x, y) for tau in taus for x, y in _scalar_tau_slice(pent, bc, tau)])
             assert _slice_csv(taus, *df_tau_slices(pent, bc, taus)) == want
 
     def test_df_compare_writes_the_scalar_rows(self, tmp_path):
@@ -580,7 +580,7 @@ class TestFrontierLookup:
             pent, bc = mac_region(pair, 100.0, 100.0), bc_boundary(pair, 100.0, 17)
             grid = _tau_grid(taus or 65)
             rows = [(tau, x, y) for tau in grid for x, y in _scalar_tau_slice(pent, bc, tau)]
-            assert (tmp_path / "df_tau_slices.csv").read_text() == format_csv(TAU_HEADER, rows)
+            assert (tmp_path / "df_tau_slices.csv").read_text() == format_rows(TAU_HEADER, rows)
 
     def test_capacity_region_matches_the_scalar_cloud(self):
         rng = np.random.default_rng(43)

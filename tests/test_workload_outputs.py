@@ -43,6 +43,30 @@ def test_every_job_writes_its_own_folder(script, tmp_path, capsys):
     assert summary.startswith(f"summary: {len(lines)} files compared: {len(lines)} same, 0 differ, ")
 
 
+REFERENCE = pathlib.Path(__file__).resolve().parent / "reference"
+
+
+def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
+    """The tiny seed-1 job lists write tests/reference byte for byte.
+
+    The reference holds every non-manifest file that those jobs write,
+    one or more per file-writing command. A change that moves numbers on
+    purpose regenerates it from the repository root with
+
+        python3 -c "import sys; sys.path.insert(0, 'scripts'); import workload_outputs as w; w.write_outputs('tests/reference', [1], tiny=True)"
+        find tests/reference -name manifest.json -delete
+
+    and records the largest differences that compare_outputs.py reports.
+    """
+    assert script.write_outputs(tmp_path, [1], tiny=True) == []
+    capsys.readouterr()
+    code = _load("compare_outputs").main([str(REFERENCE), str(tmp_path)])
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.endswith(": same")] == []
+    assert code == 0, summary
+    assert len(lines) == 20
+
+
 def test_failed_jobs_are_reported(script, tmp_path, monkeypatch):
     workloads = script._workloads()
     monkeypatch.setattr(script, "twrelay_main", lambda argv: 1)
