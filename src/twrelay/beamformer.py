@@ -5,22 +5,21 @@ The SNR-constrained relay power minimization is a quadratically
 constrained problem in b = vec(B), vec stacking rows. With two
 constraints its relaxation is tight, and its one-dimensional dual gives
 the minimum power and a rank-one minimizer exactly (min_relay_power
-solves it through sdp.py). A _PowerCell per channel and power setting
-whitens the problem's forms once; a ray then leaves the rate region at
-the minimum over the dual weight t of a scalar root r_hat(t), and the
-dual matrix's null vector at t has a slack difference with the sign of
-r_hat'(t). One ITP search on that sign (Oliveira and Takahashi, 2020:
-at most one step more than bisection) finds the exit, and by
-complementary slackness the null vectors at its bracket's ends give the
-beamformer, with no solve. Past the cell's whitening a ray runs in
-Python scalars, from the search to its beamformer's power and rates,
-which come from the evaluator of model.rate_pair_reduced. Boundaries
-come in profile order, their Pareto order; on each ray the capacity
-region over a grid of source powers reaches as far as the cell with the
-farthest exit. Only cells with one source at full power can be that
-cell: scaling both source powers by c > 1 and B back to the budget
-raises every positive SNR. The cells of one channel share its
-power-free forms.
+solves it through sdp.py). The dual's matrix N(t) is a Kronecker sum
+(Van Loan, "The ubiquitous Kronecker product", 2000), so a _PowerCell
+per channel and power setting inverts it from two 2x2 eigenpairs, with
+no cancellation at any budget. A ray leaves the rate region at the
+minimum over the dual weight t of a scalar root r_hat(t), and the null
+vector at t has a slack difference with the sign of r_hat'(t). One ITP
+search on that sign (Oliveira and Takahashi, 2020: at most one step
+more than bisection) finds the exit, and by complementary slackness the
+null vectors at its bracket's ends give the beamformer, with no solve,
+in Python scalars down to its power and rates (the evaluator of
+model.rate_pair_reduced). Boundaries come in profile order, their Pareto
+order; on each ray the capacity region over a grid of source powers
+reaches as far as the cell with the farthest exit. Only cells with one
+source at full power can be that cell: scaling both source powers by
+c > 1 and B back to the budget raises every positive SNR.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from .model import (
     RatePair,
     _evaluate_2x2,
     _rate,
+    _sq,
     effective,
-    relay_power_reduced,
 )
 from .sdp import SdpProblem, _zero_form_steps, extract_rank_one, solve_sdp
 
@@ -151,15 +150,6 @@ def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     Q = np.zeros((4, 4), dtype=complex)
     Q[0::2, 0::2] = Q[1::2, 1::2] = np.outer(g_rx.conj(), g_rx)
     return np.outer(g_rx, g_tx).ravel().conj(), Q
-
-
-def _channel_forms(eff: EffectiveChannel) -> tuple:
-    """The forms of a power cell that no power changes, built once per
-    channel: (u1, u2) and (Q1, Q2) from _snr_forms, (g1 g1^H, g2 g2^H),
-    and g1 and g2 as lists of Python scalars."""
-    (u1, Q1), (u2, Q2) = _snr_forms(eff.g1, eff.g2), _snr_forms(eff.g2, eff.g1)
-    grams = (np.outer(eff.g1, eff.g1.conj()), np.outer(eff.g2, eff.g2.conj()))
-    return (u1, u2), (Q1, Q2), grams, (eff.g1.tolist(), eff.g2.tolist())
 
 
 def _realify(E: np.ndarray) -> np.ndarray:
@@ -310,10 +300,9 @@ def _largest_passing(
 
 
 class _PowerCell:
-    """The power-minimization problem of one channel and power setting,
-    with the forms that do not depend on the SNR targets built once.
+    """The power-minimization problem of one channel and power setting.
 
-    The power is b^H E0 b, E0 = diag(Theta^T, Theta^T) with
+    The power is b^H E0 b, E0 = I (x) Theta^T with
     Theta = p1 g1 g1^H + p2 g2 g2^H + I, and the constraints are
     b^H E_i b >= 1 with E_i = (p/gamma_i) u_i u_i^H - Q_i (p2, gamma1 for
     i = 1; p1, gamma2 for i = 2), from _snr_forms; the SDP sees them in
@@ -324,74 +313,83 @@ class _PowerCell:
     N(t) = t Q1 + (1 - t) Q2 + E0/P_R, has a nonnegative eigenvalue: iff
     D K(t), K(t) = W^H N(t)^-1 W, has an eigenvalue of at least 1. Where
     it is 1 with eigenvector g, N(t)^-1 W g is a null vector of the dual
-    matrix. With N(0) = L L^H and L^-1 (Q1 - Q2) L^-H = V diag(mu) V^H,
-    N(t)^-1 = L^-H V diag(1/(1 + t mu)) V^H L^-1 for every t.
-
-    The cells of one channel can share its power-free forms (forms, from
-    _channel_forms); a cell builds them itself when given none. The
-    whitening's factors are kept as Python scalars, from which probe
-    sums K(t) and null_vector gives N(t)^-1 W g for the tracer.
+    matrix. N(t) = A(t) (x) I + I (x) Theta^T/P_R is a Kronecker sum with
+    A(t) = G diag(t, 1 - t) G^H, G = [conj(g1) conj(g2)]: N(t)^-1 sums
+    (A(t) + c_j I)^-1 (x) v_j v_j^H over the eigenpairs (theta_j, v_j) of
+    Theta^T, c_j = theta_j/P_R. With S = G^H G = [[a1, x], [x*, a2]],
+    Delta = det S, d_j = Delta/c_j, P1 = (1 - t) d_j + a1, P2 = t d_j + a2
+    and den_j = t P1 + (1 - t) a2 + c_j, G^H (A(t) + c_j I)^-1 G is
+    [[P1, x], [x*, P2]]/den_j: sums of nonnegative terms at any budget.
     """
 
-    def __init__(self, eff: EffectiveChannel, pc: PowerConfig, forms: Optional[tuple] = None) -> None:
+    def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
         self.eff, self.pc = eff, pc
-        self.u, self.Q, (G1, G2), self.g = forms or _channel_forms(eff)
-        theta = pc.p1 * G1 + pc.p2 * G2 + np.eye(2)
-        self.E0 = np.zeros((4, 4), dtype=complex)
-        self.E0[:2, :2] = self.E0[2:, 2:] = theta.T
+        self.g = (eff.g1.tolist(), eff.g2.tolist())
 
     def problem(self, gamma1_bar: float, gamma2_bar: float) -> SdpProblem:
         """The SDP at these SNR targets; a zero target drops its constraint."""
-        forms = [
-            _realify((p_tx / gamma) * np.outer(u, u.conj()) - Q)
-            for p_tx, gamma, u, Q in zip((self.pc.p2, self.pc.p1), (gamma1_bar, gamma2_bar), self.u, self.Q)
-            if gamma > 0.0
-        ]
-        return SdpProblem(8, _realify(self.E0), *forms)
+        eff, pc = self.eff, self.pc
+        theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
+        E0 = np.zeros((4, 4), dtype=complex)
+        E0[:2, :2] = E0[2:, 2:] = theta.T
+        links = ((pc.p2, gamma1_bar, _snr_forms(eff.g1, eff.g2)), (pc.p1, gamma2_bar, _snr_forms(eff.g2, eff.g1)))
+        forms = [_realify((p_tx / gamma) * np.outer(u, u.conj()) - Q) for p_tx, gamma, (u, Q) in links if gamma > 0.0]
+        return SdpProblem(8, _realify(E0), *forms)
 
     @cached_property
-    def whitening(self) -> Tuple[list, list, list]:
-        """(terms, Z, basis) in Python scalars: the rows (z_j1, z_j2) of
-        Z = V^H L^-1 W, the rows of basis = L^-H V, and in terms mu_j,
-        |z_j1|^2, |z_j2|^2 and conj(z_j1) z_j2, so that
-        K(t) = sum_j z_j^H z_j / (1 + t mu_j) stays in scalar arithmetic.
-        It needs a positive budget, so the first exit builds it."""
-        Q1, Q2 = self.Q
-        try:
-            Linv = np.linalg.inv(np.linalg.cholesky(Q2 + self.E0 / self.pc.p_relay))
-        except np.linalg.LinAlgError:
-            raise NumericalFailureError("N(0) = Q2 + E0/P_R is not numerically positive definite") from None
-        mu, V = np.linalg.eigh(Linv @ (Q1 - Q2) @ Linv.conj().T)
-        # the elementwise terms come after the last matrix product: a BLAS
-        # kernel can return with the upper vector registers dirty, which
-        # on AVX-512 hosts slows the scalar libm calls of every probe after
-        # it severalfold, until a compiled numpy loop clears them
-        Z, basis = V.conj().T @ Linv @ np.column_stack(self.u), Linv.conj().T @ V
-        terms = zip(mu.tolist(), *(abs(Z) ** 2).T.tolist(), (Z[:, 0].conj() * Z[:, 1]).tolist())
-        return list(terms), Z.tolist(), basis.tolist()
+    def spectrum(self) -> Tuple[float, float, complex, list]:
+        """(a1, a2, x, terms): a_i = ||g_i||^2, x = g1^T conj(g2), and per
+        eigenpair (theta, v) of Theta^T the term (c, d, eta1, eta2, v0, v1),
+        eta1 = v^H conj(g2), eta2 = v^H conj(g1). Theta^T - I has determinant
+        p1 p2 Delta: its smaller eigenvalue is that over the larger."""
+        (x0, x1), (y0, y1) = self.g
+        p1, p2, budget = self.pc.p1, self.pc.p2, self.pc.p_relay
+        delta = _sq(x0 * y1 - x1 * y0)
+        p, r = p1 * _sq(x0) + p2 * _sq(y0), p1 * _sq(x1) + p2 * _sq(y1)
+        q, half = p1 * x0.conjugate() * x1 + p2 * y0.conjugate() * y1, 0.5 * (p - r)
+        root = math.hypot(half, abs(q))
+        top = 0.5 * (p + r) + root
+        low = p1 * delta / top * p2 if top > 0.0 else 0.0
+        v0, v1 = (half + root, q.conjugate()) if half >= 0.0 else (q, root - half)
+        norm = math.hypot(abs(v0), abs(v1))
+        v0, v1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)  # 0 at Theta = I
+        pairs = (((1.0 + top) / budget, v0, v1), ((1.0 + low) / budget, -v1.conjugate(), v0.conjugate()))
+        terms = [(c, delta / c, (w0 * y0 + w1 * y1).conjugate(), (w0 * x0 + w1 * x1).conjugate(), w0, w1) for c, w0, w1 in pairs]
+        return _sq(x0) + _sq(x1), _sq(y0) + _sq(y1), x0 * y0.conjugate() + x1 * y1.conjugate(), terms
 
     def null_vector(self, t: float, g: tuple) -> List[complex]:
         """b = N(t)^-1 W g, the dual matrix's null vector at weight t and
         top eigenvector g, as the entries (b0, b1, b2, b3) of
-        B = [[b0, b1], [b2, b3]] in Python scalars."""
-        terms, Z, basis = self.whitening
-        x, y = g
-        z0, z1, z2, z3 = [(zx * x + zy * y) * (1.0 / (1.0 + t * term[0])) for term, (zx, zy) in zip(terms, Z)]
-        return [v0 * z0 + v1 * z1 + v2 * z2 + v3 * z3 for v0, v1, v2, v3 in basis]
+        B = [[b0, b1], [b2, b3]]: the sum over j of G h_j v_j^T with
+        h_j = adj(T S + c_j I) (g_1 eta1_j, g_2 eta2_j) / (c_j den_j),
+        T = diag(t, 1 - t) and c_j den_j = det(T S + c_j I)."""
+        a1, a2, x, terms = self.spectrum
+        (x0, x1), (y0, y1) = ([z.conjugate() for z in g_i] for g_i in self.g)
+        u, (gx, gy), b0, b1, b2, b3 = 1.0 - t, g, 0j, 0j, 0j, 0j
+        for c, d, eta1, eta2, v0, v1 in terms:
+            q, f1, f2 = 1.0 / (t * (u * d + a1) + u * a2 + c), gx * eta1 / c, gy * eta2 / c
+            h1, h2 = ((u * a2 + c) * f1 - t * x * f2) * q, ((t * a1 + c) * f2 - u * x.conjugate() * f1) * q
+            w0, w1 = h1 * x0 + h2 * y0, h1 * x1 + h2 * y1
+            b0, b1, b2, b3 = b0 + w0 * v0, b1 + w0 * v1, b2 + w1 * v0, b3 + w1 * v1
+        return [b0, b1, b2, b3]
 
     def probe(self, t: float, c1: float, c2: float, start: Optional[float] = None) -> tuple:
         """(r_hat(t), g, gap) on a ray with gamma_i(r) = e^(c_i r) - 1,
         c_i > 0: the largest sum rate passing the test at weight t (start
         guesses it), the top eigenvector g of D K(t) there, and the slack
         difference gap = b^H (E1 - E2) b of b = N(t)^-1 W g, which has
-        the sign of r_hat'(t); b^H (Q1 - Q2) b is g^H M g, M = -K'(t)."""
-        k11 = k22 = m11 = m22 = 0.0
-        k12 = m12 = 0j
-        for mu, w11, w22, w12 in self.whitening[0]:
-            d = 1.0 / (1.0 + t * mu)
-            e = mu * d * d
-            k11, k22, k12 = k11 + w11 * d, k22 + w22 * d, k12 + w12 * d
-            m11, m22, m12 = m11 + w11 * e, m22 + w22 * e, m12 + w12 * e
+        the sign of r_hat'(t); b^H (Q1 - Q2) b is g^H M g, M = -K'(t), whose
+        blocks [[P1^2 - |x|^2, x (P1 - P2)], [x* (P1 - P2), |x|^2 - P2^2]]/den_j^2
+        (by c_j d_j = Delta) take no difference of terms that grow with P_R."""
+        a1, a2, x, terms = self.spectrum
+        u, ax, k11, k22, m11, m22, k12, m12 = 1.0 - t, abs(x), 0.0, 0.0, 0.0, 0.0, 0j, 0j
+        for c, d, eta1, eta2, _, _ in terms:
+            q, w11, w22, w12 = 1.0 / (t * (u * d + a1) + u * a2 + c), _sq(eta1), _sq(eta2), eta1.conjugate() * eta2
+            e1, e2, e = (u * d + a1) * q, (t * d + a2) * q, ax * q
+            k11, k22, k12 = k11 + w11 * e1, k22 + w22 * e2, k12 + w12 * q
+            m11, m22 = m11 + w11 * (e1 * e1 - e * e), m22 + w22 * (e * e - e2 * e2)
+            m12 += w12 * ((1.0 - 2.0 * t) * d + a1 - a2) * q * q
+        k12, m12 = x * k12, x * m12
         p1, p2, k12_sq = self.pc.p1, self.pc.p2, abs(k12) ** 2
         s = min(1.0, k12_sq / (k11 * k22)) if k11 * k22 > 0.0 else 0.0
         r = _largest_passing(t * p2 * k11, (1.0 - t) * p1 * k22, s, c1, c2, start)
@@ -428,19 +426,18 @@ class _PowerCell:
             return 0.0, ()
         if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
             t = profile.alpha21  # the kept constraint's end of [0, 1]
-            terms = self.whitening[0]
-            if t:
-                gain = self.pc.p2 * sum(w11 / (1.0 + mu) for mu, w11, _, _ in terms)
-            else:
-                gain = self.pc.p1 * sum(w22 for _, _, w22, _ in terms)
+            a1, a2, _, terms = self.spectrum
+            a, p_tx, k = (a1, self.pc.p2, 2) if t else (a2, self.pc.p1, 3)  # p2 K11(1) or p1 K22(0)
+            gain = p_tx * sum(_sq(term[k]) * (a / (a + term[0])) for term in terms)
             r = math.log1p(gain) / (2.0 * LN2)
             return r, ((t, (t, 1.0 - t)),) if r > 0.0 else ()
         c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
         (r_lo, g_lo, gap_lo), (r_hi, g_hi, gap_hi) = self.probe(0.0, c1, c2), self.probe(1.0, c1, c2)
         if min(r_lo, r_hi) == 0.0:
             return 0.0, ()
-        if gap_lo >= 0.0 or gap_hi <= 0.0:  # an end of [0, 1] is the minimum
-            return (r_lo, ((0.0, g_lo),)) if gap_lo >= 0.0 else (r_hi, ((1.0, g_hi),))
+        if gap_lo >= 0.0 or gap_hi <= 0.0:  # an end is the minimum, with its unit top eigenvector
+            t = 0.0 if gap_lo >= 0.0 else 1.0
+            return (r_hi if t else r_lo), ((t, (t, 1.0 - t)),)
         lo, hi, r_star, r, j = 0.0, 1.0, min(r_lo, r_hi), None, 0
         while hi - lo > 2.0**-40:  # 2^-40 < 1e-12, in at most 41 steps
             width, mid = hi - lo, 0.5 * (lo + hi)
@@ -479,59 +476,68 @@ def max_sum_rate(
             its relay power, matrix or rates are not finite.
     """
     cell = _PowerCell(eff, pc)
-    return _traced(cell, profile, cell.exit(profile), delta_r)
+    return _traced(cell, profile, cell.exit(profile), delta_r)[:2]
 
 
-def _traced(cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float) -> Tuple[float, np.ndarray]:
-    """max_sum_rate's (r, B) from the cell's exit (r*, ends), in Python
-    scalars. By complementary slackness the beamformer is a null vector
-    at t* with equal slack on both constraints: bracket ends whose gaps
-    at r* have opposite signs combine to gap zero, else each end is a
-    candidate; the slack forms take E_i at r* (see _slack_forms). Scaled
-    to spend P_R, the candidate reaching farthest on the ray wins; its
-    power and rates come from model._evaluate_2x2, the evaluator of
-    rate_pair_reduced.
+def _unit(b: list) -> list:
+    """b times the power of two that puts its largest part in [1/2, 1)."""
+    top = max(max(abs(v.real), abs(v.imag)) for v in b)
+    if top == 0.0:  # a zero vector has no direction to scale
+        raise NumericalFailureError("a null vector of the dual matrix is 0")
+    k = -math.frexp(top)[1]
+    return [complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in b]
+
+
+def _traced(
+    cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float
+) -> Tuple[float, np.ndarray, float]:
+    """max_sum_rate's (r, B) from the cell's exit (r*, ends), and the
+    relay power B spends, in Python scalars. By complementary slackness
+    the beamformer is a null vector at t* with equal slack on both
+    constraints: bracket ends whose gaps at r* have opposite signs
+    combine to gap zero (see _slack_forms), else each end is a candidate.
+    Each candidate comes at unit scale (_unit), scaled to spend P_R, and
+    the one reaching farthest on the ray wins; powers and rates come from
+    model._evaluate_2x2, the evaluator of rate_pair_reduced.
 
     Raises:
         InvalidInputError: if delta_r is not positive.
-        NumericalFailureError: if a candidate's relay power, matrix or
-            rates are not finite, or the winner falls more than delta_r
-            below r*.
+        NumericalFailureError: if a candidate is 0, its relay power,
+            matrix or rates are not finite, or the winner falls more than
+            delta_r below r*.
     """
     if delta_r <= 0.0:
         raise InvalidInputError("delta_r must be positive")
     r_star, ends = found
     if not ends:
-        return 0.0, np.zeros((2, 2), dtype=complex)
+        return 0.0, np.zeros((2, 2), dtype=complex), 0.0
     pc, (g1, g2) = cell.pc, cell.g
-    vectors = [cell.null_vector(t, g) for t, g in ends]
+    vectors = [_unit(cell.null_vector(t, g)) for t, g in ends]
     if len(vectors) == 2:
-        e1 = _over_gamma(pc.p2, 2.0 * profile.alpha21 * LN2 * r_star)
-        e2 = _over_gamma(pc.p1, 2.0 * profile.alpha12 * LN2 * r_star)
+        e1, e2 = (_over_gamma(p, 2.0 * a * LN2 * r_star) for p, a in ((pc.p2, profile.alpha21), (pc.p1, profile.alpha12)))
         d_lo, cross, d_hi = _slack_forms(*vectors, g1, g2, e1, e2)
         if d_lo < 0.0 < d_hi:
             lo, hi = vectors
-            vectors = [[v + step * w for v, w in zip(lo, hi)] for step in _zero_form_steps(d_lo, d_hi, cross)]
-    best = (-math.inf, None)
+            vectors = [_unit([v + step * w for v, w in zip(lo, hi)]) for step in _zero_form_steps(d_lo, d_hi, cross)]
+    best = (-math.inf, None, None)
     for b in vectors:
-        spent = _evaluate_2x2(b, g1, g2, pc.p1, pc.p2)[0]
+        spent = _evaluate_2x2(b, g1, g2, pc.p1, pc.p2)[0]  # at least ||b||^2 >= 1/4
         if not math.isfinite(spent):
             raise NumericalFailureError(f"the exit {float(r_star)!r} gives a beamformer of relay power {spent!r}")
-        if spent > 0.0:  # a power that underflows to 0 gives no direction to scale
-            scale = math.sqrt(pc.p_relay / spent)
-            B = [x * scale for x in b]
-            _, s21, s12 = _evaluate_2x2(B, g1, g2, pc.p1, pc.p2)
-            r21, r12 = _rate(s21), _rate(s12)
-            if not (math.isfinite(scale) and math.isfinite(r21 + r12)):
-                cause = "gives a beamformer whose matrix or rates are not finite"
-                raise NumericalFailureError(f"the exit {float(r_star)!r} {cause}")
-            pairs = ((r21, profile.alpha21), (r12, profile.alpha12))
-            best = max(best, (min(r_star, *(x / a for x, a in pairs if a > 0.0)), B), key=lambda item: item[0])
-    r, B = best
+        scale = math.sqrt(pc.p_relay / spent)
+        B = [x * scale for x in b]
+        power, s21, s12 = _evaluate_2x2(B, g1, g2, pc.p1, pc.p2)
+        r21, r12 = _rate(s21), _rate(s12)
+        if not (math.isfinite(scale) and math.isfinite(r21 + r12)):
+            cause = "gives a beamformer whose matrix or rates are not finite"
+            raise NumericalFailureError(f"the exit {float(r_star)!r} {cause}")
+        value = min(r_star, *(x / a for x, a in ((r21, profile.alpha21), (r12, profile.alpha12)) if a > 0.0))
+        if value > best[0]:
+            best = (value, B, power)
+    r, B, power = best
     if not r >= r_star - delta_r:
-        cause = "with its beamformer" if B is not None else "as every beamformer's relay power underflows to 0"
-        raise NumericalFailureError(f"the exit {float(r_star)!r} falls to {float(r)!r} {cause}")
-    return r, np.array(B, dtype=complex).reshape(2, 2)
+        raise NumericalFailureError(f"the exit {float(r_star)!r} falls to {float(r)!r} with its beamformer")
+    return r, np.array(B, dtype=complex).reshape(2, 2), power
 
 
 def _slack_forms(lo: list, hi: list, g1: list, g2: list, e1: float, e2: float) -> Tuple[float, float, float]:
@@ -576,20 +582,14 @@ def _profiles(n_profiles: int) -> List[RateProfile]:
 
 def _trace(cells: Sequence[_PowerCell], n_profiles: int, delta_r: float) -> RegionBoundary:
     """One row per profile, in profile order, each traced from the exit
-    search of the first of the cells whose exit is farthest. The relay
-    powers come from one relay_power_reduced per winning cell, over the
-    stack of its rows' matrices."""
-    profiles = _profiles(n_profiles)
-    n = len(profiles)
+    search of the first of the cells whose exit is farthest, with the
+    relay power that _traced evaluates for its beamformer."""
+    profiles, n = _profiles(n_profiles), n_profiles
     alpha21 = np.array([profile.alpha21 for profile in profiles])
-    won, r_sum, B = np.empty(n, dtype=int), np.empty(n), np.empty((n, 2, 2), dtype=complex)
+    won, r_sum, p_relay, B = np.empty(n, dtype=int), np.empty(n), np.empty(n), np.empty((n, 2, 2), dtype=complex)
     for i, profile in enumerate(profiles):
         won[i], found = max(((k, cell.exit(profile)) for k, cell in enumerate(cells)), key=lambda item: item[1][0])
-        r_sum[i], B[i] = _traced(cells[won[i]], profile, found, delta_r)
-    p_relay = np.empty(n)
-    for k in set(won.tolist()):
-        rows = np.flatnonzero(won == k)  # integer rows: a first boolean index into B allocates a buffer
-        p_relay[rows] = relay_power_reduced(B[rows], cells[k].eff, cells[k].pc)
+        r_sum[i], B[i], p_relay[i] = _traced(cells[won[i]], profile, found, delta_r)
     powers = np.array([(cell.pc.p1, cell.pc.p2) for cell in cells], dtype=np.float64)[won]
     r21, r12 = alpha21 * r_sum, (1.0 - alpha21) * r_sum
     return RegionBoundary(alpha21, r21, r12, powers[:, 0], powers[:, 1], p_relay, B=B, U=cells[0].eff.U)
@@ -635,17 +635,15 @@ def capacity_region(
     where num > 0. _trace takes each ray's first farthest edge cell, as
     the full grid would; points come in profile order, less those weakly
     dominated (the union's flat arms) and repeated (rays that stay at 0).
-    The cells share the channel's power-free forms, and equal limits
-    share one grid.
+    Equal limits share one grid.
     """
     if power_grid < 1:
         raise InvalidInputError("power_grid must be at least 1")
     eff = effective(pair)
-    forms = _channel_forms(eff)
     p1_grid = _power_grid(P1, power_grid)
     p2_grid = p1_grid if P2 == P1 else _power_grid(P2, power_grid)
     edges = [(p1, p2_grid[-1]) for p1 in p1_grid[:-1].tolist()] + [(p1_grid[-1], p2) for p2 in p2_grid.tolist()]
-    cells = [_PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R), forms) for p1, p2 in edges]
+    cells = [_PowerCell(eff, PowerConfig(p1=float(p1), p2=float(p2), p_relay=P_R)) for p1, p2 in edges]
     boundary = _trace(cells, n_profiles, delta_r)
     return boundary._rows(_prune_dominated(boundary.r21, boundary.r12))
 

@@ -333,12 +333,11 @@ def test_bad_number_exits_2_with_a_usage_error(argv, message, tmp_path, capsys):
 
 
 NUMERICAL_FAILURES = {
-    # N(0) = Q2 + E0/P_R loses its positive definiteness to rounding
-    "cholesky": (["--p1", "210db", "--profiles", "3", "--scheme", "optimal"], "is not numerically positive definite"),
-    # every candidate beamformer's relay power underflows to 0
-    "zero-power": (["--p1", "1e300", "--profiles", "3", "--scheme", "optimal"], "relay power underflows to 0"),
+    # at p1 = 1e300 a beamformer must null g1 to 1e-150 of its size, beyond
+    # double precision: scaled to the budget, the traced one leaves r21 at 0
+    "zero-power": (["--p1", "1e300", "--profiles", "3", "--scheme", "optimal"], "falls to 0.0 with its beamformer"),
     # no beamformer comes within delta-r of the exit; both rates print as floats
-    "delta-r": (["--delta-r", "1e-300", "--profiles", "17"], "exit 1.7003725145680828 falls to 1.7003725145680817"),
+    "delta-r": (["--delta-r", "1e-300", "--profiles", "17"], "exit 1.5651532299507442 falls to 1.5651532299507436"),
 }
 
 
@@ -351,6 +350,38 @@ def test_optimal_tracer_failure_exits_1_with_an_error(argv, message, tmp_path, c
     assert err.startswith("twrelay region: error: ") and message in err
     assert "Traceback" not in err and "np.float64" not in err
     assert not (tmp_path / "boundary_optimal.csv").exists()
+
+
+# (argv, must the command succeed): extreme budgets and source powers,
+# and the 100-300 dB regions of seeds whose runs once ended in tracebacks
+EXTREME_SETTINGS = {
+    "capacity-1e16": (["capacity", "--pr", "1e16", "--rho", "0.99", "--profiles", "3", "--grid", "2"], True),
+    "p1-210db": (["region", "--p1", "210db", "--profiles", "3", "--scheme", "optimal"], True),
+    "pr-1e-250": (["region", "--pr", "1e-250", "--profiles", "3", "--scheme", "optimal"], True),
+    "pr-1e-300-rho-1": (["region", "--pr", "1e-300", "--rho", "1", "--profiles", "3", "--scheme", "optimal"], True),
+    **{
+        f"pr-{db}db-seed-{seed}": (
+            ["region", "--pr", f"{db}db", "--profiles", "9", "--scheme", "optimal", "--seed", str(seed)],
+            False,
+        )
+        for db in (100, 160, 200, 300)
+        for seed in (3, 12, 14, 26)
+    },
+}
+
+
+@pytest.mark.parametrize("argv, must_succeed", EXTREME_SETTINGS.values(), ids=EXTREME_SETTINGS.keys())
+def test_no_traceback_at_extreme_settings(argv, must_succeed, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code in ((0,) if must_succeed else (0, 1))
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith(f"twrelay {argv[0]}: error: ")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert err == ""
 
 
 FAILING_JOBS = {

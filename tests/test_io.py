@@ -244,7 +244,7 @@ def _per_point_trace(cells, n_profiles):
     points = []
     for profile in bf._profiles(n_profiles):
         cell, found = max(((cell, cell.exit(profile)) for cell in cells), key=lambda item: item[1][0])
-        r_sum, B = bf._traced(cell, profile, found, DEFAULT_DELTA_R)
+        r_sum, B, _ = bf._traced(cell, profile, found, DEFAULT_DELTA_R)
         eff, pc, beam = cell.eff, cell.pc, Beamformer(B=B, U=cell.eff.U)
         r21, r12 = profile.alpha21 * r_sum, profile.alpha12 * r_sum
         points.append(Row(profile.alpha21, r21, r12, pc.p1, pc.p2, relay_power_reduced(beam, eff, pc), B))
