@@ -2,6 +2,7 @@
 """Write the outputs of every benchmark workload's jobs.
 
     python3 scripts/workload_outputs.py OUT_DIR [--seeds 1,2,3,9001]
+    python3 scripts/workload_outputs.py --reference
 
 Every job of every workload in perfbench/workloads.py, at each seed,
 runs through twrelay.cli.main and writes its files to
@@ -10,8 +11,10 @@ workload's list. The program is imported from src/ of the checkout that
 holds this script. Run it from two checkouts and pass both folders to
 scripts/compare_outputs.py to compare their outputs; for a checkout
 that predates this script, copy the script into that checkout's
-scripts/ first. The exit status is 0 when every job exits 0, and 1
-otherwise.
+scripts/ first. --reference rewrites tests/reference from scratch with
+the tiny seed-1 job lists' outputs, manifests left out: the files that
+tests/test_workload_outputs.py compares each run with. The exit status
+is 0 when every job exits 0, 1 otherwise, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import shutil
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "tests" / "reference"
 sys.path.insert(0, str(ROOT / "src"))
 
 from twrelay.cli import main as twrelay_main  # noqa: E402
@@ -56,19 +61,35 @@ def write_outputs(out_dir: Path, seeds: Sequence[int], tiny: bool = False) -> Li
     return failed
 
 
+def write_reference(out_dir: Path) -> List[str]:
+    """Replace out_dir with the tiny seed-1 outputs, no manifests; returns
+    write_outputs' failed jobs."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    failed = write_outputs(out_dir, [1], tiny=True)
+    for manifest in Path(out_dir).rglob("manifest.json"):
+        manifest.unlink()
+    return failed
+
+
 def _seeds(text: str) -> List[int]:
     return [int(seed) for seed in text.split(",")]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--seeds", type=_seeds, default=[1, 2, 3, 9001], help="comma-separated workload seeds")
+    parser.add_argument("out_dir", type=Path, nargs="?")
+    parser.add_argument("--seeds", type=_seeds, help="comma-separated workload seeds (default 1,2,3,9001)")
+    parser.add_argument("--reference", action="store_true", help="rewrite tests/reference instead")
     try:
         args = parser.parse_args(argv)
+        if args.reference == (args.out_dir is not None) or (args.reference and args.seeds):
+            parser.error("give OUT_DIR with optional --seeds, or --reference alone")
     except SystemExit as exc:
         return int(exc.code)
-    failed = write_outputs(args.out_dir, args.seeds)
+    if args.reference:
+        failed = write_reference(REFERENCE)
+    else:
+        failed = write_outputs(args.out_dir, args.seeds or [1, 2, 3, 9001])
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0

@@ -76,9 +76,10 @@ def _ray_exit(
     rates(x) for x in [lo, hi], along which r21 falls and r12 rises.
 
     Past either end the frontier runs on as a flat arm at that end's
-    single-link maximum; between them bisection on the side of the ray
-    lands on the crossing, and the better of the two adjacent floats
-    around it gives the value.
+    single-link maximum; between them the crossing search on the ray's
+    side, alpha12 r21 - alpha21 r12, whose values at the two ends it
+    already holds, lands on the crossing, and the better of the two
+    adjacent floats around it gives the value.
     """
     right, left = rates(lo), rates(hi)
     if profile.alpha21 == 0.0:
@@ -98,7 +99,7 @@ def _ray_exit(
         r = rates(x)
         return min(r.r21 / profile.alpha21, r.r12 / profile.alpha12)
 
-    below, above = _crossing(lambda x: side(rates(x)) > 0.0, lo, hi)
+    below, above = _crossing(lambda x: side(rates(x)), lo, hi, side(right), side(left))
     return max(value(below), value(above))
 
 

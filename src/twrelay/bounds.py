@@ -6,30 +6,31 @@ sum-rates of the matched and zero-forcing relay schemes with equal
 forward/backward gains. Everything here is a closed-form evaluation
 except the relay power split of c_ub. Its minimax over the relay-noise
 split and the power split is a saddle point: the noise split has a
-closed form, and the power split at it is a float-exact bisection on
-the closed-form sign of the objective's derivative. That bisection,
-_crossing, also finds the scheme and decode-and-forward ray exits; the
-golden-section search here, _golden_max, refines the scheme sum-rate
-maxima in schemes.py.
+closed form, and the power split at it is the float-exact root of the
+objective's closed-form slope. The one search for such a root here,
+_crossing, an ITP search (at most one step more than bisection), also
+finds the broadcast arc's angles, the scheme and decode-and-forward ray
+exits, and the scheme sum-rate maxima as roots of their closed-form
+slopes.
 
 A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
-quotient's bits as they are. A setting at which a term itself leaves
-the float range raises NumericalFailureError in place of a wrong bound.
+quotient's bits as they are. Where the zero-forcing bound's denominator
+leaves the float range, its quotient is formed from the mantissas and
+exponents of its factors. A setting at which a term itself leaves the
+float range raises NumericalFailureError in place of a wrong bound.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .errors import InvalidInputError, NumericalFailureError
-from .model import PowerConfig
-
-GOLDEN_TOL = 1e-8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .model import LN2, PowerConfig
 
 
 def c21(kappa21: float, P21: float, theta1: float, theta2: float, p2: float) -> float:
@@ -75,40 +76,46 @@ def _out_of_range(bound: str) -> NumericalFailureError:
     return NumericalFailureError(f"{bound}: a term leaves the float range at these gains and powers")
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = GOLDEN_TOL
+def _crossing(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
 ) -> Tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi],
-    to interval width tol; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    """Where a signed f, positive up to some point of [lo, hi] and at most
+    0 after it, switches: the bracket around the switch, narrowed until no
+    float lies between its ends. f_lo and f_hi are f's values at lo and
+    hi, or +inf and -inf at an end where f cannot be evaluated.
 
-
-def _crossing(positive: Callable[[float], bool], lo: float, hi: float) -> Tuple[float, float]:
-    """Where a predicate that holds up to some point of [lo, hi] and
-    fails after it switches: the bracket around the switch, bisected
-    until no float lies between its ends."""
+    An ITP search (Oliveira and Takahashi, ACM TOMS 47(1), 2020), as in
+    the power cell's exit search: step j takes the regula falsi point of
+    the bracket's two values, moves it toward the bracket's midpoint by
+    max(0.2 w^2, one ulp), w the bracket width, and projects it into the
+    ball of radius 2^-j w0 - w/2 about the midpoint, w0 the first width.
+    An empty bracket returns before the first step. The step takes the
+    midpoint where an end's value is not finite (so a first step from
+    an infinite end is a halving), where the point is not strictly inside
+    the bracket, and where the radius is not positive. So the bracket is
+    never wider than bisection's one step earlier, and where f's sign is
+    monotone over the floats the search ends at bisection's bracket.
+    """
+    lo, hi, f_lo, f_hi = float(lo), float(hi), float(f_lo), float(f_hi)  # Python floats: inf and nan, no warnings
+    width0, j = hi - lo, 0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo, hi
-        if positive(mid):
-            lo = mid
+        width, gap = hi - lo, f_lo - f_hi
+        x = lo + width * (f_lo / gap) if 0.0 < gap < math.inf else math.nan  # regula falsi
+        if math.isfinite(x):
+            delta = max(0.2 * width * width, math.ulp(x))
+            x = x + math.copysign(delta, mid - x) if abs(mid - x) > delta else mid
+            radius = math.ldexp(width0, -j) - 0.5 * width
+            x = min(max(x, mid - radius), mid + radius) if radius > 0.0 else mid
+        if not lo < x < hi:
+            x = mid
+        fx, j = float(f(x)), j + 1
+        if fx > 0.0:
+            lo, f_lo = x, fx
         else:
-            hi = mid
+            hi, f_hi = x, fx
 
 
 def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, float]:
@@ -129,8 +136,9 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     a = alpha x and b = beta y with alpha = S/(theta1 P_R) and
     beta = S/(theta2 P_R); the sign condition then fixes y/x = R and
     kappa = (1 + B - R A)/(1 + R). Outside [0, 1] the convex minimum
-    over kappa is at the nearer end. At that kappa a bisection on the
-    sign of df/dx finds the maximizing P21 to the last float.
+    over kappa is at the nearer end. At that kappa the crossing search
+    on the difference of the two products finds the maximizing P21 to
+    the last float.
     """
     P = pc.p_relay
     A, B = theta2 * pc.p2, theta1 * pc.p1
@@ -161,16 +169,20 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     # A/((1 + A) x + a) with (1 + A) divided out, and its mirror
     A_, a_, B_, b_ = A / (1.0 + A), a / (1.0 + A), B / (1.0 + B), b / (1.0 + B)
 
-    def rising(x: float) -> bool:
+    def slope(x: float) -> float:
         # each side a product of two ratios of one scale, at most theta1
         # and theta2, so that no product of powers overflows
         y = P - x
-        return A_ / (x + a_) * (a / (x + a)) > B_ / (y + b_) * (b / (y + b))
+        return A_ / (x + a_) * (a / (x + a)) - B_ / (y + b_) * (b / (y + b))
+
+    def end(x: float, missing: float) -> float:
+        # 0/0 at an end where a silent source has no noise share
+        return slope(x) if min(x + a_, P - x + b_) > 0.0 else missing
 
     def f(x: float) -> float:
         return c21(kappa, x, theta1, theta2, pc.p2) + c12(1.0 - kappa, P - x, theta1, theta2, pc.p1)
 
-    value, p21 = max((f(x), x) for x in _crossing(rising, 0.0, P))
+    value, p21 = max((f(x), x) for x in _crossing(slope, 0.0, P, end(0.0, math.inf), end(P, -math.inf)))
     return value, kappa, p21
 
 
@@ -201,17 +213,26 @@ def r_lb_zf(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
     if P <= 0.0 or pc.p1 <= 0.0 or pc.p2 <= 0.0:
         return 0.0
     q = theta1 * theta2 * (1.0 - rho)
-    # where theta1 theta2 leaves the float range, S from 1/theta1 + 1/theta2
-    S = (theta1 + theta2) / q if 0.0 < q < math.inf else (1.0 / theta1 + 1.0 / theta2) / (1.0 - rho)
+    # where theta1 theta2 leaves the normal float range, S from 1/theta1 + 1/theta2
+    S = (theta1 + theta2) / q if sys.float_info.min <= q < math.inf else (1.0 / theta1 + 1.0 / theta2) / (1.0 - rho)
     # each sum of two powers from halved terms
-    den = (
-        S
-        * (1.0 + pc.p1 / P + pc.p2 / P)
-        * (max(pc.p1, pc.p2) + S * (0.5 * pc.p1 + 0.5 * pc.p2) / (0.5 * P + 0.5 * pc.p1 + 0.5 * pc.p2))
-    )
-    if not 0.0 < den < math.inf:
+    X, top = 1.0 + pc.p1 / P + pc.p2 / P, max(pc.p1, pc.p2)
+    half, total = 0.5 * pc.p1 + 0.5 * pc.p2, 0.5 * P + 0.5 * pc.p1 + 0.5 * pc.p2
+    den = S * X * (top + S * half / total)
+    if 0.0 < den < math.inf:
+        return math.log2(1.0 + 2.0 * pc.p1 * pc.p2 / den)
+    # the product leaves the float range: the quotient from the mantissas
+    # and exponents of its factors, the share half/total <= 1 taken first
+    factors = (S, X, top + S * (half / total))
+    if not all(0.0 < v < math.inf for v in factors):
         raise _out_of_range("r_lb_zf")
-    return math.log2(1.0 + 2.0 * pc.p1 * pc.p2 / den)
+    (m1, e1), (m2, e2), *scaled = map(math.frexp, (pc.p1, pc.p2, *factors))
+    mantissa = 2.0 * m1 * m2 / math.prod(m for m, _ in scaled)
+    exponent = e1 + e2 - sum(e for _, e in scaled)
+    try:
+        return math.log1p(math.ldexp(mantissa, exponent)) / LN2
+    except OverflowError:
+        raise _out_of_range("r_lb_zf") from None
 
 
 def gap_mr_asymptotic(rho: float) -> float:

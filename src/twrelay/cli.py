@@ -43,7 +43,6 @@ from .model import (
     PowerConfig,
     effective,
     gen_channels,
-    rate_pair,
     rate_pair_reduced,
     relay_power_reduced,
 )
@@ -52,8 +51,8 @@ from .schemes import (
     DEFAULT_RATIOS,
     _ChannelForms,
     _Sweep,
-    direct_relay,
-    oneway_alternating,
+    _direct_relay_sum,
+    _oneway_sum,
     scheme_max_sum_rate,
     sweep_region,
 )
@@ -394,10 +393,11 @@ def cmd_sumrate(settings: dict) -> int:
     pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
     theta1, theta2, rho = pair.theta1, pair.theta2, pair.correlation
     timer = Timer()
-    # one reduced frame per job, and each scheme's channel forms built at
-    # its first use (after the first row's bounds have checked rho) and
-    # scaled at every grid point
+    # one reduced frame and one set of channel gains per job, and each
+    # scheme's channel forms built at its first use (after the first row's
+    # bounds have checked rho) and scaled at every grid point
     eff = effective(pair)
+    cross = float(abs(pair.h1 @ pair.h2) ** 2)  # |h1^T h2|^2, the direct relay's gain
     forms: Dict[str, _ChannelForms] = {}
 
     def scheme_sum(scheme: str, pc: PowerConfig) -> float:
@@ -411,7 +411,6 @@ def cmd_sumrate(settings: dict) -> int:
         snr_db = lo + k * step
         p = 10.0 ** (snr_db / 10.0)
         pc = PowerConfig(p, p, p)
-        dr = rate_pair(direct_relay(pair, pc), pair, pc)
         rows.append(
             [
                 snr_db,
@@ -420,8 +419,8 @@ def cmd_sumrate(settings: dict) -> int:
                 scheme_sum("mr", pc),
                 r_lb_zf(pc, theta1, theta2, rho),
                 scheme_sum("zf", pc),
-                dr.r21 + dr.r12,
-                oneway_alternating(pair, pc, equal_energy=settings["ow-equal-energy"]),
+                _direct_relay_sum(theta1, theta2, cross, pair.m, pc),
+                _oneway_sum(theta1, theta2, pc, settings["ow-equal-energy"]),
             ]
         )
     timer.lap("grid")

@@ -12,8 +12,9 @@ links at once, not a power split. Its SNR region is convex, and its
 Pareto boundary is reached by rank-one covariances P_R v v^H whose
 direction v turns in closed form from the first channel toward the
 second (Oechtering, Jorswieck, Wyrembelski and Boche, IEEE Trans.
-Commun. 2009). Weighted sum-rate maxima and ray exits are bisections on
-that one angle.
+Commun. 2009). Weighted sum-rate maxima and ray exits are crossing
+searches (bounds._crossing, ITP) on that one angle: the root of the
+weighted sum's closed-form slope, and the ray's side switch.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ class _Arc:
     def angle(self, w21: float, w12: float) -> float:
         """The angle of largest w21 r21 + w12 r12 for nonnegative weights,
         not both zero. Along the arc the weighted sum rate is unimodal, so
-        bisection on the sign of its derivative finds the angle to
-        rounding level; the sign test is monotone in the weights, so the
+        the crossing search on its closed-form slope, the gain of the
+        second rate less the loss of the first, finds the angle to the
+        last float; the slope's sign is monotone in the weights, so the
         angle falls as w21 grows against w12. w12 = 0 gives theta = 0
         (all power toward S1), w21 = 0 gives theta = phi (all power
         toward S2)."""
@@ -188,12 +190,12 @@ class _Arc:
             return self.phi
         a, b, phi = self.a, self.b, self.phi
 
-        def rising(theta: float) -> bool:
+        def slope(theta: float) -> float:
             gain = w12 * b * math.sin(2.0 * (phi - theta)) / (1.0 + b * math.cos(phi - theta) ** 2)
             loss = w21 * a * math.sin(2.0 * theta) / (1.0 + a * math.cos(theta) ** 2)
-            return gain > loss
+            return gain - loss
 
-        lo, hi = _crossing(rising, 0.0, phi)
+        lo, hi = _crossing(slope, 0.0, phi, slope(0.0), slope(phi))
         return 0.5 * (lo + hi)
 
     def boundary(self, n_weights: int) -> BcBoundary:
@@ -267,7 +269,8 @@ def bc_ray_exit(pair: ChannelPair, p_relay: float, profile: RateProfile) -> floa
 
     The boundary is the rank-one arc of _Arc plus two flat arms where
     one rate is already at its single-link maximum; along the arc r21
-    falls and r12 rises, so bisection on the angle lands on the ray.
+    falls and r12 rises, so the crossing search on the ray's side of the
+    angle's rate pair lands on the ray.
     """
     arc = _bc_arc(effective(pair), p_relay)
     return _ray_exit(arc.rates, 0.0, arc.phi, profile)

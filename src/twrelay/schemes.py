@@ -11,8 +11,11 @@ budget P_R makes each link's SNR P_R n / (P_R q + pw). So the sweeps,
 the sum-rate search and the ray exits build the power-free forms once
 per scheme and channel, scale them per power setting, evaluate them for
 a whole array of angles in one numpy expression or for one angle in
-scalar arithmetic, and form relay matrices only where they return them. The baselines are a scaled
-identity relay and one-way rank-one relaying over four slots.
+scalar arithmetic, and form relay matrices only where they return them.
+The sum rate is so a sum of logs of quadratic forms, and its maximum
+the root of its closed-form slope in the angle. The baselines are a
+scaled identity relay and one-way rank-one relaying over four slots;
+the sum-rate table takes both from the channel gains alone.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .beamformer import RateProfile, RegionBoundary, _ray_exit
-from .bounds import _golden_max
+from .bounds import _crossing
 from .errors import InvalidInputError, RankDeficiencyError
 from .model import (
     Beamformer,
@@ -119,14 +122,19 @@ class _ChannelForms:
         self.eff = eff
         self.Ba, self.Bb = Ba, Bb = _basis(scheme, eff)
         g1, g2 = eff.g1, eff.g2
-        self.F1, self.F2, self.F0 = _form(Ba @ g1, Bb @ g1), _form(Ba @ g2, Bb @ g2), _form(Ba, Bb)
-        self.N21, self.N12 = _form(g1 @ Ba @ g2, g1 @ Bb @ g2), _form(g2 @ Ba @ g1, g2 @ Bb @ g1)
-        # Python floats keep the one-angle evaluation in scalar arithmetic
-        self.q21, self.q12 = (tuple(_form(g @ Ba, g @ Bb).tolist()) for g in (g1, g2))
+        forms = (
+            _form(Ba @ g1, Bb @ g1), _form(Ba @ g2, Bb @ g2), _form(Ba, Bb),
+            _form(g1 @ Ba @ g2, g1 @ Bb @ g2), _form(g2 @ Ba @ g1, g2 @ Bb @ g1),
+            _form(g1 @ Ba, g1 @ Bb), _form(g2 @ Ba, g2 @ Bb),
+        )
+        # Python floats keep the scaling and the one-angle evaluation in scalar arithmetic
+        self.F1, self.F2, self.F0, self.N21, self.N12, self.q21, self.q12 = (tuple(f.tolist()) for f in forms)
 
     @functools.cached_property
-    def grid_noise(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _quad(self.q21, _GRID_A, _GRID_B), _quad(self.q12, _GRID_A, _GRID_B)
+    def grid(self) -> Tuple[np.ndarray, ...]:
+        """F1, F2, F0, N21, N12, q21 and q12 on the sum-rate search's grid."""
+        forms = (self.F1, self.F2, self.F0, self.N21, self.N12, self.q21, self.q12)
+        return tuple(_quad(c, _GRID_A, _GRID_B) for c in forms)
 
 
 class _Sweep:
@@ -145,26 +153,27 @@ class _Sweep:
         if pc.p_relay <= 0.0:
             raise InvalidInputError("relay power budget must be positive")
         self.forms, self.eff, self.Ba, self.Bb = forms, forms.eff, forms.Ba, forms.Bb
-        self.p_relay, self.q21, self.q12 = pc.p_relay, forms.q21, forms.q12
-        scaled = (pc.p1 * forms.F1 + pc.p2 * forms.F2 + forms.F0, pc.p2 * forms.N21, pc.p1 * forms.N12)
-        self.pw, self.n21, self.n12 = (tuple(f.tolist()) for f in scaled)
+        self.pc, self.p_relay, self.q21, self.q12 = pc, pc.p_relay, forms.q21, forms.q12
+        p1, p2 = pc.p1, pc.p2
+        self.pw = tuple(p1 * f1 + p2 * f2 + f0 for f1, f2, f0 in zip(forms.F1, forms.F2, forms.F0))
+        self.n21, self.n12 = tuple(p2 * c for c in forms.N21), tuple(p1 * c for c in forms.N12)
 
     @classmethod
     def build(cls, scheme: str, pair: ChannelPair, pc: PowerConfig) -> _Sweep:
         return cls(_ChannelForms(scheme, effective(pair)), pc)
 
-    def _rates(self, a: _Reals, b: _Reals, q21: _Reals, q12: _Reals, log2) -> Tuple[_Reals, _Reals]:
-        """(r21, r12) at the weights (a, b), where the forwarded noise is q21, q12."""
+    def _rates(self, a: _Reals, b: _Reals, log2) -> Tuple[_Reals, _Reals]:
+        """(r21, r12) at the weights (a, b)."""
         pw = _quad(self.pw, a, b)
         p = self.p_relay
-        snr21 = p * _quad(self.n21, a, b) / (p * q21 + pw)
-        snr12 = p * _quad(self.n12, a, b) / (p * q12 + pw)
+        snr21 = p * _quad(self.n21, a, b) / (p * _quad(self.q21, a, b) + pw)
+        snr12 = p * _quad(self.n12, a, b) / (p * _quad(self.q12, a, b) + pw)
         return 0.5 * log2(1.0 + snr21), 0.5 * log2(1.0 + snr12)
 
     def _point(self, angle: float) -> Tuple[float, float]:
         """(r21, r12) at one angle, in scalar arithmetic."""
         a, b = (1.0, 0.0) if angle >= _HALF_PI else (math.sin(angle), math.cos(angle))
-        return self._rates(a, b, _quad(self.q21, a, b), _quad(self.q12, a, b), math.log2)
+        return self._rates(a, b, math.log2)
 
     def rates(self, angle: _Reals) -> Tuple[_Reals, _Reals]:
         """(r21, r12) at one angle with math, or arrays of them at an
@@ -173,21 +182,52 @@ class _Sweep:
             return self._point(angle)
         a, b = _weights(angle)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is refused where it is written
-            return self._rates(a, b, _quad(self.q21, a, b), _quad(self.q12, a, b), np.log2)
+            return self._rates(a, b, np.log2)
 
     def rate_pair(self, angle: float) -> RatePair:
         r21, r12 = self.rates(angle)
         return RatePair(r21=r21, r12=r12)
 
+    @functools.cached_property
+    def _logs(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
+        """The quadratic forms whose logs make up the sum rate,
+        2 ln 2 (r21 + r12) = ln T21 - ln D21 + ln T12 - ln D12, with
+        D21 = P_R q21 + pw, T21 = D21 + P_R n21, and D12 and T12 alike:
+        each as (c0, 2 c1, c2) for Q and, with its log's sign,
+        (c0 - c2, c1) for Q'/2."""
+        p, logs = self.p_relay, []
+        for q, n in ((self.q21, self.n21), (self.q12, self.n12)):
+            d = [p * qc + wc for qc, wc in zip(q, self.pw)]
+            for sign, c in ((1.0, [dc + p * nc for dc, nc in zip(d, n)]), (-1.0, d)):
+                logs.append((c[0], 2.0 * c[1], c[2], sign * (c[0] - c[2]), sign * c[1]))
+        return tuple(logs)
+
+    def slope(self, angle: float) -> float:
+        """A positive multiple of the sum rate's derivative in the angle:
+        the sum of +-Q'/Q over the forms of _logs, where the form
+        Q = c0 a^2 + 2 c1 a b + c2 b^2 has Q' = 2((c0 - c2) a b + c1 (b^2 - a^2))."""
+        a, b = (1.0, 0.0) if angle >= _HALF_PI else (math.sin(angle), math.cos(angle))
+        aa, ab, bb = a * a, a * b, b * b
+        turn, total = bb - aa, 0.0
+        for c0, c1x2, c2, diff, c1 in self._logs:
+            total += (diff * ab + c1 * turn) / (c0 * aa + c1x2 * ab + c2 * bb)
+        return total
+
     def best_rates(self) -> RatePair:
         """The rate pair at the largest sum rate, as scheme_best_rates finds it."""
-        with np.errstate(over="ignore", invalid="ignore"):  # as in rates
-            r21, r12 = self._rates(_GRID_A, _GRID_B, *self.forms.grid_noise, np.log2)
-        vals = r21 + r12
-        k = int(np.argmax(vals))
+        F1, F2, F0, N21, N12, q21, q12 = self.forms.grid
+        p, p1, p2 = self.p_relay, self.pc.p1, self.pc.p2
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is refused where it is written
+            pw = p1 * F1 + p2 * F2 + F0
+            d21, d12 = p * q21 + pw, p * q12 + pw
+            # (1 + snr21)(1 + snr12), largest where the sum rate is
+            k = int(np.argmax((d21 + p * p2 * N21) / d21 * ((d12 + p * p1 * N12) / d12)))
         lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])
-        x, best = _golden_max(lambda angle: sum(self._point(angle)), lo, hi)
-        return self.rate_pair(x if best > vals[k] else float(_GRID[k]))
+        best = self._point(float(_GRID[k]))
+        s_lo, s_hi = self.slope(lo), self.slope(hi)
+        if s_lo > 0.0 >= s_hi:
+            best = max(best, *map(self._point, _crossing(self.slope, lo, hi, s_lo, s_hi)), key=sum)
+        return RatePair(*best)
 
     def matrices(self, angles: np.ndarray) -> np.ndarray:
         """The (n, 2, 2) stack of relay matrices at the angles, each scaled
@@ -240,9 +280,9 @@ def scheme_profile_sum_rate(
     """Largest sum rate of the scheme along a profile ray.
 
     As the sweep angle grows r21 falls and r12 rises, so the swept
-    rate pairs form a monotone frontier and the ray leaves it where a
-    bisection on the angle, over the scalar form of the sweep's rates,
-    finds the ray's side switch.
+    rate pairs form a monotone frontier and the ray leaves it where the
+    crossing search on the angle, over the scalar form of the sweep's
+    rates, finds the ray's side switch.
     """
     return _ray_exit(_Sweep.build(scheme, pair, pc).rate_pair, 0.0, _HALF_PI, profile)
 
@@ -259,9 +299,12 @@ def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePa
 
     The sum of the two rates need not be unimodal in the sweep angle, so
     a dense grid (always containing the balanced ratio a = b), evaluated
-    in one pass over the sweep's quadratic forms, brackets the maximum;
-    golden-section search on their scalar form refines it, and the
-    refined angle is kept only if it beats the best grid point.
+    in one pass of linear combinations of the channel's grid forms,
+    brackets the maximum. The sum rate is a sum of logs of quadratic
+    forms, so its slope in the angle has a closed form; where that slope
+    changes sign across the bracket, the crossing search finds its root
+    to the last float, and the better of the root's two floats is kept
+    only if it beats the best grid point.
     """
     return _Sweep.build(scheme, pair, pc).best_rates()
 
@@ -281,6 +324,17 @@ def direct_relay(pair: ChannelPair, pc: PowerConfig) -> np.ndarray:
     return zeta * np.eye(pair.m, dtype=complex)
 
 
+def _direct_relay_sum(theta1: float, theta2: float, cross: float, m: int, pc: PowerConfig) -> float:
+    """r21 + r12 of direct_relay's zeta I, from the channel gains theta1
+    and theta2 and cross = |h1^T h2|^2: with z = zeta^2 =
+    P_R / (theta1 p1 + theta2 p2 + M), snr21 = z cross p2 / (z theta1 + 1)
+    and snr12 = z cross p1 / (z theta2 + 1)."""
+    z = pc.p_relay / (theta1 * pc.p1 + theta2 * pc.p2 + m)
+    return 0.5 * math.log2(1.0 + z * cross * pc.p2 / (z * theta1 + 1.0)) + 0.5 * math.log2(
+        1.0 + z * cross * pc.p1 / (z * theta2 + 1.0)
+    )
+
+
 def oneway_alternating(pair: ChannelPair, pc: PowerConfig, equal_energy: bool = False) -> float:
     """Sum rate of one-way relaying over four slots.
 
@@ -290,10 +344,15 @@ def oneway_alternating(pair: ChannelPair, pc: PowerConfig, equal_energy: bool = 
     budget across the two forwarding slots (P_R/2 each), matching the
     energy the two-slot scheme spends per delivered direction.
     """
-    if pc.p_relay <= 0.0:
-        raise InvalidInputError("relay power budget must be positive")
     theta1 = float(np.linalg.norm(pair.h1) ** 2)
     theta2 = float(np.linalg.norm(pair.h2) ** 2)
+    return _oneway_sum(theta1, theta2, pc, equal_energy)
+
+
+def _oneway_sum(theta1: float, theta2: float, pc: PowerConfig, equal_energy: bool) -> float:
+    """oneway_alternating from the channel gains theta1 and theta2."""
+    if pc.p_relay <= 0.0:
+        raise InvalidInputError("relay power budget must be positive")
     budget = 0.5 * pc.p_relay if equal_energy else pc.p_relay
 
     def gamma(theta_rx: float, theta_tx: float, p_tx: float) -> float:

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,42 @@ def format_rows(header, rows) -> str:
         return value if isinstance(value, str) else float.__repr__(float(value))
 
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def golden_max(f, lo, hi, tol=1e-8):
+    """Golden-section search for the maximum of a unimodal f on [lo, hi],
+    to interval width tol; returns (x, f(x)). The search that refined the
+    scheme sum-rate maxima before they became slope roots, kept as an
+    independent reference."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def bisect_crossing(positive, lo, hi):
+    """The float-exact bisection that the crossing search replaced:
+    ((lo, hi), evaluations), the bracket around the switch of a predicate
+    that holds up to some point of [lo, hi] and fails after it, halved
+    until no float lies between its ends."""
+    calls = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return (lo, hi), calls
+        calls += 1
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid

@@ -2,13 +2,21 @@
 
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import bisect_crossing, golden_max
 
+import twrelay.beamformer
+import twrelay.df
+import twrelay.schemes
+from twrelay import bounds
+from twrelay.beamformer import RateProfile
 from twrelay.bounds import (
     BoundsReport,
-    _golden_max,
+    _crossing,
     asymptotic_gaps,
     asymptotic_sum_rates,
     bounds_report,
@@ -22,7 +30,7 @@ from twrelay.bounds import (
     r_lb_zf,
 )
 from twrelay.errors import InvalidInputError, NumericalFailureError
-from twrelay.model import PowerConfig, gen_channels
+from twrelay.model import PowerConfig, effective, gen_channels
 
 SYM10 = PowerConfig(10.0, 10.0, 10.0)
 
@@ -96,6 +104,152 @@ def _saddle_corpus():
         yield PowerConfig(p1, p2, pr), pair.theta1, pair.theta2
 
 
+def _replay(f, lo, hi, f_lo, f_hi):
+    """_crossing's bracket and, for each evaluation, the bracket it was
+    made in and its point."""
+    steps, state = [], [lo, hi]
+
+    def g(x):
+        steps.append((*state, x))
+        value = f(x)
+        state[0 if value > 0.0 else 1] = x
+        return value
+
+    return _crossing(g, lo, hi, f_lo, f_hi), steps
+
+
+class TestCrossing:
+    def test_empty_bracket_returns_before_the_first_step(self):
+        # a dead link's arc has phi = 0, and both ends' values are 0
+        def never(x):
+            raise AssertionError("evaluated")
+
+        assert _crossing(never, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+        assert _crossing(never, 1.0, math.nextafter(1.0, 2.0), 1.0, -1.0) == (1.0, math.nextafter(1.0, 2.0))
+
+    @pytest.mark.parametrize("f_lo, f_hi", [(math.inf, -1.0), (1.0, -math.inf), (math.inf, -math.inf)])
+    def test_an_end_that_cannot_be_evaluated_starts_with_a_halving(self, f_lo, f_hi):
+        bracket, steps = _replay(lambda x: 0.3 - x, 0.0, 1.0, f_lo, f_hi)
+        assert steps[0][2] == 0.5
+        assert bracket == bisect_crossing(lambda x: 0.3 - x > 0.0, 0.0, 1.0)[0]
+
+    def test_a_silent_source_end_in_c_ub(self):
+        # a silent source with no noise share makes the slope 0/0 at its
+        # end of [0, P_R]; the bisection's results, bit for bit
+        assert c_ub(PowerConfig(10.0, 0.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 0.0, 5e-324)
+        assert c_ub(PowerConfig(0.0, 10.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 1.0, 10.0)
+
+    @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 0.999, 1e-5])
+    @pytest.mark.parametrize("shape", ["step", "cube", "tanh", "floor"])
+    def test_every_step_lies_in_the_itp_ball(self, root, shape):
+        f = {
+            "step": lambda x: 1.0 if x < root else -1e-300,
+            "cube": lambda x: (root - x) ** 3,
+            "tanh": lambda x: math.tanh(1e6 * (root - x)),
+            "floor": lambda x: 1e-300 if x < root else -1.0,
+        }[shape]
+        bracket, steps = _replay(f, 0.0, 1.0, f(0.0), f(1.0))
+        reference, halvings = bisect_crossing(lambda x: f(x) > 0.0, 0.0, 1.0)
+        assert bracket == reference
+        assert len(steps) <= halvings + 1
+        for j, (lo, hi, x) in enumerate(steps):
+            mid, radius = 0.5 * (lo + hi), math.ldexp(1.0, -j) - 0.5 * (hi - lo)
+            assert lo < x < hi
+            # a radius that is not positive takes the midpoint
+            assert x == mid if radius <= 0.0 else abs(x - mid) <= radius + math.ulp(mid)
+        if shape in ("step", "floor"):  # regula falsi lands at an end: the ball binds
+            assert any(math.ldexp(1.0, -j) - 0.5 * (hi - lo) <= 0.0 for j, (lo, hi, _) in enumerate(steps))
+
+
+def _crossing_calls(monkeypatch):
+    """Every call that arc angles, ray exits, c_ub and scheme slopes make
+    to _crossing on a seeded corpus, as (caller, f, lo, hi, f_lo, f_hi):
+    M 2/4/8, rho 0 to 0.99, unit and unnormalized channels, and powers
+    from -10 to 50 dB with up to 10 dB between them."""
+    calls = []
+
+    def recording(caller):
+        def record(f, lo, hi, f_lo, f_hi):
+            calls.append((caller, f, lo, hi, f_lo, f_hi))
+            return _crossing(f, lo, hi, f_lo, f_hi)
+
+        return record
+
+    monkeypatch.setattr(twrelay.df, "_crossing", recording("arc"))
+    monkeypatch.setattr(twrelay.beamformer, "_crossing", recording("ray"))
+    monkeypatch.setattr(bounds, "_crossing", recording("c_ub"))
+    monkeypatch.setattr(twrelay.schemes, "_crossing", recording("slope"))
+    rng = np.random.default_rng(24)
+    for i in range(18):
+        pair = gen_channels((2, 4, 8)[i % 3], float(rng.uniform(0.0, 0.99)), int(rng.integers(2**31)),
+                            normalize=i % 2 == 0)
+        p = 10.0 ** rng.uniform(-1.0, 5.0)
+        pc = PowerConfig(p * 10.0 ** rng.uniform(-1.0, 0.0), p * 10.0 ** rng.uniform(-1.0, 0.0), p)
+        twrelay.df._bc_arc(effective(pair), p).boundary(9)
+        for alpha21 in (0.2, 0.5, 0.8):
+            twrelay.df.bc_ray_exit(pair, p, RateProfile.of(alpha21))
+            twrelay.schemes.scheme_profile_sum_rate("mr", pair, pc, RateProfile.of(alpha21))
+        c_ub(pc, pair.theta1, pair.theta2)
+        for scheme in ("mr", "zf"):
+            twrelay.schemes.scheme_best_rates(scheme, pair, pc)
+    return calls
+
+
+class TestCrossingCorpus:
+    def test_against_the_bisection(self, monkeypatch):
+        # the same bracket wherever the sign is monotone over the floats,
+        # in at most one step more
+        calls = _crossing_calls(monkeypatch)
+        monkeypatch.undo()
+        assert {call[0] for call in calls} == {"arc", "ray", "c_ub", "slope"}
+        same = 0
+        for caller, f, lo, hi, f_lo, f_hi in calls:
+            count = [0]
+
+            def counted(x):
+                count[0] += 1
+                return f(x)
+
+            got = _crossing(counted, lo, hi, f_lo, f_hi)
+            want, halvings = bisect_crossing(lambda x: f(x) > 0.0, lo, hi)
+            assert count[0] <= halvings + 1, (caller, count[0], halvings)
+            if got == want:
+                same += 1
+                continue
+            # two different switches: the floats between them show a sign
+            # that returns to positive, so the sign is not monotone there
+            x, signs = min(got[0], want[0]), []
+            while x <= max(got[1], want[1]):
+                assert len(signs) < 4096, (caller, got, want)
+                signs.append(f(x) > 0.0)
+                x = math.nextafter(x, math.inf)
+            assert any(not a and b for a, b in zip(signs, signs[1:])), (caller, got, want)
+        assert same >= 0.9 * len(calls)
+
+    def test_arc_angles_take_few_steps(self, monkeypatch):
+        # at most 20 evaluations per interior weight, the two ends included
+        counts = []
+
+        def counting(f, lo, hi, f_lo, f_hi):
+            calls = [2]
+
+            def g(x):
+                calls[0] += 1
+                return f(x)
+
+            bracket = _crossing(g, lo, hi, f_lo, f_hi)
+            counts.append(calls[0])
+            return bracket
+
+        monkeypatch.setattr(twrelay.df, "_crossing", counting)
+        rng = np.random.default_rng(25)
+        for i in range(30):
+            pair = gen_channels((2, 4, 8)[i % 3], float(rng.uniform(0.0, 0.99)), int(rng.integers(2**31)))
+            twrelay.df.bc_boundary(pair, 10.0 ** rng.uniform(-1.0, 5.0), 17)
+        assert len(counts) == 30 * 15
+        assert max(counts) <= 20
+
+
 class TestSaddlePoint:
     def test_value_is_the_minimax(self):
         # max over P21 at kappa* reaches no higher than c_ub, no kappa
@@ -113,7 +267,7 @@ class TestSaddlePoint:
             for x in np.linspace(0.0, P, 4097):
                 assert f(kappa_star, x) <= value + 1e-12
             for kappa in np.linspace(0.0, 1.0, 41):
-                _, inner = _golden_max(lambda x: f(kappa, x), 0.0, P)
+                _, inner = golden_max(lambda x: f(kappa, x), 0.0, P)
                 assert value <= max(inner, f(kappa, 0.0), f(kappa, P)) + 1e-12
 
     def test_symmetric_setup_equals_closed_form(self):
@@ -152,6 +306,51 @@ class TestLowerBounds:
     def test_zf_rejects_parallel(self):
         with pytest.raises(InvalidInputError):
             r_lb_zf(SYM10, 1, 1, 1.0)
+
+    @staticmethod
+    def _zf_exact(pc, theta1, theta2, rho):
+        """r_lb_zf's quotient 2 p1 p2 / (S (1 + p1/P + p2/P)(max(p1, p2) + S (p1 + p2)/(P + p1 + p2))),
+        S = (theta1 + theta2)/(theta1 theta2 (1 - rho)), in exact rational
+        arithmetic, and the bound from its correctly rounded float."""
+        p1, p2, P, t1, t2, r = map(Fraction, (pc.p1, pc.p2, pc.p_relay, theta1, theta2, rho))
+        S = (t1 + t2) / (t1 * t2 * (1 - r))
+        den = S * (1 + p1 / P + p2 / P) * (max(p1, p2) + S * (p1 + p2) / (P + p1 + p2))
+        return math.log1p(float(2 * p1 * p2 / den)) / math.log(2.0)
+
+    @pytest.mark.parametrize(
+        "theta1, theta2, p",
+        [(1e-200, 1.0, 10.0), (1e-200, 0.5, 1e100), (1.0, 1e-300, 1e150), (1e-200, 1e-200, 1e200),
+         (1e200, 1e200, 1e-200), (1e-150, 1.0, 1e160), (1e-150, 1e-150, 1e300), (1e-160, 1e-160, 1e300)],
+    )
+    def test_zf_where_its_denominator_leaves_the_float_range(self, theta1, theta2, p):
+        # bounds --theta1 1e-200 exited 1, though the bound is 4e-399 bits
+        for rho in (0.0, 0.5, 0.99):
+            pc = PowerConfig(p, 0.5 * p, 2.0 * p)
+            want = self._zf_exact(pc, theta1, theta2, rho)
+            got = r_lb_zf(pc, theta1, theta2, rho)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert r_lb_zf(PowerConfig(10.0, 10.0, 10.0), 1e-200, 1.0, 0.5) == 0.0
+
+    def test_zf_unchanged_where_its_denominator_fits(self):
+        # bit for bit the direct quotient wherever that is a finite value
+        # and theta1 theta2 (1 - rho) a normal float
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            theta1, theta2, p1, p2, P = (10.0 ** rng.uniform(-150.0, 150.0, size=5)).tolist()
+            rho = float(rng.uniform(0.0, 0.99))
+            q = theta1 * theta2 * (1.0 - rho)
+            if q < sys.float_info.min:  # a subnormal q, where S lost digits
+                continue
+            S = (theta1 + theta2) / q
+            den = (S * (1.0 + p1 / P + p2 / P)
+                   * (max(p1, p2) + S * (0.5 * p1 + 0.5 * p2) / (0.5 * P + 0.5 * p1 + 0.5 * p2)))
+            if 0.0 < den < math.inf:
+                want = math.log2(1.0 + 2.0 * p1 * p2 / den)
+                assert r_lb_zf(PowerConfig(p1, p2, P), theta1, theta2, rho) == want
+            else:
+                got = r_lb_zf(PowerConfig(p1, p2, P), theta1, theta2, rho)
+                want = self._zf_exact(PowerConfig(p1, p2, P), theta1, theta2, rho)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_lower_below_upper_random(self):
         rng = np.random.default_rng(4)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orthogonal_pair, symmetric_power
+from conftest import golden_max, orthogonal_pair, symmetric_power
 
 from twrelay.beamformer import RateProfile, min_relay_power
 from twrelay.bounds import r_lb_mr, r_lb_zf
@@ -27,7 +27,9 @@ from twrelay.model import (
 from twrelay.schemes import (
     _ChannelForms,
     _Sweep,
+    _direct_relay_sum,
     _form,
+    _oneway_sum,
     direct_relay,
     mrr_mrt,
     oneway_alternating,
@@ -406,6 +408,46 @@ class TestPerJobForms:
                     assert sweep.n21 == tuple((pc.p2 * _form(g1 @ Ba @ g2, g1 @ Bb @ g2)).tolist())
                     assert sweep.n12 == tuple((pc.p1 * _form(g2 @ Ba @ g1, g2 @ Bb @ g1)).tolist())
 
+    def test_maximum_against_the_grid_and_golden_search(self):
+        # the slope root never falls more than 4e-15 bits below the 513-point
+        # grid and golden-section search that it replaced
+        grid = np.linspace(0.0, 0.5 * math.pi, 513)
+        for pair, powers in _per_job_corpus():
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                forms = _ChannelForms(scheme, eff)
+                for pc in powers:
+                    sweep = _Sweep(forms, pc)
+                    r21, r12 = sweep.rates(grid)
+                    vals = r21 + r12
+                    k = int(np.argmax(vals))
+                    lo, hi = float(grid[max(0, k - 1)]), float(grid[min(512, k + 1)])
+                    x, best = golden_max(lambda angle: sum(sweep.rates(angle)), lo, hi)
+                    want = sum(sweep.rates(x if best > vals[k] else float(grid[k])))
+                    assert sweep.best_rates().total >= want - 4e-15
+
+    def test_few_slope_evaluations(self, monkeypatch):
+        # at most 15 per search, its bracket's two ends included, on the
+        # sum-rate table's settings: unit channels and equal powers, 0-40 dB
+        counts = []
+
+        def counting(sweep, angle):
+            counts[-1] += 1
+            return slope(sweep, angle)
+
+        slope = _Sweep.slope
+        monkeypatch.setattr(_Sweep, "slope", counting)
+        for seed in range(10):
+            for m in (2, 4, 8):
+                eff = effective(gen_channels(m, (0.1, 0.5, 0.9)[seed % 3], seed))
+                for scheme in ("mr", "zf"):
+                    forms = _ChannelForms(scheme, eff)
+                    for db in range(0, 41, 8):
+                        counts.append(0)
+                        _Sweep(forms, symmetric_power(10.0 ** (db / 10.0))).best_rates()
+        assert max(counts) <= 15
+        assert sum(counts) / len(counts) <= 11
+
     def test_errors_keep_their_order(self):
         # unknown scheme, then rank deficiency, then the relay budget
         parallel = gen_channels(4, 1.0, seed=3)
@@ -444,6 +486,17 @@ class TestDirectRelay:
             direct_relay(orthogonal_pair(), PowerConfig(10.0, 10.0, 0.0))
 
 
+    def test_closed_form_sum(self):
+        # the sum-rate table's closed form, from theta1, theta2 and |h1^T h2|^2
+        for seed in range(12):
+            pair = gen_channels((2, 4, 8)[seed % 3], (0.0, 0.4, 0.9, 1.0)[seed % 4], seed, normalize=seed % 2 == 0)
+            cross = float(abs(pair.h1 @ pair.h2) ** 2)
+            for pc in (symmetric_power(1e-3), symmetric_power(10.0), PowerConfig(3.0, 0.0, 1e4), symmetric_power(1e8)):
+                rates = rate_pair(direct_relay(pair, pc), pair, pc)
+                got = _direct_relay_sum(pair.theta1, pair.theta2, cross, pair.m, pc)
+                assert got == pytest.approx(rates.r21 + rates.r12, rel=1e-13, abs=1e-300)
+
+
 class TestOnewayAlternating:
     def test_orthogonal_reference_values(self):
         pair = orthogonal_pair()
@@ -471,6 +524,15 @@ class TestOnewayAlternating:
     def test_zero_budget_rejected(self):
         with pytest.raises(InvalidInputError):
             oneway_alternating(orthogonal_pair(), PowerConfig(10.0, 10.0, 0.0))
+
+
+    def test_from_the_channel_gains(self):
+        for seed in range(6):
+            pair = gen_channels(4, 0.5, seed, normalize=False)
+            for equal_energy in (False, True):
+                want = oneway_alternating(pair, PowerConfig(2.0, 30.0, 7.0), equal_energy=equal_energy)
+                got = _oneway_sum(pair.theta1, pair.theta2, PowerConfig(2.0, 30.0, 7.0), equal_energy)
+                assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestHighPowerOrdering:

@@ -53,8 +53,7 @@ def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
     one or more per file-writing command. A change that moves numbers on
     purpose regenerates it from the repository root with
 
-        python3 -c "import sys; sys.path.insert(0, 'scripts'); import workload_outputs as w; w.write_outputs('tests/reference', [1], tiny=True)"
-        find tests/reference -name manifest.json -delete
+        python3 scripts/workload_outputs.py --reference
 
     and records the largest differences that compare_outputs.py reports.
     """
@@ -65,6 +64,24 @@ def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
     assert [line for line in lines if not line.endswith(": same")] == []
     assert code == 0, summary
     assert len(lines) == 20
+
+
+def test_reference_flag_rewrites_the_reference(script, tmp_path, monkeypatch, capsys):
+    # a stale file goes, no manifest is written, and every file matches
+    # the committed reference
+    (tmp_path / "ref" / "stale").mkdir(parents=True)
+    (tmp_path / "ref" / "stale" / "old.csv").write_text("x\n")
+    monkeypatch.setattr(script, "REFERENCE", tmp_path / "ref")
+    assert script.main(["--reference"]) == 0
+    assert not (tmp_path / "ref" / "stale").exists()
+    assert list((tmp_path / "ref").rglob("manifest.json")) == []
+    capsys.readouterr()
+    assert _load("compare_outputs").main([str(REFERENCE), str(tmp_path / "ref")]) == 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--reference", "out"], ["--reference", "--seeds", "1"]])
+def test_reference_or_an_out_dir(script, argv):
+    assert script.main(argv) == 2
 
 
 def test_failed_jobs_are_reported(script, tmp_path, monkeypatch):
