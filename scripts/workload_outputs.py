@@ -12,9 +12,14 @@ holds this script. Run it from two checkouts and pass both folders to
 scripts/compare_outputs.py to compare their outputs; for a checkout
 that predates this script, copy the script into that checkout's
 scripts/ first. --reference rewrites tests/reference from scratch with
-the tiny seed-1 job lists' outputs, manifests left out: the files that
-tests/test_workload_outputs.py compares each run with. The exit status
-is 0 when every job exits 0, 1 otherwise, and 2 on a usage error.
+the tiny seed-1 job lists' outputs and, under default/<command>, those
+of DEFAULTS, manifests left out: the files that
+tests/test_workload_outputs.py compares each run with. The tiny jobs
+trace only the two axis rays, so DEFAULTS adds two commands at their
+default settings whose interior rays run the power cell's exit search:
+a 33-profile optimal boundary and a 15-cell capacity envelope. The
+exit status is 0 when every job exits 0, 1 otherwise, and 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -34,12 +39,24 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from twrelay.cli import main as twrelay_main  # noqa: E402
 
+DEFAULTS = {"region": ["region", "--scheme", "optimal"], "capacity": ["capacity"]}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run(argv: List[str], out: Path, label: str) -> List[str]:
+    """Run one job into out; returns [a line naming it] if it did not exit 0."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = twrelay_main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # usage errors exit through argparse
+        code = exc.code
+    return [] if code == 0 else [f"{label}: exit {code}: {' '.join(argv)}"]
 
 
 def write_outputs(out_dir: Path, seeds: Sequence[int], tiny: bool = False) -> List[str]:
@@ -50,22 +67,17 @@ def write_outputs(out_dir: Path, seeds: Sequence[int], tiny: bool = False) -> Li
     for name in workloads.NAMES:
         for seed in seeds:
             for index, argv in enumerate(workloads.jobs(name, seed, tiny=tiny)):
-                out = Path(out_dir) / name / str(seed) / str(index)
-                try:
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = twrelay_main(argv + ["--out", str(out)])
-                except SystemExit as exc:  # usage errors exit through argparse
-                    code = exc.code
-                if code != 0:
-                    failed.append(f"{name}/{seed}/{index}: exit {code}: {' '.join(argv)}")
+                failed += _run(argv, Path(out_dir) / name / str(seed) / str(index), f"{name}/{seed}/{index}")
     return failed
 
 
 def write_reference(out_dir: Path) -> List[str]:
-    """Replace out_dir with the tiny seed-1 outputs, no manifests; returns
-    write_outputs' failed jobs."""
+    """Replace out_dir with the tiny seed-1 outputs and those of DEFAULTS,
+    no manifests; returns the failed jobs."""
     shutil.rmtree(out_dir, ignore_errors=True)
     failed = write_outputs(out_dir, [1], tiny=True)
+    for name, argv in DEFAULTS.items():
+        failed += _run(argv, Path(out_dir) / "default" / name, f"default/{name}")
     for manifest in Path(out_dir).rglob("manifest.json"):
         manifest.unlink()
     return failed

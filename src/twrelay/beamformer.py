@@ -10,9 +10,10 @@ solves it through sdp.py). The dual's matrix N(t) is a Kronecker sum
 per channel and power setting inverts it from two 2x2 eigenpairs, with
 no cancellation at any budget. A ray leaves the rate region at the
 minimum over the dual weight t of a scalar root r_hat(t), and the null
-vector at t has a slack difference with the sign of r_hat'(t). One ITP
-search on that sign (Oliveira and Takahashi, 2020: at most one step
-more than bisection) finds the exit, and by complementary slackness the
+vector at t has a slack difference with the sign of r_hat'(t). The
+package's one ITP search, bounds._crossing (Oliveira and Takahashi,
+2020: at most one step more than bisection), brackets the sign's switch
+to width 2^-40 to find the exit, and by complementary slackness the
 null vectors at its bracket's ends give the beamformer, with no solve,
 in Python scalars down to its power and rates (the evaluator of
 model.rate_pair_reduced). Boundaries come in profile order, their Pareto
@@ -416,13 +417,9 @@ class _PowerCell:
         its beamformer, none for an exit of 0, as with no relay budget. A
         ray along one axis keeps one constraint, whose dual weight is its
         end of [0, 1]. Otherwise an end whose gap points inward is the
-        minimum, or an ITP search on the sign of gap brackets it to 2^-40
-        in at most 41 steps, each root search starting from the one
-        before, and r* is the least r_hat seen. Step j moves the regula
-        falsi point max(0.2 w^2, 2^-41) toward the bracket's midpoint (the
-        floor keeps a point that rounds onto an end from repeating it) and
-        into the ball of radius 2^-j - w/2 about it, w the bracket width,
-        or takes the midpoint where the interpolation is not finite."""
+        minimum, or bounds._crossing on -gap (positive before the minimum)
+        brackets it to width 2^-40 in at most 41 steps, each root search
+        starting from the one before, and r* is the least r_hat seen."""
         if self.pc.p_relay == 0.0:
             return 0.0, ()
         if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
@@ -439,24 +436,16 @@ class _PowerCell:
         if gap_lo >= 0.0 or gap_hi <= 0.0:  # an end is the minimum, with its unit top eigenvector
             t = 0.0 if gap_lo >= 0.0 else 1.0
             return (r_hi if t else r_lo), ((t, (t, 1.0 - t)),)
-        lo, hi, r_star, r, j = 0.0, 1.0, min(r_lo, r_hi), None, 0
-        while hi - lo > 2.0**-40:  # 2^-40 < 1e-12, in at most 41 steps
-            width, mid = hi - lo, 0.5 * (lo + hi)
-            t = (gap_hi * lo - gap_lo * hi) / (gap_hi - gap_lo)  # regula falsi
-            delta = max(0.2 * width * width, 2.0**-41)
-            if math.isfinite(t) and abs(mid - t) > delta:
-                t += math.copysign(delta, mid - t)
-            else:
-                t = mid
-            radius = 2.0**-j - 0.5 * width
-            t = min(max(t, mid - radius), mid + radius)
-            r, g, gap = self.probe(t, c1, c2, r)
-            r_star, j = min(r_star, r), j + 1
-            if gap < 0.0:
-                lo, g_lo, gap_lo = t, g, gap
-            else:
-                hi, g_hi, gap_hi = t, g, gap
-        return r_star, ((lo, g_lo), (hi, g_hi))
+        r_star, r, top = min(r_lo, r_hi), None, {0.0: g_lo, 1.0: g_hi}  # top: each probe's g, by t
+
+        def side(t: float) -> float:
+            nonlocal r_star, r
+            r, top[t], gap = self.probe(t, c1, c2, r)
+            r_star = min(r_star, r)
+            return -gap
+
+        lo, hi = _crossing(side, 0.0, 1.0, -gap_lo, -gap_hi, 2.0**-40)
+        return r_star, ((lo, top[lo]), (hi, top[hi]))
 
 
 def max_sum_rate(

@@ -7,11 +7,13 @@ forward/backward gains. Everything here is a closed-form evaluation
 except the relay power split of c_ub. Its minimax over the relay-noise
 split and the power split is a saddle point: the noise split has a
 closed form, and the power split at it is the float-exact root of the
-objective's closed-form slope. The one search for such a root here,
+objective's closed-form slope; with a silent S2 the whole budget goes
+to S1 -> S2 with no search. The one search for such a root here,
 _crossing, an ITP search (at most one step more than bisection), also
 finds the broadcast arc's angles, the scheme and decode-and-forward ray
 exits, and the scheme sum-rate maxima as roots of their closed-form
-slopes.
+slopes, each float-exact at width 0, and the power cell's exit
+(beamformer._PowerCell.exit) at width 2^-40.
 
 A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
@@ -77,37 +79,41 @@ def _out_of_range(bound: str) -> NumericalFailureError:
 
 
 def _crossing(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, width: float = 0.0
 ) -> Tuple[float, float]:
     """Where a signed f, positive up to some point of [lo, hi] and at most
-    0 after it, switches: the bracket around the switch, narrowed until no
-    float lies between its ends. f_lo and f_hi are f's values at lo and
-    hi, or +inf and -inf at an end where f cannot be evaluated.
+    0 after it, switches: the bracket around the switch, narrowed until it
+    is at most width wide or no float lies between its ends. f_lo and f_hi
+    are f's values at lo and hi, or +inf and -inf at an end where f cannot
+    be evaluated.
 
-    An ITP search (Oliveira and Takahashi, ACM TOMS 47(1), 2020), as in
-    the power cell's exit search: step j takes the regula falsi point of
-    the bracket's two values, moves it toward the bracket's midpoint by
-    max(0.2 w^2, one ulp), w the bracket width, and projects it into the
-    ball of radius 2^-j w0 - w/2 about the midpoint, w0 the first width.
-    An empty bracket returns before the first step. The step takes the
-    midpoint where an end's value is not finite (so a first step from
+    An ITP search (Oliveira and Takahashi, ACM TOMS 47(1), 2020): step j
+    takes the regula falsi point (f_lo hi - f_hi lo)/(f_lo - f_hi), moves
+    it toward the bracket's midpoint by max(0.2 w^2, one ulp, width/2), w
+    the bracket width, and projects it into the ball of radius
+    2^-j w0 - w/2 about the midpoint, w0 the first width. The width/2
+    floor serves the power cell's exit, which stops at width 2^-40: there
+    a point that rounds onto an end would otherwise be probed again and
+    again. An empty bracket returns before the first step. The step takes
+    the midpoint where an end's value is not finite (so a first step from
     an infinite end is a halving), where the point is not strictly inside
     the bracket, and where the radius is not positive. So the bracket is
-    never wider than bisection's one step earlier, and where f's sign is
-    monotone over the floats the search ends at bisection's bracket.
+    never wider than bisection's one step earlier, and at width 0, where
+    f's sign is monotone over the floats, the search ends at bisection's
+    float-exact bracket.
     """
     lo, hi, f_lo, f_hi = float(lo), float(hi), float(f_lo), float(f_hi)  # Python floats: inf and nan, no warnings
-    width0, j = hi - lo, 0
+    width0, j, floor = hi - lo, 0, 0.5 * width
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        mid, w = 0.5 * (lo + hi), hi - lo
+        if not lo < mid < hi or w <= width:
             return lo, hi
-        width, gap = hi - lo, f_lo - f_hi
-        x = lo + width * (f_lo / gap) if 0.0 < gap < math.inf else math.nan  # regula falsi
+        gap = f_lo - f_hi
+        x = (f_lo * hi - f_hi * lo) / gap if 0.0 < gap < math.inf else math.nan  # regula falsi
         if math.isfinite(x):
-            delta = max(0.2 * width * width, math.ulp(x))
+            delta = max(0.2 * w * w, math.ulp(x), floor)
             x = x + math.copysign(delta, mid - x) if abs(mid - x) > delta else mid
-            radius = math.ldexp(width0, -j) - 0.5 * width
+            radius = math.ldexp(width0, -j) - 0.5 * w
             x = min(max(x, mid - radius), mid + radius) if radius > 0.0 else mid
         if not lo < x < hi:
             x = mid
@@ -138,31 +144,33 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     kappa = (1 + B - R A)/(1 + R). Outside [0, 1] the convex minimum
     over kappa is at the nearer end. At that kappa the crossing search
     on the difference of the two products finds the maximizing P21 to
-    the last float.
+    the last float. A silent S2 (A = 0) leaves S1 -> S2 the whole budget
+    and relay noise, with no search: kappa21 = P21 = 0.
     """
     P = pc.p_relay
     A, B = theta2 * pc.p2, theta1 * pc.p1
-    if A == 0.0:
-        kappa = 0.0
-    else:
-        # R A with R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta)),
-        # alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2 so
-        # that it stays finite at P_R = 0, and the first ratio divided
-        # through by max(P_R, 1) so that (1 + A) P_R cannot overflow.
-        # Formed without A, and with B - R A taken first, it gives
-        # kappa = 1/2 exactly on a symmetric setup at any power, where
-        # 1 + B - R A would cancel. u, v and the terms added to them are
-        # halved.
-        u, v = (0.5 + 0.5 * A + 0.5 * B) / theta1, (0.5 + 0.5 * A + 0.5 * B) / theta2
-        m = max(P, 1.0)
-        lead = (0.5 * (1.0 + A) * (P / m) + u / m) / (0.5 * (1.0 + B) * (P / m) + v / m)
-        ratio = (0.5 * P + u) / (0.5 * P + v)
-        RA = B * (theta1 / theta2) * lead * ratio
-        if not math.isfinite(RA):  # regrouped where a partial product overflows
-            RA = (B * lead) * ((theta1 / theta2) * ratio)
-        if not math.isfinite(RA):
+    if A == 0.0:  # a silent S2: S1 -> S2 takes the whole budget and relay noise
+        if B == math.inf:
             raise _out_of_range("c_ub")
-        kappa = min(1.0, max(0.0, (1.0 + (B - RA)) / (1.0 + RA / A)))
+        return c12(1.0, P, theta1, theta2, pc.p1), 0.0, 0.0
+    # R A with R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta)),
+    # alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2 so
+    # that it stays finite at P_R = 0, and the first ratio divided
+    # through by max(P_R, 1) so that (1 + A) P_R cannot overflow.
+    # Formed without A, and with B - R A taken first, it gives
+    # kappa = 1/2 exactly on a symmetric setup at any power, where
+    # 1 + B - R A would cancel. u, v and the terms added to them are
+    # halved.
+    u, v = (0.5 + 0.5 * A + 0.5 * B) / theta1, (0.5 + 0.5 * A + 0.5 * B) / theta2
+    m = max(P, 1.0)
+    lead = (0.5 * (1.0 + A) * (P / m) + u / m) / (0.5 * (1.0 + B) * (P / m) + v / m)
+    ratio = (0.5 * P + u) / (0.5 * P + v)
+    RA = B * (theta1 / theta2) * lead * ratio
+    if not math.isfinite(RA):  # regrouped where a partial product overflows
+        RA = (B * lead) * ((theta1 / theta2) * ratio)
+    if not math.isfinite(RA):
+        raise _out_of_range("c_ub")
+    kappa = min(1.0, max(0.0, (1.0 + (B - RA)) / (1.0 + RA / A)))
     a, b = (A + kappa) / theta1, (B + 1.0 - kappa) / theta2
     if max(a, b) == math.inf:
         raise _out_of_range("c_ub")

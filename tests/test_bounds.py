@@ -77,6 +77,21 @@ class TestUpperBounds:
         assert abs(slice_val - c_ub_sym(1.0, 10.0)) <= 1e-12
         assert value <= c_ub_sym(1.0, 10.0) + 1e-6
 
+    @pytest.mark.parametrize("p1, pr, theta1, theta2, value", [
+        (10.0, 10.0, 1.0, 1.0, 1.2632729072479172),
+        (422.5316050858636, 118829.48330492494, 45.0935203961963, 0.02245138513715111, 5.596485397459668),
+        (0.5029172871456614, 72774.79798643023, 0.0010754539707583221, 84.6000286855887, 0.00039004565430901734),
+        (14915.054985750563, 16.271012382888014, 0.06579525295105193, 0.04683318269323204, 0.4080571503291863),
+    ])
+    def test_c_ub_with_a_silent_s2_takes_no_search(self, monkeypatch, p1, pr, theta1, theta2, value):
+        # S1 -> S2 takes the whole budget and relay noise: the value the
+        # power-split search found, bit for bit, at p21_star exactly 0
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(bounds, "_crossing", no_search)
+        assert c_ub(PowerConfig(p1, 0.0, pr), theta1, theta2) == (value, 0.0, 0.0)
+
     def test_c_ub_below_c_ub0_random(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -104,18 +119,28 @@ def _saddle_corpus():
         yield PowerConfig(p1, p2, pr), pair.theta1, pair.theta2
 
 
-def _replay(f, lo, hi, f_lo, f_hi):
+def _replay(f, lo, hi, f_lo, f_hi, width=0.0):
     """_crossing's bracket and, for each evaluation, the bracket it was
-    made in and its point."""
-    steps, state = [], [lo, hi]
+    made in, its point, and the values at the bracket's ends."""
+    steps, state = [], [lo, hi, f_lo, f_hi]
 
     def g(x):
-        steps.append((*state, x))
+        steps.append((state[0], state[1], x, state[2], state[3]))
         value = f(x)
-        state[0 if value > 0.0 else 1] = x
+        state[0 if value > 0.0 else 1], state[2 if value > 0.0 else 3] = x, value
         return value
 
-    return _crossing(g, lo, hi, f_lo, f_hi), steps
+    return _crossing(g, lo, hi, f_lo, f_hi, width), steps
+
+
+def _shape(shape, root):
+    """A signed function on [0, 1] that switches at root."""
+    return {
+        "step": lambda x: 1.0 if x < root else -1e-300,
+        "cube": lambda x: (root - x) ** 3,
+        "tanh": lambda x: math.tanh(1e6 * (root - x)),
+        "floor": lambda x: 1e-300 if x < root else -1.0,
+    }[shape]
 
 
 class TestCrossing:
@@ -134,31 +159,42 @@ class TestCrossing:
         assert bracket == bisect_crossing(lambda x: 0.3 - x > 0.0, 0.0, 1.0)[0]
 
     def test_a_silent_source_end_in_c_ub(self):
-        # a silent source with no noise share makes the slope 0/0 at its
-        # end of [0, P_R]; the bisection's results, bit for bit
-        assert c_ub(PowerConfig(10.0, 0.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 0.0, 5e-324)
+        # a silent S1 with no noise share makes the slope 0/0 at the P_R
+        # end; the bisection's results, bit for bit. A silent S2 takes no
+        # search (see TestUpperBounds): the same value, at p21_star = 0
+        assert c_ub(PowerConfig(10.0, 0.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 0.0, 0.0)
         assert c_ub(PowerConfig(0.0, 10.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 1.0, 10.0)
 
     @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 0.999, 1e-5])
     @pytest.mark.parametrize("shape", ["step", "cube", "tanh", "floor"])
     def test_every_step_lies_in_the_itp_ball(self, root, shape):
-        f = {
-            "step": lambda x: 1.0 if x < root else -1e-300,
-            "cube": lambda x: (root - x) ** 3,
-            "tanh": lambda x: math.tanh(1e6 * (root - x)),
-            "floor": lambda x: 1e-300 if x < root else -1.0,
-        }[shape]
-        bracket, steps = _replay(f, 0.0, 1.0, f(0.0), f(1.0))
+        f = _shape(shape, root)  # at width 0, the float-exact stop
+        bracket, steps = _replay(f, 0.0, 1.0, f(0.0), f(1.0), 0.0)
         reference, halvings = bisect_crossing(lambda x: f(x) > 0.0, 0.0, 1.0)
         assert bracket == reference
         assert len(steps) <= halvings + 1
-        for j, (lo, hi, x) in enumerate(steps):
+        for j, (lo, hi, x, _, _) in enumerate(steps):
             mid, radius = 0.5 * (lo + hi), math.ldexp(1.0, -j) - 0.5 * (hi - lo)
             assert lo < x < hi
             # a radius that is not positive takes the midpoint
             assert x == mid if radius <= 0.0 else abs(x - mid) <= radius + math.ulp(mid)
         if shape in ("step", "floor"):  # regula falsi lands at an end: the ball binds
-            assert any(math.ldexp(1.0, -j) - 0.5 * (hi - lo) <= 0.0 for j, (lo, hi, _) in enumerate(steps))
+            assert any(math.ldexp(1.0, -j) - 0.5 * (hi - lo) <= 0.0 for j, (lo, hi, *_) in enumerate(steps))
+
+    @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 0.999, 1e-5])
+    @pytest.mark.parametrize("shape", ["step", "cube", "tanh", "floor"])
+    def test_a_width_stops_the_search(self, root, shape):
+        # the power cell's exit width: at most 41 evaluations, the bracket
+        # narrowed to the width and no further, and each point at least
+        # width/2 from its regula falsi point, or the midpoint
+        f, width = _shape(shape, root), 2.0**-40
+        (lo, hi), steps = _replay(f, 0.0, 1.0, f(0.0), f(1.0), width)
+        assert lo <= root <= hi and hi - lo <= width
+        assert len(steps) <= 41
+        for lo, hi, x, f_lo, f_hi in steps:
+            assert hi - lo > width
+            regula_falsi = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
+            assert x == 0.5 * (lo + hi) or abs(x - regula_falsi) >= 0.5 * width
 
 
 def _crossing_calls(monkeypatch):

@@ -47,7 +47,8 @@ REFERENCE = pathlib.Path(__file__).resolve().parent / "reference"
 
 
 def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
-    """The tiny seed-1 job lists write tests/reference byte for byte.
+    """The tiny seed-1 job lists and the default commands write
+    tests/reference byte for byte.
 
     The reference holds every non-manifest file that those jobs write,
     one or more per file-writing command. A change that moves numbers on
@@ -57,13 +58,13 @@ def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
 
     and records the largest differences that compare_outputs.py reports.
     """
-    assert script.write_outputs(tmp_path, [1], tiny=True) == []
+    assert script.write_reference(tmp_path) == []
     capsys.readouterr()
     code = _load("compare_outputs").main([str(REFERENCE), str(tmp_path)])
     *lines, summary = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.endswith(": same")] == []
     assert code == 0, summary
-    assert len(lines) == 20
+    assert len(lines) == 22
 
 
 def test_reference_flag_rewrites_the_reference(script, tmp_path, monkeypatch, capsys):
