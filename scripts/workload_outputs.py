@@ -15,10 +15,15 @@ scripts/ first. --reference rewrites tests/reference from scratch with
 the tiny seed-1 job lists' outputs and, under default/<command>, those
 of DEFAULTS, manifests left out: the files that
 tests/test_workload_outputs.py compares each run with. The tiny jobs
-trace only the two axis rays, so DEFAULTS adds two commands at their
-default settings whose interior rays run the power cell's exit search:
-a 33-profile optimal boundary and a 15-cell capacity envelope. The
-exit status is 0 when every job exits 0, 1 otherwise, and 2 on a usage
+trace only the two axis rays, so DEFAULTS adds three commands at their
+default settings: a 33-profile optimal boundary and a 15-cell capacity
+envelope, whose interior rays run the power cell's exit search, and
+df-compare, whose tables hold the decode-and-forward tau slices and
+ray splits. The new files are written into a temporary folder first,
+and compare_outputs.py's report of the committed reference against
+them (a line per file and the largest differences) is printed before
+they replace it, so that each regeneration shows its size. The exit
+status is 0 when every job exits 0, 1 otherwise, and 2 on a usage
 error.
 """
 
@@ -30,6 +35,7 @@ import importlib.util
 import io
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -39,14 +45,19 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from twrelay.cli import main as twrelay_main  # noqa: E402
 
-DEFAULTS = {"region": ["region", "--scheme", "optimal"], "capacity": ["capacity"]}
+DEFAULTS = {"region": ["region", "--scheme", "optimal"], "capacity": ["capacity"], "df-compare": ["df-compare"]}
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+def _module(path: Path):
+    """The module of a Python file, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads():
+    return _module(ROOT / "perfbench" / "workloads.py")
 
 
 def _run(argv: List[str], out: Path, label: str) -> List[str]:
@@ -73,13 +84,21 @@ def write_outputs(out_dir: Path, seeds: Sequence[int], tiny: bool = False) -> Li
 
 def write_reference(out_dir: Path) -> List[str]:
     """Replace out_dir with the tiny seed-1 outputs and those of DEFAULTS,
-    no manifests; returns the failed jobs."""
-    shutil.rmtree(out_dir, ignore_errors=True)
-    failed = write_outputs(out_dir, [1], tiny=True)
-    for name, argv in DEFAULTS.items():
-        failed += _run(argv, Path(out_dir) / "default" / name, f"default/{name}")
-    for manifest in Path(out_dir).rglob("manifest.json"):
-        manifest.unlink()
+    no manifests, once compare_outputs.py has printed its report of
+    out_dir against them; returns the failed jobs."""
+    out_dir = Path(out_dir)
+    with tempfile.TemporaryDirectory(dir=out_dir.parent, prefix=".reference-") as folder:
+        new = Path(folder) / "reference"
+        new.mkdir()
+        failed = write_outputs(new, [1], tiny=True)
+        for name, argv in DEFAULTS.items():
+            failed += _run(argv, new / "default" / name, f"default/{name}")
+        for manifest in new.rglob("manifest.json"):
+            manifest.unlink()
+        if out_dir.is_dir():
+            _module(ROOT / "scripts" / "compare_outputs.py").main([str(out_dir), str(new)])
+        shutil.rmtree(out_dir, ignore_errors=True)
+        new.rename(out_dir)
     return failed
 
 

@@ -111,7 +111,7 @@ class QcqpBuild:
     prob: SdpProblem
 
 
-_COLUMNS = ("alpha21", "r21", "r12", "p1", "p2", "p_relay")
+_COLUMNS = ("alpha21", "r21", "r12", "p1", "p2", "p_relay", "B")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,11 +124,11 @@ class RegionBoundary:
 
     alpha21, r21, r12, p1, p2 and p_relay are float64 arrays of length n,
     p_relay the relay power each row's beamformer actually spends. B is
-    the (n, 2, 2) complex stack of the rows' reduced relay matrices, or
-    None where no relay matrix applies, and U the isometry they lift
-    through. Row k's beamformer Beamformer(B=B[k], U=U) reaches at least
-    the row's rates componentwise; its own rate pair can sit above the
-    ray on the unconstrained side.
+    the (n, 2, 2) complex stack of the rows' reduced relay matrices and U
+    the isometry they lift through; every boundary carries both. Row k's
+    beamformer Beamformer(B=B[k], U=U) reaches at least the row's rates
+    componentwise; its own rate pair can sit above the ray on the
+    unconstrained side.
     """
 
     alpha21: np.ndarray
@@ -137,13 +137,12 @@ class RegionBoundary:
     p1: np.ndarray
     p2: np.ndarray
     p_relay: np.ndarray
-    B: Optional[np.ndarray]
-    U: Optional[np.ndarray]
+    B: np.ndarray
+    U: np.ndarray
 
     def _rows(self, index: np.ndarray) -> "RegionBoundary":
         """The boundary of the rows that index selects."""
-        B = None if self.B is None else self.B[index]
-        return RegionBoundary(*(getattr(self, name)[index] for name in _COLUMNS), B=B, U=self.U)
+        return RegionBoundary(*(getattr(self, name)[index] for name in _COLUMNS), U=self.U)
 
 
 def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,13 @@ forward/backward gains. Everything here is a closed-form evaluation
 except the relay power split of c_ub. Its minimax over the relay-noise
 split and the power split is a saddle point: the noise split has a
 closed form, and the power split at it is the float-exact root of the
-objective's closed-form slope; with a silent S2 the whole budget goes
-to S1 -> S2 with no search. The one search for such a root here,
-_crossing, an ITP search (at most one step more than bisection), also
-finds the broadcast arc's angles, the scheme and decode-and-forward ray
-exits, and the scheme sum-rate maxima as roots of their closed-form
-slopes, each float-exact at width 0, and the power cell's exit
-(beamformer._PowerCell.exit) at width 2^-40.
+objective's closed-form slope; with a silent source the whole budget
+goes to the other's direction with no search. The one search for such
+a root here, _crossing, an ITP search (at most one step more than
+bisection), also finds the broadcast arc's angles, the scheme and
+decode-and-forward ray exits, and the scheme sum-rate maxima as roots
+of their closed-form slopes, each float-exact at width 0, and the power
+cell's exit (beamformer._PowerCell.exit) at width 2^-40.
 
 A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
@@ -144,15 +144,18 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     kappa = (1 + B - R A)/(1 + R). Outside [0, 1] the convex minimum
     over kappa is at the nearer end. At that kappa the crossing search
     on the difference of the two products finds the maximizing P21 to
-    the last float. A silent S2 (A = 0) leaves S1 -> S2 the whole budget
-    and relay noise, with no search: kappa21 = P21 = 0.
+    the last float. A silent source leaves the other direction the whole
+    budget and relay noise, with no search: kappa21 = P21 = 0 for a
+    silent S2 (A = 0), kappa21 = 1 and P21 = P_R for a silent S1 (B = 0).
     """
     P = pc.p_relay
     A, B = theta2 * pc.p2, theta1 * pc.p1
-    if A == 0.0:  # a silent S2: S1 -> S2 takes the whole budget and relay noise
-        if B == math.inf:
+    if A == 0.0 or B == 0.0:  # a silent source
+        if max(A, B) == math.inf:
             raise _out_of_range("c_ub")
-        return c12(1.0, P, theta1, theta2, pc.p1), 0.0, 0.0
+        if A == 0.0:
+            return c12(1.0, P, theta1, theta2, pc.p1), 0.0, 0.0
+        return c21(1.0, P, theta1, theta2, pc.p2), 1.0, P
     # R A with R = B beta (1 + A + alpha)(1 + alpha) / (A alpha (1 + B + beta)(1 + beta)),
     # alpha = u/P_R and beta = v/P_R, multiplied through by P_R^2 so
     # that it stays finite at P_R = 0, and the first ratio divided

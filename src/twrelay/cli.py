@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,24 +177,22 @@ OPTS: Dict[str, List[Opt]] = {
     + [Opt("grid", _parse_int_min(2), DEFAULT_POWER_GRID, "log-spaced points per source-power axis; "
            "only cells with one source at full power are searched")],
     "sumrate": [
-        Opt("m", _parse_int_min(2), 4, "number of relay antennas"),
-        Opt("rho", parse_rho, 1.0 / 3.0, "squared channel correlation in [0, 1]"),
+        *_common("m"),
+        replace(_common("rho")[0], default=1.0 / 3.0),
         Opt("snr-min", parse_finite, 0.0, "grid start in dB"),
         Opt("snr-max", parse_finite, 40.0, "grid end in dB"),
         Opt("snr-step", parse_positive, 2.0, f"grid step in dB; the grid holds at most {SUMRATE_MAX_POINTS} points"),
-        Opt("seed", _parse_int_min(0), 42, "channel draw seed"),
+        *_common("seed"),
         Opt("ow-equal-energy", parse_bool, False, "one-way relay splits the budget across its two forwarding slots", is_flag=True),
-        Opt("out", str, ".", "output directory"),
+        *_common("out"),
     ],
     "bounds": [
-        Opt("rho", parse_rho, 0.5, "squared channel correlation in [0, 1]"),
+        *_common("rho"),
         Opt("theta1", parse_positive, 1.0, "squared gain of channel 1"),
         Opt("theta2", parse_positive, 1.0, "squared gain of channel 2"),
-        Opt("p1", parse_power, 10.0, "terminal 1 transmit power (linear or '..db')"),
-        Opt("p2", parse_power, 10.0, "terminal 2 transmit power (linear or '..db')"),
-        Opt("pr", parse_power, 10.0, "relay power budget (linear or '..db')"),
+        *_common("p1", "p2", "pr"),
         Opt("grid", _parse_int_min(5), 33, "accepted and recorded; does not change the result (c_ub is a closed-form saddle point)"),
-        Opt("out", str, ".", "output directory"),
+        *_common("out"),
     ],
     "df-compare": _common("m", "rho", "profiles", "delta-r", "seed", "out")
     + [

@@ -5,7 +5,8 @@ sources transmit, relay decodes both messages) and a broadcast phase
 (fraction 1 - tau, relay re-encodes both messages into one codeword;
 each destination cancels its own message before decoding). The
 achievable region is the union over tau of tau * MAC intersected with
-(1 - tau) * BC.
+(1 - tau) * BC; df_tau_slices traces its slices on a grid of tau, and
+df_boundary_value each ray's exit at its exact best split.
 
 The broadcast phase uses a single transmit covariance serving both
 links at once, not a power split. Its SNR region is convex, and its
@@ -25,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .beamformer import RateProfile, RegionBoundary, _ray_exit
+from .beamformer import RateProfile, _ray_exit
 from .bounds import _crossing
 from .errors import InvalidInputError, NumericalFailureError
 from .model import ChannelPair, EffectiveChannel, RatePair, effective
@@ -317,43 +318,9 @@ def df_tau_slice(pent: MacPentagon, bc: BcBoundary, tau: float) -> List[Tuple[fl
     return list(zip(x.tolist(), y.tolist()))
 
 
-def _pareto_envelope(points: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    best: List[Tuple[float, float]] = []
-    for x, y in sorted(points, key=lambda p: (-p[0], -p[1])):
-        if not best or y > best[-1][1] + 1e-15:
-            best.append((x, y))
-    return best[::-1]
-
-
 def _tau_grid(n_tau: int) -> List[float]:
     """1/2 alone for n_tau = 1, else n_tau splits uniform on [0, 1]."""
     return [0.5] if n_tau == 1 else np.linspace(0.0, 1.0, n_tau).tolist()
-
-
-def df_capacity_region(
-    pair: ChannelPair,
-    p1: float,
-    p2: float,
-    p_relay: float,
-    n_tau: int = DEFAULT_TAU_GRID,
-    n_weights: int = DEFAULT_WEIGHTS,
-) -> RegionBoundary:
-    """Decode-and-forward region: Pareto envelope of the tau-grid slices,
-    as a boundary with no relay matrices (B is None).
-
-    n_tau = 1 evaluates the single equal split tau = 1/2; larger grids
-    cover [0, 1] uniformly and only enlarge the region.
-    """
-    if n_tau < 1:
-        raise InvalidInputError("need at least one tau")
-    pent = mac_region(pair, p1, p2)
-    bc = bc_boundary(pair, p_relay, n_weights)
-    _, x, y = df_tau_slices(pent, bc, _tau_grid(n_tau))
-    x, y = np.array(_pareto_envelope(list(zip(x.tolist(), y.tolist()))), dtype=np.float64).reshape(-1, 2).T
-    total, n = x + y, len(x)
-    alpha21 = np.divide(x, total, out=np.full(n, 0.5), where=total > 0.0)
-    powers = (np.full(n, p, dtype=np.float64) for p in (p1, p2, p_relay))
-    return RegionBoundary(alpha21, x, y, *powers, B=None, U=None)
 
 
 def df_boundary_value(

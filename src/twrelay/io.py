@@ -99,11 +99,10 @@ def format_region_csv(boundary: RegionBoundary, scheme: Optional[str] = None) ->
     The eight B_* cells hold each row's reduced 2x2 beamformer row-major
     (B[0,0], B[0,1], B[1,0], B[1,1]), real parts then imaginary parts.
     Every other cell is written as a float. Raises InvalidInputError if
-    B is None (no relay matrix applies) or not an (n, 2, 2) stack, or if
-    the columns differ in length, and NumericalFailureError on a
-    non-finite cell.
+    B is not an (n, 2, 2) stack or the columns differ in length, and
+    NumericalFailureError on a non-finite cell.
     """
-    if boundary.B is None or boundary.B.shape != (len(boundary.r21), 2, 2):
+    if np.shape(boundary.B) != (len(boundary.r21), 2, 2):
         raise InvalidInputError("the boundary's relay matrices are not an (n, 2, 2) stack, n its row count")
     B = boundary.B.reshape(-1, 4)
     columns = [boundary.alpha21, boundary.r21, boundary.r12, boundary.p1, boundary.p2, *B.real.T, *B.imag.T, boundary.p_relay]

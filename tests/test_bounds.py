@@ -77,20 +77,24 @@ class TestUpperBounds:
         assert abs(slice_val - c_ub_sym(1.0, 10.0)) <= 1e-12
         assert value <= c_ub_sym(1.0, 10.0) + 1e-6
 
-    @pytest.mark.parametrize("p1, pr, theta1, theta2, value", [
+    @pytest.mark.parametrize("p, pr, theta1, theta2, value", [
         (10.0, 10.0, 1.0, 1.0, 1.2632729072479172),
         (422.5316050858636, 118829.48330492494, 45.0935203961963, 0.02245138513715111, 5.596485397459668),
         (0.5029172871456614, 72774.79798643023, 0.0010754539707583221, 84.6000286855887, 0.00039004565430901734),
         (14915.054985750563, 16.271012382888014, 0.06579525295105193, 0.04683318269323204, 0.4080571503291863),
+        (1827.7657549403257, 0.01444535043028848, 0.004154941976937239, 271.97720834440804, 0.8790478784792786),
+        (10.0, 0.0, 1.0, 1.0, 0.0),
     ])
-    def test_c_ub_with_a_silent_s2_takes_no_search(self, monkeypatch, p1, pr, theta1, theta2, value):
-        # S1 -> S2 takes the whole budget and relay noise: the value the
-        # power-split search found, bit for bit, at p21_star exactly 0
+    def test_c_ub_with_a_silent_s2_takes_no_search(self, monkeypatch, p, pr, theta1, theta2, value):
+        # the live source's direction takes the whole budget and relay
+        # noise, one value at p21_star exactly 0 with a silent S2 and,
+        # mirrored, exactly P_R with a silent S1
         def no_search(*args):
             raise AssertionError("searched")
 
         monkeypatch.setattr(bounds, "_crossing", no_search)
-        assert c_ub(PowerConfig(p1, 0.0, pr), theta1, theta2) == (value, 0.0, 0.0)
+        assert c_ub(PowerConfig(p, 0.0, pr), theta1, theta2) == (value, 0.0, 0.0)
+        assert c_ub(PowerConfig(0.0, p, pr), theta2, theta1) == (value, 1.0, pr)
 
     def test_c_ub_below_c_ub0_random(self):
         rng = np.random.default_rng(3)
@@ -159,9 +163,9 @@ class TestCrossing:
         assert bracket == bisect_crossing(lambda x: 0.3 - x > 0.0, 0.0, 1.0)[0]
 
     def test_a_silent_source_end_in_c_ub(self):
-        # a silent S1 with no noise share makes the slope 0/0 at the P_R
-        # end; the bisection's results, bit for bit. A silent S2 takes no
-        # search (see TestUpperBounds): the same value, at p21_star = 0
+        # a silent source would make the slope 0/0 at one end, so c_ub
+        # takes no search there (see TestUpperBounds): the value that the
+        # search found, at p21_star = 0 for a silent S2 and P_R for S1
         assert c_ub(PowerConfig(10.0, 0.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 0.0, 0.0)
         assert c_ub(PowerConfig(0.0, 10.0, 10.0), 1.0, 1.0) == (1.2632729072479172, 1.0, 10.0)
 

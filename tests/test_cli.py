@@ -748,7 +748,7 @@ class TestTopLevel:
         mirrors = {
             ("region", "ratios"): (default(schemes.sweep_region, "n_ratios"), 65),
             ("capacity", "grid"): (default(beamformer.capacity_region, "power_grid"), 8),
-            ("df-compare", "taus"): (default(df.df_capacity_region, "n_tau"), 65),
+            ("df-compare", "taus"): (df.DEFAULT_TAU_GRID, 65),
             ("df-compare", "weights"): (default(df.bc_boundary, "n_weights"), 65),
         }
         for command in ("region", "capacity", "df-compare"):

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 from conftest import format_rows, orthogonal_pair
 
-from twrelay.beamformer import RateProfile, envelope_value, max_sum_rate
+from twrelay.beamformer import RateProfile, max_sum_rate
 from twrelay.cli import _slice_csv, main
 from twrelay.df import (
     BcBoundary,
-    _pareto_envelope,
     bc_boundary,
     bc_ray_exit,
     bc_wsrmax,
     df_boundary_value,
     _tau_grid,
-    df_capacity_region,
     df_tau_slice,
     df_tau_slices,
     mac_region,
@@ -255,22 +253,6 @@ class TestBcBoundary:
 
 
 class TestDfRegion:
-    def test_single_tau_grid_is_the_equal_split_slice(self):
-        pair = gen_channels(4, 0.95, seed=21)
-        pent = mac_region(pair, 100.0, 100.0)
-        bc = bc_boundary(pair, 100.0, n_weights=33)
-        slice_pts = df_tau_slice(pent, bc, 0.5)
-        region = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=1, n_weights=33)
-        got = set(zip(region.r21.tolist(), region.r12.tolist()))
-        want = {
-            (x, y)
-            for x, y in slice_pts
-            if not any(
-                (a >= x and b > y) or (a > x and b >= y) for a, b in slice_pts
-            )
-        }
-        assert want <= got
-
     def test_slice_has_no_cliff_at_its_end(self):
         # the last knot sits on the cap of one scaled frontier, and the
         # unscaled lookup x / tau or x / (1 - tau) can round past that cap
@@ -283,28 +265,17 @@ class TestDfRegion:
                 assert ys[-1] > 0.0
                 assert all(a >= b - 1e-12 for a, b in zip(ys, ys[1:]))
 
-    def test_tau_refinement_only_enlarges(self):
-        pair = gen_channels(4, 0.8, seed=21)
-        coarse = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=5, n_weights=17)
-        fine = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=17, n_weights=17)
-        for x in np.linspace(0.0, 3.0, 7):
-            assert envelope_value(fine, float(x)) >= envelope_value(
-                coarse, float(x)
-            ) - 1e-9
-
     def test_grid_region_approaches_exact_ray_values(self):
-        # the grid region is an inner approximation whose ray exits
-        # converge to the closed-form time-share optimum
+        # the tau-grid slices are inner approximations whose farthest
+        # ray exit converges to the closed-form time-share optimum
         pair = gen_channels(4, 0.8, seed=21)
-        region = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=257, n_weights=65)
+        pent, bc = mac_region(pair, 100.0, 100.0), bc_boundary(pair, 100.0, n_weights=65)
+        _, x, y = df_tau_slices(pent, bc, _tau_grid(257))
         for alpha in (0.25, 0.5, 0.75):
             profile = RateProfile.of(alpha)
             t, tau = df_boundary_value(pair, 100.0, 100.0, 100.0, profile)
             assert 0.0 < tau < 1.0
-            grid_t = max(
-                min(r21 / profile.alpha21, r12 / profile.alpha12)
-                for r21, r12 in zip(region.r21.tolist(), region.r12.tolist())
-            )
+            grid_t = max(min(r21 / profile.alpha21, r12 / profile.alpha12) for r21, r12 in zip(x.tolist(), y.tolist()))
             assert grid_t <= t + 1e-9
             assert grid_t == pytest.approx(t, abs=0.02)
 
@@ -331,13 +302,6 @@ class TestDfRegion:
                 profile = RateProfile.of(r21 / total)
                 assert bc_ray_exit(pair, 100.0, profile) >= total - 1e-6
 
-    def test_region_ordered(self):
-        pair = gen_channels(4, 0.8, seed=21)
-        region = df_capacity_region(pair, 100.0, 100.0, 100.0, n_tau=9, n_weights=9)
-        r21, r12 = region.r21.tolist(), region.r12.tolist()
-        assert all(a <= b + 1e-12 for a, b in zip(r21, r21[1:]))
-        assert all(a >= b - 1e-12 for a, b in zip(r12, r12[1:]))
-
     def test_tau_grid(self):
         # one tau is the equal split; more cover [0, 1] as Python floats
         assert _tau_grid(1) == [0.5]
@@ -345,10 +309,6 @@ class TestDfRegion:
         taus = _tau_grid(65)
         assert taus == [float(t) for t in np.linspace(0.0, 1.0, 65)]
         assert all(type(t) is float for t in taus)
-
-    def test_rejects_empty_tau_grid(self):
-        with pytest.raises(InvalidInputError):
-            df_capacity_region(gen_channels(2, 0.5, seed=0), 10.0, 10.0, 10.0, n_tau=0)
 
     def test_beats_forwarding_at_high_correlation_equal_rates(self):
         # at rho = 0.95 the optimal forwarding sum still lands between the
@@ -583,12 +543,12 @@ class TestFrontierLookup:
             assert (tmp_path / "df_tau_slices.csv").read_text() == format_rows(TAU_HEADER, rows)
 
     def test_capacity_region_matches_the_scalar_cloud(self):
+        # every tau grid's slice points at unequal powers, bit for bit
         rng = np.random.default_rng(43)
         for rho in (0.0, 0.5, 0.95, 1.0):
             pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)))
             for n_tau, n_weights in ((1, 2), (3, 17), (65, 3), (129, 65)):
-                region = df_capacity_region(pair, 100.0, 10.0, 1e3, n_tau=n_tau, n_weights=n_weights)
                 pent, bc = mac_region(pair, 100.0, 10.0), bc_boundary(pair, 1e3, n_weights)
+                _, x, y = df_tau_slices(pent, bc, _tau_grid(n_tau))
                 cloud = [xy for tau in _tau_grid(n_tau) for xy in _scalar_tau_slice(pent, bc, tau)]
-                want = _pareto_envelope(cloud)
-                assert _bits_of(zip(region.r21.tolist(), region.r12.tolist())) == _bits_of(want)
+                assert _bits_of(zip(x.tolist(), y.tolist())) == _bits_of(cloud)

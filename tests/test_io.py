@@ -266,8 +266,6 @@ def _per_point_capacity(pair, P1, P2, P_R, grid, n_profiles):
 
 
 def _per_point_csv(points, scheme=None):
-    if any(point.B is None for point in points):
-        raise InvalidInputError("boundary point carries no relay matrix")
     if any(np.shape(point.B) != (2, 2) for point in points):
         raise InvalidInputError("boundary relay matrix is not 2x2")
     B = np.array([point.B for point in points], dtype=complex)

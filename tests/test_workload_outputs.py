@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import shutil
 import warnings
 
 import pytest
@@ -64,16 +65,30 @@ def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
     *lines, summary = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.endswith(": same")] == []
     assert code == 0, summary
-    assert len(lines) == 22
+    assert len(lines) == 27
 
 
 def test_reference_flag_rewrites_the_reference(script, tmp_path, monkeypatch, capsys):
-    # a stale file goes, no manifest is written, and every file matches
-    # the committed reference
-    (tmp_path / "ref" / "stale").mkdir(parents=True)
+    # the printed report names a stale file and a rate cell moved by
+    # 1e-12; then the stale file goes, no manifest is written, every file
+    # matches the committed reference, and the exit status is the jobs'
+    shutil.copytree(REFERENCE, tmp_path / "ref")
+    (tmp_path / "ref" / "stale").mkdir()
     (tmp_path / "ref" / "stale" / "old.csv").write_text("x\n")
+    moved = tmp_path / "ref" / "default" / "region" / "boundary_optimal.csv"
+    rows = [line.split(",") for line in moved.read_text().splitlines()]
+    r21 = rows[0].index("r21")
+    rows[17][r21] = repr(float(rows[17][r21]) + 1e-12)
+    moved.write_text("".join(",".join(row) + "\n" for row in rows))
     monkeypatch.setattr(script, "REFERENCE", tmp_path / "ref")
+    capsys.readouterr()
     assert script.main(["--reference"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    moved_line, stale_line = [line for line in lines if not line.endswith(": same")]
+    assert moved_line.startswith("default/region/boundary_optimal.csv: differs: r21 1e-12 r12 0 ")
+    assert stale_line == "stale/old.csv: missing"
+    assert summary.startswith("summary: 28 files compared: 26 same, 1 differ, 1 missing, ")
+    assert summary.endswith(" r21 1e-12")
     assert not (tmp_path / "ref" / "stale").exists()
     assert list((tmp_path / "ref").rglob("manifest.json")) == []
     capsys.readouterr()
@@ -91,6 +106,8 @@ def test_failed_jobs_are_reported(script, tmp_path, monkeypatch):
     failed = script.write_outputs(tmp_path, [1], tiny=True)
     assert len(failed) == sum(len(workloads.jobs(name, 1, tiny=True)) for name in workloads.NAMES)
     assert failed[0].startswith("region/1/0: exit 1: region ")
+    monkeypatch.setattr(script, "REFERENCE", tmp_path / "ref")
+    assert script.main(["--reference"]) == 1
 
 
 def test_bad_seeds_exit_2(script, tmp_path):
