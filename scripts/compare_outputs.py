@@ -15,9 +15,10 @@ largest differences by kind of column:
 - rate: absolute difference of the r21 and r12 cells, in bits;
 - p_relay: difference relative to the first file's value;
 - B: difference of the eight B_* cells of a row after turning the
-  second row's B by the one unit phase that best matches the first,
-  relative to the first row's largest |B|, since a relay matrix is
-  only defined up to such a phase;
+  second row's B by the one unit phase that best matches the first
+  (1 for equal rows, which so differ by exactly 0), relative to the
+  first row's largest |B|, since a relay matrix is only defined up to
+  such a phase;
 - every other column, in header order: the absolute difference of its
   cells, relative to the first file's value for the source powers p1
   and p2 (reported as p1_rel and p2_rel); 0 or inf for a column that is
@@ -88,6 +89,7 @@ def compare_rows(a: List[List[str]], b: List[List[str]]) -> Dict[str, float]:
     if "B_re[0]" in header:
         Ba, Bb = _b_matrix(a, header), _b_matrix(b, header)
         phase = np.exp(1j * np.angle(np.sum(Bb.conj() * Ba, axis=1)))  # 1 where the rows are orthogonal
+        phase[np.all(Ba == Bb, axis=1)] = 1.0  # equal rows: no phase, not the rounding of their product
         scale = np.max(np.abs(Ba), axis=1)
         gap = np.max(np.abs(Ba - phase[:, None] * Bb), axis=1)
         out["B_phase_rel"] = float(np.max(gap / np.where(scale > 0.0, scale, 1.0), initial=0.0))

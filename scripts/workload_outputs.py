@@ -22,9 +22,9 @@ df-compare, whose tables hold the decode-and-forward tau slices and
 ray splits. The new files are written into a temporary folder first,
 and compare_outputs.py's report of the committed reference against
 them (a line per file and the largest differences) is printed before
-they replace it, so that each regeneration shows its size. The exit
-status is 0 when every job exits 0, 1 otherwise, and 2 on a usage
-error.
+they replace it, so that each regeneration shows its size. When a job
+fails, the reference is left as it is. The exit status is 0 when every
+job exits 0, 1 otherwise, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ def write_outputs(out_dir: Path, seeds: Sequence[int], tiny: bool = False) -> Li
 def write_reference(out_dir: Path) -> List[str]:
     """Replace out_dir with the tiny seed-1 outputs and those of DEFAULTS,
     no manifests, once compare_outputs.py has printed its report of
-    out_dir against them; returns the failed jobs."""
+    out_dir against them; returns the failed jobs, and leaves out_dir
+    as it is if there are any."""
     out_dir = Path(out_dir)
     with tempfile.TemporaryDirectory(dir=out_dir.parent, prefix=".reference-") as folder:
         new = Path(folder) / "reference"
@@ -97,8 +98,9 @@ def write_reference(out_dir: Path) -> List[str]:
             manifest.unlink()
         if out_dir.is_dir():
             _module(ROOT / "scripts" / "compare_outputs.py").main([str(out_dir), str(new)])
-        shutil.rmtree(out_dir, ignore_errors=True)
-        new.rename(out_dir)
+        if not failed:
+            shutil.rmtree(out_dir, ignore_errors=True)
+            new.rename(out_dir)
     return failed
 
 

@@ -41,6 +41,7 @@ from .model import (
     PowerConfig,
     RatePair,
     _evaluate_2x2,
+    _link_forms,
     _rate,
     _sq,
     effective,
@@ -533,22 +534,15 @@ def _slack_forms(lo: list, hi: list, g1: list, g2: list, e1: float, e2: float) -
     """Re v^H (E1 - E2) w of (v, w) = (lo, lo), (lo, hi) and (hi, hi),
     with E_i = e_i u_i u_i^H - Q_i, from u_1^H b = g1^T B g2,
     u_2^H b = g2^T B g1 and B^T g_i of each vector b = vec(B): the Q_i
-    forms are the inner products of the B^T g_i."""
-    (x0, x1), (y0, y1) = g1, g2
-
-    def terms(b: list) -> tuple:
-        b0, b1, b2, b3 = b
-        n0, n1 = b0 * x0 + b2 * x1, b1 * x0 + b3 * x1  # B^T g1
-        m0, m1 = b0 * y0 + b2 * y1, b1 * y0 + b3 * y1  # B^T g2
-        return n0 * y0 + n1 * y1, m0 * x0 + m1 * x1, n0, n1, m0, m1
+    forms are the inner products of the B^T g_i (model._link_forms)."""
 
     def form(v: tuple, w: tuple) -> float:
-        a, c, n0, n1, m0, m1 = v
-        a_, c_, n0_, n1_, m0_, m1_ = w
+        a, c, (n0, n1), (m0, m1) = v
+        a_, c_, (n0_, n1_), (m0_, m1_) = w
         noise = n0.conjugate() * n0_ + n1.conjugate() * n1_ - m0.conjugate() * m0_ - m1.conjugate() * m1_
         return (e1 * (a.conjugate() * a_) - e2 * (c.conjugate() * c_) - noise).real
 
-    v, w = terms(lo), terms(hi)
+    v, w = _link_forms(lo, g1, g2), _link_forms(hi, g1, g2)
     return form(v, v), form(v, w), form(w, w)
 
 
@@ -636,9 +630,3 @@ def capacity_region(
     boundary = _trace(cells, n_profiles, delta_r)
     return boundary._rows(_prune_dominated(boundary.r21, boundary.r12))
 
-
-def envelope_value(boundary: RegionBoundary, r21: float) -> float:
-    """Largest r12 available on the boundary at first coordinate >= r21;
-    -inf when the boundary does not reach that far."""
-    r12 = boundary.r12[boundary.r21 >= r21 - 1e-12]
-    return float(r12.max()) if r12.size else -math.inf

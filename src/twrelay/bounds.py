@@ -3,17 +3,19 @@
 Upper bounds come from cut-set arguments on the two one-way relay
 channels sharing the relay power; lower bounds are the guaranteed
 sum-rates of the matched and zero-forcing relay schemes with equal
-forward/backward gains. Everything here is a closed-form evaluation
-except the relay power split of c_ub. Its minimax over the relay-noise
-split and the power split is a saddle point: the noise split has a
-closed form, and the power split at it is the float-exact root of the
-objective's closed-form slope; with a silent source the whole budget
-goes to the other's direction with no search. The one search for such
-a root here, _crossing, an ITP search (at most one step more than
-bisection), also finds the broadcast arc's angles, the scheme and
-decode-and-forward ray exits, and the scheme sum-rate maxima as roots
-of their closed-form slopes, each float-exact at width 0, and the power
-cell's exit (beamformer._PowerCell.exit) at width 2^-40.
+forward/backward gains. c12 is c21 with the sources' roles exchanged;
+the gap functions and asymptotic_sum_rates give the high-SNR behavior.
+Everything here is a closed-form evaluation except the relay power split
+of c_ub. Its minimax over the relay-noise split and the power split is a
+saddle point: the noise split has a closed form, and the power split at
+it is the float-exact root of the objective's closed-form slope; with a
+silent source the whole budget goes to the other's direction with no
+search. The one search for such a root here, _crossing, an ITP search
+(at most one step more than bisection), also finds the broadcast arc's
+angles, the scheme and decode-and-forward ray exits, and the scheme
+sum-rate maxima as roots of their closed-form slopes, each float-exact
+at width 0, and the power cell's exit (beamformer._PowerCell.exit) at
+width 2^-40.
 
 A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
@@ -50,11 +52,7 @@ def c21(kappa21: float, P21: float, theta1: float, theta2: float, p2: float) -> 
 
 def c12(kappa12: float, P12: float, theta1: float, theta2: float, p1: float) -> float:
     """Mirror of c21 for the S1 -> relay -> S2 direction."""
-    B = theta1 * p1
-    if P12 <= 0.0 or B == 0.0:
-        return 0.0
-    y = 0.5 * theta2 * P12
-    return 0.5 * math.log2(1.0 + B * (y / (y + 0.5 * B + 0.5 * kappa12)))
+    return c21(kappa12, P12, theta2, theta1, p1)
 
 
 def c_ub0(pc: PowerConfig, theta1: float, theta2: float) -> float:
@@ -260,11 +258,6 @@ def gap_zf_asymptotic(rho: float) -> float:
     return math.log2(1.0 / (1.0 - rho))
 
 
-def asymptotic_gaps(rho: float) -> Tuple[float, float]:
-    """(gap_mr, gap_zf) at asymptotically high SNR with K1 = K2."""
-    return gap_mr_asymptotic(rho), gap_zf_asymptotic(rho)
-
-
 def asymptotic_sum_rates(
     p_relay: float,
     theta1: float,
@@ -325,10 +318,6 @@ class BoundsReport:
             if value is not None and not math.isfinite(value):
                 raise NumericalFailureError(f"{name} is {value!r}, not a finite number")
         return json.dumps(self.__dict__, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "BoundsReport":
-        return BoundsReport(**json.loads(text))
 
 
 def bounds_report(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> BoundsReport:

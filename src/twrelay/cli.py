@@ -52,7 +52,7 @@ from .schemes import (
     _ChannelForms,
     _Sweep,
     _direct_relay_sum,
-    _oneway_sum,
+    oneway_alternating,
     scheme_max_sum_rate,
     sweep_region,
 )
@@ -418,7 +418,7 @@ def cmd_sumrate(settings: dict) -> int:
                 r_lb_zf(pc, theta1, theta2, rho),
                 scheme_sum("zf", pc),
                 _direct_relay_sum(theta1, theta2, cross, pair.m, pc),
-                _oneway_sum(theta1, theta2, pc, settings["ow-equal-energy"]),
+                oneway_alternating(pair, pc, settings["ow-equal-energy"]),
             ]
         )
     timer.lap("grid")

@@ -10,11 +10,13 @@ The relay applies an M x M matrix A. Every boundary-attaining A factors
 as A = U* B U^H through the isometry U spanning both uplink channels, so
 most of the package works with the reduced 2x2 matrix B and the effective
 channels g_i = U^H h_i.
+
+Each expression is written once: the reduced evaluators and the
+beamformer tracer share _evaluate_2x2 and its link terms (_link_forms).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -49,10 +51,6 @@ class RatePair:
     r21: float
     r12: float
 
-    @property
-    def total(self) -> float:
-        return self.r21 + self.r12
-
 
 @dataclass(frozen=True)
 class ChannelPair:
@@ -77,25 +75,6 @@ class ChannelPair:
         """|h1^H h2|^2 / (||h1||^2 ||h2||^2)."""
         return float(abs(self.h1.conj() @ self.h2) ** 2) / (self.theta1 * self.theta2)
 
-    def to_json(self) -> str:
-        doc = {
-            "M": self.m,
-            "rho": self.rho,
-            "seed": self.seed,
-            "h1_re": np.real(self.h1).tolist(),
-            "h1_im": np.imag(self.h1).tolist(),
-            "h2_re": np.real(self.h2).tolist(),
-            "h2_im": np.imag(self.h2).tolist(),
-        }
-        return json.dumps(doc, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "ChannelPair":
-        doc = json.loads(text)
-        h1 = np.array(doc["h1_re"], dtype=float) + 1j * np.array(doc["h1_im"], dtype=float)
-        h2 = np.array(doc["h2_re"], dtype=float) + 1j * np.array(doc["h2_im"], dtype=float)
-        return ChannelPair(m=int(doc["M"]), h1=h1, h2=h2, rho=float(doc["rho"]), seed=doc.get("seed"))
-
 
 @dataclass(frozen=True)
 class EffectiveChannel:
@@ -106,14 +85,6 @@ class EffectiveChannel:
     V: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-
-    @property
-    def theta1(self) -> float:
-        return float(np.real(self.g1.conj() @ self.g1))
-
-    @property
-    def theta2(self) -> float:
-        return float(np.real(self.g2.conj() @ self.g2))
 
 
 @dataclass(frozen=True)
@@ -203,15 +174,6 @@ def relay_power(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> float:
     )
 
 
-def _snr_pair(B: np.ndarray, g1: np.ndarray, g2: np.ndarray, pc: PowerConfig) -> tuple:
-    with np.errstate(all="ignore"):  # an overflow is an inf or nan in the result, not a warning
-        num21 = abs(g1 @ B @ g2) ** 2 * pc.p2
-        den21 = np.linalg.norm(B.conj().T @ np.conj(g1)) ** 2 + 1.0
-        num12 = abs(g2 @ B @ g1) ** 2 * pc.p1
-        den12 = np.linalg.norm(B.conj().T @ np.conj(g2)) ** 2 + 1.0
-        return float(num21 / den21), float(num12 / den12)
-
-
 def rate_pair(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> RatePair:
     """Achievable rate pair of the two-slot exchange through relay matrix A.
 
@@ -220,7 +182,10 @@ def rate_pair(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> RatePair:
     r21 = (1/2) log2(1 + |h1^T A h2|^2 p2 / (||A^H h1*||^2 + 1)), and
     symmetrically for r12.
     """
-    s21, s12 = _snr_pair(A, pair.h1, pair.h2, pc)
+    h1, h2 = pair.h1, pair.h2
+    with np.errstate(all="ignore"):  # an overflow is an inf or nan in the result, not a warning
+        s21 = float(abs(h1 @ A @ h2) ** 2 * pc.p2 / (np.linalg.norm(A.conj().T @ np.conj(h1)) ** 2 + 1.0))
+        s12 = float(abs(h2 @ A @ h1) ** 2 * pc.p1 / (np.linalg.norm(A.conj().T @ np.conj(h2)) ** 2 + 1.0))
     return RatePair(r21=0.5 * np.log2(1.0 + s21), r12=0.5 * np.log2(1.0 + s12))
 
 
@@ -230,25 +195,35 @@ def _sq(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _evaluate_2x2(b: Sequence[complex], g1: Sequence[complex], g2: Sequence[complex], p1: float, p2: float) -> tuple:
-    """(relay power, gamma1, gamma2) of one reduced matrix
-    B = [[b0, b1], [b2, b3]], with b, g1 and g2 given as Python scalars:
-    the power p1 ||B g1||^2 + p2 ||B g2||^2 + ||B||_F^2 and the SNRs
-    gamma1 = |g1^T B g2|^2 p2 / (||B^T g1||^2 + 1) and
-    gamma2 = |g2^T B g1|^2 p1 / (||B^T g2||^2 + 1). An overflow gives inf
-    or nan, never an error or a warning."""
+def _link_forms(b: Sequence[complex], g1: Sequence[complex], g2: Sequence[complex]) -> tuple:
+    """(g1^T B g2, g2^T B g1, B^T g1, B^T g2) of B = [[b0, b1], [b2, b3]],
+    in Python scalars: the two links' gains and relay-noise vectors."""
     b0, b1, b2, b3 = b
     x0, x1 = g1
     y0, y1 = g2
     n0, n1 = b0 * x0 + b2 * x1, b1 * x0 + b3 * x1  # B^T g1
     m0, m1 = b0 * y0 + b2 * y1, b1 * y0 + b3 * y1  # B^T g2
+    return n0 * y0 + n1 * y1, m0 * x0 + m1 * x1, (n0, n1), (m0, m1)
+
+
+def _evaluate_2x2(b: Sequence[complex], g1: Sequence[complex], g2: Sequence[complex], p1: float, p2: float) -> tuple:
+    """(relay power, gamma1, gamma2) of one reduced matrix
+    B = [[b0, b1], [b2, b3]], with b, g1 and g2 given as Python scalars:
+    the power p1 ||B g1||^2 + p2 ||B g2||^2 + ||B||_F^2 and the SNRs
+    gamma1 = |g1^T B g2|^2 p2 / (||B^T g1||^2 + 1) and
+    gamma2 = |g2^T B g1|^2 p1 / (||B^T g2||^2 + 1), from _link_forms. An
+    overflow gives inf or nan, never an error or a warning."""
+    b0, b1, b2, b3 = b
+    x0, x1 = g1
+    y0, y1 = g2
+    a, c, (n0, n1), (m0, m1) = _link_forms(b, g1, g2)
     power = (
         (_sq(b0 * x0 + b1 * x1) + _sq(b2 * x0 + b3 * x1)) * p1
         + (_sq(b0 * y0 + b1 * y1) + _sq(b2 * y0 + b3 * y1)) * p2
         + (_sq(b0) + _sq(b1) + _sq(b2) + _sq(b3))
     )
-    gamma1 = _sq(n0 * y0 + n1 * y1) * p2 / (_sq(n0) + _sq(n1) + 1.0)
-    gamma2 = _sq(m0 * x0 + m1 * x1) * p1 / (_sq(m0) + _sq(m1) + 1.0)
+    gamma1 = _sq(a) * p2 / (_sq(n0) + _sq(n1) + 1.0)
+    gamma2 = _sq(c) * p1 / (_sq(m0) + _sq(m1) + 1.0)
     return power, gamma1, gamma2
 
 

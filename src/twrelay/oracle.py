@@ -18,7 +18,7 @@ import numpy as np
 
 from .beamformer import RateProfile
 from .errors import InvalidInputError
-from .model import EffectiveChannel, PowerConfig
+from .model import Beamformer, EffectiveChannel, PowerConfig
 
 DEFAULT_RESTARTS = 64
 DEFAULT_ITERS = 2000
@@ -120,10 +120,6 @@ def _start_points(
     return X0
 
 
-def _lift(B: np.ndarray, eff: EffectiveChannel) -> np.ndarray:
-    return eff.U.conj() @ B @ eff.U.conj().T
-
-
 def oracle_max_sum_rate(
     eff: EffectiveChannel,
     pc: PowerConfig,
@@ -165,7 +161,7 @@ def oracle_max_sum_rate(
     B = _unpack(X[k : k + 1])[0]
     _, _, _, _, pw = _link_terms(B[None], u1, u2, pc)
     B *= math.sqrt(pc.p_relay / pw[0])
-    return OracleResult(float(F[k]), _lift(B, eff))
+    return OracleResult(float(F[k]), Beamformer(B, eff.U).full())
 
 
 def oracle_min_power(
@@ -225,4 +221,4 @@ def oracle_min_power(
     if gamma2_bar > 0.0:
         scales.append(gamma2_bar / (d2[0] * pc.p1 - gamma2_bar * m2[0]))
     B *= math.sqrt(max(scales))
-    return OracleResult(float(-F[k]), _lift(B, eff))
+    return OracleResult(float(-F[k]), Beamformer(B, eff.U).full())

@@ -318,9 +318,7 @@ def direct_relay(pair: ChannelPair, pc: PowerConfig) -> np.ndarray:
     """
     if pc.p_relay <= 0.0:
         raise InvalidInputError("relay power budget must be positive")
-    theta1 = float(np.linalg.norm(pair.h1) ** 2)
-    theta2 = float(np.linalg.norm(pair.h2) ** 2)
-    zeta = math.sqrt(pc.p_relay / (theta1 * pc.p1 + theta2 * pc.p2 + pair.m))
+    zeta = math.sqrt(pc.p_relay / (pair.theta1 * pc.p1 + pair.theta2 * pc.p2 + pair.m))
     return zeta * np.eye(pair.m, dtype=complex)
 
 
@@ -344,13 +342,6 @@ def oneway_alternating(pair: ChannelPair, pc: PowerConfig, equal_energy: bool = 
     budget across the two forwarding slots (P_R/2 each), matching the
     energy the two-slot scheme spends per delivered direction.
     """
-    theta1 = float(np.linalg.norm(pair.h1) ** 2)
-    theta2 = float(np.linalg.norm(pair.h2) ** 2)
-    return _oneway_sum(theta1, theta2, pc, equal_energy)
-
-
-def _oneway_sum(theta1: float, theta2: float, pc: PowerConfig, equal_energy: bool) -> float:
-    """oneway_alternating from the channel gains theta1 and theta2."""
     if pc.p_relay <= 0.0:
         raise InvalidInputError("relay power budget must be positive")
     budget = 0.5 * pc.p_relay if equal_energy else pc.p_relay
@@ -364,6 +355,6 @@ def _oneway_sum(theta1: float, theta2: float, pc: PowerConfig, equal_energy: boo
         den = psi_sq * theta_rx**2 * theta_tx + 1.0
         return num / den
 
-    g21 = gamma(theta1, theta2, pc.p2)
-    g12 = gamma(theta2, theta1, pc.p1)
+    g21 = gamma(pair.theta1, pair.theta2, pc.p2)
+    g12 = gamma(pair.theta2, pair.theta1, pc.p1)
     return 0.25 * math.log2(1.0 + g21) + 0.25 * math.log2(1.0 + g12)

@@ -19,7 +19,6 @@ from twrelay.beamformer import (
     _snr_forms,
     build_qcqp,
     capacity_region,
-    envelope_value,
     max_sum_rate,
     min_relay_power,
     rate_region_boundary,
@@ -274,6 +273,11 @@ class TestMaxSumRate:
             max_sum_rate(eff, symmetric_power(10.0), RateProfile.of(0.5))
 
 
+def _gains(eff):
+    """(theta1, theta2): the squared norms of the reduced channels."""
+    return tuple(float(np.real(g.conj() @ g)) for g in (eff.g1, eff.g2))
+
+
 def _bisected_sum_rates(eff, pc, profile, coarse, fine):
     """The sum-rate bisection over [0, c_ub0] that max_sum_rate used before
     its exact ray exit, kept here as the reference: a probe is feasible
@@ -282,7 +286,7 @@ def _bisected_sum_rates(eff, pc, profile, coarse, fine):
     probes are the first ones of the fine run."""
     if pc.p_relay <= 0.0:
         return 0.0, 0.0
-    r_lo, r_hi = 0.0, c_ub0(pc, eff.theta1, eff.theta2)
+    r_lo, r_hi = 0.0, c_ub0(pc, *_gains(eff))
     at_coarse = None
     while r_hi - r_lo > fine:
         if at_coarse is None and r_hi - r_lo <= coarse:
@@ -422,7 +426,7 @@ class TestHighBudgets:
                     r, _ = max_sum_rate(eff, pc, RateProfile.of(alpha21))
                 except NumericalFailureError:
                     continue
-                assert 0.0 <= r <= c_ub0(pc, eff.theta1, eff.theta2) + 1e-9
+                assert 0.0 <= r <= c_ub0(pc, *_gains(eff)) + 1e-9
                 assert r >= best - DEFAULT_DELTA_R
                 best = max(best, r)
                 returned += 1
@@ -888,7 +892,7 @@ class TestRegionBoundary:
         eff = effective(orthogonal_pair())
         rb = rate_region_boundary(eff, symmetric_power(10.0))
         for r21, r12 in zip(rb.r21.tolist(), rb.r12.tolist()):
-            assert envelope_value(rb, r12) >= r21 - 1e-3
+            assert rb.r12[rb.r21 >= r12 - 1e-12].max(initial=-math.inf) >= r21 - 1e-3
 
     def test_contains_equal_rate_closed_form(self):
         eff = effective(orthogonal_pair())
@@ -978,7 +982,7 @@ class TestCapacityRegion:
         rb = rate_region_boundary(effective(pair), symmetric_power(10.0), n_profiles=9)
         cr = capacity_region(pair, 10.0, 10.0, 10.0, power_grid=2, n_profiles=9)
         for r21, r12 in zip(rb.r21.tolist(), rb.r12.tolist()):
-            assert envelope_value(cr, r21) >= r12 - 1e-9
+            assert cr.r12[cr.r21 >= r21 - 1e-12].max(initial=-math.inf) >= r12 - 1e-9
 
     def test_more_relay_power_dominates(self):
         eff = effective(gen_channels(3, 0.4, seed=17))
@@ -1067,24 +1071,6 @@ class TestCapacityRegion:
         # every ray stays at (0, 0), and equal points are kept once
         cr = capacity_region(gen_channels(3, 0.4, seed=17), 10.0, 10.0, 0.0, power_grid=3, n_profiles=5)
         assert (cr.r21.tolist(), cr.r12.tolist()) == ([0.0], [0.0])
-
-
-class TestEnvelope:
-    def test_step_envelope_semantics(self):
-        pts = [
-            (0.0, 2.0),
-            (1.0, 1.5),
-            (2.0, 0.5),
-        ]
-        from twrelay.beamformer import RegionBoundary
-
-        r21, r12 = np.array(pts).T
-        zeros, ones = np.zeros(len(pts)), np.ones(len(pts))
-        rb = RegionBoundary(zeros, r21, r12, ones, ones, zeros, B=np.zeros((len(pts), 2, 2), dtype=complex), U=np.eye(2))
-        assert envelope_value(rb, 0.0) == 2.0
-        assert envelope_value(rb, 0.5) == 1.5
-        assert envelope_value(rb, 2.0) == 0.5
-        assert envelope_value(rb, 2.5) == -math.inf
 
 
 @settings(max_examples=15, deadline=None)

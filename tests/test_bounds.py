@@ -1,6 +1,7 @@
 """Tests for the closed-form bounds and asymptotics."""
 
 import dataclasses
+import json
 import math
 import sys
 from fractions import Fraction
@@ -17,7 +18,6 @@ from twrelay.beamformer import RateProfile
 from twrelay.bounds import (
     BoundsReport,
     _crossing,
-    asymptotic_gaps,
     asymptotic_sum_rates,
     bounds_report,
     c12,
@@ -26,6 +26,7 @@ from twrelay.bounds import (
     c_ub0,
     c_ub_sym,
     gap_mr_asymptotic,
+    gap_zf_asymptotic,
     r_lb_mr,
     r_lb_zf,
 )
@@ -405,10 +406,9 @@ class TestLowerBounds:
 
 class TestAsymptotics:
     def test_gap_values(self):
-        gm, gz = asymptotic_gaps(1.0 / 3.0)
-        assert abs(gm - math.log2(9.0 / 8.0)) <= 1e-12
-        assert abs(gz - math.log2(3.0 / 2.0)) <= 1e-12
-        assert asymptotic_gaps(0.0) == (0.0, 0.0)
+        assert abs(gap_mr_asymptotic(1.0 / 3.0) - math.log2(9.0 / 8.0)) <= 1e-12
+        assert abs(gap_zf_asymptotic(1.0 / 3.0) - math.log2(3.0 / 2.0)) <= 1e-12
+        assert gap_mr_asymptotic(0.0) == gap_zf_asymptotic(0.0) == 0.0
 
     def test_gap_mr_extremal_structure(self):
         # fine scan: maximum at rho = 1/3, zero at both ends
@@ -421,7 +421,7 @@ class TestAsymptotics:
 
     def test_gap_zf_rejects_parallel(self):
         with pytest.raises(InvalidInputError):
-            asymptotic_gaps(1.0)
+            gap_zf_asymptotic(1.0)
 
     def test_high_snr_convergence(self):
         pc = PowerConfig(1e4, 1e4, 1e4)
@@ -457,7 +457,7 @@ class TestReport:
         assert rep.c_ub <= rep.c_ub0 + 1e-9
         assert rep.c_ub_sym is not None
         assert abs(rep.c21 + rep.c12 - rep.c_ub) <= 1e-6
-        clone = BoundsReport.from_json(rep.to_json())
+        clone = BoundsReport(**json.loads(rep.to_json()))
         assert clone == rep
 
     def test_report_asymmetric_no_sym_bound(self):

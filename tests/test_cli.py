@@ -504,14 +504,14 @@ def test_bounds_write_finite_ordered_values_or_exit_1(tmp_path, capsys):
 class TestBoundsCommand:
     def test_writes_json_and_prints_table(self, tmp_path, capsys):
         assert run(["bounds", "--rho", "0.5", "--out", str(tmp_path)]) == 0
-        report = BoundsReport.from_json((tmp_path / "bounds.json").read_text())
+        report = BoundsReport(**json.loads((tmp_path / "bounds.json").read_text()))
         assert math.isfinite(report.c_ub)
         out = capsys.readouterr().out
         assert "c_ub" in out and "r_lb_mr" in out
 
     def test_symmetric_setup_reports_tight_bound(self, tmp_path):
         run(["bounds", "--rho", "0.5", "--p1", "10", "--p2", "10", "--pr", "10", "--out", str(tmp_path)])
-        report = BoundsReport.from_json((tmp_path / "bounds.json").read_text())
+        report = BoundsReport(**json.loads((tmp_path / "bounds.json").read_text()))
         assert report.c_ub_sym is not None
         assert report.c_ub_sym <= report.c_ub0 + 1e-12
 

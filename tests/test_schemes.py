@@ -1,5 +1,6 @@
 """Tests for the suboptimal beamforming schemes and baselines."""
 
+import csv
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import golden_max, orthogonal_pair, symmetric_power
 
 from twrelay.beamformer import RateProfile, min_relay_power
 from twrelay.bounds import r_lb_mr, r_lb_zf
+from twrelay.cli import main as cli_main
 from twrelay.errors import InvalidInputError, RankDeficiencyError
 from twrelay.model import (
     Beamformer,
@@ -29,7 +31,6 @@ from twrelay.schemes import (
     _Sweep,
     _direct_relay_sum,
     _form,
-    _oneway_sum,
     direct_relay,
     mrr_mrt,
     oneway_alternating,
@@ -424,7 +425,8 @@ class TestPerJobForms:
                     lo, hi = float(grid[max(0, k - 1)]), float(grid[min(512, k + 1)])
                     x, best = golden_max(lambda angle: sum(sweep.rates(angle)), lo, hi)
                     want = sum(sweep.rates(x if best > vals[k] else float(grid[k])))
-                    assert sweep.best_rates().total >= want - 4e-15
+                    rates = sweep.best_rates()
+                    assert rates.r21 + rates.r12 >= want - 4e-15
 
     def test_few_slope_evaluations(self, monkeypatch):
         # at most 15 per search, its bracket's two ends included, on the
@@ -526,13 +528,22 @@ class TestOnewayAlternating:
             oneway_alternating(orthogonal_pair(), PowerConfig(10.0, 10.0, 0.0))
 
 
-    def test_from_the_channel_gains(self):
-        for seed in range(6):
-            pair = gen_channels(4, 0.5, seed, normalize=False)
+    def test_equals_the_sumrate_column(self, tmp_path):
+        # sumrate's r_ow column is oneway_alternating at every grid point,
+        # bit for bit, with and without --ow-equal-energy, on channels
+        # whose gains h^H h and ||h||^2 differ in their last bits
+        for m, rho, seed in ((2, 0.0, 0), (4, 0.9, 2), (8, 0.5, 0)):
+            pair = gen_channels(m, rho, seed)
             for equal_energy in (False, True):
-                want = oneway_alternating(pair, PowerConfig(2.0, 30.0, 7.0), equal_energy=equal_energy)
-                got = _oneway_sum(pair.theta1, pair.theta2, PowerConfig(2.0, 30.0, 7.0), equal_energy)
-                assert got == pytest.approx(want, rel=1e-14)
+                out = tmp_path / f"{m}-{seed}-{equal_energy}"
+                argv = ["sumrate", "--m", str(m), "--rho", repr(rho), "--seed", str(seed), "--out", str(out)]
+                assert cli_main(argv + ["--ow-equal-energy"] * equal_energy) == 0
+                with open(out / "sumrate.csv", newline="") as handle:
+                    rows = list(csv.DictReader(handle))
+                assert len(rows) == 21
+                for row in rows:
+                    p = 10.0 ** (float(row["snr_db"]) / 10.0)
+                    assert float(row["r_ow"]) == oneway_alternating(pair, PowerConfig(p, p, p), equal_energy)
 
 
 class TestHighPowerOrdering:

@@ -85,7 +85,7 @@ def test_reference_flag_rewrites_the_reference(script, tmp_path, monkeypatch, ca
     assert script.main(["--reference"]) == 0
     *lines, summary = capsys.readouterr().out.splitlines()
     moved_line, stale_line = [line for line in lines if not line.endswith(": same")]
-    assert moved_line.startswith("default/region/boundary_optimal.csv: differs: r21 1e-12 r12 0 ")
+    assert moved_line.startswith("default/region/boundary_optimal.csv: differs: r21 1e-12 r12 0 p_relay_rel 0 B_phase_rel 0 ")
     assert stale_line == "stale/old.csv: missing"
     assert summary.startswith("summary: 28 files compared: 26 same, 1 differ, 1 missing, ")
     assert summary.endswith(" r21 1e-12")
@@ -106,8 +106,14 @@ def test_failed_jobs_are_reported(script, tmp_path, monkeypatch):
     failed = script.write_outputs(tmp_path, [1], tiny=True)
     assert len(failed) == sum(len(workloads.jobs(name, 1, tiny=True)) for name in workloads.NAMES)
     assert failed[0].startswith("region/1/0: exit 1: region ")
+    # --reference leaves the reference as it was
+    kept = tmp_path / "ref" / "default" / "region" / "boundary_optimal.csv"
+    kept.parent.mkdir(parents=True)
+    shutil.copyfile(REFERENCE / "default" / "region" / "boundary_optimal.csv", kept)
     monkeypatch.setattr(script, "REFERENCE", tmp_path / "ref")
     assert script.main(["--reference"]) == 1
+    assert [p for p in (tmp_path / "ref").rglob("*") if p.is_file()] == [kept]
+    assert kept.read_bytes() == (REFERENCE / "default" / "region" / "boundary_optimal.csv").read_bytes()
 
 
 def test_bad_seeds_exit_2(script, tmp_path):
