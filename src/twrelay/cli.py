@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import re
+import stat
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -165,14 +166,7 @@ SUMRATE_MAX_POINTS = 100_001  # sumrate keeps every row in memory until it write
 
 OPTS: Dict[str, List[Opt]] = {
     "region": _common("m", "rho", "p1", "p2", "pr", "profiles", "ratios", "delta-r", "seed", "out")
-    + [
-        Opt(
-            "scheme",
-            _parse_choice(("all", "optimal", "mr", "zf")),
-            "all",
-            "which boundaries to write",
-        )
-    ],
+    + [Opt("scheme", _parse_choice(("all", "optimal", "mr", "zf")), "all", "which boundaries to write")],
     "capacity": _common("m", "rho", "p1", "p2", "pr", "profiles", "delta-r", "seed", "out")
     + [Opt("grid", _parse_int_min(2), DEFAULT_POWER_GRID, "log-spaced points per source-power axis; "
            "only cells with one source at full power are searched")],
@@ -204,12 +198,7 @@ OPTS: Dict[str, List[Opt]] = {
         Opt("weights", _parse_int_min(2), DEFAULT_WEIGHTS, "broadcast weight sweep size"),
     ],
     "validate": [
-        Opt(
-            "suite",
-            _parse_choice(("all", "oracle", "schemes", "bounds", "df")),
-            "all",
-            "which invariant suites to run",
-        ),
+        Opt("suite", _parse_choice(("all", "oracle", "schemes", "bounds", "df")), "all", "which invariant suites to run"),
         Opt("seed", _parse_int_min(0), 42, "instance generation seed"),
         Opt("instances", _parse_int_min(1), 3, "instances per suite"),
     ],
@@ -226,30 +215,16 @@ _HELP = {
 
 
 def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="twrelay",
-        description="Two-way relay beamforming: rate regions, bounds, baselines.",
-    )
+    parser = argparse.ArgumentParser(prog="twrelay", description="Two-way relay beamforming: rate regions, bounds, baselines.")
     parser.add_argument("--version", action="version", version=f"twrelay {__version__}")
     subs = parser.add_subparsers(dest="command")
     handles = {}
     for name, opts in OPTS.items():
         sub = subs.add_parser(name, help=_HELP[name])
         for opt in opts:
-            if opt.is_flag:
-                sub.add_argument(
-                    f"--{opt.name}", action="store_const", const="true", default=None, help=opt.help
-                )
-            else:
-                sub.add_argument(
-                    f"--{opt.name}", default=None, metavar="V", help=opt.help
-                )
-        sub.add_argument(
-            "--config",
-            default=None,
-            metavar="FILE",
-            help="key=value file supplying any flag's value; explicit flags win",
-        )
+            kind = {"action": "store_const", "const": "true"} if opt.is_flag else {"metavar": "V"}
+            sub.add_argument(f"--{opt.name}", default=None, help=opt.help, **kind)
+        sub.add_argument("--config", default=None, metavar="FILE", help="key=value file supplying any flag's value; explicit flags win")
         handles[name] = sub
     return parser, handles
 
@@ -672,6 +647,16 @@ def _join_negative_db(argv: Sequence[str]) -> List[str]:
     return out
 
 
+def _usable_out(out: str) -> bool:
+    """False when out is a file or a path through one; a missing out is made at the first write."""
+    try:
+        return stat.S_ISDIR(os.stat(out).st_mode)
+    except FileNotFoundError:
+        return True
+    except NotADirectoryError:
+        return False
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, handles = _parser()
     ns = parser.parse_args(_join_negative_db(sys.argv[1:] if argv is None else argv))
@@ -683,11 +668,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     settings = resolve_settings(sub, ns, OPTS[ns.command], config)
     if ns.command == "region" and settings["scheme"] == "zf" and settings["rho"] >= 1.0:
         sub.error("argument --scheme: zero-forcing is undefined at rho = 1 (parallel channels)")
+    if "out" in settings and not _usable_out(settings["out"]):
+        sub.error(f"argument --out: {settings['out']!r} is a file or a path through one, not a directory")
     try:
         return _HANDLERS[ns.command](settings)
     except InvalidInputError as exc:
         sub.error(str(exc))
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, OSError) as exc:  # an OSError from the write tail
         print(f"twrelay {ns.command}: error: {exc}", file=sys.stderr)
         return 1
 

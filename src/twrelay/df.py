@@ -123,15 +123,13 @@ class BcBoundary:
 
     r21 and r12 are float64 arrays of length n, the knots in weight order
     from the r12-maximizing corner to the r21-maximizing one (r21
-    non-decreasing); covariances is the (n, 2, 2) complex stack of the
-    knots' reduced rank-one covariances in the orthonormal frame `basis`
-    of span{h1*, h2*}.
+    non-decreasing). The rates are all that the frontier and the
+    decode-and-forward tables read; a knot's covariance is bc_wsrmax's
+    S_reduced at the knot's weights.
     """
 
     r21: np.ndarray
     r12: np.ndarray
-    covariances: np.ndarray
-    basis: np.ndarray
 
     def frontier(self, r21: float) -> float:
         """Largest r12 at a given r21 on the piecewise-linear frontier: at
@@ -201,13 +199,10 @@ class _Arc:
 
     def boundary(self, n_weights: int) -> BcBoundary:
         """bc_boundary's weight sweep of n_weights >= 2 knots on this arc."""
-        thetas = [self.angle(w, 1.0 - w) for w in (k / (n_weights - 1) for k in range(n_weights))]
-        rates = [self.rates(theta) for theta in thetas]
+        rates = [self.rates(self.angle(w, 1.0 - w)) for w in (k / (n_weights - 1) for k in range(n_weights))]
         return BcBoundary(
             r21=np.array([r.r21 for r in rates], dtype=np.float64),
             r12=np.array([r.r12 for r in rates], dtype=np.float64),
-            covariances=np.array([self.covariance(theta) for theta in thetas]),
-            basis=self.basis,
         )
 
 
@@ -258,7 +253,8 @@ def bc_boundary(
     Knot k is the bc_wsrmax point for weights (w, 1 - w), w = k / (n - 1),
     all on one arc; the weights, not the arc angles, are uniform. The
     angle falls as w grows, so the knots come in weight order with r21
-    non-decreasing, as BcBoundary.frontier's np.interp needs.
+    non-decreasing, as BcBoundary.frontier's np.interp needs. Only rates
+    are kept: knot k's covariance is bc_wsrmax's S_reduced at (w, 1 - w).
     """
     if n_weights < 2:
         raise InvalidInputError("need at least two weights")

@@ -3,8 +3,9 @@
 Every CSV table is formatted from its columns by format_columns: repr()
 floats (full round-trip precision), LF line endings, a header row first,
 and NumericalFailureError, before any file is written, on a non-finite
-cell. Every file is written through a same-directory temporary file and
-a rename, so an interrupted run never leaves a truncated file behind.
+cell. Every file is encoded once and written raw into a same-directory
+temporary file and renamed into place, so an interrupted run never
+leaves a truncated file behind; see atomic_write_text.
 write_csv and write_region_csv have no caller in the package and stay
 only because the benchmark's tracer wraps them by name.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -64,14 +64,29 @@ def _csv_text(lines: List[str]) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path through a same-directory temp file + rename."""
+    """Write text to path through a same-directory temp file + rename: the
+    text encoded once as UTF-8 and written raw, a short write continued;
+    the file made with mode 0o666 less the umask, as open(path, "w") does,
+    and the directory only when the temp file finds it missing. On any
+    failure the temp file is removed and path keeps what it held."""
+    data = memoryview(text.encode("utf-8"))
     target = os.path.abspath(path)
     directory = os.path.dirname(target)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:  # the name is taken: draw another
+            continue
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):

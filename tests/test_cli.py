@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from collections import Counter
@@ -405,6 +406,53 @@ def test_a_failing_command_writes_nothing(argv, code, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# an --out that is a file, or a path through one, cannot hold the output files
+UNUSABLE_OUTS = {
+    "bounds-file": (["bounds"], "taken"),
+    "region-through-file": (["region", "--profiles", "3"], os.path.join("taken", "x")),
+}
+
+
+@pytest.mark.parametrize("argv, out", UNUSABLE_OUTS.values(), ids=UNUSABLE_OUTS.keys())
+def test_an_unusable_out_exits_2_before_any_work(argv, out, tmp_path, capsys, monkeypatch):
+    import twrelay.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the job started")
+
+    for name in ("gen_channels", "bounds_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    (tmp_path / "taken").write_bytes(b"kept\n")
+    with pytest.raises(SystemExit) as info:
+        run([*argv, "--out", str(tmp_path / out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"twrelay {argv[0]}: error: argument --out: " in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["taken"] and (tmp_path / "taken").read_bytes() == b"kept\n"
+
+
+def test_an_os_error_while_writing_exits_1_with_one_line(tmp_path, capsys):
+    # a directory where bounds.json goes: the rename fails after the job's work
+    (tmp_path / "bounds.json").mkdir()
+    assert run(["bounds", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("twrelay bounds: error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert os.listdir(tmp_path) == ["bounds.json"] and os.listdir(tmp_path / "bounds.json") == []
+
+
+@pytest.mark.parametrize("umask", (0o022, 0o077), ids=("022", "077"))
+def test_output_modes_follow_the_umask(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        assert run(["bounds", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in (tmp_path / "out").iterdir()}
+    assert modes == {"bounds.json": 0o666 & ~umask, "manifest.json": 0o666 & ~umask}
+    assert (tmp_path / "out").stat().st_mode & 0o777 == 0o777 & ~umask
+
+
 def _infinite_df_ray(pent, arc, profile):
     return math.inf, 0.5
 
@@ -585,6 +633,28 @@ class TestDfCompareCommand:
         ]
         assert run(argv) == 0
         assert len(built) == 1
+
+    def test_no_broadcast_covariance_per_job(self, tmp_path, monkeypatch):
+        # no output holds a covariance; bc_wsrmax still returns its point's one
+        import twrelay.df as df
+
+        built = []
+        covariance = df._Arc.covariance
+
+        def counting(self, theta):
+            built.append(covariance(self, theta))
+            return built[-1]
+
+        monkeypatch.setattr(df._Arc, "covariance", counting)
+        argv = [
+            "df-compare", "--rho", "0.95", "--p", "100", "--seed", "7",
+            "--profiles", "5", "--taus", "3", "--weights", "9", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        assert built == []
+        point = df.bc_wsrmax(gen_channels(4, 0.95, seed=7), 100.0, 0.5, 0.5)
+        assert len(built) == 1 and point.S_reduced is built[0]
+        assert point.S_reduced.shape == (2, 2) and np.trace(point.S_reduced).real == pytest.approx(100.0)
 
     def test_one_np_interp_one_reduced_frame_and_no_scalar_slice_per_job(self, tmp_path, monkeypatch):
         # every tau slice comes from one array pass, which reads the

@@ -1,5 +1,6 @@
 """Tests for the decode-and-forward baseline."""
 
+import dataclasses
 import math
 import struct
 import warnings
@@ -180,8 +181,15 @@ class TestBcBoundary:
         assert all(a >= b - 1e-6 for a, b in zip(slopes, slopes[1:]))
 
     def test_covariances_feasible(self):
-        bc = bc_boundary(gen_channels(3, 0.5, seed=4), 10.0, n_weights=9)
-        for S in bc.covariances:
+        # the boundary keeps only rates: a knot's covariance is the
+        # S_reduced of bc_wsrmax at the knot's weights
+        pair = gen_channels(3, 0.5, seed=4)
+        bc = bc_boundary(pair, 10.0, n_weights=9)
+        for k, (r21, r12) in enumerate(zip(bc.r21.tolist(), bc.r12.tolist())):
+            point = bc_wsrmax(pair, 10.0, k / 8, 1.0 - k / 8)
+            assert (point.rates.r21, point.rates.r12) == (r21, r12)
+            S = point.S_reduced
+            assert S.shape == (2, 2) and S.dtype == np.complex128
             assert np.trace(S).real <= 10.0 + 1e-8
             assert np.min(np.linalg.eigvalsh(S)) >= -1e-9
 
@@ -225,22 +233,21 @@ class TestBcBoundary:
                     pair = gen_channels(int(rng.choice((2, 4, 8))), rho, int(rng.integers(0, 2**31)), normalize)
                     for n in (2, 3, 17, 65):
                         bc = bc_boundary(pair, p_relay, n_weights=n)
-                        for k, (r21, r12, S) in enumerate(zip(bc.r21.tolist(), bc.r12.tolist(), bc.covariances)):
+                        for k, (r21, r12) in enumerate(zip(bc.r21.tolist(), bc.r12.tolist())):
                             point = bc_wsrmax(pair, p_relay, k / (n - 1), 1.0 - k / (n - 1))
                             assert _bits(r21) == _bits(point.rates.r21) and _bits(r12) == _bits(point.rates.r12)
-                            assert S.tobytes() == point.S_reduced.tobytes()
                         r21 = bc.r21.tolist()
                         assert all(x <= y for x, y in zip(r21, r21[1:]))
                         boundaries += 1
         assert boundaries == 160
 
-    def test_columns_and_covariance_stack(self):
+    def test_columns_are_the_only_fields(self):
+        assert [f.name for f in dataclasses.fields(BcBoundary)] == ["r21", "r12"]
         for rho, n in ((0.0, 2), (0.7, 17), (1.0, 65)):
             bc = bc_boundary(gen_channels(4, rho, seed=13), 50.0, n_weights=n)
             assert bc.r21.dtype == bc.r12.dtype == np.float64
             assert bc.r21.shape == bc.r12.shape == (n,)
             assert np.all(np.diff(bc.r21) >= 0.0)
-            assert bc.covariances.shape == (n, 2, 2) and bc.covariances.dtype == np.complex128
 
     def test_ray_exit_degenerate_profiles(self):
         pair = gen_channels(4, 0.95, seed=21)
@@ -415,7 +422,7 @@ def _bits(value):
 
 def _hand_boundary(knots):
     r21, r12 = np.array(knots, dtype=np.float64).T
-    return BcBoundary(r21=r21, r12=r12, covariances=np.zeros((len(knots), 2, 2), dtype=complex), basis=np.eye(2))
+    return BcBoundary(r21=r21, r12=r12)
 
 
 def _lookup_corpus():

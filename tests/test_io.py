@@ -111,6 +111,59 @@ class TestAtomicWrite:
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
         assert target.read_text() == "y\n"
 
+    def test_failed_rename_removes_the_temp_file_and_keeps_the_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+
+        def refuse(src, dst):
+            assert os.path.basename(src).startswith(".tmp-") and os.path.getsize(src) == 4
+            raise OSError("no rename")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no rename"):
+            tio.atomic_write_text(str(target), "new\n")
+        assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+        assert target.read_bytes() == b"old\n"
+
+    def test_failed_write_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(fd, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "write", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            tio.atomic_write_text(str(tmp_path / "out.csv"), "x\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        write = os.write
+        sizes = []
+
+        def short(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:3]))
+
+        monkeypatch.setattr(os, "write", short)
+        text = "r21,r12\n0.5,\u00e9\n"
+        tio.atomic_write_text(str(tmp_path / "out.csv"), text)
+        assert (tmp_path / "out.csv").read_bytes() == text.encode("utf-8")
+        assert sizes == list(range(len(text.encode("utf-8")), 0, -3))
+
+    def test_directory_is_made_only_when_missing(self, tmp_path, monkeypatch):
+        made = []
+        makedirs = os.makedirs
+
+        def counting(name, **kwargs):
+            made.append(name)
+            return makedirs(name, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counting)
+        tio.atomic_write_text(str(tmp_path / "a.csv"), "x\n")
+        assert made == []
+        tio.atomic_write_text(str(tmp_path / "new" / "a.csv"), "x\n")
+        tio.atomic_write_text(str(tmp_path / "new" / "b.csv"), "y\n")
+        assert made == [str(tmp_path / "new")]
+        assert sorted(os.listdir(tmp_path / "new")) == ["a.csv", "b.csv"]
+
 
 def _region_csv(tmp_path, boundary, scheme=None):
     path = tmp_path / "boundary.csv"
