@@ -11,6 +11,7 @@ explicit flags always win over the file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -52,6 +53,7 @@ from .schemes import (
     DEFAULT_RATIOS,
     _ChannelForms,
     _Sweep,
+    _best_rates,
     _direct_relay_sum,
     oneway_alternating,
     scheme_max_sum_rate,
@@ -279,10 +281,12 @@ class Timer:
 
 def _write_tables(command: str, settings: dict, timer: Timer, texts: List[Tuple[str, str]], notes: List[str], lines: Optional[List[str]] = None) -> int:
     """The tail of every file-writing command, called once all its texts
-    are formatted and checked: write each (file, text) into
-    settings["out"] atomically, take the write lap, write the manifest,
-    then print lines, or the files' paths when lines is None."""
+    are formatted and checked: remove settings["out"]'s manifest, write
+    each (file, text) into it atomically, take the write lap, write the
+    new manifest, then print lines, or the files' paths when lines is None."""
     out = settings["out"]
+    with contextlib.suppress(FileNotFoundError):  # no manifest may describe a mix of two runs' files
+        os.unlink(os.path.join(out, "manifest.json"))
     for name, text in texts:
         tio.atomic_write_text(os.path.join(out, name), text)
     timer.lap("write")
@@ -351,6 +355,7 @@ def cmd_capacity(settings: dict) -> int:
     return _write_tables("capacity", settings, timer, [("capacity.csv", tio.format_region_csv(envelope))], [])
 
 
+_SEARCH_BLOCK = 64  # sumrate rows per grid product, whose 64 x 4 x 513 values take 1 MB
 SUMRATE_HEADER = ["snr_db", "c_ub_sym", "r_lb_mr", "r_mr", "r_lb_zf", "r_zf", "r_dr", "r_ow"]
 
 
@@ -371,15 +376,14 @@ def cmd_sumrate(settings: dict) -> int:
     # bounds have checked rho) and scaled at every grid point
     eff = effective(pair)
     cross = float(abs(pair.h1 @ pair.h2) ** 2)  # |h1^T h2|^2, the direct relay's gain
-    forms: Dict[str, _ChannelForms] = {}
+    forms = functools.cache(lambda scheme: _ChannelForms(scheme, eff))
+    sweeps: Dict[str, List[_Sweep]] = {"mr": [], "zf": []}
 
-    def scheme_sum(scheme: str, pc: PowerConfig) -> float:
-        if scheme not in forms:
-            forms[scheme] = _ChannelForms(scheme, eff)
-        rates = _Sweep(forms[scheme], pc).best_rates()
-        return rates.r21 + rates.r12
+    def queue(scheme: str, pc: PowerConfig) -> float:
+        sweeps[scheme].append(_Sweep(forms(scheme), pc))
+        return math.nan  # until the search of the row's block
 
-    rows = []
+    rows: List[List[float]] = []
     for k in range(count):
         snr_db = lo + k * step
         p = 10.0 ** (snr_db / 10.0)
@@ -389,13 +393,19 @@ def cmd_sumrate(settings: dict) -> int:
                 snr_db,
                 c_ub_sym(theta1, p),
                 r_lb_mr(pc, theta1, theta2, rho),
-                scheme_sum("mr", pc),
+                queue("mr", pc),
                 r_lb_zf(pc, theta1, theta2, rho),
-                scheme_sum("zf", pc),
+                queue("zf", pc),
                 _direct_relay_sum(theta1, theta2, cross, pair.m, pc),
                 oneway_alternating(pair, pc, settings["ow-equal-energy"]),
             ]
         )
+        # a block's searches run after its rows, so errors surface in row order
+        if len(sweeps["zf"]) == _SEARCH_BLOCK or k == count - 1:
+            for column, scheme in ((3, "mr"), (5, "zf")):
+                for row, rates in zip(rows[-len(sweeps[scheme]):], _best_rates(sweeps[scheme])):
+                    row[column] = rates.r21 + rates.r12
+                sweeps[scheme].clear()
     timer.lap("grid")
     return _write_tables("sumrate", settings, timer, [("sumrate.csv", tio.format_columns(SUMRATE_HEADER, np.array(rows).T))], [])
 
@@ -664,7 +674,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     sub = handles[ns.command]
-    config = tio.read_config(ns.config) if ns.config else {}
+    try:
+        config = tio.read_config(ns.config) if ns.config else {}
+    except (OSError, UnicodeDecodeError) as exc:
+        sub.error(f"argument --config: {exc}")
     settings = resolve_settings(sub, ns, OPTS[ns.command], config)
     if ns.command == "region" and settings["scheme"] == "zf" and settings["rho"] >= 1.0:
         sub.error("argument --scheme: zero-forcing is undefined at rho = 1 (parallel channels)")

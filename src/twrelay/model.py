@@ -17,6 +17,7 @@ beamformer tracer share _evaluate_2x2 and its link terms (_link_forms).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -62,11 +63,11 @@ class ChannelPair:
     rho: float
     seed: Optional[int] = None
 
-    @property
+    @functools.cached_property
     def theta1(self) -> float:
         return float(np.real(self.h1.conj() @ self.h1))
 
-    @property
+    @functools.cached_property
     def theta2(self) -> float:
         return float(np.real(self.h2.conj() @ self.h2))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -106,9 +106,10 @@ def _weights(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.where(end, 1.0, np.sin(angles)), np.where(end, 0.0, np.cos(angles))
 
 
-# the sum-rate search's grid and its weights; odd, so it includes pi/4 exactly
+# the sum-rate search's grid, odd so it holds pi/4, and a^2, a b and b^2 at its weights
 _GRID = np.linspace(0.0, _HALF_PI, 513)
 _GRID_A, _GRID_B = _weights(_GRID)
+_GRID_BASIS = np.array([_GRID_A * _GRID_A, _GRID_A * _GRID_B, _GRID_B * _GRID_B])
 
 
 class _ChannelForms:
@@ -130,12 +131,6 @@ class _ChannelForms:
         # Python floats keep the scaling and the one-angle evaluation in scalar arithmetic
         self.F1, self.F2, self.F0, self.N21, self.N12, self.q21, self.q12 = (tuple(f.tolist()) for f in forms)
 
-    @functools.cached_property
-    def grid(self) -> Tuple[np.ndarray, ...]:
-        """F1, F2, F0, N21, N12, q21 and q12 on the sum-rate search's grid."""
-        forms = (self.F1, self.F2, self.F0, self.N21, self.N12, self.q21, self.q12)
-        return tuple(_quad(c, _GRID_A, _GRID_B) for c in forms)
-
 
 class _Sweep:
     """A scheme on one channel and power setting, as a function of the
@@ -152,8 +147,8 @@ class _Sweep:
     def __init__(self, forms: _ChannelForms, pc: PowerConfig) -> None:
         if pc.p_relay <= 0.0:
             raise InvalidInputError("relay power budget must be positive")
-        self.forms, self.eff, self.Ba, self.Bb = forms, forms.eff, forms.Ba, forms.Bb
-        self.pc, self.p_relay, self.q21, self.q12 = pc, pc.p_relay, forms.q21, forms.q12
+        self.eff, self.Ba, self.Bb = forms.eff, forms.Ba, forms.Bb
+        self.p_relay, self.q21, self.q12 = pc.p_relay, forms.q21, forms.q12
         p1, p2 = pc.p1, pc.p2
         self.pw = tuple(p1 * f1 + p2 * f2 + f0 for f1, f2, f0 in zip(forms.F1, forms.F2, forms.F0))
         self.n21, self.n12 = tuple(p2 * c for c in forms.N21), tuple(p1 * c for c in forms.N12)
@@ -214,20 +209,8 @@ class _Sweep:
         return total
 
     def best_rates(self) -> RatePair:
-        """The rate pair at the largest sum rate, as scheme_best_rates finds it."""
-        F1, F2, F0, N21, N12, q21, q12 = self.forms.grid
-        p, p1, p2 = self.p_relay, self.pc.p1, self.pc.p2
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is refused where it is written
-            pw = p1 * F1 + p2 * F2 + F0
-            d21, d12 = p * q21 + pw, p * q12 + pw
-            # (1 + snr21)(1 + snr12), largest where the sum rate is
-            k = int(np.argmax((d21 + p * p2 * N21) / d21 * ((d12 + p * p1 * N12) / d12)))
-        lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])
-        best = self._point(float(_GRID[k]))
-        s_lo, s_hi = self.slope(lo), self.slope(hi)
-        if s_lo > 0.0 >= s_hi:
-            best = max(best, *map(self._point, _crossing(self.slope, lo, hi, s_lo, s_hi)), key=sum)
-        return RatePair(*best)
+        """The rate pair at the largest sum rate: _best_rates on this sweep alone."""
+        return _best_rates([self])[0]
 
     def matrices(self, angles: np.ndarray) -> np.ndarray:
         """The (n, 2, 2) stack of relay matrices at the angles, each scaled
@@ -242,6 +225,29 @@ class _Sweep:
         if ratio < 0.0:
             raise InvalidInputError("ratio must be nonnegative")
         return Beamformer(B=self.matrices(np.array([math.atan(ratio)]))[0], U=self.eff.U)
+
+
+def _grid_products(sweeps: Sequence[_Sweep]) -> np.ndarray:
+    """(1 + snr21)(1 + snr12) = (T21/D21)(T12/D12) on the grid, a row per sweep,
+    from one product of all their forms' (c0, 2 c1, c2) with the grid's basis."""
+    coeffs = np.array([log[:3] for sweep in sweeps for log in sweep._logs])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is refused where it is written
+        t21, d21, t12, d12 = (coeffs @ _GRID_BASIS).reshape(len(sweeps), 4, len(_GRID)).transpose(1, 0, 2)
+        return t21 / d21 * (t12 / d12)
+
+
+def _best_rates(sweeps: Sequence[_Sweep]) -> List[RatePair]:
+    """The rate pair at each sweep's largest sum rate, as scheme_best_rates finds
+    it: the largest of _grid_products and its two neighbours bracket the maximum."""
+    found = []
+    for sweep, k in zip(sweeps, np.argmax(_grid_products(sweeps), axis=1).tolist()):
+        lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])
+        best = sweep._point(float(_GRID[k]))
+        s_lo, s_hi = sweep.slope(lo), sweep.slope(hi)
+        if s_lo > 0.0 >= s_hi:
+            best = max(best, *map(sweep._point, _crossing(sweep.slope, lo, hi, s_lo, s_hi)), key=sum)
+        found.append(RatePair(*best))
+    return found
 
 
 def sweep_region(
@@ -298,13 +304,13 @@ def scheme_best_rates(scheme: str, pair: ChannelPair, pc: PowerConfig) -> RatePa
     """Rate pair achieved at the scheme's unconstrained sum-rate maximum.
 
     The sum of the two rates need not be unimodal in the sweep angle, so
-    a dense grid (always containing the balanced ratio a = b), evaluated
-    in one pass of linear combinations of the channel's grid forms,
-    brackets the maximum. The sum rate is a sum of logs of quadratic
-    forms, so its slope in the angle has a closed form; where that slope
-    changes sign across the bracket, the crossing search finds its root
-    to the last float, and the better of the root's two floats is kept
-    only if it beats the best grid point.
+    a dense grid (always containing the balanced ratio a = b), on which
+    one product with the forms' coefficients puts them, brackets the
+    maximum. The sum rate is a sum of logs of quadratic forms, so its
+    slope in the angle has a closed form; where that slope changes sign
+    across the bracket, the crossing search finds its root to the last
+    float, and the better of the root's two floats is kept only if it
+    beats the best grid point.
     """
     return _Sweep.build(scheme, pair, pc).best_rates()
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from twrelay.model import ChannelPair, PowerConfig, gen_channels
+from twrelay.bounds import _crossing
+from twrelay.model import ChannelPair, PowerConfig, RatePair, gen_channels
+from twrelay.schemes import _GRID, _GRID_A, _GRID_B, _Sweep, _quad
 
 
 @pytest.fixture
@@ -81,3 +83,34 @@ def bisect_crossing(positive, lo, hi):
             lo = mid
         else:
             hi = mid
+
+
+def grid_products_reference(forms, pc):
+    """(1 + snr21)(1 + snr12) on the sum-rate search's grid, with each of
+    the channel's forms evaluated on the grid and scaled array by array:
+    the per-setting formula that one product of the forms' coefficients
+    with the grid's basis replaced, kept as the reference for
+    schemes._grid_products."""
+    F1, F2, F0, N21, N12, q21, q12 = (
+        _quad(c, _GRID_A, _GRID_B) for c in (forms.F1, forms.F2, forms.F0, forms.N21, forms.N12, forms.q21, forms.q12)
+    )
+    p, p1, p2 = pc.p_relay, pc.p1, pc.p2
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = p1 * F1 + p2 * F2 + F0
+        d21, d12 = p * q21 + pw, p * q12 + pw
+        return (d21 + p * p2 * N21) / d21 * ((d12 + p * p1 * N12) / d12)
+
+
+def best_rates_reference(forms, pc):
+    """The sum-rate search on one power setting as it ran on
+    grid_products_reference: the largest grid point and, where the
+    slope changes sign across its two neighbours, the better of it and
+    the slope's root."""
+    sweep = _Sweep(forms, pc)
+    k = int(np.argmax(grid_products_reference(forms, pc)))
+    lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])
+    best = sweep._point(float(_GRID[k]))
+    s_lo, s_hi = sweep.slope(lo), sweep.slope(hi)
+    if s_lo > 0.0 >= s_hi:
+        best = max(best, *map(sweep._point, _crossing(sweep.slope, lo, hi, s_lo, s_hi)), key=sum)
+    return RatePair(*best)

@@ -195,6 +195,15 @@ class TestConfigFile:
         assert info.value.code == 2
         assert "rh" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ("missing.cfg", "."), ids=("missing", "directory"))
+    def test_unreadable_config_exits_2(self, path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["bounds", "--config", str(tmp_path / path), "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "twrelay bounds: error: argument --config: " in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_value_errors_name_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rho=1.7\n")
@@ -281,6 +290,33 @@ class TestSumrateCommand:
         assert "twrelay sumrate: error: row 1, column r_mr is inf, not a finite number" in err
         assert "Traceback" not in err
         assert not (tmp_path / "sumrate.csv").exists()
+
+    @pytest.mark.parametrize("rows, blocks", ((21, [21]), (130, [64, 64, 2])), ids=("21", "130"))
+    def test_one_grid_product_per_scheme_and_block(self, rows, blocks, tmp_path, monkeypatch):
+        # each block of at most 64 rows makes one grid product per scheme,
+        # and the table is the row-by-row search's, bit for bit
+        import twrelay.schemes as schemes
+
+        sizes = []
+
+        def counting(sweeps):
+            sizes.append(len(sweeps))
+            return grid_products(sweeps)
+
+        grid_products = schemes._grid_products
+        monkeypatch.setattr(schemes, "_grid_products", counting)
+        argv = ["sumrate", "--snr-min", "-20", "--snr-max", str(rows - 21), "--snr-step", "1", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert sizes == [size for size in blocks for _ in ("mr", "zf")]
+        table = read_csv(tmp_path / "sumrate.csv")
+        header, cells = table[0], table[1:]
+        assert len(cells) == rows
+        pair = gen_channels(4, 1.0 / 3.0, 42)
+        for row in cells:
+            p = 10.0 ** (float(row[0]) / 10.0)
+            for scheme in ("mr", "zf"):
+                rates = schemes.scheme_best_rates(scheme, pair, PowerConfig(p, p, p))
+                assert float(row[header.index(f"r_{scheme}")]) == rates.r21 + rates.r12
 
     def test_largest_grid_is_accepted(self, monkeypatch, tmp_path):
         # 1562.5 dB in steps of 2^-6 dB is 100000 exact steps, 100001
@@ -439,6 +475,42 @@ def test_an_os_error_while_writing_exits_1_with_one_line(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("twrelay bounds: error: ")
     assert "Traceback" not in captured.err and captured.out == ""
     assert os.listdir(tmp_path) == ["bounds.json"] and os.listdir(tmp_path / "bounds.json") == []
+
+
+def test_a_failed_write_leaves_no_old_manifest(tmp_path, monkeypatch, capsys):
+    # the region tail fails at its second file: the first is the new run's,
+    # and no manifest is left to describe the folder as the old run's
+    import twrelay.cli as cli
+
+    assert run(["region", "--scheme", "mr", *REGION_ARGS, "--out", str(tmp_path)]) == 0
+    written = []
+
+    def failing(path, text):
+        if written:
+            raise OSError("disk full")
+        written.append(os.path.basename(path))
+        write(path, text)
+
+    write = cli.tio.atomic_write_text
+    monkeypatch.setattr(cli.tio, "atomic_write_text", failing)
+    capsys.readouterr()
+    assert run(["region", *REGION_ARGS, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "twrelay region: error: disk full\n"
+    assert written == ["boundary_optimal.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["boundary_mr.csv", "boundary_optimal.csv"]
+
+
+def test_a_directory_at_the_manifest_stops_the_tail_first(tmp_path, capsys):
+    # the old manifest cannot be removed, so no table is replaced
+    assert run(["bounds", "--rho", "0.3", "--out", str(tmp_path)]) == 0
+    before = (tmp_path / "bounds.json").read_bytes()
+    (tmp_path / "manifest.json").unlink()
+    (tmp_path / "manifest.json").mkdir()
+    capsys.readouterr()
+    assert run(["bounds", "--rho", "0.6", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("twrelay bounds: error: ")
+    assert (tmp_path / "bounds.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["bounds.json", "manifest.json"]
 
 
 @pytest.mark.parametrize("umask", (0o022, 0o077), ids=("022", "077"))

@@ -1,5 +1,7 @@
 """Tests for channel generation, reduction, and the rate/power expressions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ class TestGeneration:
         pair = gen_channels(4, 0.3, seed=11, normalize=False)
         assert abs(pair.correlation - 0.3) <= 1e-10
         assert abs(pair.theta1 - 1.0) > 1e-3 or abs(pair.theta2 - 1.0) > 1e-3
+
+    def test_gains_are_computed_once_and_exactly(self):
+        pair = gen_channels(4, 0.3, seed=11, normalize=False)
+        for name, h in (("theta1", pair.h1), ("theta2", pair.h2)):
+            value = getattr(pair, name)
+            assert value == float(np.real(h.conj() @ h))
+            assert getattr(pair, name) is value
+        # a pair with another vector gets its own gain, not the cached one
+        other = dataclasses.replace(pair, h1=2.0 * pair.h1)
+        assert other.theta1 == float(np.real(other.h1.conj() @ other.h1)) != pair.theta1
+        assert other.theta2 == pair.theta2
 
     def test_marginal_statistics(self):
         # Pooled Box-Muller components should look standard normal.

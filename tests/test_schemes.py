@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_max, orthogonal_pair, symmetric_power
+from conftest import best_rates_reference, golden_max, grid_products_reference, orthogonal_pair, symmetric_power
 
 from twrelay.beamformer import RateProfile, min_relay_power
 from twrelay.bounds import r_lb_mr, r_lb_zf
@@ -29,8 +29,10 @@ from twrelay.model import (
 from twrelay.schemes import (
     _ChannelForms,
     _Sweep,
+    _best_rates,
     _direct_relay_sum,
     _form,
+    _grid_products,
     direct_relay,
     mrr_mrt,
     oneway_alternating,
@@ -461,6 +463,50 @@ class TestPerJobForms:
         forms = _ChannelForms("mr", effective(parallel))
         with pytest.raises(InvalidInputError, match="relay power budget"):
             _Sweep(forms, no_budget)
+
+
+def _grid_corpus():
+    """(pair, powers) over M 2/4/8, rho from 0 to 0.999999, unit and
+    unnormalized channels, and -20 to 80 dB with equal, lopsided and one
+    silent source's powers."""
+    seed = 700
+    for m in (2, 4, 8):
+        for rho in (0.0, 0.3, 0.9, 0.999999):
+            for normalize in (True, False):
+                seed += 1
+                powers = []
+                for db in range(-20, 81, 10):
+                    p = 10.0 ** (db / 10.0)
+                    powers += [PowerConfig(p, p, p), PowerConfig(p, 1e-3 * p, 10.0 * p), PowerConfig(0.0, p, p)]
+                yield gen_channels(m, rho, seed, normalize=normalize), powers
+
+
+class TestGridProduct:
+    def test_argmax_matches_the_element_wise_reference(self):
+        # the coefficient product rounds apart from the element-wise formula,
+        # by a few ulps, so where the two pick different grid points those
+        # points' values are equal to 4 ulps in the reference
+        for pair, powers in _grid_corpus():
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                forms = _ChannelForms(scheme, eff)
+                products = _grid_products([_Sweep(forms, pc) for pc in powers])
+                assert products.shape == (len(powers), 513)
+                for pc, got in zip(powers, products):
+                    want = grid_products_reference(forms, pc)
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                    k, j = int(np.argmax(got)), int(np.argmax(want))
+                    assert k == j or abs(want[k] - want[j]) <= 4.0 * np.spacing(want[j])
+
+    def test_best_rates_against_the_reference_path(self):
+        for pair, powers in _grid_corpus():
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                forms = _ChannelForms(scheme, eff)
+                found = _best_rates([_Sweep(forms, pc) for pc in powers])
+                for pc, got in zip(powers, found):
+                    want = best_rates_reference(forms, pc)
+                    assert abs((got.r21 + got.r12) - (want.r21 + want.r12)) <= 4e-16
 
 
 class TestDirectRelay:
