@@ -21,8 +21,8 @@ A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
 quotient's bits as they are. Where the zero-forcing bound's denominator
 leaves the float range, its quotient is formed from the mantissas and
-exponents of its factors. A setting at which a term itself leaves the
-float range raises NumericalFailureError in place of a wrong bound.
+exponents of its factors. A term out of the float range makes c_ub and
+r_lb_mr 0.0 where c_ub0 is 0.0, else raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ def c_ub_sym(theta: float, p_relay: float) -> float:
 
 def _out_of_range(bound: str) -> NumericalFailureError:
     return NumericalFailureError(f"{bound}: a term leaves the float range at these gains and powers")
+
+
+def _zero_or_out_of_range(bound: str, pc: PowerConfig, theta1: float, theta2: float) -> float:
+    """A bound with a term out of the float range: 0.0 where c_ub0 is 0.0, else raises."""
+    if c_ub0(pc, theta1, theta2) == 0.0:
+        return 0.0
+    raise _out_of_range(bound)
 
 
 def _crossing(
@@ -169,12 +176,10 @@ def c_ub(pc: PowerConfig, theta1: float, theta2: float) -> Tuple[float, float, f
     RA = B * (theta1 / theta2) * lead * ratio
     if not math.isfinite(RA):  # regrouped where a partial product overflows
         RA = (B * lead) * ((theta1 / theta2) * ratio)
-    if not math.isfinite(RA):
-        raise _out_of_range("c_ub")
     kappa = min(1.0, max(0.0, (1.0 + (B - RA)) / (1.0 + RA / A)))
     a, b = (A + kappa) / theta1, (B + 1.0 - kappa) / theta2
-    if max(a, b) == math.inf:
-        raise _out_of_range("c_ub")
+    if not math.isfinite(RA) or max(a, b) == math.inf:  # kappa21 = 1/2 and an even split where the bound is 0.0
+        return _zero_or_out_of_range("c_ub", pc, theta1, theta2), 0.5, 0.5 * P
     # A/((1 + A) x + a) with (1 + A) divided out, and its mirror
     A_, a_, B_, b_ = A / (1.0 + A), a / (1.0 + A), B / (1.0 + B), b / (1.0 + B)
 
@@ -208,7 +213,7 @@ def r_lb_mr(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
     d1 = (1.0 + (0.5 * pc.p1 + 0.5 * (theta2 / theta1) * pc.p2) / (0.5 * P)) * pen + 2.0 / n1
     d2 = (1.0 + (0.5 * (theta1 / theta2) * pc.p1 + 0.5 * pc.p2) / (0.5 * P)) * pen + 2.0 / n2
     if max(d1, d2) == math.inf:
-        raise _out_of_range("r_lb_mr")
+        return _zero_or_out_of_range("r_lb_mr", pc, theta1, theta2)
     return 0.5 * math.log2(1.0 + theta2 * pc.p2 / d1) + 0.5 * math.log2(
         1.0 + theta1 * pc.p1 / d2
     )

@@ -421,12 +421,6 @@ def cmd_bounds(settings: dict) -> int:
     return _write_tables("bounds", settings, timer, [("bounds.json", report.to_json() + "\n")], [], lines)
 
 
-def _slice_csv(taus: Sequence[float], index: np.ndarray, x: np.ndarray, y: np.ndarray) -> str:
-    """df_tau_slices.csv from df_tau_slices' columns, each tau cell formatted once."""
-    tau_cells = list(map(float.__repr__, taus))
-    return tio.format_columns(tio.TAU_HEADER, [[tau_cells[i] for i in index.tolist()], x, y])
-
-
 def cmd_df_compare(settings: dict) -> int:
     p1 = settings["p1"] if settings["p1"] is not None else settings["p"]
     p2 = settings["p2"] if settings["p2"] is not None else settings["p"]
@@ -462,7 +456,7 @@ def cmd_df_compare(settings: dict) -> int:
     texts = [
         ("half_mac.csv", tio.format_columns(tio.RATE_PAIR_HEADER, mac.T)),
         ("half_bc.csv", tio.format_columns(tio.RATE_PAIR_HEADER, [0.5 * bc.r21, 0.5 * bc.r12])),
-        ("df_tau_slices.csv", _slice_csv(taus, index, x, y)),
+        ("df_tau_slices.csv", tio.format_columns(tio.TAU_HEADER, [np.asarray(taus)[index], x, y])),
         ("df_region.csv", tio.format_columns(tio.TAU_HEADER, np.array(env_rows).T)),
         ("af_region.csv", tio.format_region_csv(boundary)),
     ]

@@ -1,9 +1,10 @@
 """CSV and JSON formatting and atomic writes for the command line tools.
 
 Every CSV table is formatted from its columns by format_columns: repr()
-floats (full round-trip precision), LF line endings, a header row first,
-and NumericalFailureError, before any file is written, on a non-finite
-cell. Every file is encoded once and written raw into a same-directory
+floats (full round-trip precision; a table's distinct float64 bit
+patterns formatted once each), LF line endings, a header row first, and
+NumericalFailureError, before any file is written, on a non-finite cell.
+Every file is encoded once and written raw into a same-directory
 temporary file and renamed into place, so an interrupted run never
 leaves a truncated file behind; see atomic_write_text.
 write_csv and write_region_csv have no caller in the package and stay
@@ -94,15 +95,35 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _repr_cells(columns: List[np.ndarray]) -> List[List[str]]:
+    """The repr() cells of equal-length float64 columns, one repr() per distinct bit pattern
+    (equal bits give equal text; -0.0 and 0.0 differ): each pattern's first cell gets a new
+    string, in table order, and its later cells share it. Under 768 cells, cell by cell."""
+    bits = np.array(columns).view(np.uint64)
+    if bits.size < 768:  # np.unique's fixed cost, about 0.1 ms with cold caches, exceeds what fewer cells' repeats save
+        return [list(map(float.__repr__, c.tolist())) for c in columns]
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    firsts = np.zeros(bits.size, bool)
+    firsts[first] = True
+    cells = np.empty(bits.size, object)
+    cells[firsts] = np.fromiter(map(float.__repr__, bits.ravel()[firsts].view(np.float64).tolist()), dtype=object, count=len(first))
+    cells[~firsts] = cells[first[inverse.ravel()[~firsts]]]
+    return cells.reshape(bits.shape).tolist()
+
+
 def format_columns(header: Sequence[str], columns: Sequence[Sequence]) -> str:
-    """The CSV text of a table given by its columns, one per header name
-    and all of one length: a float64 array column as repr() floats, any
-    other as its string cells. Raises InvalidInputError if the columns
-    are not one per header name or differ in length, and
-    NumericalFailureError on a non-finite cell (see _csv_text)."""
+    """The CSV text of a table given by its columns, one per header name and all of one
+    length: a float64 array column as repr() floats (see _repr_cells), any other as its
+    string cells. Raises InvalidInputError if the columns are not one per header name,
+    differ in length or hold an array that is not 1-d float64, and NumericalFailureError
+    on a non-finite cell (see _csv_text)."""
     if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
         raise InvalidInputError(f"{len(header)} header names, columns of lengths {[len(c) for c in columns]}")
-    cells = [list(map(float.__repr__, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
+    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    if any(c.dtype != np.float64 or c.ndim != 1 for c in floats):
+        raise InvalidInputError(f"array columns of {[f'{c.ndim}-d {c.dtype}' for c in floats]}, not 1-d float64")
+    texts = iter(_repr_cells(floats))
+    cells = [next(texts) if isinstance(c, np.ndarray) else c for c in columns]
     return _csv_text([",".join(header), *map(",".join, zip(*cells))])
 
 

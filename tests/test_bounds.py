@@ -336,6 +336,33 @@ class TestSaddlePoint:
             assert kappa == 0.5
             assert math.isfinite(c_ub0(pc, 1.0, 1.0))
 
+    @pytest.mark.parametrize("theta1, theta2", [(1e-200, 1e200), (1e200, 1e-200)])
+    @pytest.mark.parametrize("p", [10.0, 1.892009027776864e-21, 5.481817622904557e-78, 1.3821209861552751e97])
+    def test_zero_where_a_saddle_term_overflows_and_c_ub0_is_zero(self, theta1, theta2, p):
+        # R A leaves the float range; every rate here rounds to 0 bits
+        pc = PowerConfig(p, p, p)
+        assert c_ub0(pc, theta1, theta2) == 0.0
+        value, kappa, p21 = c_ub(pc, theta1, theta2)
+        assert value == 0.0 and 0.0 <= kappa <= 1.0 and 0.0 <= p21 <= p
+        for rho in (0.0, 0.5, 1.0):
+            report = bounds_report(pc, theta1, theta2, rho)
+            assert report.c21 == report.c12 == report.c_ub == report.r_lb_mr == 0.0
+            assert (report.kappa21_star, report.p21_star) == (kappa, p21)
+
+    def test_zero_where_a_noise_share_overflows_and_c_ub0_is_zero(self):
+        # R A fits, but (B + 1 - kappa)/theta2 leaves the float range
+        pc = PowerConfig(1e20, 1e20, 1e20)
+        assert c_ub0(pc, 1.0, 1e-300) == 0.0
+        value, kappa, p21 = c_ub(pc, 1.0, 1e-300)
+        assert value == 0.0 and 0.0 <= kappa <= 1.0 and 0.0 <= p21 <= pc.p_relay
+
+    @pytest.mark.parametrize("p", [9e307, 1e308, 3.212005491876188e300])
+    def test_an_overflowing_saddle_term_still_raises_where_c_ub0_is_positive(self, p):
+        pc = PowerConfig(p, p, p)
+        assert c_ub0(pc, 1e-200, 1.0) > 300.0
+        with pytest.raises(NumericalFailureError, match="^c_ub: a term leaves the float range"):
+            c_ub(pc, 1e-200, 1.0)
+
 
 class TestLowerBounds:
     def test_mr_hand_value(self):

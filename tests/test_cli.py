@@ -635,6 +635,13 @@ class TestBoundsCommand:
         assert report.c_ub_sym is not None
         assert report.c_ub_sym <= report.c_ub0 + 1e-12
 
+    @pytest.mark.parametrize("theta1, theta2", [("1e-200", "1e200"), ("1e200", "1e-200")])
+    def test_a_bound_that_rounds_to_zero_is_written(self, tmp_path, theta1, theta2):
+        # a term of c_ub's saddle leaves the float range, and c_ub0 is 0.0
+        assert run(["bounds", "--theta1", theta1, "--theta2", theta2, "--out", str(tmp_path)]) == 0
+        values = json.loads((tmp_path / "bounds.json").read_text())
+        assert values["c_ub"] == values["c_ub0"] == values["r_lb_mr"] == 0.0
+
     def test_grid_flag_changes_nothing(self, tmp_path):
         # --grid stays accepted and recorded, but c_ub no longer searches
         assert run(["bounds", "--rho", "0.3", "--out", str(tmp_path / "plain")]) == 0

@@ -10,7 +10,7 @@ import pytest
 from conftest import format_rows, orthogonal_pair
 
 from twrelay.beamformer import RateProfile, max_sum_rate
-from twrelay.cli import _slice_csv, main
+from twrelay.cli import main
 from twrelay.df import (
     BcBoundary,
     bc_boundary,
@@ -22,7 +22,7 @@ from twrelay.df import (
     df_tau_slices,
     mac_region,
 )
-from twrelay.io import TAU_HEADER
+from twrelay.io import TAU_HEADER, format_columns
 from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.linalg import eig_herm2
 from twrelay.model import ChannelPair, PowerConfig, effective, gen_channels
@@ -537,7 +537,8 @@ class TestFrontierLookup:
     def test_slice_csv_matches_the_scalar_rows(self, slice_corpus):
         for pent, bc, taus in slice_corpus:
             want = format_rows(TAU_HEADER, [(tau, x, y) for tau in taus for x, y in _scalar_tau_slice(pent, bc, tau)])
-            assert _slice_csv(taus, *df_tau_slices(pent, bc, taus)) == want
+            index, x, y = df_tau_slices(pent, bc, taus)
+            assert format_columns(TAU_HEADER, [np.asarray(taus)[index], x, y]) == want
 
     def test_df_compare_writes_the_scalar_rows(self, tmp_path):
         for rho, taus in ((0.95, None), (0.5, 1), (1.0, 2)):

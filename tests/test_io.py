@@ -3,6 +3,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +71,103 @@ class TestFormatColumns:
         with pytest.raises(InvalidInputError):
             tio.atomic_write_text(str(tmp_path / "t.csv"), tio.format_columns(header, columns))
         assert os.listdir(tmp_path) == []
+
+
+TOP = 1.7976931348623157e308
+
+
+def _corpus_table(rng, rows):
+    """A table of six float columns and a string column: a pool of edge
+    values (signed zeros, the least subnormal, the top of the range) and
+    values from 1e-300 to 1e300, the first column cycling through it and
+    three drawn from it, so that values repeat within and across columns;
+    one column of a single value and one a strided view."""
+    pool = np.concatenate(
+        [[0.0, -0.0, 5e-324, -5e-324, TOP, -TOP, 1.0, 0.1], 10.0 ** rng.uniform(-300.0, 300.0, size=8) * rng.choice([-1.0, 1.0], size=8)]
+    )
+    drawn = rng.choice(pool, size=(rows, 4))
+    drawn[:, 0] = np.resize(pool, rows)
+    block = np.stack([rng.choice(pool, size=rows), rng.normal(size=rows)], axis=1)
+    columns = [*drawn.T, block[:, 1], np.full(rows, pool[rng.integers(len(pool))])]
+    return ["a", "b", "c", "d", "e", "f", "s"], columns + [[f"s{i % 3}" for i in range(rows)]]
+
+
+def _per_cell(header, columns):
+    """The text of the table with every cell formatted on its own."""
+    return format_rows(header, zip(*columns))
+
+
+class TestDistinctFloats:
+    """format_columns formats each distinct float of a table of 768 cells
+    or more once, a smaller table cell by cell, and either way gives the
+    text of formatting every cell on its own."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corpus_matches_the_per_cell_text(self, seed):
+        rng = np.random.default_rng(seed)
+        for rows in (1, 2, 17, 65, 300):
+            header, columns = _corpus_table(rng, rows)
+            assert tio.format_columns(header, columns) == _per_cell(header, columns)
+
+    @pytest.mark.parametrize("rows", [1, 400])
+    def test_edge_values_and_signed_zeros_in_one_table(self, rows):
+        values = np.resize([0.0, -0.0, 5e-324, TOP, -TOP, 1e-300, 1e300, -0.0, 0.0, 5e-324], 10 * rows)
+        text = tio.format_columns(["x", "y"], [values, values[::-1].copy()])
+        assert text.splitlines()[1:3] == ["0.0,5e-324", "-0.0,0.0"]
+        assert text == _per_cell(["x", "y"], [values, values[::-1]])
+
+    @pytest.mark.parametrize("width", [2, 800])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_and_one_row_tables(self, rows, width):
+        header = [f"c{i}" for i in range(width)] + ["s"]
+        columns = [np.full(rows, (-0.0, 2.5, 0.1 * i)[min(i, 2)]) for i in range(width)] + [["s"] * rows]
+        assert tio.format_columns(header, columns) == _per_cell(header, columns)
+        assert tio.format_columns(["s"], [["x"] * rows]) == _per_cell(["s"], [["x"] * rows])
+
+    @pytest.mark.parametrize("rows", [5, 300])
+    def test_one_distinct_value(self, rows):
+        columns = [np.full(rows, 1.0 / 3.0)] * 3
+        assert tio.format_columns(["a", "b", "c"], columns) == "a,b,c\n" + "0.3333333333333333,0.3333333333333333,0.3333333333333333\n" * rows
+
+    @pytest.mark.parametrize("n", [6, 100])
+    def test_strided_views(self, n):
+        B = (np.arange(4.0 * n) - 11.5).reshape(n, 2, 2) * (1.0 + 1e-300j) / 7.0
+        flat = B.reshape(-1, 4)
+        columns = [*flat.real.T, *flat.imag.T, np.arange(2.0 * n)[::2], np.arange(2.0 * n)[::-2]]
+        header = [f"c{i}" for i in range(len(columns))]
+        assert not any(c.flags.c_contiguous for c in columns)
+        assert tio.format_columns(header, columns) == _per_cell(header, columns)
+
+    def test_repr_once_per_distinct_bit_pattern(self, monkeypatch):
+        seen = []
+
+        def counting(value):
+            seen.append(value)
+            return float.__repr__(value)
+
+        monkeypatch.setattr(tio, "float", SimpleNamespace(__repr__=counting), raising=False)
+        columns = [np.resize([1.0, 0.0, -0.0, 1.0], 400), np.resize([0.0, 2.0, 1.0, 5e-324], 400), ["a", "b", "c", "d"] * 100]
+        text = tio.format_columns(["x", "y", "s"], columns)
+        assert text == "x,y,s\n" + "1.0,0.0,a\n0.0,2.0,b\n-0.0,1.0,c\n1.0,5e-324,d\n" * 100
+        assert sorted(map(float.__repr__, seen)) == sorted(["-0.0", "0.0", "1.0", "2.0", "5e-324"])
+
+    @pytest.mark.parametrize("rows", [3, 400])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "inf"])
+    def test_a_non_finite_cell_names_its_row_and_column(self, value, rows):
+        y = np.ones(rows)
+        y[2] = value
+        columns = [np.resize([1.0, 2.0], rows), y, ["a"] * rows]
+        with pytest.raises(NumericalFailureError, match=f"^row 3, column y is {value!r}, not a finite number$"):
+            tio.format_columns(["x", "y", "s"], columns)
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.array([1, 2]), np.array([True, False]), np.array([1.0, 2.0], dtype=np.float32), np.array([1.0 + 0j, 2.0]), np.ones((2, 1))],
+        ids=["int", "bool", "float32", "complex", "2-d"],
+    )
+    def test_a_column_that_is_not_float64_is_refused(self, column):
+        with pytest.raises(InvalidInputError, match="not 1-d float64"):
+            tio.format_columns(["x", "y"], [np.array([1.0, 2.0]), column])
 
 
 NON_FINITE = [math.nan, -math.inf, np.float64(math.inf)]
