@@ -15,8 +15,9 @@ package's one ITP search, bounds._crossing (Oliveira and Takahashi,
 2020: at most one step more than bisection), brackets the sign's switch
 to width 2^-40 to find the exit, and by complementary slackness the
 null vectors at its bracket's ends give the beamformer, with no solve,
-in Python scalars down to its power and rates (the evaluator of
-model.rate_pair_reduced). Boundaries come in profile order, their Pareto
+in Python floats down to its power and rates (the evaluator of
+model.rate_pair_reduced): the reduced channels are real, so every
+traced B is too. Boundaries come in profile order, their Pareto
 order; on each ray the capacity region over a grid of source powers
 reaches as far as the cell with the farthest exit. Only cells with one
 source at full power can be that cell: scaling both source powers by
@@ -25,6 +26,7 @@ c > 1 and B back to the budget raises every positive SNR.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,7 +45,6 @@ from .model import (
     _evaluate_2x2,
     _link_forms,
     _rate,
-    _sq,
     effective,
 )
 from .sdp import SdpProblem, _zero_form_steps, extract_rank_one, solve_sdp
@@ -124,9 +125,9 @@ class RegionBoundary:
     ray leaves the region.
 
     alpha21, r21, r12, p1, p2 and p_relay are float64 arrays of length n,
-    p_relay the relay power each row's beamformer actually spends. B is
-    the (n, 2, 2) complex stack of the rows' reduced relay matrices and U
-    the isometry they lift through; every boundary carries both. Row k's
+    p_relay the relay power each row's beamformer actually spends. B is the
+    (n, 2, 2) stack of the rows' reduced relay matrices, real in every traced
+    or swept boundary, and U the isometry they lift through. Row k's
     beamformer Beamformer(B=B[k], U=U) reaches at least the row's rates
     componentwise; its own rate pair can sit above the ray on the
     unconstrained side.
@@ -322,6 +323,7 @@ class _PowerCell:
     Delta = det S, d_j = Delta/c_j, P1 = (1 - t) d_j + a1, P2 = t d_j + a2
     and den_j = t P1 + (1 - t) a2 + c_j, G^H (A(t) + c_j I)^-1 G is
     [[P1, x], [x*, P2]]/den_j: sums of nonnegative terms at any budget.
+    The reduced channels are real, so the cell computes in Python floats.
     """
 
     def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
@@ -339,38 +341,38 @@ class _PowerCell:
         return SdpProblem(8, _realify(E0), *forms)
 
     @cached_property
-    def spectrum(self) -> Tuple[float, float, complex, list]:
-        """(a1, a2, x, terms): a_i = ||g_i||^2, x = g1^T conj(g2), and per
+    def spectrum(self) -> Tuple[float, float, float, list]:
+        """(a1, a2, x, terms): a_i = ||g_i||^2, x = g1^T g2, and per
         eigenpair (theta, v) of Theta^T the term (c, d, eta1, eta2, v0, v1),
-        eta1 = v^H conj(g2), eta2 = v^H conj(g1). Theta^T - I has determinant
+        eta1 = v^T g2, eta2 = v^T g1. Theta^T - I has determinant
         p1 p2 Delta: its smaller eigenvalue is that over the larger."""
         (x0, x1), (y0, y1) = self.g
         p1, p2, budget = self.pc.p1, self.pc.p2, self.pc.p_relay
-        delta = _sq(x0 * y1 - x1 * y0)
-        p, r = p1 * _sq(x0) + p2 * _sq(y0), p1 * _sq(x1) + p2 * _sq(y1)
-        q, half = p1 * x0.conjugate() * x1 + p2 * y0.conjugate() * y1, 0.5 * (p - r)
-        root = math.hypot(half, abs(q))
+        delta = (x0 * y1 - x1 * y0) ** 2
+        p, r = p1 * x0 * x0 + p2 * y0 * y0, p1 * x1 * x1 + p2 * y1 * y1
+        q, half = p1 * x0 * x1 + p2 * y0 * y1, 0.5 * (p - r)
+        root = math.hypot(half, q)
         top = 0.5 * (p + r) + root
         low = p1 * delta / top * p2 if top > 0.0 else 0.0
-        v0, v1 = (half + root, q.conjugate()) if half >= 0.0 else (q, root - half)
-        norm = math.hypot(abs(v0), abs(v1))
+        v0, v1 = (half + root, q) if half >= 0.0 else (q, root - half)
+        norm = math.hypot(v0, v1)
         v0, v1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)  # 0 at Theta = I
-        pairs = (((1.0 + top) / budget, v0, v1), ((1.0 + low) / budget, -v1.conjugate(), v0.conjugate()))
-        terms = [(c, delta / c, (w0 * y0 + w1 * y1).conjugate(), (w0 * x0 + w1 * x1).conjugate(), w0, w1) for c, w0, w1 in pairs]
-        return _sq(x0) + _sq(x1), _sq(y0) + _sq(y1), x0 * y0.conjugate() + x1 * y1.conjugate(), terms
+        pairs = (((1.0 + top) / budget, v0, v1), ((1.0 + low) / budget, -v1, v0))
+        terms = [(c, delta / c, w0 * y0 + w1 * y1, w0 * x0 + w1 * x1, w0, w1) for c, w0, w1 in pairs]
+        return x0 * x0 + x1 * x1, y0 * y0 + y1 * y1, x0 * y0 + x1 * y1, terms
 
-    def null_vector(self, t: float, g: tuple) -> List[complex]:
+    def null_vector(self, t: float, g: tuple) -> List[float]:
         """b = N(t)^-1 W g, the dual matrix's null vector at weight t and
         top eigenvector g, as the entries (b0, b1, b2, b3) of
         B = [[b0, b1], [b2, b3]]: the sum over j of G h_j v_j^T with
         h_j = adj(T S + c_j I) (g_1 eta1_j, g_2 eta2_j) / (c_j den_j),
         T = diag(t, 1 - t) and c_j den_j = det(T S + c_j I)."""
         a1, a2, x, terms = self.spectrum
-        (x0, x1), (y0, y1) = ([z.conjugate() for z in g_i] for g_i in self.g)
-        u, (gx, gy), b0, b1, b2, b3 = 1.0 - t, g, 0j, 0j, 0j, 0j
+        (x0, x1), (y0, y1) = self.g
+        u, (gx, gy), b0, b1, b2, b3 = 1.0 - t, g, 0.0, 0.0, 0.0, 0.0
         for c, d, eta1, eta2, v0, v1 in terms:
             q, f1, f2 = 1.0 / (t * (u * d + a1) + u * a2 + c), gx * eta1 / c, gy * eta2 / c
-            h1, h2 = ((u * a2 + c) * f1 - t * x * f2) * q, ((t * a1 + c) * f2 - u * x.conjugate() * f1) * q
+            h1, h2 = ((u * a2 + c) * f1 - t * x * f2) * q, ((t * a1 + c) * f2 - u * x * f1) * q
             w0, w1 = h1 * x0 + h2 * y0, h1 * x1 + h2 * y1
             b0, b1, b2, b3 = b0 + w0 * v0, b1 + w0 * v1, b2 + w1 * v0, b3 + w1 * v1
         return [b0, b1, b2, b3]
@@ -384,31 +386,31 @@ class _PowerCell:
         blocks [[P1^2 - |x|^2, x (P1 - P2)], [x* (P1 - P2), |x|^2 - P2^2]]/den_j^2
         (by c_j d_j = Delta) take no difference of terms that grow with P_R."""
         a1, a2, x, terms = self.spectrum
-        u, ax, k11, k22, m11, m22, k12, m12 = 1.0 - t, abs(x), 0.0, 0.0, 0.0, 0.0, 0j, 0j
+        u, k11, k22, m11, m22, k12, m12 = 1.0 - t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         for c, d, eta1, eta2, _, _ in terms:
-            q, w11, w22, w12 = 1.0 / (t * (u * d + a1) + u * a2 + c), _sq(eta1), _sq(eta2), eta1.conjugate() * eta2
-            e1, e2, e = (u * d + a1) * q, (t * d + a2) * q, ax * q
+            q, w11, w22, w12 = 1.0 / (t * (u * d + a1) + u * a2 + c), eta1 * eta1, eta2 * eta2, eta1 * eta2
+            e1, e2, e = (u * d + a1) * q, (t * d + a2) * q, x * q
             k11, k22, k12 = k11 + w11 * e1, k22 + w22 * e2, k12 + w12 * q
             m11, m22 = m11 + w11 * (e1 * e1 - e * e), m22 + w22 * (e * e - e2 * e2)
             m12 += w12 * ((1.0 - 2.0 * t) * d + a1 - a2) * q * q
         k12, m12 = x * k12, x * m12
-        p1, p2, k12_sq = self.pc.p1, self.pc.p2, abs(k12) ** 2
+        p1, p2, k12_sq = self.pc.p1, self.pc.p2, k12 * k12
         s = min(1.0, k12_sq / (k11 * k22)) if k11 * k22 > 0.0 else 0.0
         r = _largest_passing(t * p2 * k11, (1.0 - t) * p1 * k22, s, c1, c2, start)
         if r == 0.0:  # a silent source
             return r, None, 0.0
         e1, e2 = _over_gamma(p2, c1 * r), _over_gamma(p1, c2 * r)
-        a, c = t * e1, (1.0 - t) * e2
+        a, c = t * e1 * k12, (1.0 - t) * e2 * k12  # D K's off-diagonal entries, a c finite at any budget
         # of the eigenvector's two forms, the one in which nothing cancels
-        half = 0.5 * (a * k11 - c * k22)
-        root = math.sqrt(half * half + a * c * k12_sq)
+        half = 0.5 * (t * e1 * k11 - (1.0 - t) * e2 * k22)
+        root = math.sqrt(half * half + a * c)
         if half < 0.0:
-            x, y = a * k12, root - half
+            x, y = a, root - half
         else:  # at D K = 0 or a multiple of I every vector is a top one
-            x, y = (half + root, c * k12.conjugate()) if root > 0.0 else (1.0, 0.0)
-        w1, w2 = k11 * x + k12 * y, k12.conjugate() * x + k22 * y
-        noise = m11 * abs(x) ** 2 + m22 * abs(y) ** 2 + 2.0 * (x.conjugate() * m12 * y).real
-        return r, (x, y), e1 * abs(w1) ** 2 - e2 * abs(w2) ** 2 - noise
+            x, y = (half + root, c) if root > 0.0 else (1.0, 0.0)
+        w1, w2 = k11 * x + k12 * y, k12 * x + k22 * y
+        noise = m11 * x * x + m22 * y * y + 2.0 * x * m12 * y
+        return r, (x, y), e1 * w1 * w1 - e2 * w2 * w2 - noise
 
     def exit(self, profile: RateProfile) -> Tuple[float, tuple]:
         """(r*, ends): where the profile ray leaves the region, the minimum
@@ -416,25 +418,26 @@ class _PowerCell:
         given r form an interval), and the (t, g) whose null vectors give
         its beamformer, none for an exit of 0, as with no relay budget. A
         ray along one axis keeps one constraint, whose dual weight is its
-        end of [0, 1]. Otherwise an end whose gap points inward is the
-        minimum, or bounds._crossing on -gap (positive before the minimum)
-        brackets it to width 2^-40 in at most 41 steps, each root search
-        starting from the one before, and r* is the least r_hat seen."""
+        end of [0, 1]. Otherwise an end whose gap points inward (the lower
+        end, where rounding flips a gap's sign) is the minimum, or
+        bounds._crossing on -gap (positive before the minimum) brackets it
+        to width 2^-40 in at most 41 steps, each root search starting from
+        the one before, and r* is the least r_hat seen."""
         if self.pc.p_relay == 0.0:
             return 0.0, ()
         if profile.alpha21 == 0.0 or profile.alpha12 == 0.0:
             t = profile.alpha21  # the kept constraint's end of [0, 1]
             a1, a2, _, terms = self.spectrum
             a, p_tx, k = (a1, self.pc.p2, 2) if t else (a2, self.pc.p1, 3)  # p2 K11(1) or p1 K22(0)
-            gain = p_tx * sum(_sq(term[k]) * (a / (a + term[0])) for term in terms)
-            r = math.log1p(gain) / (2.0 * LN2)
+            gain = p_tx * sum(term[k] ** 2 * (a / (a + term[0])) for term in terms)
+            r = _rate(gain)
             return r, ((t, (t, 1.0 - t)),) if r > 0.0 else ()
         c1, c2 = 2.0 * profile.alpha21 * LN2, 2.0 * profile.alpha12 * LN2
         (r_lo, g_lo, gap_lo), (r_hi, g_hi, gap_hi) = self.probe(0.0, c1, c2), self.probe(1.0, c1, c2)
         if min(r_lo, r_hi) == 0.0:
             return 0.0, ()
         if gap_lo >= 0.0 or gap_hi <= 0.0:  # an end is the minimum, with its unit top eigenvector
-            t = 0.0 if gap_lo >= 0.0 else 1.0
+            t = 1.0 if r_hi < r_lo or (r_hi == r_lo and gap_lo < 0.0) else 0.0
             return (r_hi if t else r_lo), ((t, (t, 1.0 - t)),)
         r_star, r, top = min(r_lo, r_hi), None, {0.0: g_lo, 1.0: g_hi}  # top: each probe's g, by t
 
@@ -470,25 +473,30 @@ def max_sum_rate(
 
 
 def _unit(b: list) -> list:
-    """b times the power of two that puts its largest part in [1/2, 1)."""
-    top = max(max(abs(v.real), abs(v.imag)) for v in b)
+    """b times the power of two that puts its largest entry in [1/2, 1)."""
+    top = max(map(abs, b))
     if top == 0.0:  # a zero vector has no direction to scale
         raise NumericalFailureError("a null vector of the dual matrix is 0")
     k = -math.frexp(top)[1]
-    return [complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in b]
+    return [math.ldexp(v, k) for v in b]
 
 
 def _traced(
     cell: _PowerCell, profile: RateProfile, found: tuple, delta_r: float
 ) -> Tuple[float, np.ndarray, float]:
     """max_sum_rate's (r, B) from the cell's exit (r*, ends), and the
-    relay power B spends, in Python scalars. By complementary slackness
+    relay power B spends, in Python floats. By complementary slackness
     the beamformer is a null vector at t* with equal slack on both
     constraints: bracket ends whose gaps at r* have opposite signs
     combine to gap zero (see _slack_forms), else each end is a candidate.
     Each candidate comes at unit scale (_unit), scaled to spend P_R, and
-    the one reaching farthest on the ray wins; powers and rates come from
-    model._evaluate_2x2, the evaluator of rate_pair_reduced.
+    the one reaching farthest on the ray wins (_farthest). Where it falls
+    short of r* by more than rounding, N(1/2)^-1 (u_1 +- u_2) are tried
+    too: where P_R does not bind, each N(1/2)^-1 u_i keeps link i at its
+    one-way maximum, and their sum reaches the corner of the nearly
+    rectangular region, at or past every ray's exit, while the bracket's
+    ends give no such vector (r_hat is flat on the corner's ray, and t*
+    can lie inside the bracket's 2^-40 width on the others).
 
     Raises:
         InvalidInputError: if delta_r is not positive.
@@ -500,7 +508,7 @@ def _traced(
         raise InvalidInputError("delta_r must be positive")
     r_star, ends = found
     if not ends:
-        return 0.0, np.zeros((2, 2), dtype=complex), 0.0
+        return 0.0, np.zeros((2, 2)), 0.0
     pc, (g1, g2) = cell.pc, cell.g
     vectors = [_unit(cell.null_vector(t, g)) for t, g in ends]
     if len(vectors) == 2:
@@ -509,6 +517,22 @@ def _traced(
         if d_lo < 0.0 < d_hi:
             lo, hi = vectors
             vectors = [_unit([v + step * w for v, w in zip(lo, hi)]) for step in _zero_form_steps(d_lo, d_hi, cross)]
+    best = _farthest(cell, profile, r_star, vectors)
+    if not best[0] >= r_star * (1.0 - 1e-12):  # more than rounding short
+        with contextlib.suppress(NumericalFailureError):  # a failed extra candidate leaves best as it is
+            v, w = (_unit(cell.null_vector(0.5, g)) for g in ((1.0, 0.0), (0.0, 1.0)))
+            sums = [_unit([x + k * y for x, y in zip(v, w)]) for k in (1.0, -1.0)]
+            best = max(best, _farthest(cell, profile, r_star, sums), key=lambda item: item[0])
+    r, B, power = best
+    if not r >= r_star - delta_r:
+        raise NumericalFailureError(f"the exit {float(r_star)!r} falls to {float(r)!r} with its beamformer")
+    return r, np.array(B).reshape(2, 2), power
+
+
+def _farthest(cell: _PowerCell, profile: RateProfile, r_star: float, vectors: list) -> tuple:
+    """(min(r*, B's ray value), B, power) of the unit vector whose B, scaled
+    to spend P_R, reaches farthest, by model._evaluate_2x2 (rate_pair_reduced's)."""
+    pc, (g1, g2) = cell.pc, cell.g
     best = (-math.inf, None, None)
     for b in vectors:
         spent = _evaluate_2x2(b, g1, g2, pc.p1, pc.p2)[0]  # at least ||b||^2 >= 1/4
@@ -524,14 +548,11 @@ def _traced(
         value = min(r_star, *(x / a for x, a in ((r21, profile.alpha21), (r12, profile.alpha12)) if a > 0.0))
         if value > best[0]:
             best = (value, B, power)
-    r, B, power = best
-    if not r >= r_star - delta_r:
-        raise NumericalFailureError(f"the exit {float(r_star)!r} falls to {float(r)!r} with its beamformer")
-    return r, np.array(B, dtype=complex).reshape(2, 2), power
+    return best
 
 
 def _slack_forms(lo: list, hi: list, g1: list, g2: list, e1: float, e2: float) -> Tuple[float, float, float]:
-    """Re v^H (E1 - E2) w of (v, w) = (lo, lo), (lo, hi) and (hi, hi),
+    """v^T (E1 - E2) w of (v, w) = (lo, lo), (lo, hi) and (hi, hi),
     with E_i = e_i u_i u_i^H - Q_i, from u_1^H b = g1^T B g2,
     u_2^H b = g2^T B g1 and B^T g_i of each vector b = vec(B): the Q_i
     forms are the inner products of the B^T g_i (model._link_forms)."""
@@ -539,8 +560,8 @@ def _slack_forms(lo: list, hi: list, g1: list, g2: list, e1: float, e2: float) -
     def form(v: tuple, w: tuple) -> float:
         a, c, (n0, n1), (m0, m1) = v
         a_, c_, (n0_, n1_), (m0_, m1_) = w
-        noise = n0.conjugate() * n0_ + n1.conjugate() * n1_ - m0.conjugate() * m0_ - m1.conjugate() * m1_
-        return (e1 * (a.conjugate() * a_) - e2 * (c.conjugate() * c_) - noise).real
+        noise = n0 * n0_ + n1 * n1_ - m0 * m0_ - m1 * m1_
+        return e1 * (a * a_) - e2 * (c * c_) - noise
 
     v, w = _link_forms(lo, g1, g2), _link_forms(hi, g1, g2)
     return form(v, v), form(v, w), form(w, w)
@@ -569,7 +590,7 @@ def _trace(cells: Sequence[_PowerCell], n_profiles: int, delta_r: float) -> Regi
     relay power that _traced evaluates for its beamformer."""
     profiles, n = _profiles(n_profiles), n_profiles
     alpha21 = np.array([profile.alpha21 for profile in profiles])
-    won, r_sum, p_relay, B = np.empty(n, dtype=int), np.empty(n), np.empty(n), np.empty((n, 2, 2), dtype=complex)
+    won, r_sum, p_relay, B = np.empty(n, dtype=int), np.empty(n), np.empty(n), np.empty((n, 2, 2))
     for i, profile in enumerate(profiles):
         won[i], found = max(((k, cell.exit(profile)) for k, cell in enumerate(cells)), key=lambda item: item[1][0])
         r_sum[i], B[i], p_relay[i] = _traced(cells[won[i]], profile, found, delta_r)

@@ -21,8 +21,9 @@ A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
 quotient's bits as they are. Where the zero-forcing bound's denominator
 leaves the float range, its quotient is formed from the mantissas and
-exponents of its factors. A term out of the float range makes c_ub and
-r_lb_mr 0.0 where c_ub0 is 0.0, else raises NumericalFailureError.
+exponents of its factors. A term out of the float range (or r_lb_mr's
+noise term at 0) makes c_ub and r_lb_mr 0.0 where c_ub0 is 0.0, else
+raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def r_lb_mr(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
     pen = (1.0 + 3.0 * rho) / (1.0 + rho) ** 2
     n1, n2 = theta1 * (1.0 + rho) * P, theta2 * (1.0 + rho) * P
     if min(n1, n2) == 0.0:
-        raise _out_of_range("r_lb_mr")
+        return _zero_or_out_of_range("r_lb_mr", pc, theta1, theta2)
     # each sum of two powers from halved terms
     d1 = (1.0 + (0.5 * pc.p1 + 0.5 * (theta2 / theta1) * pc.p2) / (0.5 * P)) * pen + 2.0 / n1
     d2 = (1.0 + (0.5 * (theta1 / theta2) * pc.p1 + 0.5 * pc.p2) / (0.5 * P)) * pen + 2.0 / n2

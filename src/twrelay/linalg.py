@@ -1,11 +1,12 @@
 """Small dense linear-algebra kernels on numpy's LAPACK routines.
 
-svd_tall sets the reduced frame that model.effective works in, and fixes
-LAPACK's free phases by one rule: each pair of singular vectors is turned
-so that V[1, 0] is real and >= 0 and V[0, 1] is real and <= 0. Written
-CSVs store B in that frame, so the rule keeps them lifting to the same A.
-The other three routines have no caller in the package and stay only
-because the benchmark's tracer wraps them by name.
+svd_tall fixes LAPACK's free phases by one rule: each pair of singular
+vectors is turned so that V[1, 0] is real and >= 0 and V[0, 1] is real
+and <= 0. model.effective builds the reduced frame in closed form under
+the same rule: for pairs with a real h1^H h2 >= 0, as gen_channels draws
+them, CSVs written in svd_tall's frame lift to the same A.
+No routine here has a caller in the package; they stay only because the
+benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations

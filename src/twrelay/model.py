@@ -9,7 +9,8 @@ log base 2 in bits per complex dimension.
 The relay applies an M x M matrix A. Every boundary-attaining A factors
 as A = U* B U^H through the isometry U spanning both uplink channels, so
 most of the package works with the reduced 2x2 matrix B and the effective
-channels g_i = U^H h_i.
+channels g_i, real since U g1 = conj(s) h1 and U g2 = s h2 for a unit s
+that leaves the rates, the relay power and every scheme's A as they are.
 
 Each expression is written once: the reduced evaluators and the
 beamformer tracer share _evaluate_2x2 and its link terms (_link_forms).
@@ -17,6 +18,7 @@ beamformer tracer share _evaluate_2x2 and its link terms (_link_forms).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import svd_tall
 
 LN2 = float(np.log(2.0))
 
@@ -79,7 +80,7 @@ class ChannelPair:
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """SVD frame of the uplink matrix [h1 h2] and the reduced channels."""
+    """SVD frame of the turned uplink matrix [h1 h2] and the real reduced channels."""
 
     U: np.ndarray
     sigma: np.ndarray
@@ -154,12 +155,34 @@ def gen_channels(m: int, rho: float, seed: int, normalize: bool = True) -> Chann
 
 
 def effective(pair: ChannelPair) -> EffectiveChannel:
-    """Reduced coordinates: U spans both channels, g_i = U^H h_i. The frame
-    is svd_tall's of [h1, h2], its phases fixed by V[1, 0] real >= 0 and
-    V[0, 1] real <= 0, so a B written to a CSV lifts to the same A."""
-    H_ul = np.column_stack([pair.h1, pair.h2])
-    U, sigma, V = svd_tall(H_ul)
-    return EffectiveChannel(U=U, sigma=sigma, V=V, g1=U.conj().T @ pair.h1, g2=U.conj().T @ pair.h2)
+    """Reduced coordinates in closed form. With c = h1^H h2 and s = (conj(c)/|c|)^(1/2),
+    1 at c = 0, k1 = conj(s) h1 and k2 = s h2 have the real Gram matrix
+    [[theta1, |c|], [|c|, theta2]]. V is its Jacobi rotation by phi = atan2(2|c|,
+    theta1 - theta2)/2 in [0, pi/2], svd_tall's phase rule; U is w_k = [k1 k2] v_k
+    made orthonormal, and the real g_i = sigma * V[i, :], sigma_k = ||w_k||, give
+    U g1 = k1 and U g2 = k2. At a real c >= 0 (s = 1), as gen_channels draws it, this is
+    svd_tall's frame of [h1 h2] to rounding, so a written B lifts to the same A; other
+    frames differ from it by the phases diag(s, conj(s)). No complex matrix product or
+    SVD is used: a complex OpenBLAS kernel can leave the CPU's wide vector registers in
+    a state that slows every later libm call several times over."""
+    c = complex(np.vdot(pair.h1, pair.h2))
+    s, x = (cmath.sqrt(c.conjugate() / abs(c)), abs(c)) if c else (1.0, 0.0)
+    z = complex(0.5 * (pair.theta1 - pair.theta2), x)
+    e = cmath.sqrt(z / abs(z)) if z else 1.0  # e^(i phi): V's first column (cos phi, sin phi), with no cancellation
+    co, si = e.real, e.imag
+    k1, k2 = s.conjugate() * pair.h1, s * pair.h2
+    w1, w2 = co * k1 + si * k2, co * k2 - si * k1
+    sigma = np.array([np.linalg.norm(w1), np.linalg.norm(w2)])
+    u1 = w1 / sigma[0] if sigma[0] > 0.0 else np.eye(pair.m)[0]  # both channels 0: any unit vector spans them
+    for w in (w2, np.eye(pair.m)[np.argmin(np.abs(u1))]):  # where w2 is 0 or along u1 to rounding, a unit vector off u1
+        for _ in range(2):  # two Gram-Schmidt passes keep u2 orthogonal to u1 as sigma2/sigma1 -> 0
+            w = w - np.vdot(u1, w) * u1
+        norm = np.linalg.norm(w)
+        if norm > 0.0 and abs(np.vdot(u1, w)) <= 1e-8 * norm:
+            break
+    V = np.array([[co, -si], [si, co]])
+    U = np.column_stack((u1, w / norm)).astype(complex)
+    return EffectiveChannel(U=U, sigma=sigma, V=V, g1=sigma * V[0], g2=sigma * V[1])
 
 
 def relay_power(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> float:
@@ -228,9 +251,12 @@ def _evaluate_2x2(b: Sequence[complex], g1: Sequence[complex], g2: Sequence[comp
     return power, gamma1, gamma2
 
 
-def _rate(gamma: float) -> float:
-    """(1/2) log2(1 + gamma) of an SNR gamma >= 0, inf or nan."""
-    return 0.5 * math.log2(1.0 + gamma)
+def _rate(gamma: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """(1/2) log2(1 + gamma) of SNRs gamma >= 0, inf or nan: log1p(gamma)/ln 2
+    below 1, which keeps small rates' digits, and log2(1 + gamma), more exact, above."""
+    if isinstance(gamma, np.ndarray):
+        return 0.5 * np.where(gamma < 1.0, np.log1p(gamma) / LN2, np.log2(1.0 + gamma))
+    return 0.5 * (math.log1p(gamma) / LN2 if gamma < 1.0 else math.log2(1.0 + gamma))
 
 
 def snr_pair_reduced(
@@ -238,7 +264,7 @@ def snr_pair_reduced(
 ) -> tuple:
     """Receiver SNRs (gamma1 at S1, gamma2 at S2) of one reduced 2x2
     matrix, from _evaluate_2x2."""
-    B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf, dtype=complex)
+    B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf)
     return _evaluate_2x2(B.ravel().tolist(), eff.g1.tolist(), eff.g2.tolist(), pc.p1, pc.p2)[1:]
 
 
@@ -261,7 +287,7 @@ def relay_power_reduced(
     p1 ||B g1||^2 + p2 ||B g2||^2 + ||B||_F^2. An (n, 2, 2) stack of
     matrices gives the array of their n powers, each equal to the power
     of its matrix alone. An overflow gives inf, not a warning."""
-    B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf, dtype=complex)
+    B = bf.B if isinstance(bf, Beamformer) else np.asarray(bf)
     with np.errstate(all="ignore"):
         power = (
             _sq((B * eff.g1).sum(-1)).sum(-1) * pc.p1

@@ -35,6 +35,7 @@ from .model import (
     EffectiveChannel,
     PowerConfig,
     RatePair,
+    _rate,
     effective,
     relay_power_reduced,
 )
@@ -54,12 +55,11 @@ def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray]:
         RankDeficiencyError: zero-forcing on parallel channels.
     """
     if scheme == "mr":
-        # A = a h2* h1^H + b h1* h2^H
-        c1, c2 = eff.g1.conj(), eff.g2.conj()
-        Ba, Bb = np.outer(c2, c1), np.outer(c1, c2)
+        # A = a h2* h1^H + b h1* h2^H, with real g1 and g2
+        Ba, Bb = np.outer(eff.g2, eff.g1), np.outer(eff.g1, eff.g2)
     elif scheme == "zf":
-        # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of
-        # [h1 h2] that the effective channel already holds
+        # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of the
+        # turned [h1 h2] that the effective channel already holds
         sigma, V = eff.sigma, eff.V
         if sigma[1] <= 1e-10 * sigma[0]:
             raise RankDeficiencyError("zero-forcing undefined for parallel channels")
@@ -91,9 +91,9 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
 
 
 def _form(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Coefficients (c_aa, c_ab, c_bb) of the real quadratic form
-    |a fa + b fb|^2 = c_aa a^2 + 2 c_ab a b + c_bb b^2."""
-    return np.array([np.vdot(fa, fa).real, np.vdot(fa, fb).real, np.vdot(fb, fb).real])
+    """Coefficients (c_aa, c_ab, c_bb) of the quadratic form
+    |a fa + b fb|^2 = c_aa a^2 + 2 c_ab a b + c_bb b^2 of real fa and fb."""
+    return np.array([np.vdot(fa, fa), np.vdot(fa, fb), np.vdot(fb, fb)])
 
 
 def _quad(c: Tuple[float, float, float], a: _Reals, b: _Reals) -> _Reals:
@@ -157,18 +157,18 @@ class _Sweep:
     def build(cls, scheme: str, pair: ChannelPair, pc: PowerConfig) -> _Sweep:
         return cls(_ChannelForms(scheme, effective(pair)), pc)
 
-    def _rates(self, a: _Reals, b: _Reals, log2) -> Tuple[_Reals, _Reals]:
-        """(r21, r12) at the weights (a, b)."""
+    def _rates(self, a: _Reals, b: _Reals) -> Tuple[_Reals, _Reals]:
+        """(r21, r12) at the weights (a, b), from model._rate."""
         pw = _quad(self.pw, a, b)
         p = self.p_relay
         snr21 = p * _quad(self.n21, a, b) / (p * _quad(self.q21, a, b) + pw)
         snr12 = p * _quad(self.n12, a, b) / (p * _quad(self.q12, a, b) + pw)
-        return 0.5 * log2(1.0 + snr21), 0.5 * log2(1.0 + snr12)
+        return _rate(snr21), _rate(snr12)
 
     def _point(self, angle: float) -> Tuple[float, float]:
         """(r21, r12) at one angle, in scalar arithmetic."""
         a, b = (1.0, 0.0) if angle >= _HALF_PI else (math.sin(angle), math.cos(angle))
-        return self._rates(a, b, math.log2)
+        return self._rates(a, b)
 
     def rates(self, angle: _Reals) -> Tuple[_Reals, _Reals]:
         """(r21, r12) at one angle with math, or arrays of them at an
@@ -177,7 +177,7 @@ class _Sweep:
             return self._point(angle)
         a, b = _weights(angle)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is refused where it is written
-            return self._rates(a, b, np.log2)
+            return self._rates(a, b)
 
     def rate_pair(self, angle: float) -> RatePair:
         r21, r12 = self.rates(angle)

@@ -88,7 +88,9 @@ def _zero_form_steps(a: float, c: float, b: float) -> Tuple[float, float]:
     """The two steps s for which u + s w has zero form, given the forms
     a < 0 of u and c > 0 of w and the cross form b: the roots of
     c s^2 + 2 b s + a, of opposite signs, each from the formula in which
-    nothing cancels."""
+    nothing cancels, scaled by a power of two that keeps b^2 and a c finite."""
+    k = -math.frexp(max(-a, c, abs(b)))[1]
+    a, c, b = math.ldexp(a, k), math.ldexp(c, k), math.ldexp(b, k)
     q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
     return q / c, a / q
 

@@ -3,6 +3,7 @@ ray exits, and region tracing."""
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from twrelay.model import (
     _rate,
     effective,
     gen_channels,
-    rate_pair,
     rate_pair_reduced,
     relay_power,
     relay_power_reduced,
@@ -251,6 +251,16 @@ class TestMaxSumRate:
         assert r >= 0.0
         assert relay_power_reduced(B, eff, pc) == pytest.approx(1e-250, rel=1e-12)
 
+    def test_tiny_budgets_keep_their_rates(self):
+        # an SNR below 2^-53 has a rate that log2(1 + gamma) rounds to 0.0:
+        # the rates keep it, so the beamformer reaches the exit
+        eff = effective(gen_channels(4, 0.5, seed=42))
+        for p_relay in (1e-20, 1e-250):
+            pc = PowerConfig(10.0, 10.0, p_relay)
+            r_star = _PowerCell(eff, pc).exit(RateProfile.of(0.5))[0]
+            r, _ = max_sum_rate(eff, pc, RateProfile.of(0.5))
+            assert r_star > 0.0 and r == pytest.approx(r_star, rel=1e-9, abs=0.0)
+
     def test_rejects_bad_delta(self):
         eff = effective(orthogonal_pair())
         with pytest.raises(InvalidInputError):
@@ -363,14 +373,52 @@ class TestTracedCorpus:
         assert rays == 540
 
 
+def _exact_lifted_snrs(B: np.ndarray, eff, pc: PowerConfig) -> tuple:
+    """(s21, s12) of A = U* B U^H on the channels U g_i, as rate_pair gives
+    them in exact arithmetic from the floats of U, B and the real g_i: with
+    G = U^H U, h_i^T A h_j = g_i^T conj(G) B G g_j and
+    ||A^H conj(h_i)||^2 = x^H G x for x = B^H conj(G) g_i. A complex
+    number is a pair of Fractions."""
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def dot(u, v):
+        return tuple(map(sum, zip(*(mul(x, y) for x, y in zip(u, v)))))
+
+    def conj(v):
+        return [(re, -im) for re, im in v]
+
+    def matvec(M, v):
+        return [dot(row, v) for row in M]
+
+    def exact(rows):
+        return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(rows, dtype=complex).tolist()]
+
+    columns = list(zip(*exact(eff.U)))
+    G = [[dot(conj(columns[i]), columns[j]) for j in range(2)] for i in range(2)]
+    Gc, Bm = [conj(row) for row in G], exact(B)
+    GcT, BH = [list(col) for col in zip(*Gc)], [conj(col) for col in zip(*Bm)]
+    g1, g2 = exact([eff.g1, eff.g2])
+
+    def snr(gi, gj, p):
+        a = dot(matvec(GcT, gi), matvec(Bm, matvec(G, gj)))
+        x = matvec(BH, matvec(Gc, gi))
+        return float((a[0] ** 2 + a[1] ** 2) * Fraction(p) / (dot(conj(x), matvec(G, x))[0] + 1))
+
+    return snr(g1, g2, pc.p2), snr(g2, g1, pc.p1)
+
+
 class TestScalarEvaluator:
     def test_agrees_with_the_lifted_evaluators(self):
         # rho 0 and 1, silent sources, unnormalized channels, 0-60 dB: each
         # traced beamformer's power and rates in scalars against those of
         # the full-size matrix A = U* B U^H on the channels U g_i. A rate
-        # near 0 carries the cancellation in g_i^T B g_j, which the lifted
-        # path rounds through U, so rates are compared relative to the
-        # larger of the pair (7.5e-13 at most here)
+        # near 0 carries the cancellation in g_i^T B g_j, so rates are
+        # compared relative to the larger of the pair, and with the lifted
+        # rates evaluated exactly from the floats of U, B and g_i: numpy's
+        # rate_pair rounds that cancellation through U by up to 1.1e-12 of
+        # the larger rate here, the scalar path by at most 2.4e-13
         matrices = 0
         for eff, pc in _exit_corpus(count=60):
             lifted = ChannelPair(m=eff.U.shape[0], h1=eff.U @ eff.g1, h2=eff.U @ eff.g2, rho=0.0)
@@ -378,11 +426,11 @@ class TestScalarEvaluator:
             for B in stack:
                 power, s21, s12 = _evaluate_2x2(B.ravel().tolist(), eff.g1.tolist(), eff.g2.tolist(), pc.p1, pc.p2)
                 A = Beamformer(B=B, U=eff.U).full()
-                want = rate_pair(A, lifted, pc)
                 assert power == pytest.approx(relay_power(A, lifted, pc), rel=1e-12, abs=0.0)
-                scale = max(want.r21, want.r12)
-                assert abs(_rate(s21) - want.r21) <= 1e-12 * scale
-                assert abs(_rate(s12) - want.r12) <= 1e-12 * scale
+                want21, want12 = map(_rate, _exact_lifted_snrs(B, eff, pc))
+                scale = max(want21, want12)
+                assert abs(_rate(s21) - want21) <= 1e-12 * scale
+                assert abs(_rate(s12) - want12) <= 1e-12 * scale
                 matrices += 1
             # the stack form that fills a boundary's p_relay column
             assert relay_power_reduced(stack, eff, pc).tolist() == [relay_power_reduced(B, eff, pc) for B in stack]

@@ -15,7 +15,7 @@ from twrelay.bounds import BoundsReport, r_lb_zf
 from twrelay.cli import main, parse_bool, parse_power, parse_rho
 from twrelay.df import df_boundary_value
 from twrelay.errors import RankDeficiencyError
-from twrelay.model import PowerConfig, gen_channels
+from twrelay.model import Beamformer, PowerConfig, effective, gen_channels, rate_pair, relay_power
 
 
 def run(argv):
@@ -371,10 +371,11 @@ def test_bad_number_exits_2_with_a_usage_error(argv, message, tmp_path, capsys):
 
 NUMERICAL_FAILURES = {
     # at p1 = 1e300 a beamformer must null g1 to 1e-150 of its size, beyond
-    # double precision: scaled to the budget, the traced one leaves r21 at 0
-    "zero-power": (["--p1", "1e300", "--profiles", "3", "--scheme", "optimal"], "falls to 0.0 with its beamformer"),
+    # double precision: scaled to the budget, the best one leaves the ray
+    # far inside the exit
+    "zero-power": (["--p1", "1e300", "--profiles", "3", "--scheme", "optimal"], "exit 443.950178280548 falls to 1.40087806740749 "),
     # no beamformer comes within delta-r of the exit; both rates print as floats
-    "delta-r": (["--delta-r", "1e-300", "--profiles", "17"], "exit 1.5651532299507442 falls to 1.5651532299507436"),
+    "delta-r": (["--delta-r", "1e-300", "--profiles", "17"], "exit 1.1741263542065752 falls to 1.174126354206575"),
 }
 
 
@@ -560,7 +561,7 @@ def test_an_overflowing_mac_exits_1_naming_the_mac_sum_rate(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-HUGE_TRACED = ["--p1", "1e154", "--p2", "1e154", "--profiles", "3"]
+HUGE_TRACED = ["--p1", "1e308", "--p2", "1e308", "--profiles", "3"]
 HUGE_SOURCE_POWERS = {
     "region": ["region", "--scheme", "optimal", *HUGE_TRACED],
     "df-compare": ["df-compare", *HUGE_TRACED],
@@ -572,8 +573,9 @@ HUGE_SOURCE_POWERS = {
 
 @pytest.mark.parametrize("argv", HUGE_SOURCE_POWERS.values(), ids=HUGE_SOURCE_POWERS.keys())
 def test_huge_source_powers_exit_1_with_no_warning(argv, tmp_path, capsys):
-    # at p1 = p2 = 1e154 the AF tracer's beamformers lose their digits:
-    # the run fails with one error line, no numpy warning and no file
+    # at p1 = p2 = 1e308 the AF tracer's null vectors overflow (and
+    # df-compare's MAC overflows first): the run fails with one error line,
+    # no numpy warning and no file
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = run([*argv, "--out", str(tmp_path)])
@@ -582,6 +584,71 @@ def test_huge_source_powers_exit_1_with_no_warning(argv, tmp_path, capsys):
     assert err.startswith(f"twrelay {argv[0]}: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p", ["1e154", "1e300"])
+@pytest.mark.parametrize("command", [["region", "--scheme", "optimal"], ["capacity", "--grid", "2"]], ids=["region", "capacity"])
+def test_large_source_powers_write_rows_that_lift(command, p, tmp_path):
+    # the reduced channels are real, so no imaginary rounding grows with
+    # the source powers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*command, "--p1", p, "--p2", p, "--profiles", "5", "--out", str(tmp_path)]) == 0
+    _assert_rows_lift(tmp_path, f"{'boundary_optimal' if command[0] == 'region' else 'capacity'}.csv")
+
+
+FLAT_EXITS = {
+    # rays that leave at a corner of the region the budget does not bind,
+    # where r_hat(t) is flat and the exit's bracket lands anywhere in [0, 1]
+    "rho-0.5-300db-seed-2": ["--rho", "0.5", "--pr", "300db", "--seed", "2"],
+    "rho-0-150db-seed-0": ["--rho", "0", "--pr", "150db", "--seed", "0"],
+    # rounding flips the gap's sign at t = 0, whose r_hat lies above t = 1's
+    "rho-0-200db-seed-3": ["--rho", "0", "--pr", "200db", "--m", "2", "--p1", "40db", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", FLAT_EXITS.values(), ids=FLAT_EXITS.keys())
+def test_flat_exits_write_rows_that_lift(argv, tmp_path):
+    assert run(["region", "--scheme", "optimal", "--profiles", "9", *argv, "--out", str(tmp_path)]) == 0
+    _assert_rows_lift(tmp_path, "boundary_optimal.csv")
+
+
+def _assert_rows_lift(out, name):
+    """Every row's B, lifted through the job's frame, spends the budget
+    and reaches the row's rates."""
+    settings = json.loads((out / "manifest.json").read_text())["settings"]
+    pair = gen_channels(settings["m"], settings["rho"], settings["seed"])
+    U = effective(pair).U
+    header, *rows = read_csv(out / name)
+    assert rows
+    for row in rows:
+        cells = dict(zip(header, map(float, row)))
+        B = np.array([cells[f"B_re[{k}]"] + 1j * cells[f"B_im[{k}]"] for k in range(4)]).reshape(2, 2)
+        pc = PowerConfig(cells["p1"], cells["p2"], settings["pr"])
+        A = Beamformer(B=B, U=U).full()
+        rates = rate_pair(A, pair, pc)
+        assert relay_power(A, pair, pc) == pytest.approx(settings["pr"], rel=1e-9)
+        assert rates.r21 >= cells["r21"] - 1e-9 and rates.r12 >= cells["r12"] - 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["region", *REGION_ARGS], ["boundary_optimal.csv", "boundary_mr.csv", "boundary_zf.csv"]),
+        (["region", "--rho", "0", "--m", "2", "--p1", "1", "--p2", "100", "--seed", "7"], ["boundary_optimal.csv", "boundary_mr.csv", "boundary_zf.csv"]),
+        (["capacity", "--grid", "2", "--profiles", "5"], ["capacity.csv"]),
+        (["df-compare", "--profiles", "3", "--weights", "5", "--taus", "5"], ["af_region.csv"]),
+    ],
+    ids=["region", "region-rho-0", "capacity", "df-compare"],
+)
+def test_every_imaginary_cell_is_zero(argv, files, tmp_path):
+    # the reduced frame is real, so every relay matrix is real
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    for name in files:
+        header, *rows = read_csv(tmp_path / name)
+        columns = [k for k, cell in enumerate(header) if cell.startswith("B_im")]
+        assert len(columns) == 4 and rows
+        assert {row[k] for row in rows for k in columns} == {"0.0"}, name
 
 
 def _bounds_settings():
@@ -599,7 +666,8 @@ def _bounds_settings():
 
 def test_bounds_write_finite_ordered_values_or_exit_1(tmp_path, capsys):
     # every setting ends in a finite bounds.json with
-    # r_lb_mr <= c_ub <= c_ub0, or in one error line and no file
+    # r_lb_mr <= c_ub <= c_ub0 and, where c_ub0 is positive,
+    # r_lb_zf <= c_ub, or in one error line and no file
     written = 0
     for i, (theta1, theta2, rho, p) in enumerate(_bounds_settings()):
         out = tmp_path / str(i)
@@ -617,6 +685,8 @@ def test_bounds_write_finite_ordered_values_or_exit_1(tmp_path, capsys):
         values = json.loads((out / "bounds.json").read_text())
         assert all(math.isfinite(v) for v in values.values() if v is not None), argv
         assert values["r_lb_mr"] <= values["c_ub"] <= values["c_ub0"], argv
+        # where every upper bound rounds to 0.0, r_lb_zf keeps rates below 2^-53
+        assert values["r_lb_zf"] is None or values["c_ub0"] == 0.0 or values["r_lb_zf"] <= values["c_ub"], argv
         written += 1
     assert written >= 100
 
@@ -641,6 +711,13 @@ class TestBoundsCommand:
         assert run(["bounds", "--theta1", theta1, "--theta2", theta2, "--out", str(tmp_path)]) == 0
         values = json.loads((tmp_path / "bounds.json").read_text())
         assert values["c_ub"] == values["c_ub0"] == values["r_lb_mr"] == 0.0
+
+    def test_an_underflowing_mr_noise_term_writes_zero(self, tmp_path):
+        # n1 = theta1 (1 + rho) P_R underflows, and c_ub0 is 0.0
+        argv = ["--theta1", "1e-200", "--theta2", "1", "--p1", "1e-300", "--p2", "1e-300", "--pr", "1e-300"]
+        assert run(["bounds", *argv, "--out", str(tmp_path)]) == 0
+        values = json.loads((tmp_path / "bounds.json").read_text())
+        assert values["r_lb_mr"] == values["c_ub"] == values["c_ub0"] == 0.0
 
     def test_grid_flag_changes_nothing(self, tmp_path):
         # --grid stays accepted and recorded, but c_ub no longer searches

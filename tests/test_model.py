@@ -1,6 +1,7 @@
 """Tests for channel generation, reduction, and the rate/power expressions."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import orthogonal_pair
-from twrelay.errors import InvalidInputError
+from twrelay.errors import InvalidInputError, RankDeficiencyError
 from twrelay.model import (
     Beamformer,
+    ChannelPair,
     PowerConfig,
     effective,
     gen_channels,
@@ -20,6 +22,7 @@ from twrelay.model import (
     relay_power_reduced,
     snr_pair_reduced,
 )
+from twrelay.schemes import zfr_zft
 
 
 class TestGeneration:
@@ -112,6 +115,75 @@ class TestReduction:
             assert abs(rp_full.r21 - rp_red.r21) <= 1e-12
             assert abs(rp_full.r12 - rp_red.r12) <= 1e-12
             assert abs(relay_power(A, pair, pc) - relay_power_reduced(bf, eff, pc)) <= 1e-10
+
+
+def _frame_corpus():
+    """Pairs for the reduced frame: random complex pairs with norms from
+    1e-3 to 1e3, diagonal Grams, rho = 0 at equal norms, rho = 1 - 1e-12,
+    parallel channels and silent sources."""
+    rng = np.random.default_rng(32)
+    for k in range(24):
+        m = (2, 4, 8)[k % 3]
+        h1, h2 = (10.0 ** rng.uniform(-3.0, 3.0, size=(2, 1))) * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+        yield ChannelPair(m=m, h1=h1, h2=h2, rho=0.0)
+    e1, e2 = np.eye(4, dtype=complex)[:2]
+    yield ChannelPair(m=4, h1=2.0 * e1, h2=e2, rho=0.0)
+    yield ChannelPair(m=4, h1=e1, h2=3.0 * e2, rho=0.0)
+    for seed in range(3):
+        yield gen_channels(4, 0.0, seed)
+        yield gen_channels(8, 1.0 - 1e-12, seed)
+    h = gen_channels(4, 0.0, 5).h1
+    for h2 in (0.6 * np.exp(0.7j) * h, 1j * h):
+        yield ChannelPair(m=4, h1=h, h2=h2, rho=1.0)
+    # exact entries, where rounding leaves the orthogonalized w2 along u1
+    exact = np.array([1j, -1j, 1.0])
+    yield ChannelPair(m=3, h1=exact, h2=1j * exact, rho=1.0)
+    zero = np.zeros(4, dtype=complex)
+    for h1, h2 in ((zero, h), (h, zero), (zero, zero)):
+        yield ChannelPair(m=4, h1=h1, h2=h2, rho=0.0)
+
+
+class TestFrame:
+    def test_real_reduced_channels_and_an_orthonormal_lift(self):
+        for pair in _frame_corpus():
+            eff = effective(pair)
+            for name in ("g1", "g2", "V", "sigma"):
+                assert getattr(eff, name).dtype == np.float64, name
+            assert eff.U.dtype == np.complex128
+            assert np.max(np.abs(eff.U.conj().T @ eff.U - np.eye(2))) <= 1e-14
+            c = np.vdot(pair.h1, pair.h2)
+            s = np.sqrt(np.conj(c) / abs(c)) if c != 0 else 1.0
+            for g, h in ((eff.g1, np.conj(s) * pair.h1), (eff.g2, s * pair.h2)):
+                assert np.linalg.norm(eff.U @ g - h) <= 1e-14 * np.linalg.norm(h)
+
+    def test_diagonal_grams_keep_the_identity_frame(self):
+        e1, e2 = np.eye(4, dtype=complex)[:2]
+        eff = effective(ChannelPair(m=4, h1=2.0 * e1, h2=e2, rho=0.0))
+        assert np.array_equal(eff.V, np.eye(2))
+        assert eff.g1.tolist() == [2.0, 0.0] and eff.g2.tolist() == [0.0, 1.0]
+        eff = effective(ChannelPair(m=4, h1=e1, h2=3.0 * e2, rho=0.0))
+        assert np.array_equal(eff.V, [[0.0, -1.0], [1.0, 0.0]])
+
+    def test_lifted_and_reduced_evaluators_agree(self, rng):
+        pc = PowerConfig(p1=3.0, p2=2.0, p_relay=10.0)
+        for pair in _frame_corpus():
+            eff = effective(pair)
+            B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            bf = Beamformer(B=B, U=eff.U)
+            A = bf.full()
+            lifted, reduced = rate_pair(A, pair, pc), rate_pair_reduced(bf, eff, pc)
+            assert lifted.r21 == pytest.approx(reduced.r21, rel=1e-12, abs=1e-12)
+            assert lifted.r12 == pytest.approx(reduced.r12, rel=1e-12, abs=1e-12)
+            assert relay_power(A, pair, pc) == pytest.approx(relay_power_reduced(bf, eff, pc), rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [0.6 * np.exp(0.7j), 1j])
+    def test_zero_forcing_refuses_parallel_channels_without_a_warning(self, factor):
+        h = gen_channels(4, 0.0, 5).h1
+        pair = ChannelPair(m=4, h1=h, h2=factor * h, rho=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficiencyError):
+                zfr_zft(pair, 1.0, PowerConfig(10.0, 10.0, 10.0))
 
 
 class TestRatePower:
