@@ -15,16 +15,18 @@ scripts/ first. --reference rewrites tests/reference from scratch with
 the tiny seed-1 job lists' outputs and, under default/<command>, those
 of DEFAULTS, manifests left out: the files that
 tests/test_workload_outputs.py compares each run with. The tiny jobs
-trace only the two axis rays, so DEFAULTS adds three commands at their
+trace only the two axis rays, so DEFAULTS adds four commands at their
 default settings: a 33-profile optimal boundary and a 15-cell capacity
-envelope, whose interior rays run the power cell's exit search, and
+envelope, whose interior rays run the power cell's exit search,
 df-compare, whose tables hold the decode-and-forward tau slices and
-ray splits. The new files are written into a temporary folder first,
-and compare_outputs.py's report of the committed reference against
-them (a line per file and the largest differences) is printed before
-they replace it, so that each regeneration shows its size. When a job
-fails, the reference is left as it is. The exit status is 0 when every
-job exits 0, 1 otherwise, and 2 on a usage error.
+ray splits, and the 21-point sum-rate table, whose scheme searches and
+baselines cover low SNRs as well as high ones. The new files are
+written into a temporary folder first, and compare_outputs.py's report
+of the committed reference against them (a line per file and the
+largest differences) is printed before they replace it, so that each
+regeneration shows its size. When a job fails, the reference is left as
+it is. The exit status is 0 when every job exits 0, 1 otherwise, and 2
+on a usage error.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from twrelay.cli import main as twrelay_main  # noqa: E402
 
-DEFAULTS = {"region": ["region", "--scheme", "optimal"], "capacity": ["capacity"], "df-compare": ["df-compare"]}
+DEFAULTS = {
+    "region": ["region", "--scheme", "optimal"],
+    "capacity": ["capacity"],
+    "df-compare": ["df-compare"],
+    "sumrate": ["sumrate"],
+}
 
 
 def _module(path: Path):

@@ -204,13 +204,13 @@ def rate_pair(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> RatePair:
     After self-interference subtraction S1 sees gain h1^T A h2 on the S2
     symbol and noise of variance ||A^H h1*||^2 + 1, so
     r21 = (1/2) log2(1 + |h1^T A h2|^2 p2 / (||A^H h1*||^2 + 1)), and
-    symmetrically for r12.
+    symmetrically for r12, each rate taken by _rate.
     """
     h1, h2 = pair.h1, pair.h2
     with np.errstate(all="ignore"):  # an overflow is an inf or nan in the result, not a warning
         s21 = float(abs(h1 @ A @ h2) ** 2 * pc.p2 / (np.linalg.norm(A.conj().T @ np.conj(h1)) ** 2 + 1.0))
         s12 = float(abs(h2 @ A @ h1) ** 2 * pc.p1 / (np.linalg.norm(A.conj().T @ np.conj(h2)) ** 2 + 1.0))
-    return RatePair(r21=0.5 * np.log2(1.0 + s21), r12=0.5 * np.log2(1.0 + s12))
+    return RatePair(r21=_rate(s21), r12=_rate(s12))
 
 
 def _sq(z):

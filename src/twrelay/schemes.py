@@ -1,26 +1,29 @@
 """Suboptimal relay beamformers: matched-filter and zero-forcing designs
 plus two heuristic baselines.
 
-Both main schemes weight two fixed unit relay matrices, B = a Ba + b Bb,
-a amplifying the S1->S2 link and b the S2->S1 link, and scale the matrix
-so the relay spends its whole budget. Sweeping the angle atan(a/b) over
-[0, pi/2] traces each scheme's achievable region. Along the sweep the
-relay power of the unit matrix, and at each receiver its forwarded noise
-and signal power, are real 2x2 quadratic forms in (a, b); scaling to the
-budget P_R makes each link's SNR P_R n / (P_R q + pw). So the sweeps,
-the sum-rate search and the ray exits build the power-free forms once
-per scheme and channel, scale them per power setting, evaluate them for
-a whole array of angles in one numpy expression or for one angle in
-scalar arithmetic, and form relay matrices only where they return them.
-The sum rate is so a sum of logs of quadratic forms, and its maximum
-the root of its closed-form slope in the angle. The baselines are a
-scaled identity relay and one-way rank-one relaying over four slots;
-the sum-rate table takes both from the channel gains alone.
+Both main schemes weight two fixed rank-one unit relay matrices,
+B = a Ba + b Bb, a amplifying the S1->S2 link and b the S2->S1 link, and
+scale the matrix so the relay spends its whole budget. Sweeping the
+angle atan(a/b) over [0, pi/2] traces each scheme's achievable region.
+Along the sweep the relay power of the unit matrix, and at each receiver
+its forwarded noise and signal power, are real 2x2 quadratic forms in
+(a, b); scaling to the budget P_R makes each link's SNR
+P_R n / (P_R q + pw). So the sweeps, the sum-rate search and the ray
+exits build the power-free forms once per scheme and channel, each
+coefficient a product of dot products of the two matrices' factors and
+the channels in Python floats, scale them per power setting, evaluate
+them for a whole array of angles in one numpy expression or for one
+angle in scalar arithmetic, and form relay matrices only where they
+return them. The sum rate is so a sum of logs of quadratic forms, built
+with each power setting's scaled forms, and its maximum the root of its
+closed-form slope in the angle. The baselines are a scaled identity
+relay and one-way rank-one relaying over four slots; the sum-rate table
+takes both from the channel gains alone, and every rate here from
+model._rate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import List, Sequence, Tuple, Union
 
@@ -42,13 +45,15 @@ from .model import (
 
 DEFAULT_RATIOS = 65
 _HALF_PI = 0.5 * math.pi
+_ONES = (1.0, 1.0, 1.0)  # the Gram entries of the scalars fa = fb = 1
 
 _Reals = Union[float, np.ndarray]
 
 
-def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray]:
-    """The scheme's unit relay matrices (Ba, Bb) in reduced coordinates:
-    with weights (a, b) its relay matrix is a Ba + b Bb before scaling.
+def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rank-one factors (ua, va, ub, vb) of the scheme's unit relay
+    matrices Ba = ua va^T and Bb = ub vb^T in reduced coordinates: with
+    weights (a, b) its relay matrix is a Ba + b Bb before scaling.
 
     Raises:
         InvalidInputError: unknown scheme.
@@ -56,18 +61,16 @@ def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray]:
     """
     if scheme == "mr":
         # A = a h2* h1^H + b h1* h2^H, with real g1 and g2
-        Ba, Bb = np.outer(eff.g2, eff.g1), np.outer(eff.g1, eff.g2)
-    elif scheme == "zf":
+        return eff.g2, eff.g1, eff.g1, eff.g2
+    if scheme == "zf":
         # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of the
         # turned [h1 h2] that the effective channel already holds
         sigma, V = eff.sigma, eff.V
         if sigma[1] <= 1e-10 * sigma[0]:
             raise RankDeficiencyError("zero-forcing undefined for parallel channels")
         left, right = V.T / sigma[:, None], V / sigma
-        Ba, Bb = np.outer(left[:, 1], right[0]), np.outer(left[:, 0], right[1])
-    else:
-        raise InvalidInputError(f"unknown scheme {scheme!r}")
-    return Ba, Bb
+        return left[:, 1], right[0], left[:, 0], right[1]
+    raise InvalidInputError(f"unknown scheme {scheme!r}")
 
 
 def mrr_mrt(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
@@ -90,10 +93,15 @@ def zfr_zft(pair: ChannelPair, ratio: float, pc: PowerConfig) -> Beamformer:
     return _Sweep.build("zf", pair, pc).beamformer(ratio)
 
 
-def _form(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    return x[0] * y[0] + x[1] * y[1]
+
+
+def _pair_form(gram: Tuple[float, float, float], x: float, y: float) -> Tuple[float, float, float]:
     """Coefficients (c_aa, c_ab, c_bb) of the quadratic form
-    |a fa + b fb|^2 = c_aa a^2 + 2 c_ab a b + c_bb b^2 of real fa and fb."""
-    return np.array([np.vdot(fa, fa), np.vdot(fa, fb), np.vdot(fb, fb)])
+    |a x fa + b y fb|^2 = c_aa a^2 + 2 c_ab a b + c_bb b^2 of vectors fa
+    and fb with the Gram entries gram = (fa.fa, fa.fb, fb.fb)."""
+    return gram[0] * (x * x), gram[1] * (x * y), gram[2] * (y * y)
 
 
 def _quad(c: Tuple[float, float, float], a: _Reals, b: _Reals) -> _Reals:
@@ -110,6 +118,7 @@ def _weights(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 _GRID = np.linspace(0.0, _HALF_PI, 513)
 _GRID_A, _GRID_B = _weights(_GRID)
 _GRID_BASIS = np.array([_GRID_A * _GRID_A, _GRID_A * _GRID_B, _GRID_B * _GRID_B])
+_GRID_ANGLES = _GRID.tolist()
 
 
 class _ChannelForms:
@@ -117,19 +126,28 @@ class _ChannelForms:
     B = a Ba + b Bb that no power changes, the relay power parts
     F1 = |B g1|^2, F2 = |B g2|^2 and F0 = |B|_F^2, the forwarded noise
     q21 = |g1^T B|^2 and q12 = |g2^T B|^2, and the unscaled signal powers
-    N21 = |g1^T B g2|^2 and N12 = |g2^T B g1|^2."""
+    N21 = |g1^T B g2|^2 and N12 = |g2^T B g1|^2.
+
+    With Ba = ua va^T and Bb = ub vb^T, B g = a (va.g) ua + b (vb.g) ub,
+    g^T B = a (g.ua) va^T + b (g.ub) vb^T and g1^T B g2 = a (g1.ua)(va.g2)
+    + b (g1.ub)(vb.g2), so every coefficient is a product of 14 dot
+    products of two-vectors, taken in Python floats. A link that
+    zero-forcing nulls so keeps the product of two rounding residues."""
 
     def __init__(self, scheme: str, eff: EffectiveChannel) -> None:
         self.eff = eff
-        self.Ba, self.Bb = Ba, Bb = _basis(scheme, eff)
-        g1, g2 = eff.g1, eff.g2
-        forms = (
-            _form(Ba @ g1, Bb @ g1), _form(Ba @ g2, Bb @ g2), _form(Ba, Bb),
-            _form(g1 @ Ba @ g2, g1 @ Bb @ g2), _form(g2 @ Ba @ g1, g2 @ Bb @ g1),
-            _form(g1 @ Ba, g1 @ Bb), _form(g2 @ Ba, g2 @ Bb),
-        )
-        # Python floats keep the scaling and the one-angle evaluation in scalar arithmetic
-        self.F1, self.F2, self.F0, self.N21, self.N12, self.q21, self.q12 = (tuple(f.tolist()) for f in forms)
+        factors = _basis(scheme, eff)
+        self.Ba, self.Bb = np.outer(factors[0], factors[1]), np.outer(factors[2], factors[3])
+        ua, va, ub, vb = (f.tolist() for f in factors)
+        g1, g2 = eff.g1.tolist(), eff.g2.tolist()
+        uu = (_dot(ua, ua), _dot(ua, ub), _dot(ub, ub))
+        vv = (_dot(va, va), _dot(va, vb), _dot(vb, vb))
+        a1, b1, a2, b2 = _dot(va, g1), _dot(vb, g1), _dot(va, g2), _dot(vb, g2)  # (va.g, vb.g)
+        x1a, x1b, x2a, x2b = _dot(g1, ua), _dot(g1, ub), _dot(g2, ua), _dot(g2, ub)  # (g.ua, g.ub)
+        self.F1, self.F2 = _pair_form(uu, a1, b1), _pair_form(uu, a2, b2)
+        self.F0 = (uu[0] * vv[0], uu[1] * vv[1], uu[2] * vv[2])
+        self.N21, self.N12 = _pair_form(_ONES, x1a * a2, x1b * b2), _pair_form(_ONES, x2a * a1, x2b * b1)
+        self.q21, self.q12 = _pair_form(vv, x1a, x1b), _pair_form(vv, x2a, x2b)
 
 
 class _Sweep:
@@ -148,10 +166,24 @@ class _Sweep:
         if pc.p_relay <= 0.0:
             raise InvalidInputError("relay power budget must be positive")
         self.eff, self.Ba, self.Bb = forms.eff, forms.Ba, forms.Bb
-        self.p_relay, self.q21, self.q12 = pc.p_relay, forms.q21, forms.q12
-        p1, p2 = pc.p1, pc.p2
-        self.pw = tuple(p1 * f1 + p2 * f2 + f0 for f1, f2, f0 in zip(forms.F1, forms.F2, forms.F0))
-        self.n21, self.n12 = tuple(p2 * c for c in forms.N21), tuple(p1 * c for c in forms.N12)
+        self.p_relay, self.q21, self.q12 = p, q21, q12 = pc.p_relay, forms.q21, forms.q12
+        p1, p2, F1, F2, F0 = pc.p1, pc.p2, forms.F1, forms.F2, forms.F0
+        self.pw = pw = (
+            p1 * F1[0] + p2 * F2[0] + F0[0], p1 * F1[1] + p2 * F2[1] + F0[1], p1 * F1[2] + p2 * F2[2] + F0[2]
+        )
+        self.n21 = n21 = (p2 * forms.N21[0], p2 * forms.N21[1], p2 * forms.N21[2])
+        self.n12 = n12 = (p1 * forms.N12[0], p1 * forms.N12[1], p1 * forms.N12[2])
+        # the quadratic forms whose logs make up the sum rate,
+        # 2 ln 2 (r21 + r12) = ln T21 - ln D21 + ln T12 - ln D12, with
+        # D21 = P_R q21 + pw, T21 = D21 + P_R n21, and D12 and T12 alike:
+        # each as (c0, 2 c1, c2) for Q and, with its log's sign,
+        # (c0 - c2, c1) for Q'/2
+        logs = []
+        for q, n in ((q21, n21), (q12, n12)):
+            d0, d1, d2 = p * q[0] + pw[0], p * q[1] + pw[1], p * q[2] + pw[2]
+            t0, t1, t2 = d0 + p * n[0], d1 + p * n[1], d2 + p * n[2]
+            logs += [(t0, 2.0 * t1, t2, t0 - t2, t1), (d0, 2.0 * d1, d2, -(d0 - d2), -d1)]
+        self._logs = tuple(logs)
 
     @classmethod
     def build(cls, scheme: str, pair: ChannelPair, pc: PowerConfig) -> _Sweep:
@@ -182,20 +214,6 @@ class _Sweep:
     def rate_pair(self, angle: float) -> RatePair:
         r21, r12 = self.rates(angle)
         return RatePair(r21=r21, r12=r12)
-
-    @functools.cached_property
-    def _logs(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
-        """The quadratic forms whose logs make up the sum rate,
-        2 ln 2 (r21 + r12) = ln T21 - ln D21 + ln T12 - ln D12, with
-        D21 = P_R q21 + pw, T21 = D21 + P_R n21, and D12 and T12 alike:
-        each as (c0, 2 c1, c2) for Q and, with its log's sign,
-        (c0 - c2, c1) for Q'/2."""
-        p, logs = self.p_relay, []
-        for q, n in ((self.q21, self.n21), (self.q12, self.n12)):
-            d = [p * qc + wc for qc, wc in zip(q, self.pw)]
-            for sign, c in ((1.0, [dc + p * nc for dc, nc in zip(d, n)]), (-1.0, d)):
-                logs.append((c[0], 2.0 * c[1], c[2], sign * (c[0] - c[2]), sign * c[1]))
-        return tuple(logs)
 
     def slope(self, angle: float) -> float:
         """A positive multiple of the sum rate's derivative in the angle:
@@ -240,9 +258,10 @@ def _best_rates(sweeps: Sequence[_Sweep]) -> List[RatePair]:
     """The rate pair at each sweep's largest sum rate, as scheme_best_rates finds
     it: the largest of _grid_products and its two neighbours bracket the maximum."""
     found = []
+    last = len(_GRID_ANGLES) - 1
     for sweep, k in zip(sweeps, np.argmax(_grid_products(sweeps), axis=1).tolist()):
-        lo, hi = float(_GRID[max(0, k - 1)]), float(_GRID[min(len(_GRID) - 1, k + 1)])
-        best = sweep._point(float(_GRID[k]))
+        lo, hi = _GRID_ANGLES[max(0, k - 1)], _GRID_ANGLES[min(last, k + 1)]
+        best = sweep._point(_GRID_ANGLES[k])
         s_lo, s_hi = sweep.slope(lo), sweep.slope(hi)
         if s_lo > 0.0 >= s_hi:
             best = max(best, *map(sweep._point, _crossing(sweep.slope, lo, hi, s_lo, s_hi)), key=sum)
@@ -332,11 +351,10 @@ def _direct_relay_sum(theta1: float, theta2: float, cross: float, m: int, pc: Po
     """r21 + r12 of direct_relay's zeta I, from the channel gains theta1
     and theta2 and cross = |h1^T h2|^2: with z = zeta^2 =
     P_R / (theta1 p1 + theta2 p2 + M), snr21 = z cross p2 / (z theta1 + 1)
-    and snr12 = z cross p1 / (z theta2 + 1)."""
+    and snr12 = z cross p1 / (z theta2 + 1), each rate taken by model._rate
+    as rate_pair takes it."""
     z = pc.p_relay / (theta1 * pc.p1 + theta2 * pc.p2 + m)
-    return 0.5 * math.log2(1.0 + z * cross * pc.p2 / (z * theta1 + 1.0)) + 0.5 * math.log2(
-        1.0 + z * cross * pc.p1 / (z * theta2 + 1.0)
-    )
+    return _rate(z * cross * pc.p2 / (z * theta1 + 1.0)) + _rate(z * cross * pc.p1 / (z * theta2 + 1.0))
 
 
 def oneway_alternating(pair: ChannelPair, pc: PowerConfig, equal_energy: bool = False) -> float:
@@ -363,4 +381,4 @@ def oneway_alternating(pair: ChannelPair, pc: PowerConfig, equal_energy: bool = 
 
     g21 = gamma(pair.theta1, pair.theta2, pc.p2)
     g12 = gamma(pair.theta2, pair.theta1, pc.p1)
-    return 0.25 * math.log2(1.0 + g21) + 0.25 * math.log2(1.0 + g12)
+    return 0.5 * _rate(g21) + 0.5 * _rate(g12)  # a quarter pre-log: half of model._rate's half

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from twrelay.model import (
 from twrelay.schemes import (
     _ChannelForms,
     _Sweep,
+    _basis,
     _best_rates,
     _direct_relay_sum,
-    _form,
     _grid_products,
     direct_relay,
     mrr_mrt,
@@ -399,6 +400,64 @@ def _per_job_corpus():
                 yield gen_channels(m, rho, seed, normalize=normalize), powers
 
 
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1]
+
+
+def _factor_forms(scheme, eff):
+    """(F1, F2, F0, N21, N12) of the scheme's B = a ua va^T + b ub vb^T,
+    each coefficient the product of two-term dot products of the rank-one
+    factors and the channels in Python floats, as the one-shot build
+    spells it: F1 = (|ua|^2 (va.g1)^2, (ua.ub)(va.g1)(vb.g1), |ub|^2 (vb.g1)^2),
+    F0 = (|ua|^2 |va|^2, (ua.ub)(va.vb), |ub|^2 |vb|^2) and N21 the squares
+    and product of the link gains (g1.ua)(va.g2) and (g1.ub)(vb.g2)."""
+    ua, va, ub, vb = (f.tolist() for f in _basis(scheme, eff))
+    g1, g2 = eff.g1.tolist(), eff.g2.tolist()
+    uu = (_dot(ua, ua), _dot(ua, ub), _dot(ub, ub))
+    vv = (_dot(va, va), _dot(va, vb), _dot(vb, vb))
+
+    def power_part(g):
+        x, y = _dot(va, g), _dot(vb, g)
+        return uu[0] * (x * x), uu[1] * (x * y), uu[2] * (y * y)
+
+    def signal(g, h):
+        x, y = _dot(g, ua) * _dot(va, h), _dot(g, ub) * _dot(vb, h)
+        return x * x, x * y, y * y
+
+    F0 = (uu[0] * vv[0], uu[1] * vv[1], uu[2] * vv[2])
+    return power_part(g1), power_part(g2), F0, signal(g1, g2), signal(g2, g1)
+
+
+def _exact_forms(factors, g1, g2):
+    """The seven forms (F1, F2, F0, N21, N12, q21, q12) of
+    B = a ua va^T + b ub vb^T from their definitions, F1 = |B g1|^2 and
+    so on, in exact rational arithmetic on the floats given."""
+    ua, va, ub, vb, g1, g2 = ([Fraction(x) for x in v] for v in (*factors, g1, g2))
+    Ba, Bb = [[x * y for y in va] for x in ua], [[x * y for y in vb] for x in ub]
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    def form(fa, fb):
+        return dot(fa, fa), dot(fa, fb), dot(fb, fb)
+
+    def right(B, g):  # B g
+        return [dot(row, g) for row in B]
+
+    def left(g, B):  # g^T B
+        return [dot(g, col) for col in zip(*B)]
+
+    return (
+        form(right(Ba, g1), right(Bb, g1)),
+        form(right(Ba, g2), right(Bb, g2)),
+        form(Ba[0] + Ba[1], Bb[0] + Bb[1]),
+        form([dot(g1, right(Ba, g2))], [dot(g1, right(Bb, g2))]),
+        form([dot(g2, right(Ba, g1))], [dot(g2, right(Bb, g1))]),
+        form(left(g1, Ba), left(g1, Bb)),
+        form(left(g2, Ba), left(g2, Bb)),
+    )
+
+
 class TestPerJobForms:
     def test_maximum_from_per_job_forms_equals_a_fresh_search(self):
         # one set of channel forms per scheme and channel, scaled at every
@@ -407,15 +466,38 @@ class TestPerJobForms:
             eff = effective(pair)
             for scheme in ("mr", "zf"):
                 forms = _ChannelForms(scheme, eff)
-                Ba, Bb, g1, g2 = forms.Ba, forms.Bb, eff.g1, eff.g2
+                F1, F2, F0, N21, N12 = _factor_forms(scheme, eff)
                 for pc in powers:
                     sweep = _Sweep(forms, pc)
                     assert sweep.best_rates() == scheme_best_rates(scheme, pair, pc)
                     # the scaled forms are the one-shot build's, bit for bit
-                    pw = pc.p1 * _form(Ba @ g1, Bb @ g1) + pc.p2 * _form(Ba @ g2, Bb @ g2) + _form(Ba, Bb)
-                    assert sweep.pw == tuple(pw.tolist())
-                    assert sweep.n21 == tuple((pc.p2 * _form(g1 @ Ba @ g2, g1 @ Bb @ g2)).tolist())
-                    assert sweep.n12 == tuple((pc.p1 * _form(g2 @ Ba @ g1, g2 @ Bb @ g1)).tolist())
+                    assert sweep.pw == tuple(pc.p1 * f1 + pc.p2 * f2 + f0 for f1, f2, f0 in zip(F1, F2, F0))
+                    assert sweep.n21 == tuple(pc.p2 * c for c in N21)
+                    assert sweep.n12 == tuple(pc.p1 * c for c in N12)
+
+    def test_forms_against_exact_arithmetic(self):
+        # each coefficient is a product of up to four two-term dot products
+        # and three more roundings, so it lies within 12 unit roundoffs of the
+        # exact value, relative to the same coefficient of the factors' and
+        # channels' absolute values (every dot product's sum of |terms|)
+        u = Fraction(1, 2**53)
+        pairs = [pair for pair, _ in _per_job_corpus()]
+        pairs += {id(pair): pair for pair, _ in _evaluator_corpus()}.values()  # each channel once
+        for pair in pairs:
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                forms = _ChannelForms(scheme, eff)
+                factors = _basis(scheme, eff)
+                assert np.array_equal(forms.Ba, np.outer(factors[0], factors[1]))
+                assert np.array_equal(forms.Bb, np.outer(factors[2], factors[3]))
+                g1, g2 = eff.g1.tolist(), eff.g2.tolist()
+                exact = _exact_forms([f.tolist() for f in factors], g1, g2)
+                scale = _exact_forms([np.abs(f).tolist() for f in factors], *(np.abs(g).tolist() for g in (eff.g1, eff.g2)))
+                got = (forms.F1, forms.F2, forms.F0, forms.N21, forms.N12, forms.q21, forms.q12)
+                for form, want, size in zip(got, exact, scale):
+                    for c, w, s in zip(form, want, size):
+                        assert isinstance(c, float)
+                        assert abs(Fraction(c) - w) <= 12 * u * s
 
     def test_maximum_against_the_grid_and_golden_search(self):
         # the slope root never falls more than 4e-15 bits below the 513-point
@@ -541,11 +623,22 @@ class TestDirectRelay:
 
 
     def test_closed_form_sum(self):
-        # the sum-rate table's closed form, from theta1, theta2 and |h1^T h2|^2
+        # the sum-rate table's closed form, from theta1, theta2 and |h1^T h2|^2,
+        # against the lifted evaluator: on raw channels, a silent source and
+        # extreme powers, and at every point of the default 0-40 dB table over
+        # M 2/4/8, rho 0-0.9 and seeds 0-39 (840 channels)
+        cases = []
         for seed in range(12):
             pair = gen_channels((2, 4, 8)[seed % 3], (0.0, 0.4, 0.9, 1.0)[seed % 4], seed, normalize=seed % 2 == 0)
+            pcs = (symmetric_power(1e-3), symmetric_power(10.0), PowerConfig(3.0, 0.0, 1e4), symmetric_power(1e8))
+            cases.append((pair, pcs))
+        table = [symmetric_power(10.0 ** (2.0 * k / 10.0)) for k in range(21)]
+        for m in (2, 4, 8):
+            for rho in (0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9):
+                cases += [(gen_channels(m, rho, seed), table) for seed in range(40)]
+        for pair, pcs in cases:
             cross = float(abs(pair.h1 @ pair.h2) ** 2)
-            for pc in (symmetric_power(1e-3), symmetric_power(10.0), PowerConfig(3.0, 0.0, 1e4), symmetric_power(1e8)):
+            for pc in pcs:
                 rates = rate_pair(direct_relay(pair, pc), pair, pc)
                 got = _direct_relay_sum(pair.theta1, pair.theta2, cross, pair.m, pc)
                 assert got == pytest.approx(rates.r21 + rates.r12, rel=1e-13, abs=1e-300)

@@ -65,7 +65,7 @@ def test_outputs_match_the_committed_reference(script, tmp_path, capsys):
     *lines, summary = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.endswith(": same")] == []
     assert code == 0, summary
-    assert len(lines) == 27
+    assert len(lines) == 28
 
 
 def test_reference_flag_rewrites_the_reference(script, tmp_path, monkeypatch, capsys):
@@ -87,7 +87,7 @@ def test_reference_flag_rewrites_the_reference(script, tmp_path, monkeypatch, ca
     moved_line, stale_line = [line for line in lines if not line.endswith(": same")]
     assert moved_line.startswith("default/region/boundary_optimal.csv: differs: r21 1e-12 r12 0 p_relay_rel 0 B_phase_rel 0 ")
     assert stale_line == "stale/old.csv: missing"
-    assert summary.startswith("summary: 28 files compared: 26 same, 1 differ, 1 missing, ")
+    assert summary.startswith("summary: 29 files compared: 27 same, 1 differ, 1 missing, ")
     assert summary.endswith(" r21 1e-12")
     assert not (tmp_path / "ref" / "stale").exists()
     assert list((tmp_path / "ref").rglob("manifest.json")) == []
