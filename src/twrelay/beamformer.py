@@ -45,6 +45,7 @@ from .model import (
     _evaluate_2x2,
     _link_forms,
     _rate,
+    _sq,
     effective,
 )
 from .sdp import SdpProblem, _zero_form_steps, extract_rank_one, solve_sdp
@@ -147,19 +148,13 @@ class RegionBoundary:
         return RegionBoundary(*(getattr(self, name)[index] for name in _COLUMNS), U=self.U)
 
 
-def _snr_forms(g_rx: np.ndarray, g_tx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(u, Q) with |g_rx^T B g_tx|^2 = |u^H b|^2 and ||B^T g_rx||^2 = b^H Q b:
-    u = conj(vec(g_rx g_tx^T)), Q = conj(g_rx) g_rx^T on the even and the odd b_k."""
-    Q = np.zeros((4, 4), dtype=complex)
-    Q[0::2, 0::2] = Q[1::2, 1::2] = np.outer(g_rx.conj(), g_rx)
-    return np.outer(g_rx, g_tx).ravel().conj(), Q
-
-
-def _realify(E: np.ndarray) -> np.ndarray:
-    """Hermitian 4x4 form to the equivalent symmetric 8x8 real form."""
-    Re, Im = np.real(E), np.imag(E)
-    F = np.block([[Re, -Im], [Im, Re]])
-    return 0.5 * (F + F.T)
+def _twice(E: np.ndarray) -> np.ndarray:
+    """I (x) E, E on both diagonal blocks: I (x) Theta is the power form E0
+    in b, and for a real form E in b, I (x) E is its form in x = [Re b; Im b]."""
+    n = len(E)
+    F = np.zeros((2 * n, 2 * n))
+    F[:n, :n] = F[n:, n:] = E
+    return F
 
 
 def build_qcqp(
@@ -220,16 +215,14 @@ def _target_scale(
         NumericalFailureError: if B's own SNR forms leave a target
             unreachable at any scale.
     """
+    a, c, n, m = _link_forms(B.ravel().tolist(), eff.g1.tolist(), eff.g2.tolist())
     scale = 0.0
-    for g_rx, g_tx, p_tx, target in (
-        (eff.g1, eff.g2, pc.p2, gamma1_bar),
-        (eff.g2, eff.g1, pc.p1, gamma2_bar),
-    ):
+    for gain, (k0, k1), p_tx, target in ((a, n, pc.p2, gamma1_bar), (c, m, pc.p1, gamma2_bar)):
         if target > 0.0:
-            excess = p_tx * abs(g_rx @ B @ g_tx) ** 2 - target * np.linalg.norm(B.T @ g_rx) ** 2
+            excess = p_tx * _sq(gain) - target * (_sq(k0) + _sq(k1))
             if excess <= 0.0:
                 raise NumericalFailureError("rank-one point misses an SNR target at every scale")
-            scale = max(scale, target / float(excess))
+            scale = max(scale, target / excess)
     return scale
 
 
@@ -305,25 +298,28 @@ def _largest_passing(
 class _PowerCell:
     """The power-minimization problem of one channel and power setting.
 
-    The power is b^H E0 b, E0 = I (x) Theta^T with
-    Theta = p1 g1 g1^H + p2 g2 g2^H + I, and the constraints are
-    b^H E_i b >= 1 with E_i = (p/gamma_i) u_i u_i^H - Q_i (p2, gamma1 for
-    i = 1; p1, gamma2 for i = 2), from _snr_forms; the SDP sees them in
-    the real 8x8 expansion x = [Re b; Im b]. By the exact dual, targets
-    fit the budget P_R iff for every t in [0, 1] the matrix
-    t E1 + (1 - t) E2 - E0/P_R = W D W^H - N(t), with W = [u1 u2],
-    D = diag(t p2/gamma1, (1 - t) p1/gamma2) and
+    The reduced channels are real, so every form here is real and
+    symmetric. The power is b^H E0 b, E0 = I (x) Theta with
+    Theta = p1 g1 g1^T + p2 g2 g2^T + I, and the constraints are
+    b^H E_i b >= 1 with E_i = (p/gamma_i) u_i u_i^T - Q_i (p2, gamma1 for
+    i = 1; p1, gamma2 for i = 2): u_1 = vec(g1 g2^T) gives
+    |g1^T B g2|^2 = |u_1^T b|^2 and Q_1, g1 g1^T on the even and on the
+    odd b_k, ||B^T g1||^2 = b^H Q_1 b (u_2 and Q_2 alike). The SDP sees
+    each form twice on the diagonal of its 8x8 form in x = [Re b; Im b].
+    By the exact dual, targets fit the budget P_R iff for every t in
+    [0, 1] the matrix t E1 + (1 - t) E2 - E0/P_R = W D W^T - N(t), with
+    W = [u1 u2], D = diag(t p2/gamma1, (1 - t) p1/gamma2) and
     N(t) = t Q1 + (1 - t) Q2 + E0/P_R, has a nonnegative eigenvalue: iff
-    D K(t), K(t) = W^H N(t)^-1 W, has an eigenvalue of at least 1. Where
+    D K(t), K(t) = W^T N(t)^-1 W, has an eigenvalue of at least 1. Where
     it is 1 with eigenvector g, N(t)^-1 W g is a null vector of the dual
-    matrix. N(t) = A(t) (x) I + I (x) Theta^T/P_R is a Kronecker sum with
-    A(t) = G diag(t, 1 - t) G^H, G = [conj(g1) conj(g2)]: N(t)^-1 sums
-    (A(t) + c_j I)^-1 (x) v_j v_j^H over the eigenpairs (theta_j, v_j) of
-    Theta^T, c_j = theta_j/P_R. With S = G^H G = [[a1, x], [x*, a2]],
+    matrix. N(t) = A(t) (x) I + I (x) Theta/P_R is a Kronecker sum with
+    A(t) = G diag(t, 1 - t) G^T, G = [g1 g2]: N(t)^-1 sums
+    (A(t) + c_j I)^-1 (x) v_j v_j^T over the eigenpairs (theta_j, v_j) of
+    Theta, c_j = theta_j/P_R. With S = G^T G = [[a1, x], [x, a2]],
     Delta = det S, d_j = Delta/c_j, P1 = (1 - t) d_j + a1, P2 = t d_j + a2
-    and den_j = t P1 + (1 - t) a2 + c_j, G^H (A(t) + c_j I)^-1 G is
-    [[P1, x], [x*, P2]]/den_j: sums of nonnegative terms at any budget.
-    The reduced channels are real, so the cell computes in Python floats.
+    and den_j = t P1 + (1 - t) a2 + c_j, G^T (A(t) + c_j I)^-1 G is
+    [[P1, x], [x, P2]]/den_j: sums of nonnegative terms at any budget,
+    which the cell computes in Python floats.
     """
 
     def __init__(self, eff: EffectiveChannel, pc: PowerConfig) -> None:
@@ -333,18 +329,20 @@ class _PowerCell:
     def problem(self, gamma1_bar: float, gamma2_bar: float) -> SdpProblem:
         """The SDP at these SNR targets; a zero target drops its constraint."""
         eff, pc = self.eff, self.pc
-        theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
-        E0 = np.zeros((4, 4), dtype=complex)
-        E0[:2, :2] = E0[2:, 2:] = theta.T
-        links = ((pc.p2, gamma1_bar, _snr_forms(eff.g1, eff.g2)), (pc.p1, gamma2_bar, _snr_forms(eff.g2, eff.g1)))
-        forms = [_realify((p_tx / gamma) * np.outer(u, u.conj()) - Q) for p_tx, gamma, (u, Q) in links if gamma > 0.0]
-        return SdpProblem(8, _realify(E0), *forms)
+        forms = []
+        for p_tx, gamma, g_rx, g_tx in ((pc.p2, gamma1_bar, eff.g1, eff.g2), (pc.p1, gamma2_bar, eff.g2, eff.g1)):
+            if gamma > 0.0:
+                u, Q = np.outer(g_rx, g_tx).ravel(), np.zeros((4, 4))
+                Q[0::2, 0::2] = Q[1::2, 1::2] = np.outer(g_rx, g_rx)
+                forms.append(_twice((p_tx / gamma) * np.outer(u, u) - Q))
+        theta = pc.p1 * np.outer(eff.g1, eff.g1) + pc.p2 * np.outer(eff.g2, eff.g2) + np.eye(2)
+        return SdpProblem(8, _twice(_twice(theta)), *forms)
 
     @cached_property
     def spectrum(self) -> Tuple[float, float, float, list]:
         """(a1, a2, x, terms): a_i = ||g_i||^2, x = g1^T g2, and per
-        eigenpair (theta, v) of Theta^T the term (c, d, eta1, eta2, v0, v1),
-        eta1 = v^T g2, eta2 = v^T g1. Theta^T - I has determinant
+        eigenpair (theta, v) of Theta the term (c, d, eta1, eta2, v0, v1),
+        eta1 = v^T g2, eta2 = v^T g1. Theta - I has determinant
         p1 p2 Delta: its smaller eigenvalue is that over the larger."""
         (x0, x1), (y0, y1) = self.g
         p1, p2, budget = self.pc.p1, self.pc.p2, self.pc.p_relay
@@ -553,8 +551,8 @@ def _farthest(cell: _PowerCell, profile: RateProfile, r_star: float, vectors: li
 
 def _slack_forms(lo: list, hi: list, g1: list, g2: list, e1: float, e2: float) -> Tuple[float, float, float]:
     """v^T (E1 - E2) w of (v, w) = (lo, lo), (lo, hi) and (hi, hi),
-    with E_i = e_i u_i u_i^H - Q_i, from u_1^H b = g1^T B g2,
-    u_2^H b = g2^T B g1 and B^T g_i of each vector b = vec(B): the Q_i
+    with E_i = e_i u_i u_i^T - Q_i, from u_1^T b = g1^T B g2,
+    u_2^T b = g2^T B g1 and B^T g_i of each vector b = vec(B): the Q_i
     forms are the inner products of the B^T g_i (model._link_forms)."""
 
     def form(v: tuple, w: tuple) -> float:

@@ -12,8 +12,8 @@ The broadcast phase uses a single transmit covariance serving both
 links at once, not a power split. Its SNR region is convex, and its
 Pareto boundary is reached by rank-one covariances P_R v v^H whose
 direction v turns in closed form from the first channel toward the
-second (Oechtering, Jorswieck, Wyrembelski and Boche, IEEE Trans.
-Commun. 2009). Weighted sum-rate maxima and ray exits are crossing
+second, in the real coordinates of the effective frame (Oechtering,
+Jorswieck, Wyrembelski and Boche, IEEE Trans. Commun. 2009). Weighted sum-rate maxima and ray exits are crossing
 searches (bounds._crossing, ITP) on that one angle: the root of the
 weighted sum's closed-form slope, and the ray's side switch.
 """
@@ -104,7 +104,7 @@ def mac_region(pair: ChannelPair, p1: float, p2: float) -> MacPentagon:
 class BcPoint:
     """A broadcast-phase rate pair with the covariance achieving it.
 
-    S_reduced is the 2x2 transmit covariance in the orthonormal frame
+    S_reduced is the real 2x2 transmit covariance in the orthonormal frame
     `basis` of span{h1*, h2*}; the full covariance is
     basis @ S_reduced @ basis^H.
     """
@@ -147,18 +147,20 @@ class BcBoundary:
 class _Arc:
     """The rank-one Pareto arc of the broadcast SNR region.
 
-    In the basis of span{h1*, h2*}, u1 = f1/|f1| and e2 is the unit part of
-    f2/|f2| orthogonal to u1, with the phase of f2 turned so that the
-    two unit channels meet at a real angle phi in [0, pi/2]. The
-    covariance P_R v v^H with v = cos(theta) u1 + sin(theta) e2 gives
-    SNRs a cos^2(theta) and b cos^2(phi - theta), a = P_R |f1|^2 and
-    b = P_R |f2|^2: as theta runs over [0, phi] the first falls and the
-    second rises, tracing the whole Pareto boundary.
+    In the basis of span{h1*, h2*} the channels are the real g1 and g2
+    of the effective frame, whose lines meet at an angle phi in
+    [0, pi/2]. u1 = g1/|g1|, and e2 is u1 turned 90 degrees toward g2,
+    or toward -g2 where g1.g2 < 0: the SNRs see only |g2^T v|. The
+    covariance P_R v v^T with v = cos(theta) u1 + sin(theta) e2 gives
+    SNRs a cos^2(theta) and b cos^2(phi - theta), a = P_R |g1|^2 and
+    b = P_R |g2|^2: as theta runs over [0, phi] the first falls and the
+    second rises, tracing the whole Pareto boundary. A dead link leaves
+    phi = 0, where the arc is the single-link optimum of the other.
     """
 
     basis: np.ndarray
-    u1: np.ndarray
-    e2: np.ndarray
+    u1: Tuple[float, float]
+    e2: Tuple[float, float]
     phi: float
     a: float
     b: float
@@ -171,8 +173,9 @@ class _Arc:
         )
 
     def covariance(self, theta: float) -> np.ndarray:
-        v = math.cos(theta) * self.u1 + math.sin(theta) * self.e2
-        return self.p_relay * np.outer(v, v.conj())
+        c, s = math.cos(theta), math.sin(theta)
+        v = np.array([c * self.u1[0] + s * self.e2[0], c * self.u1[1] + s * self.e2[1]])
+        return self.p_relay * np.outer(v, v)
 
     def angle(self, w21: float, w12: float) -> float:
         """The angle of largest w21 r21 + w12 r12 for nonnegative weights,
@@ -209,27 +212,16 @@ class _Arc:
 def _bc_arc(eff: EffectiveChannel, p_relay: float) -> _Arc:
     if p_relay <= 0.0:
         raise InvalidInputError("relay power budget must be positive")
+    (x0, x1), (y0, y1) = eff.g1.tolist(), eff.g2.tolist()
+    n1, n2 = math.hypot(x0, x1), math.hypot(y0, y1)
+    cross, dot = x0 * y1 - x1 * y0, x0 * y0 + x1 * y1
+    # u1 along g1, or along g2 where g1 is 0, or any unit vector where both are
+    u0, u1 = (x0 / n1, x1 / n1) if n1 > 0.0 else (y0 / n2, y1 / n2) if n2 > 0.0 else (1.0, 0.0)
+    # e2 is u1 turned 90 degrees toward g2, or toward -g2 where g1.g2 < 0
+    side = -1.0 if (cross < 0.0) != (dot < 0.0) else 1.0
+    phi, a, b = math.atan2(abs(cross), abs(dot)), p_relay * n1**2, p_relay * n2**2
     # span{h1*, h2*} has the conjugate of the effective frame as its basis
-    basis, f1, f2 = eff.U.conj(), eff.g1.conj(), eff.g2.conj()
-    n1 = float(np.linalg.norm(f1))
-    n2 = float(np.linalg.norm(f2))
-    a, b = p_relay * n1**2, p_relay * n2**2
-    if n1 == 0.0 or n2 == 0.0:
-        # a dead link: the arc shrinks to the single-link optimum of the other
-        u1 = np.array([1.0, 0.0], dtype=complex)
-        if n1 + n2 > 0.0:
-            u1 = (f1 if n1 > 0.0 else f2) / max(n1, n2)
-        return _Arc(basis, u1, np.zeros(2, dtype=complex), 0.0, a, b, p_relay)
-    u1, u2 = f1 / n1, f2 / n2
-    c = complex(np.vdot(u1, u2))
-    if c != 0.0:
-        u2 = u2 * (abs(c) / c)
-    # two Gram-Schmidt passes keep e2 orthogonal to u1 when phi is small;
-    # exactly parallel channels leave w = 0 and phi = 0
-    w = u2 - abs(c) * u1
-    w = w - np.vdot(u1, w) * u1
-    s = float(np.linalg.norm(w))
-    return _Arc(basis, u1, w / s if s > 0.0 else w, math.atan2(s, abs(c)), a, b, p_relay)
+    return _Arc(eff.U.conj(), (u0, u1), (-side * u1, side * u0), phi, a, b, p_relay)
 
 
 def bc_wsrmax(pair: ChannelPair, p_relay: float, w21: float, w12: float) -> BcPoint:

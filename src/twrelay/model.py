@@ -13,7 +13,8 @@ channels g_i, real since U g1 = conj(s) h1 and U g2 = s h2 for a unit s
 that leaves the rates, the relay power and every scheme's A as they are.
 
 Each expression is written once: the reduced evaluators and the
-beamformer tracer share _evaluate_2x2 and its link terms (_link_forms).
+beamformer tracer share _evaluate_2x2 and its link terms (_link_forms),
+which also give min_relay_power's target scale.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
 """Suboptimal relay beamformers: matched-filter and zero-forcing designs
 plus two heuristic baselines.
 
-Both main schemes weight two fixed rank-one unit relay matrices,
-B = a Ba + b Bb, a amplifying the S1->S2 link and b the S2->S1 link, and
-scale the matrix so the relay spends its whole budget. Sweeping the
-angle atan(a/b) over [0, pi/2] traces each scheme's achievable region.
-Along the sweep the relay power of the unit matrix, and at each receiver
-its forwarded noise and signal power, are real 2x2 quadratic forms in
-(a, b); scaling to the budget P_R makes each link's SNR
-P_R n / (P_R q + pw). So the sweeps, the sum-rate search and the ray
-exits build the power-free forms once per scheme and channel, each
-coefficient a product of dot products of the two matrices' factors and
-the channels in Python floats, scale them per power setting, evaluate
-them for a whole array of angles in one numpy expression or for one
-angle in scalar arithmetic, and form relay matrices only where they
-return them. The sum rate is so a sum of logs of quadratic forms, built
-with each power setting's scaled forms, and its maximum the root of its
-closed-form slope in the angle. The baselines are a scaled identity
-relay and one-way rank-one relaying over four slots; the sum-rate table
-takes both from the channel gains alone, and every rate here from
-model._rate.
+Both main schemes weight two fixed rank-one unit relay matrices, each
+the other's transpose in the real reduced frame: B = a u v^T + b v u^T,
+a amplifying the S1->S2 link and b the S2->S1 link, scaled so the relay
+spends its whole budget. Sweeping the angle atan(a/b) over [0, pi/2]
+traces each scheme's achievable region. Along the sweep the relay power
+of the unit matrix, and at each receiver its forwarded noise and signal
+power, are real 2x2 quadratic forms in (a, b); scaling to the budget
+P_R makes each link's SNR P_R n / (P_R q + pw). So the sweeps, the
+sum-rate search and the ray exits build the power-free forms once per
+scheme and channel, each coefficient a product of dot products of u, v
+and the channels in Python floats, scale them per power setting,
+evaluate them for a whole array of angles in one numpy expression or
+for one angle in scalar arithmetic, and form relay matrices only where
+they return them. The sum rate is so a sum of logs of quadratic forms,
+built with each power setting's scaled forms, and its maximum the root
+of its closed-form slope in the angle. The baselines are a scaled
+identity relay and one-way rank-one relaying over four slots; the
+sum-rate table takes both from the channel gains alone, and every rate
+here from model._rate.
 """
 
 from __future__ import annotations
@@ -45,15 +45,14 @@ from .model import (
 
 DEFAULT_RATIOS = 65
 _HALF_PI = 0.5 * math.pi
-_ONES = (1.0, 1.0, 1.0)  # the Gram entries of the scalars fa = fb = 1
 
 _Reals = Union[float, np.ndarray]
 
 
-def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rank-one factors (ua, va, ub, vb) of the scheme's unit relay
-    matrices Ba = ua va^T and Bb = ub vb^T in reduced coordinates: with
-    weights (a, b) its relay matrix is a Ba + b Bb before scaling.
+def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray]:
+    """The factors (u, v) of the scheme's unit relay matrices Ba = u v^T
+    and Bb = v u^T = Ba^T in reduced coordinates: with weights (a, b) its
+    relay matrix is a Ba + b Bb before scaling.
 
     Raises:
         InvalidInputError: unknown scheme.
@@ -61,15 +60,15 @@ def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray, 
     """
     if scheme == "mr":
         # A = a h2* h1^H + b h1* h2^H, with real g1 and g2
-        return eff.g2, eff.g1, eff.g1, eff.g2
+        return eff.g2, eff.g1
     if scheme == "zf":
         # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of the
         # turned [h1 h2] that the effective channel already holds
         sigma, V = eff.sigma, eff.V
         if sigma[1] <= 1e-10 * sigma[0]:
             raise RankDeficiencyError("zero-forcing undefined for parallel channels")
-        left, right = V.T / sigma[:, None], V / sigma
-        return left[:, 1], right[0], left[:, 0], right[1]
+        right = V / sigma
+        return right[1], right[0]
     raise InvalidInputError(f"unknown scheme {scheme!r}")
 
 
@@ -122,32 +121,32 @@ _GRID_ANGLES = _GRID.tolist()
 
 
 class _ChannelForms:
-    """A scheme on one channel: its unit relay matrices and the forms of
-    B = a Ba + b Bb that no power changes, the relay power parts
-    F1 = |B g1|^2, F2 = |B g2|^2 and F0 = |B|_F^2, the forwarded noise
-    q21 = |g1^T B|^2 and q12 = |g2^T B|^2, and the unscaled signal powers
+    """A scheme on one channel: the factors (u, v) of its unit relay
+    matrices Ba = u v^T and Bb = v u^T, and the forms of B = a Ba + b Bb
+    that no power changes, the relay power parts F1 = |B g1|^2,
+    F2 = |B g2|^2 and F0 = |B|_F^2, the forwarded noise q21 = |g1^T B|^2
+    and q12 = |g2^T B|^2, and the unscaled signal powers
     N21 = |g1^T B g2|^2 and N12 = |g2^T B g1|^2.
 
-    With Ba = ua va^T and Bb = ub vb^T, B g = a (va.g) ua + b (vb.g) ub,
-    g^T B = a (g.ua) va^T + b (g.ub) vb^T and g1^T B g2 = a (g1.ua)(va.g2)
-    + b (g1.ub)(vb.g2), so every coefficient is a product of 14 dot
-    products of two-vectors, taken in Python floats. A link that
-    zero-forcing nulls so keeps the product of two rounding residues."""
+    B g = a (v.g) u + b (u.g) v and g1^T B g2 = a (g1.u)(v.g2)
+    + b (g1.v)(u.g2), so every coefficient is a product of the 7 dot
+    products u.u, u.v, v.v, u.g_i and v.g_i of two-vectors, taken in
+    Python floats. B^T is B with a and b swapped, so q21, q12 and N12
+    are F1, F2 and N21 reversed. A link that zero-forcing nulls so keeps
+    the product of two rounding residues."""
 
     def __init__(self, scheme: str, eff: EffectiveChannel) -> None:
         self.eff = eff
-        factors = _basis(scheme, eff)
-        self.Ba, self.Bb = np.outer(factors[0], factors[1]), np.outer(factors[2], factors[3])
-        ua, va, ub, vb = (f.tolist() for f in factors)
+        self.factors = _basis(scheme, eff)
+        u, v = (f.tolist() for f in self.factors)
         g1, g2 = eff.g1.tolist(), eff.g2.tolist()
-        uu = (_dot(ua, ua), _dot(ua, ub), _dot(ub, ub))
-        vv = (_dot(va, va), _dot(va, vb), _dot(vb, vb))
-        a1, b1, a2, b2 = _dot(va, g1), _dot(vb, g1), _dot(va, g2), _dot(vb, g2)  # (va.g, vb.g)
-        x1a, x1b, x2a, x2b = _dot(g1, ua), _dot(g1, ub), _dot(g2, ua), _dot(g2, ub)  # (g.ua, g.ub)
-        self.F1, self.F2 = _pair_form(uu, a1, b1), _pair_form(uu, a2, b2)
-        self.F0 = (uu[0] * vv[0], uu[1] * vv[1], uu[2] * vv[2])
-        self.N21, self.N12 = _pair_form(_ONES, x1a * a2, x1b * b2), _pair_form(_ONES, x2a * a1, x2b * b1)
-        self.q21, self.q12 = _pair_form(vv, x1a, x1b), _pair_form(vv, x2a, x2b)
+        gram = (_dot(u, u), _dot(u, v), _dot(v, v))
+        u1, v1, u2, v2 = _dot(u, g1), _dot(v, g1), _dot(u, g2), _dot(v, g2)
+        self.F1, self.F2 = _pair_form(gram, v1, u1), _pair_form(gram, v2, u2)
+        self.F0 = (gram[0] * gram[2], gram[1] * gram[1], gram[2] * gram[0])
+        x, y = u1 * v2, v1 * u2  # the link gains g1^T Ba g2 and g1^T Bb g2
+        self.N21 = (x * x, x * y, y * y)
+        self.N12, self.q21, self.q12 = self.N21[::-1], self.F1[::-1], self.F2[::-1]
 
 
 class _Sweep:
@@ -165,7 +164,7 @@ class _Sweep:
     def __init__(self, forms: _ChannelForms, pc: PowerConfig) -> None:
         if pc.p_relay <= 0.0:
             raise InvalidInputError("relay power budget must be positive")
-        self.eff, self.Ba, self.Bb = forms.eff, forms.Ba, forms.Bb
+        self.eff, self.factors = forms.eff, forms.factors
         self.p_relay, self.q21, self.q12 = p, q21, q12 = pc.p_relay, forms.q21, forms.q12
         p1, p2, F1, F2, F0 = pc.p1, pc.p2, forms.F1, forms.F2, forms.F0
         self.pw = pw = (
@@ -235,7 +234,8 @@ class _Sweep:
         to spend the budget."""
         a, b = _weights(angles)
         scale = np.sqrt(self.p_relay / _quad(self.pw, a, b))[:, None, None]
-        return scale * (a[:, None, None] * self.Ba + b[:, None, None] * self.Bb)
+        Ba = np.outer(*self.factors)
+        return scale * (a[:, None, None] * Ba + b[:, None, None] * Ba.T)
 
     def beamformer(self, ratio: float) -> Beamformer:
         """The relay matrix at a/b = ratio, the angle atan(ratio) (pi/2

@@ -17,7 +17,6 @@ from twrelay.beamformer import (
     _log_excess,
     _PowerCell,
     _ray_exit,
-    _snr_forms,
     build_qcqp,
     capacity_region,
     max_sum_rate,
@@ -31,6 +30,7 @@ from twrelay.model import (
     LN2,
     Beamformer,
     ChannelPair,
+    EffectiveChannel,
     PowerConfig,
     RatePair,
     _evaluate_2x2,
@@ -658,15 +658,16 @@ class TestItpExit:
 
 
 def _kron_forms(g_rx, g_tx):
-    """_snr_forms as np.kron builds them, kept as the reference."""
+    """(u, Q) with |g_rx^T B g_tx|^2 = (u^T b)^2 and ||B^T g_rx||^2 = b^H Q b,
+    b = vec(B), as np.kron builds them, kept as the reference."""
     G = np.kron(g_rx[None, :], np.eye(2))
-    return np.kron(g_rx, g_tx).conj(), G.conj().T @ G
+    return np.kron(g_rx, g_tx), G.T @ G
 
 
 def _channel_vectors(rng):
-    """Seeded complex 2-vectors, some with exact zero entries."""
+    """Seeded real 2-vectors, as the reduced channels are, some with exact zero entries."""
     for k in range(12):
-        g = rng.normal(size=2) + 1j * rng.normal(size=2)
+        g = rng.normal(size=2)
         if k % 4 == 1:
             g[0] = 0.0
         if k % 4 == 2:
@@ -674,39 +675,87 @@ def _channel_vectors(rng):
         yield g
 
 
+def _on_channels(g1, g2):
+    """An effective channel with the reduced channels g1 and g2 and no frame:
+    all that the power cell's problem reads."""
+    return EffectiveChannel(U=None, sigma=None, V=None, g1=g1, g2=g2)
+
+
+def _complex_problem(eff, pc, gamma1_bar, gamma2_bar):
+    """[F0, F1, F2] by the construction for complex channels, kept as the
+    reference: Hermitian 4x4 forms from u = conj(vec(g_rx g_tx^T)) and
+    Q = conj(g_rx) g_rx^T on the even and the odd b_k, each realified to
+    0.5 (F + F^T) of F = [[Re, -Im], [Im, Re]]."""
+
+    def snr_forms(g_rx, g_tx):
+        Q = np.zeros((4, 4), dtype=complex)
+        Q[0::2, 0::2] = Q[1::2, 1::2] = np.outer(g_rx.conj(), g_rx)
+        return np.outer(g_rx, g_tx).ravel().conj(), Q
+
+    def realify(E):
+        Re, Im = np.real(E), np.imag(E)
+        F = np.block([[Re, -Im], [Im, Re]])
+        return 0.5 * (F + F.T)
+
+    theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
+    E0 = np.zeros((4, 4), dtype=complex)
+    E0[:2, :2] = E0[2:, 2:] = theta.T
+    links = ((pc.p2, gamma1_bar, snr_forms(eff.g1, eff.g2)), (pc.p1, gamma2_bar, snr_forms(eff.g2, eff.g1)))
+    return [realify(E0)] + [realify((p / gamma) * np.outer(u, u.conj()) - Q) for p, gamma, (u, Q) in links if gamma > 0.0]
+
+
 class TestPowerCellForms:
     def test_forms_match_kron_construction(self):
         # BLAS can move an entry of the kron Q by an ulp, so not bitwise
         rng = np.random.default_rng(43)
         vectors = list(_channel_vectors(rng))
-        for g_rx, g_tx in zip(vectors, vectors[::-1]):
-            (u, Q), (u_ref, Q_ref) = _snr_forms(g_rx, g_tx), _kron_forms(g_rx, g_tx)
-            assert np.max(abs(u - u_ref)) <= 1e-15 * np.max(abs(u_ref), initial=1.0)
-            assert np.max(abs(Q - Q_ref)) <= 1e-15 * np.max(abs(Q_ref), initial=1.0)
-        for m, rho, seed in ((2, 0.0, 3), (4, 0.5, 8), (8, 0.95, 21)):
-            eff = effective(gen_channels(m, rho, seed))
+        effs = [_on_channels(g1, g2) for g1, g2 in zip(vectors, vectors[::-1])]
+        effs += [effective(gen_channels(m, rho, seed)) for m, rho, seed in ((2, 0.0, 3), (4, 0.5, 8), (8, 0.95, 21))]
+        for eff in effs:
             pc = PowerConfig(3.0, 70.0, 10.0)
-            theta = pc.p1 * np.outer(eff.g1, eff.g1.conj()) + pc.p2 * np.outer(eff.g2, eff.g2.conj()) + np.eye(2)
+            theta = pc.p1 * np.outer(eff.g1, eff.g1) + pc.p2 * np.outer(eff.g2, eff.g2) + np.eye(2)
             (u1, Q1), (u2, Q2) = _kron_forms(eff.g1, eff.g2), _kron_forms(eff.g2, eff.g1)
-            forms = [np.kron(np.eye(2), theta.T), 2.0 * np.outer(u1, u1.conj()) - Q1, 0.5 * np.outer(u2, u2.conj()) - Q2]
+            forms = [np.kron(np.eye(2), theta), 2.0 * np.outer(u1, u1) - Q1, 0.5 * np.outer(u2, u2) - Q2]
             prob = _PowerCell(eff, pc).problem(pc.p2 / 2.0, pc.p1 / 0.5)
             for got, E in zip((prob.F0, prob.F1, prob.F2), forms):
-                want = np.block([[E.real, -E.imag], [E.imag, E.real]])
+                want = np.kron(np.eye(2), E)  # [[E, 0], [0, E]]: x = [Re b; Im b] and E real
                 assert np.max(abs(got - want)) <= 1e-15 * np.max(abs(want))
             # a zero target drops its constraint
             assert _PowerCell(eff, pc).problem(0.0, pc.p1 / 0.5).F2 is None
 
     def test_docstring_identities(self):
+        # x^T F0 x is the relay power and x^T F_i x + noise_i the scaled signal
+        # (p/gamma_i) signal_i, for x = [Re b; Im b] of a complex B
         rng = np.random.default_rng(47)
         vectors = list(_channel_vectors(rng))
-        for g_rx, g_tx in zip(vectors, vectors[1:] + vectors[:1]):
-            u, Q = _snr_forms(g_rx, g_tx)
+        pc = PowerConfig(3.0, 0.5, 10.0)
+        for g1, g2 in zip(vectors, vectors[1:] + vectors[:1]):
+            eff = _on_channels(g1, g2)
             B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = B.ravel()
-            signal, noise = abs(g_rx @ B @ g_tx) ** 2, np.linalg.norm(B.T @ g_rx) ** 2
-            assert abs(np.vdot(u, b)) ** 2 == pytest.approx(signal, rel=1e-13, abs=1e-13)
-            assert np.vdot(b, Q @ b).real == pytest.approx(noise, rel=1e-13, abs=1e-13)
-            assert abs(np.vdot(b, Q @ b).imag) <= 1e-13 * max(noise, 1.0)
+            x = np.concatenate((B.ravel().real, B.ravel().imag))
+            prob = _PowerCell(eff, pc).problem(2.0, 0.25)
+            power = relay_power_reduced(B, eff, pc)
+            assert x @ prob.F0 @ x == pytest.approx(power, rel=1e-13, abs=1e-13)
+            for F, gain, g_rx, g_tx in ((prob.F1, pc.p2 / 2.0, g1, g2), (prob.F2, pc.p1 / 0.25, g2, g1)):
+                signal, noise = abs(g_rx @ B @ g_tx) ** 2, np.linalg.norm(B.T @ g_rx) ** 2
+                assert x @ F @ x + noise == pytest.approx(gain * signal, rel=1e-13, abs=1e-13)
+
+    def test_forms_equal_the_complex_construction(self):
+        # the real forms placed twice on the diagonal are the realified
+        # Hermitian ones byte for byte, a dropped zero-target constraint too
+        rng = np.random.default_rng(53)
+        for i in range(200):
+            pair = gen_channels(
+                (2, 3, 4, 8)[i % 4], float(rng.choice((0.0, 0.5, 0.999999, rng.uniform()))),
+                int(rng.integers(0, 2**31)), normalize=i % 2 == 0,
+            )
+            eff = effective(pair)
+            pc = PowerConfig(*(float(p) for p in 10.0 ** rng.uniform(-2.0, 6.0, size=3)))
+            gamma1, gamma2 = (float(g) for g in 10.0 ** rng.uniform(-3.0, 3.0, size=2))
+            targets = ((gamma1, gamma2), (0.0, gamma2), (gamma1, 0.0))[i % 3]
+            prob = _PowerCell(eff, pc).problem(*targets)
+            got = [F.tobytes() for F in (prob.F0, prob.F1, prob.F2) if F is not None]
+            assert got == [F.tobytes() for F in _complex_problem(eff, pc, *targets)]
 
 
 def _exit_roots(monkeypatch, count: int = 18, seed: int = 31):

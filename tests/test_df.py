@@ -25,7 +25,7 @@ from twrelay.df import (
 from twrelay.io import TAU_HEADER, format_columns
 from twrelay.errors import InvalidInputError, NumericalFailureError
 from twrelay.linalg import eig_herm2
-from twrelay.model import ChannelPair, PowerConfig, effective, gen_channels
+from twrelay.model import ChannelPair, EffectiveChannel, PowerConfig, effective, gen_channels
 
 
 class TestMacRegion:
@@ -166,6 +166,99 @@ class TestBcWsrmax:
             bc_wsrmax(pair, 10.0, -1.0, 1.0)
 
 
+_WEIGHTS = ((1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.2, 0.8), (0.0, 1.0))
+
+
+def _assert_lifted(point, h1, h2, p_relay):
+    """As test_covariance_is_feasible_and_consistent: the covariance fits the
+    budget and reaches its rates through the lifted channels."""
+    assert np.trace(point.S_reduced) <= p_relay * (1.0 + 1e-8)
+    assert np.min(np.linalg.eigvalsh(point.S_reduced)) >= -1e-9
+    S = point.full()
+    s1, s2 = ((h @ S @ h.conj()).real for h in (h1, h2))
+    assert point.rates.r21 == pytest.approx(math.log2(1.0 + s1), abs=1e-9)
+    assert point.rates.r12 == pytest.approx(math.log2(1.0 + s2), abs=1e-9)
+
+
+def _frame_only(g1, g2):
+    """An effective channel with the real reduced channels g1 and g2 in the
+    first two coordinates of C^4, and the channels it lifts them to."""
+    U = np.eye(4, 2, dtype=complex)
+    eff = EffectiveChannel(U=U, sigma=None, V=None, g1=g1, g2=g2)
+    return eff, ChannelPair(m=4, h1=U @ g1, h2=U @ g2, rho=0.0, seed=None)
+
+
+class TestBcArcEdges:
+    def test_dead_second_link(self):
+        import twrelay.df as df
+
+        h = gen_channels(4, 0.5, seed=3).h1
+        pair = ChannelPair(m=4, h1=h, h2=np.zeros(4, dtype=complex), rho=0.0, seed=None)
+        assert df._bc_arc(effective(pair), 10.0).phi == 0.0
+        for w21, w12 in _WEIGHTS:
+            point = bc_wsrmax(pair, 10.0, w21, w12)
+            assert point.rates.r12 == 0.0
+            assert point.rates.r21 == pytest.approx(math.log2(1.0 + 10.0 * pair.theta1), abs=1e-12)
+            _assert_lifted(point, pair.h1, pair.h2, 10.0)
+
+    def test_both_links_dead(self):
+        zero = np.zeros(4, dtype=complex)
+        pair = ChannelPair(m=4, h1=zero, h2=zero.copy(), rho=0.0, seed=None)
+        for w21, w12 in _WEIGHTS:
+            point = bc_wsrmax(pair, 10.0, w21, w12)
+            assert (point.rates.r21, point.rates.r12) == (0.0, 0.0)
+            assert np.trace(point.S_reduced) == pytest.approx(10.0, rel=1e-12)
+            _assert_lifted(point, pair.h1, pair.h2, 10.0)
+        assert bc_ray_exit(pair, 10.0, RateProfile.of(0.5)) == 0.0
+
+    def test_exactly_parallel_channels(self, monkeypatch):
+        # g2 = 2 g1 with exact products: phi = 0, and every weight gives
+        # both links their single-link maxima at once
+        import twrelay.df as df
+
+        eff, pair = _frame_only(np.array([0.75, 1.0]), np.array([1.5, 2.0]))
+        monkeypatch.setattr(df, "effective", lambda _: eff)
+        assert df._bc_arc(eff, 10.0).phi == 0.0
+        for w21, w12 in _WEIGHTS:
+            point = bc_wsrmax(pair, 10.0, w21, w12)
+            assert (point.rates.r21, point.rates.r12) == (math.log2(1.0 + 15.625), math.log2(1.0 + 62.5))
+            _assert_lifted(point, pair.h1, pair.h2, 10.0)
+        # gen_channels at rho = 1 draws h2 = h1, which the frame keeps parallel to rounding
+        pair = gen_channels(4, 1.0, seed=5)
+        monkeypatch.setattr(df, "effective", effective)
+        assert df._bc_arc(effective(pair), 10.0).phi <= 1e-15
+        for w21, w12 in _WEIGHTS:
+            point = bc_wsrmax(pair, 10.0, w21, w12)
+            assert point.rates.r21 == pytest.approx(math.log2(11.0), abs=1e-12)
+            assert point.rates.r12 == pytest.approx(math.log2(11.0), abs=1e-12)
+            _assert_lifted(point, pair.h1, pair.h2, 10.0)
+
+    @pytest.mark.parametrize(
+        "flip, sign",
+        [
+            pytest.param([1.0, 1.0], -1.0, id="g2-negated"),  # g1.g2 < 0
+            pytest.param([1.0, -1.0], 1.0, id="reflected"),  # g1 x g2 < 0
+            pytest.param([1.0, -1.0], -1.0, id="reflected-g2-negated"),
+        ],
+    )
+    def test_frames_of_other_signs(self, monkeypatch, flip, sign):
+        # the frame gives g1.g2 >= 0 and g1 x g2 >= 0; for other signs the
+        # arc turns from g1 toward g2 or -g2 with the same a, b, phi and rates
+        import twrelay.df as df
+
+        pair = gen_channels(4, 0.6, seed=8)
+        eff = effective(pair)
+        other, lifted = _frame_only(eff.g1 * flip, sign * eff.g2 * flip)
+        arc, arc_other = df._bc_arc(eff, 25.0), df._bc_arc(other, 25.0)
+        assert (arc_other.a, arc_other.b, arc_other.phi) == (arc.a, arc.b, arc.phi)
+        wants = [bc_wsrmax(pair, 25.0, w21, w12).rates for w21, w12 in _WEIGHTS]
+        monkeypatch.setattr(df, "effective", lambda _: other)
+        for (w21, w12), want in zip(_WEIGHTS, wants):
+            point = bc_wsrmax(lifted, 25.0, w21, w12)
+            assert point.rates == want
+            _assert_lifted(point, lifted.h1, lifted.h2, 25.0)
+
+
 class TestBcBoundary:
     def test_sweep_monotone_and_concave(self):
         pair = gen_channels(4, 0.95, seed=21)
@@ -189,7 +282,7 @@ class TestBcBoundary:
             point = bc_wsrmax(pair, 10.0, k / 8, 1.0 - k / 8)
             assert (point.rates.r21, point.rates.r12) == (r21, r12)
             S = point.S_reduced
-            assert S.shape == (2, 2) and S.dtype == np.complex128
+            assert S.shape == (2, 2) and S.dtype == np.float64
             assert np.trace(S).real <= 10.0 + 1e-8
             assert np.min(np.linalg.eigvalsh(S)) >= -1e-9
 

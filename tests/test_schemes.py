@@ -404,36 +404,57 @@ def _dot(x, y):
     return x[0] * y[0] + x[1] * y[1]
 
 
-def _factor_forms(scheme, eff):
-    """(F1, F2, F0, N21, N12) of the scheme's B = a ua va^T + b ub vb^T,
-    each coefficient the product of two-term dot products of the rank-one
-    factors and the channels in Python floats, as the one-shot build
-    spells it: F1 = (|ua|^2 (va.g1)^2, (ua.ub)(va.g1)(vb.g1), |ub|^2 (vb.g1)^2),
-    F0 = (|ua|^2 |va|^2, (ua.ub)(va.vb), |ub|^2 |vb|^2) and N21 the squares
-    and product of the link gains (g1.ua)(va.g2) and (g1.ub)(vb.g2)."""
-    ua, va, ub, vb = (f.tolist() for f in _basis(scheme, eff))
+def _four_factors(scheme, eff):
+    """The factors (ua, va, ub, vb) of Ba = ua va^T and Bb = ub vb^T taken
+    apart, the reference for _basis: for zero-forcing each matrix's left
+    factor comes from V^T / sigma and its right one from V / sigma."""
+    if scheme == "mr":
+        return eff.g2, eff.g1, eff.g1, eff.g2
+    left, right = eff.V.T / eff.sigma[:, None], eff.V / eff.sigma
+    return left[:, 1], right[0], left[:, 0], right[1]
+
+
+def _fourteen_dot_forms(scheme, eff):
+    """(F1, F2, F0, N21, N12, q21, q12) of B = a ua va^T + b ub vb^T from the
+    four factors and 14 two-term dot products, the reference for
+    _ChannelForms: F1 = (|ua|^2 (va.g1)^2,
+    (ua.ub)(va.g1)(vb.g1), |ub|^2 (vb.g1)^2), F0 = (|ua|^2 |va|^2,
+    (ua.ub)(va.vb), |ub|^2 |vb|^2), N21 the squares and product of the link
+    gains (g1.ua)(va.g2) and (g1.ub)(vb.g2), and q21 = (|va|^2 (g1.ua)^2,
+    (va.vb)(g1.ua)(g1.ub), |vb|^2 (g1.ub)^2)."""
+    ua, va, ub, vb = (f.tolist() for f in _four_factors(scheme, eff))
     g1, g2 = eff.g1.tolist(), eff.g2.tolist()
     uu = (_dot(ua, ua), _dot(ua, ub), _dot(ub, ub))
     vv = (_dot(va, va), _dot(va, vb), _dot(vb, vb))
 
-    def power_part(g):
-        x, y = _dot(va, g), _dot(vb, g)
-        return uu[0] * (x * x), uu[1] * (x * y), uu[2] * (y * y)
+    def pair_form(gram, x, y):
+        return gram[0] * (x * x), gram[1] * (x * y), gram[2] * (y * y)
 
-    def signal(g, h):
-        x, y = _dot(g, ua) * _dot(va, h), _dot(g, ub) * _dot(vb, h)
-        return x * x, x * y, y * y
+    a1, b1, a2, b2 = _dot(va, g1), _dot(vb, g1), _dot(va, g2), _dot(vb, g2)
+    x1a, x1b, x2a, x2b = _dot(g1, ua), _dot(g1, ub), _dot(g2, ua), _dot(g2, ub)
+    ones = (1.0, 1.0, 1.0)
+    return (
+        pair_form(uu, a1, b1),
+        pair_form(uu, a2, b2),
+        (uu[0] * vv[0], uu[1] * vv[1], uu[2] * vv[2]),
+        pair_form(ones, x1a * a2, x1b * b2),
+        pair_form(ones, x2a * a1, x2b * b1),
+        pair_form(vv, x1a, x1b),
+        pair_form(vv, x2a, x2b),
+    )
 
-    F0 = (uu[0] * vv[0], uu[1] * vv[1], uu[2] * vv[2])
-    return power_part(g1), power_part(g2), F0, signal(g1, g2), signal(g2, g1)
+
+def _bits(form):
+    return [float(c).hex() for c in form]
 
 
 def _exact_forms(factors, g1, g2):
     """The seven forms (F1, F2, F0, N21, N12, q21, q12) of
-    B = a ua va^T + b ub vb^T from their definitions, F1 = |B g1|^2 and
+    B = a u v^T + b v u^T from their definitions, F1 = |B g1|^2 and
     so on, in exact rational arithmetic on the floats given."""
-    ua, va, ub, vb, g1, g2 = ([Fraction(x) for x in v] for v in (*factors, g1, g2))
-    Ba, Bb = [[x * y for y in va] for x in ua], [[x * y for y in vb] for x in ub]
+    u, v, g1, g2 = ([Fraction(x) for x in f] for f in (*factors, g1, g2))
+    Ba = [[x * y for y in v] for x in u]
+    Bb = [list(col) for col in zip(*Ba)]
 
     def dot(x, y):
         return sum(p * q for p, q in zip(x, y))
@@ -458,6 +479,12 @@ def _exact_forms(factors, g1, g2):
     )
 
 
+def _form_corpus_channels():
+    """Each channel of _per_job_corpus and _evaluator_corpus once."""
+    pairs = [pair for pair, _ in _per_job_corpus()]
+    return pairs + list({id(pair): pair for pair, _ in _evaluator_corpus()}.values())
+
+
 class TestPerJobForms:
     def test_maximum_from_per_job_forms_equals_a_fresh_search(self):
         # one set of channel forms per scheme and channel, scaled at every
@@ -466,14 +493,28 @@ class TestPerJobForms:
             eff = effective(pair)
             for scheme in ("mr", "zf"):
                 forms = _ChannelForms(scheme, eff)
-                F1, F2, F0, N21, N12 = _factor_forms(scheme, eff)
+                F1, F2, F0, N21, N12, _, _ = _fourteen_dot_forms(scheme, eff)
                 for pc in powers:
                     sweep = _Sweep(forms, pc)
                     assert sweep.best_rates() == scheme_best_rates(scheme, pair, pc)
-                    # the scaled forms are the one-shot build's, bit for bit
+                    # the scaled forms are the four-factor build's, bit for bit
                     assert sweep.pw == tuple(pc.p1 * f1 + pc.p2 * f2 + f0 for f1, f2, f0 in zip(F1, F2, F0))
                     assert sweep.n21 == tuple(pc.p2 * c for c in N21)
                     assert sweep.n12 == tuple(pc.p1 * c for c in N12)
+
+    def test_forms_equal_the_four_factor_build(self):
+        # Bb = Ba^T: the four factors are two, bit for bit, and the 7 dot
+        # products of (u, v) give the 14-dot build's coefficients exactly
+        for pair in _form_corpus_channels():
+            eff = effective(pair)
+            for scheme in ("mr", "zf"):
+                forms = _ChannelForms(scheme, eff)
+                (u, v), (ua, va, ub, vb) = forms.factors, _four_factors(scheme, eff)
+                for got, want in ((u, ua), (v, va), (v, ub), (u, vb)):
+                    assert got.tobytes() == want.tobytes()
+                got = (forms.F1, forms.F2, forms.F0, forms.N21, forms.N12, forms.q21, forms.q12)
+                for form, want in zip(got, _fourteen_dot_forms(scheme, eff)):
+                    assert _bits(form) == _bits(want)
 
     def test_forms_against_exact_arithmetic(self):
         # each coefficient is a product of up to four two-term dot products
@@ -481,15 +522,12 @@ class TestPerJobForms:
         # exact value, relative to the same coefficient of the factors' and
         # channels' absolute values (every dot product's sum of |terms|)
         u = Fraction(1, 2**53)
-        pairs = [pair for pair, _ in _per_job_corpus()]
-        pairs += {id(pair): pair for pair, _ in _evaluator_corpus()}.values()  # each channel once
-        for pair in pairs:
+        for pair in _form_corpus_channels():
             eff = effective(pair)
             for scheme in ("mr", "zf"):
                 forms = _ChannelForms(scheme, eff)
                 factors = _basis(scheme, eff)
-                assert np.array_equal(forms.Ba, np.outer(factors[0], factors[1]))
-                assert np.array_equal(forms.Bb, np.outer(factors[2], factors[3]))
+                assert [f.tobytes() for f in forms.factors] == [f.tobytes() for f in factors]
                 g1, g2 = eff.g1.tolist(), eff.g2.tolist()
                 exact = _exact_forms([f.tolist() for f in factors], g1, g2)
                 scale = _exact_forms([np.abs(f).tolist() for f in factors], *(np.abs(g).tolist() for g in (eff.g1, eff.g2)))
