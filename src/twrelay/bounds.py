@@ -20,8 +20,8 @@ width 2^-40.
 A sum of two terms that each fit a float may overflow; such sums are
 formed from halved terms, an exact rescaling that leaves every
 quotient's bits as they are. Where the zero-forcing bound's denominator
-leaves the float range, its quotient is formed from the mantissas and
-exponents of its factors. A term out of the float range (or r_lb_mr's
+leaves the normal float range, its quotient is formed from the mantissas
+and exponents of its factors. A term out of the float range (or r_lb_mr's
 noise term at 0) makes c_ub and r_lb_mr 0.0 where c_ub0 is 0.0, else
 raises NumericalFailureError.
 """
@@ -234,9 +234,9 @@ def r_lb_zf(pc: PowerConfig, theta1: float, theta2: float, rho: float) -> float:
     X, top = 1.0 + pc.p1 / P + pc.p2 / P, max(pc.p1, pc.p2)
     half, total = 0.5 * pc.p1 + 0.5 * pc.p2, 0.5 * P + 0.5 * pc.p1 + 0.5 * pc.p2
     den = S * X * (top + S * half / total)
-    if 0.0 < den < math.inf:
+    if sys.float_info.min <= den < math.inf:
         return math.log2(1.0 + 2.0 * pc.p1 * pc.p2 / den)
-    # the product leaves the float range: the quotient from the mantissas
+    # the product leaves the normal float range: the quotient from the mantissas
     # and exponents of its factors, the share half/total <= 1 taken first
     factors = (S, X, top + S * (half / total))
     if not all(0.0 < v < math.inf for v in factors):

@@ -39,7 +39,7 @@ from .beamformer import (
     snr_targets,
 )
 from .bounds import bounds_report, c_ub0, c_ub_sym, r_lb_mr, r_lb_zf
-from .df import DEFAULT_TAU_GRID, DEFAULT_WEIGHTS, _bc_arc, _df_ray, _tau_grid, bc_wsrmax, df_boundary_value, df_tau_slices, mac_region
+from .df import DEFAULT_TAU_GRID, DEFAULT_WEIGHTS, _bc_arc, _df_ray, _mac_pentagon, _tau_grid, bc_wsrmax, df_boundary_value, df_tau_slices, mac_region
 from .errors import InvalidInputError, NumericalFailureError, RankDeficiencyError
 from .model import (
     PowerConfig,
@@ -431,11 +431,11 @@ def cmd_df_compare(settings: dict) -> int:
     timer = Timer()
 
     # every table is computed, formatted and checked before the first write
-    pent = mac_region(pair, p1, p2)
+    eff = effective(pair)  # one reduced frame for the MAC, the broadcast arc and the AF region
+    pent = _mac_pentagon(eff, p1, p2)
     mac = 0.5 * np.array(pent.corners())
     timer.lap("half_mac")
 
-    eff = effective(pair)  # one reduced frame for the broadcast arc and the AF region
     arc = _bc_arc(eff, pr)  # one broadcast arc for the sweep and every ray
     bc = arc.boundary(settings["weights"])
     timer.lap("half_bc")

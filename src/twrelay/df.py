@@ -6,7 +6,8 @@ sources transmit, relay decodes both messages) and a broadcast phase
 each destination cancels its own message before decoding). The
 achievable region is the union over tau of tau * MAC intersected with
 (1 - tau) * BC; df_tau_slices traces its slices on a grid of tau, and
-df_boundary_value each ray's exit at its exact best split.
+df_boundary_value each ray's exit at its exact best split. Both phases
+read the real channels g1 and g2 of one reduced frame.
 
 The broadcast phase uses a single transmit covariance serving both
 links at once, not a power split. Its SNR region is convex, and its
@@ -71,33 +72,26 @@ class MacPentagon:
 
 
 def mac_region(pair: ChannelPair, p1: float, p2: float) -> MacPentagon:
-    """Decode-both-messages region at the relay's antenna array.
+    """Decode-both-messages region at the relay's antenna array."""
+    return _mac_pentagon(effective(pair), p1, p2)
 
-    The M x M determinants collapse to 2 x 2 ones through the channel
-    Gram matrix.
 
-    Raises NumericalFailureError if the sum rate is not finite, as from
-    source powers near 1e155, where the determinant overflows to inf - inf.
+def _mac_pentagon(eff: EffectiveChannel, p1: float, p2: float) -> MacPentagon:
+    """mac_region from the reduced frame: det(I + p1 h1 h1^H + p2 h2 h2^H) is
+    1 + a + b + p1 p2 (g1 x g2)^2 with a = p1 |g1|^2 and b = p2 |g2|^2, a sum
+    of nonnegative floats.
+
+    Raises NumericalFailureError if the sum rate is not finite, as where
+    the last term overflows to inf (from equal powers near 1e155 on unit channels).
     """
     if p1 < 0.0 or p2 < 0.0:
         raise InvalidInputError("source powers must be nonnegative")
-    gram = np.array(
-        [
-            [p1 * pair.theta1, math.sqrt(p1 * p2) * (pair.h1.conj() @ pair.h2)],
-            [math.sqrt(p1 * p2) * (pair.h2.conj() @ pair.h1), p2 * pair.theta2],
-        ],
-        dtype=complex,
-    )
-    with np.errstate(invalid="ignore"):
-        det = np.linalg.det(np.eye(2) + gram)
-    c_sum = math.log2(float(np.real(det)))
+    (x0, x1), (y0, y1) = eff.g1.tolist(), eff.g2.tolist()
+    a, b, cross = p1 * (x0 * x0 + x1 * x1), p2 * (y0 * y0 + y1 * y1), x0 * y1 - x1 * y0
+    c_sum = math.log2(1.0 + a + b + (p1 * cross) * (p2 * cross))
     if not math.isfinite(c_sum):
         raise NumericalFailureError(f"the MAC sum rate is {c_sum}, not a finite number")
-    return MacPentagon(
-        c1=math.log2(1.0 + p2 * pair.theta2),
-        c2=math.log2(1.0 + p1 * pair.theta1),
-        c_sum=c_sum,
-    )
+    return MacPentagon(c1=math.log2(1.0 + b), c2=math.log2(1.0 + a), c_sum=c_sum)
 
 
 @dataclass(frozen=True)
@@ -324,7 +318,8 @@ def df_boundary_value(
     side like (1 - tau) * t_bc, so the best split equalizes them; this
     avoids the tau-grid discretization entirely.
     """
-    return _df_ray(mac_region(pair, p1, p2), _bc_arc(effective(pair), p_relay), profile)
+    eff = effective(pair)
+    return _df_ray(_mac_pentagon(eff, p1, p2), _bc_arc(eff, p_relay), profile)
 
 
 def _df_ray(pent: MacPentagon, arc: _Arc, profile: RateProfile) -> Tuple[float, float]:

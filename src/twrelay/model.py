@@ -81,11 +81,10 @@ class ChannelPair:
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """SVD frame of the turned uplink matrix [h1 h2] and the real reduced channels."""
+    """The reduced frame: orthonormal columns U spanning h1 and h2, and the real
+    reduced channels g1 and g2, U g1 = conj(s) h1 and U g2 = s h2 for a unit s."""
 
     U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
 
@@ -156,16 +155,18 @@ def gen_channels(m: int, rho: float, seed: int, normalize: bool = True) -> Chann
 
 
 def effective(pair: ChannelPair) -> EffectiveChannel:
-    """Reduced coordinates in closed form. With c = h1^H h2 and s = (conj(c)/|c|)^(1/2),
+    """The reduced frame in closed form. With c = h1^H h2 and s = (conj(c)/|c|)^(1/2),
     1 at c = 0, k1 = conj(s) h1 and k2 = s h2 have the real Gram matrix
     [[theta1, |c|], [|c|, theta2]]. V is its Jacobi rotation by phi = atan2(2|c|,
     theta1 - theta2)/2 in [0, pi/2], svd_tall's phase rule; U is w_k = [k1 k2] v_k
     made orthonormal, and the real g_i = sigma * V[i, :], sigma_k = ||w_k||, give
-    U g1 = k1 and U g2 = k2. At a real c >= 0 (s = 1), as gen_channels draws it, this is
-    svd_tall's frame of [h1 h2] to rounding, so a written B lifts to the same A; other
-    frames differ from it by the phases diag(s, conj(s)). No complex matrix product or
-    SVD is used: a complex OpenBLAS kernel can leave the CPU's wide vector registers in
-    a state that slows every later libm call several times over."""
+    U g1 = k1, U g2 = k2 and g1 x g2 = g1[0] g2[1] - g1[1] g2[0] = sigma_1 sigma_2,
+    a difference of two products of opposite sign. At a real c >= 0 (s = 1), as
+    gen_channels draws it, this is svd_tall's frame of [h1 h2] to rounding, so a
+    written B lifts to the same A; other frames differ from it by the phases
+    diag(s, conj(s)). No complex matrix product or SVD is used: a complex OpenBLAS
+    kernel can leave the CPU's wide vector registers in a state that slows every
+    later libm call several times over."""
     c = complex(np.vdot(pair.h1, pair.h2))
     s, x = (cmath.sqrt(c.conjugate() / abs(c)), abs(c)) if c else (1.0, 0.0)
     z = complex(0.5 * (pair.theta1 - pair.theta2), x)
@@ -181,9 +182,8 @@ def effective(pair: ChannelPair) -> EffectiveChannel:
         norm = np.linalg.norm(w)
         if norm > 0.0 and abs(np.vdot(u1, w)) <= 1e-8 * norm:
             break
-    V = np.array([[co, -si], [si, co]])
     U = np.column_stack((u1, w / norm)).astype(complex)
-    return EffectiveChannel(U=U, sigma=sigma, V=V, g1=sigma * V[0], g2=sigma * V[1])
+    return EffectiveChannel(U=U, g1=sigma * [co, -si], g2=sigma * [si, co])
 
 
 def relay_power(A: np.ndarray, pair: ChannelPair, pc: PowerConfig) -> float:

@@ -2,24 +2,25 @@
 plus two heuristic baselines.
 
 Both main schemes weight two fixed rank-one unit relay matrices, each
-the other's transpose in the real reduced frame: B = a u v^T + b v u^T,
-a amplifying the S1->S2 link and b the S2->S1 link, scaled so the relay
-spends its whole budget. Sweeping the angle atan(a/b) over [0, pi/2]
-traces each scheme's achievable region. Along the sweep the relay power
-of the unit matrix, and at each receiver its forwarded noise and signal
-power, are real 2x2 quadratic forms in (a, b); scaling to the budget
-P_R makes each link's SNR P_R n / (P_R q + pw). So the sweeps, the
-sum-rate search and the ray exits build the power-free forms once per
-scheme and channel, each coefficient a product of dot products of u, v
-and the channels in Python floats, scale them per power setting,
-evaluate them for a whole array of angles in one numpy expression or
-for one angle in scalar arithmetic, and form relay matrices only where
-they return them. The sum rate is so a sum of logs of quadratic forms,
-built with each power setting's scaled forms, and its maximum the root
-of its closed-form slope in the angle. The baselines are a scaled
-identity relay and one-way rank-one relaying over four slots; the
-sum-rate table takes both from the channel gains alone, and every rate
-here from model._rate.
+the other's transpose in the real reduced frame: B = a u v^T + b v u^T
+with (u, v) = (g2, g1) for matched filtering and the dual basis of
+(g1, g2) for zero-forcing, a amplifying the S1->S2 link and b the S2->S1
+link, scaled so the relay spends its whole budget. Sweeping the angle
+atan(a/b) over [0, pi/2] traces each scheme's achievable region. Along
+the sweep the relay power of the unit matrix, and at each receiver its
+forwarded noise and signal power, are real 2x2 quadratic forms in
+(a, b); scaling to the budget P_R makes each link's SNR
+P_R n / (P_R q + pw). So the sweeps, the sum-rate search and the ray
+exits build the power-free forms once per scheme and channel, each
+coefficient a product of dot products of u, v and the channels in Python
+floats, scale them per power setting, evaluate them for a whole array of
+angles in one numpy expression or for one angle in scalar arithmetic,
+and form relay matrices only where they return them. The sum rate is so
+a sum of logs of quadratic forms, built with each power setting's scaled
+forms, and its maximum the root of its closed-form slope in the angle.
+The baselines are a scaled identity relay and one-way rank-one relaying
+over four slots; the sum-rate table takes both from the channel gains
+alone, and every rate here from model._rate.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ def _basis(scheme: str, eff: EffectiveChannel) -> Tuple[np.ndarray, np.ndarray]:
         # A = a h2* h1^H + b h1* h2^H, with real g1 and g2
         return eff.g2, eff.g1
     if scheme == "zf":
-        # B = Sigma^-1 V^T [[0, b], [a, 0]] V Sigma^-1, with the SVD of the
-        # turned [h1 h2] that the effective channel already holds
-        sigma, V = eff.sigma, eff.V
-        if sigma[1] <= 1e-10 * sigma[0]:
+        # B = G^-T [[0, b], [a, 0]] G^-1 with G = [g1 g2]: the dual basis u.g2 = v.g1 = 1,
+        # u.g1 = v.g2 = 0; |g1 x g2| = sigma_1 sigma_2, so the refusal is sigma_2 <= 1e-10 sigma_1
+        (x0, x1), (y0, y1) = eff.g1.tolist(), eff.g2.tolist()
+        cross = x0 * y1 - x1 * y0
+        if abs(cross) <= 1e-10 * (x0 * x0 + x1 * x1 + y0 * y0 + y1 * y1):
             raise RankDeficiencyError("zero-forcing undefined for parallel channels")
-        right = V / sigma
-        return right[1], right[0]
+        return np.array([-x1 / cross, x0 / cross]), np.array([y1 / cross, -y0 / cross])
     raise InvalidInputError(f"unknown scheme {scheme!r}")
 
 

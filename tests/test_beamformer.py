@@ -678,7 +678,7 @@ def _channel_vectors(rng):
 def _on_channels(g1, g2):
     """An effective channel with the reduced channels g1 and g2 and no frame:
     all that the power cell's problem reads."""
-    return EffectiveChannel(U=None, sigma=None, V=None, g1=g1, g2=g2)
+    return EffectiveChannel(U=None, g1=g1, g2=g2)
 
 
 def _complex_problem(eff, pc, gamma1_bar, gamma2_bar):

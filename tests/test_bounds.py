@@ -420,6 +420,14 @@ class TestLowerBounds:
                 want = self._zf_exact(PowerConfig(p1, p2, P), theta1, theta2, rho)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("theta, p", [(1e300, 1.4123490840475448e-23), (1e200, 1.288054256607566e-119)])
+    def test_zf_below_the_upper_bound_where_its_denominator_is_subnormal(self, theta, p):
+        # the direct quotient over a subnormal denominator (8.5e-323 at the
+        # first setting) lost digits: 919.1000 bits against c_ub's 919.0872
+        pc = PowerConfig(p, p, p)
+        ub, _, _ = c_ub(pc, theta, theta)
+        assert r_lb_zf(pc, theta, theta, 0.0) <= ub + 4.0 * math.ulp(ub)
+
     def test_lower_below_upper_random(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

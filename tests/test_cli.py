@@ -420,6 +420,11 @@ EXTREME_SETTINGS = {
     "p1-210db": (["region", "--p1", "210db", "--profiles", "3", "--scheme", "optimal"], True),
     "pr-1e-250": (["region", "--pr", "1e-250", "--profiles", "3", "--scheme", "optimal"], True),
     "pr-1e-300-rho-1": (["region", "--pr", "1e-300", "--rho", "1", "--profiles", "3", "--scheme", "optimal"], True),
+    # parallel channels at 200 dB: a MAC determinant taken in floats cancels to 0 or below
+    **{
+        f"df-compare-rho-1-p-1e20-seed-{seed}": (["df-compare", "--rho", "1", "--p", "1e20", "--seed", str(seed)], True)
+        for seed in (1, 2, 3, 4)
+    },
     **{
         f"pr-{db}db-seed-{seed}": (
             ["region", "--pr", f"{db}db", "--profiles", "9", "--scheme", "optimal", "--seed", str(seed)],
@@ -575,12 +580,12 @@ def test_a_non_finite_table_exits_1_and_writes_nothing(argv, df_ray, tmp_path, m
 
 
 def test_an_overflowing_mac_exits_1_naming_the_mac_sum_rate(tmp_path, capsys):
-    # at p = 1e200 the MAC's 2x2 determinant overflows to inf - inf
+    # at p = 1e200 the MAC's term p1 p2 (g1 x g2)^2 overflows to inf
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(["df-compare", "--p", "1e200", "--profiles", "3", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == "twrelay df-compare: error: the MAC sum rate is nan, not a finite number\n"
+    assert err == "twrelay df-compare: error: the MAC sum rate is inf, not a finite number\n"
     assert list(tmp_path.iterdir()) == []
 
 

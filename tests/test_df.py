@@ -4,6 +4,7 @@ import dataclasses
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,14 +75,35 @@ class TestMacRegion:
             assert r21 + r12 <= pent.c_sum + 1e-12
 
     def test_overflowing_sum_rate_raises_with_no_warning(self):
-        # from about p = 1e155 the 2x2 determinant overflows to inf - inf
+        # from about p = 1e155 the term p1 p2 (g1 x g2)^2 overflows to inf
         pair = gen_channels(4, 0.95, seed=42)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isfinite(mac_region(pair, 1e154, 1e154).c_sum)
             for p in (1e160, 1e200):
-                with pytest.raises(NumericalFailureError, match="MAC sum rate is nan"):
+                with pytest.raises(NumericalFailureError, match="MAC sum rate is inf"):
                     mac_region(pair, p, p)
+
+    def test_sum_rate_against_exact_arithmetic_near_parallel(self):
+        # log2 det(I + p1 h1 h1^H + p2 h2 h2^H) = log2(1 + p1 theta1 + p2 theta2
+        # + p1 p2 (theta1 theta2 - |h1^H h2|^2)) in exact arithmetic on the
+        # float channel entries, where a 2x2 determinant in floats cancels
+        worst = 0.0
+        for rho in (0.95, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0):
+            for seed in range(1, 7):
+                for normalize in (True, False):
+                    pair = gen_channels(4, rho, seed, normalize=normalize)
+                    h1, h2 = ([(Fraction(z.real), Fraction(z.imag)) for z in h.tolist()] for h in (pair.h1, pair.h2))
+                    theta1, theta2 = (sum(re * re + im * im for re, im in h) for h in (h1, h2))
+                    c_re = sum(a_re * b_re + a_im * b_im for (a_re, a_im), (b_re, b_im) in zip(h1, h2))
+                    c_im = sum(a_re * b_im - a_im * b_re for (a_re, a_im), (b_re, b_im) in zip(h1, h2))
+                    for p1, p2 in ((1.0, 1.0), (1e3, 10.0), (1e10, 1e10), (1e15, 1e12), (1e20, 1e20)):
+                        det = 1 + Fraction(p1) * theta1 + Fraction(p2) * theta2
+                        det += Fraction(p1) * Fraction(p2) * (theta1 * theta2 - c_re * c_re - c_im * c_im)
+                        error = abs(mac_region(pair, p1, p2).c_sum - math.log2(det))
+                        assert error <= 1e-9, (rho, seed, normalize, p1, p2, error)
+                        worst = max(worst, error)
+        assert worst > 0.0
 
     def test_ray_exit_agrees_with_caps(self):
         pair = gen_channels(4, 0.8, seed=2)
@@ -184,7 +206,7 @@ def _frame_only(g1, g2):
     """An effective channel with the real reduced channels g1 and g2 in the
     first two coordinates of C^4, and the channels it lifts them to."""
     U = np.eye(4, 2, dtype=complex)
-    eff = EffectiveChannel(U=U, sigma=None, V=None, g1=g1, g2=g2)
+    eff = EffectiveChannel(U=U, g1=g1, g2=g2)
     return eff, ChannelPair(m=4, h1=U @ g1, h2=U @ g2, rho=0.0, seed=None)
 
 

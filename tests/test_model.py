@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from twrelay.model import (
     relay_power_reduced,
     snr_pair_reduced,
 )
-from twrelay.schemes import zfr_zft
+from twrelay.schemes import _basis, zfr_zft
 
 
 class TestGeneration:
@@ -147,7 +148,8 @@ class TestFrame:
     def test_real_reduced_channels_and_an_orthonormal_lift(self):
         for pair in _frame_corpus():
             eff = effective(pair)
-            for name in ("g1", "g2", "V", "sigma"):
+            assert [f.name for f in dataclasses.fields(eff)] == ["U", "g1", "g2"]
+            for name in ("g1", "g2"):
                 assert getattr(eff, name).dtype == np.float64, name
             assert eff.U.dtype == np.complex128
             assert np.max(np.abs(eff.U.conj().T @ eff.U - np.eye(2))) <= 1e-14
@@ -158,11 +160,14 @@ class TestFrame:
 
     def test_diagonal_grams_keep_the_identity_frame(self):
         e1, e2 = np.eye(4, dtype=complex)[:2]
+        # the rotation is the identity where theta1 > theta2 and a quarter turn
+        # where theta1 < theta2: the frame keeps the axes, in turned order
         eff = effective(ChannelPair(m=4, h1=2.0 * e1, h2=e2, rho=0.0))
-        assert np.array_equal(eff.V, np.eye(2))
+        assert np.array_equal(eff.U, np.column_stack((e1, e2)))
         assert eff.g1.tolist() == [2.0, 0.0] and eff.g2.tolist() == [0.0, 1.0]
         eff = effective(ChannelPair(m=4, h1=e1, h2=3.0 * e2, rho=0.0))
-        assert np.array_equal(eff.V, [[0.0, -1.0], [1.0, 0.0]])
+        assert np.array_equal(eff.U, np.column_stack((e2, -e1)))
+        assert eff.g1.tolist() == [0.0, -1.0] and eff.g2.tolist() == [3.0, 0.0]
 
     def test_lifted_and_reduced_evaluators_agree(self, rng):
         pc = PowerConfig(p1=3.0, p2=2.0, p_relay=10.0)
@@ -184,6 +189,48 @@ class TestFrame:
             warnings.simplefilter("error")
             with pytest.raises(RankDeficiencyError):
                 zfr_zft(pair, 1.0, PowerConfig(10.0, 10.0, 10.0))
+
+    def test_zero_forcing_factors_are_the_dual_basis(self):
+        # u.g2 = v.g1 = 1 and u.g1 = v.g2 = 0, taken in exact arithmetic on
+        # the floats: each within 4 ulps, the zeros relative to their norms
+        ulp = np.finfo(float).eps
+        checked = 0
+        for pair in _frame_corpus():
+            eff = effective(pair)
+            try:
+                u, v = _basis("zf", eff)
+            except RankDeficiencyError:
+                continue
+            for f, g_one, g_zero in ((u, eff.g2, eff.g1), (v, eff.g1, eff.g2)):
+                one, zero = _exact_dot(f, g_one), _exact_dot(f, g_zero)
+                assert abs(one - 1) <= 4 * ulp, (pair.m, one)
+                assert abs(zero) <= 4 * ulp * np.linalg.norm(f) * np.linalg.norm(g_zero), (pair.m, zero)
+            checked += 1
+        assert checked >= 30
+
+    def test_zero_forcing_refuses_where_the_singular_value_rule_did(self):
+        # the cross-product rule |g1 x g2| <= 1e-10 (|g1|^2 + |g2|^2) against
+        # sigma_2 <= 1e-10 sigma_1, sigma_k = |(g1[k], g2[k])| the frame's
+        # singular values, on channels ever closer to parallel
+        decisions = []
+        for m in (2, 4, 8):
+            for normalize in (True, False):
+                for k in range(25):
+                    for seed in range(3):
+                        eff = effective(gen_channels(m, 1.0 - 10.0**-k, seed, normalize=normalize))
+                        sigma = np.hypot(eff.g1, eff.g2)
+                        try:
+                            _basis("zf", eff)
+                            refused = False
+                        except RankDeficiencyError:
+                            refused = True
+                        assert refused == (sigma[1] <= 1e-10 * sigma[0]), (m, normalize, k, seed, sigma)
+                        decisions.append(refused)
+        assert 0 < sum(decisions) < len(decisions)
+
+
+def _exact_dot(x, y):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), y.tolist()))
 
 
 class TestRatePower:

@@ -406,11 +406,14 @@ def _dot(x, y):
 
 def _four_factors(scheme, eff):
     """The factors (ua, va, ub, vb) of Ba = ua va^T and Bb = ub vb^T taken
-    apart, the reference for _basis: for zero-forcing each matrix's left
-    factor comes from V^T / sigma and its right one from V / sigma."""
+    apart, the reference for _basis: zero-forcing's B = G^-T [[0, b], [a, 0]] G^-1
+    with G = [g1 g2], so each matrix's left factor comes from G^-T and its
+    right one from G^-1, the adjugate of G over its determinant."""
     if scheme == "mr":
         return eff.g2, eff.g1, eff.g1, eff.g2
-    left, right = eff.V.T / eff.sigma[:, None], eff.V / eff.sigma
+    (x0, x1), (y0, y1) = eff.g1.tolist(), eff.g2.tolist()
+    right = np.array([[y1, -y0], [-x1, x0]]) / (x0 * y1 - x1 * y0)
+    left = right.T
     return left[:, 1], right[0], left[:, 0], right[1]
 
 
